@@ -13,17 +13,18 @@ all: build vet test check
 # the burst buffer, the entropy/sparse codecs, the streaming ingest
 # engine with its backpressure policies, the parallel
 # transform/threshold stages with their serial-equivalence property
-# tests, and the lint suite itself, whose dogfooding test shells out to
-# go list and replays every analyzer over the whole module), a
-# GOMAXPROCS=1 smoke of the same parallel stages plus the
-# ingest engine (worker budgets must degrade to clean sequential
+# tests, the synth/tornado lattice sampler that splits z-planes over
+# goroutines, and the lint suite itself, whose dogfooding test shells
+# out to go list and replays every analyzer over the whole module), a
+# GOMAXPROCS=1 smoke of the same parallel stages, ingest engine and
+# sampler (worker budgets must degrade to clean sequential
 # execution), and short fuzz smokes of the container index parser, the
 # 1D wavelet round-trip at both precisions, the record-frame codec, the gap-marker codec,
 # the level-offset table parser of the progressive (v4) layout, the
 # entropy coder round-trip, and the coefficient codec block decoders.
 check: vet fmt-check lint docscheck bench-smoke
-	$(GO) test -race ./internal/server ./internal/storage ./internal/compress ./internal/faultio ./internal/transform ./internal/core ./internal/par ./internal/codec ./internal/entropy ./internal/ingest ./internal/lint
-	GOMAXPROCS=1 $(GO) test ./internal/par ./internal/transform ./internal/compress ./internal/core ./internal/codec ./internal/entropy ./internal/ingest
+	$(GO) test -race ./internal/server ./internal/storage ./internal/compress ./internal/faultio ./internal/transform ./internal/core ./internal/par ./internal/codec ./internal/entropy ./internal/ingest ./internal/lint ./internal/sim/synth ./internal/sim/tornado
+	GOMAXPROCS=1 $(GO) test ./internal/par ./internal/transform ./internal/compress ./internal/core ./internal/codec ./internal/entropy ./internal/ingest ./internal/sim/synth ./internal/sim/tornado
 	$(GO) test -run=NONE -fuzz=FuzzOpenContainer -fuzztime=10s ./internal/storage
 	$(GO) test -run=NONE -fuzz='FuzzWaveletRoundtrip$$' -fuzztime=5s ./internal/wavelet
 	$(GO) test -run=NONE -fuzz=FuzzWaveletRoundtrip32 -fuzztime=5s ./internal/wavelet

@@ -138,9 +138,9 @@ func makeGenerator(sim string, n, every int, variable string, seed int64) (func(
 			t := float64(i)
 			switch variable {
 			case "scalar":
-				return f.SampleScalar(n, n, n, t), nil
+				return f.SampleScalar(n, n, n, t)
 			case "vx":
-				return f.SampleVelocityX(n, n, n, t), nil
+				return f.SampleVelocityX(n, n, n, t)
 			}
 			return nil, fmt.Errorf("synth variables: scalar, vx (got %q)", variable)
 		}, grid.Dims{Nx: n, Ny: n, Nz: n}, nil

@@ -55,8 +55,13 @@ func ReadDeflatedSparseBlock(r io.Reader) (*SparseBlock, error) {
 	if n > 1<<40 {
 		return nil, fmt.Errorf("compress: implausible deflate frame size %d", n)
 	}
-	comp := make([]byte, n)
-	if _, err := io.ReadFull(r, comp); err != nil {
+	// Grow with the bytes that actually arrive: n is untrusted, and a
+	// truncated stream must not cost an n-byte allocation up front.
+	comp, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err == nil && uint64(len(comp)) < n {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return nil, fmt.Errorf("compress: reading deflate frame: %w", err)
 	}
 	fr := flate.NewReader(bytes.NewReader(comp))

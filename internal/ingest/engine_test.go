@@ -55,7 +55,11 @@ func refWindow(t *testing.T, times []float64) *grid.Window {
 	d := testDims()
 	w := grid.NewWindow(d)
 	for _, tm := range times {
-		if err := w.Append(f.SampleScalar(d.Nx, d.Ny, d.Nz, tm), tm); err != nil {
+		s, err := f.SampleScalar(d.Nx, d.Ny, d.Nz, tm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Append(s, tm); err != nil {
 			t.Fatal(err)
 		}
 	}

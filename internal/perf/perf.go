@@ -24,7 +24,7 @@
 // in every entry forever. "env" is a later append-only addition (it
 // records the machine the numbers came from, which the worker-scaling
 // series is meaningless without); files written before it exist remain
-// valid.
+// valid. "samples_per_s" is a later, optional per-entry addition.
 package perf
 
 import (
@@ -51,6 +51,9 @@ type Result struct {
 	MBPerS float64 `json:"mb_per_s"`
 	// AllocsPerOp is the mean heap allocation count per operation.
 	AllocsPerOp float64 `json:"allocs_per_op"`
+	// SamplesPerS is throughput in field samples, the unit f32 and f64
+	// rows compare in; omitted by benchmarks that declare no sample count.
+	SamplesPerS float64 `json:"samples_per_s,omitempty"`
 }
 
 // Env records the machine a result file was measured on. Worker-scaling

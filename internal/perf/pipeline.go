@@ -41,6 +41,8 @@ const (
 	// bounded-memory ledger actually gates admission.
 	ingestN      = 16
 	ingestWindow = 4
+	// Solver-sampling workload: the repo benchmark's fixture slice.
+	simN = 64
 )
 
 // benchGrid builds a temporally coherent window that compresses like
@@ -380,7 +382,7 @@ func RunPipeline(ctx context.Context, cfg Config, progress io.Writer) ([]Result,
 	// run length. (The ledger ceiling itself is asserted by the ingest
 	// package's bounded-memory test.)
 	synthCfg := synth.DefaultConfig()
-	synthCfg.Modes = 16 // sampling cost scales with modes; keep the 100-window run sub-second
+	synthCfg.Modes = 16 // the ensemble every committed scaling.ingest_* baseline sampled
 	synthField, err := synth.NewField(synthCfg)
 	if err != nil {
 		return nil, err
@@ -425,6 +427,25 @@ func RunPipeline(ctx context.Context, cfg Config, progress io.Writer) ([]Result,
 		}})
 	}
 
+	// Stand-in solver pair: one 64³ slice of the repo benchmark's 8-mode
+	// synth fixture at each store; the rows compare in samples/s.
+	simCfg := synth.DefaultConfig()
+	simCfg.Modes = 8
+	simField, err := synth.NewField(simCfg)
+	if err != nil {
+		return nil, err
+	}
+	sim64, sim32 := grid.NewField3D(simN, simN, simN), grid.NewField3D32(simN, simN, simN)
+	simSamples := int64(sim64.Dims.Len())
+	samplesPerOp := map[string]int64{"sim.synth_sample": simSamples, "sim.synth_sample_f32": simSamples}
+	suite = append(suite,
+		pipelineBenchmark{"sim.synth_sample", simSamples * 8, func(context.Context) error {
+			return simField.SampleScalarInto(sim64, 2.5)
+		}},
+		pipelineBenchmark{"sim.synth_sample_f32", simSamples * 4, func(context.Context) error {
+			return simField.SampleScalarInto32(sim32, 2.5)
+		}})
+
 	// Warm the server cache so slice_hot measures the steady state.
 	if err := serveSlice(2); err != nil {
 		return nil, err
@@ -438,6 +459,7 @@ func RunPipeline(ctx context.Context, cfg Config, progress io.Writer) ([]Result,
 		if err != nil {
 			return nil, err
 		}
+		r.SamplesPerS = float64(samplesPerOp[b.name]) * 1e9 / r.NsPerOp
 		if obs.FromContext(ctx) != nil {
 			// One extra traced iteration per benchmark: spans flow through
 			// the exact code the measurement loop just ran.

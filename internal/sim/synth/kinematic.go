@@ -2,9 +2,11 @@
 // fields by superposing random Fourier modes with a Kolmogorov-like energy
 // spectrum and eddy-turnover temporal decorrelation ("kinematic simulation"
 // in the turbulence literature). It produces fields with controllable
-// spatial and temporal coherence at any grid size in O(modes × gridpoints)
-// time, which makes it the cheap stand-in for large production grids where
-// running the real pseudo-spectral solver would be wasteful.
+// spatial and temporal coherence at any grid size. Grid fills go through
+// one separable lattice kernel (SampleRows): modes × (nx+ny+nz) Sincos
+// calls per slice, then two multiply-adds per mode per grid point, so the
+// stand-in solver is not the bottleneck of an ingest measurement. ScalarAt
+// and VelocityAt evaluate single points and are the kernel's oracle.
 package synth
 
 import (
@@ -15,6 +17,7 @@ import (
 	"stwave/internal/fbits"
 	"stwave/internal/grid"
 	"stwave/internal/num"
+	"stwave/internal/par"
 )
 
 // Config controls the generated ensemble.
@@ -130,78 +133,200 @@ func (f *Field) VelocityAt(x, y, z, t float64) (u, v, w float64) {
 	return u, v, w
 }
 
-// SampleScalar fills an nx×ny×nz grid spanning [0, 2π)³ with the scalar
-// field at time t.
-func (f *Field) SampleScalar(nx, ny, nz int, t float64) *grid.Field3D {
-	out := grid.NewField3D(nx, ny, nz)
-	f.SampleScalarInto(out, t)
-	return out
+// Lattice is a regular sampling lattice: point (i, j, k) sits at
+// (X0 + i·Hx, Y0 + j·Hy, Z0 + k·Hz).
+type Lattice struct {
+	Dims       grid.Dims
+	X0, Y0, Z0 float64
+	Hx, Hy, Hz float64
 }
 
-// SampleScalarInto fills dst with the scalar field at time t without
-// allocating — the recycled-buffer variant the streaming ingest path
+// UnitLattice is the lattice the Sample* methods use: d points per axis
+// spanning [0, 2π)³, origin included.
+func UnitLattice(d grid.Dims) Lattice {
+	return Lattice{
+		Dims: d,
+		Hx:   2 * math.Pi / float64(d.Nx),
+		Hy:   2 * math.Pi / float64(d.Ny),
+		Hz:   2 * math.Pi / float64(d.Nz),
+	}
+}
+
+// check is the one place sampling dims are validated.
+func (l Lattice) check() error {
+	if !l.Dims.Valid() {
+		return fmt.Errorf("synth: invalid lattice dims %v", l.Dims)
+	}
+	return nil
+}
+
+// Component selects the field SampleRows sums: the scalar, or one
+// component of the velocity. They differ only in the per-mode weight.
+type Component int
+
+// The fields a mode ensemble synthesizes.
+const (
+	Scalar Component = iota
+	VelocityX
+	VelocityY
+	VelocityZ
+)
+
+func (m *mode) weight(c Component) float64 {
+	switch c {
+	case VelocityX:
+		return m.amp * m.dx
+	case VelocityY:
+		return m.amp * m.dy
+	case VelocityZ:
+		return m.amp * m.dz
+	}
+	return m.amp
+}
+
+// axisTable returns sin and cos of k(m)·(x0 + i·h) + phase(m) for every
+// mode m and lattice index i < n, mode-major. Every entry is one direct
+// Sincos call — no recurrence — so the error does not grow along the axis.
+func (f *Field) axisTable(n int, x0, h float64, arg func(m *mode) (k, phase float64)) (sin, cos []float64) {
+	sin = make([]float64, 2*len(f.modes)*n)
+	sin, cos = sin[:len(sin)/2], sin[len(sin)/2:]
+	for mi := range f.modes {
+		k, phase := arg(&f.modes[mi])
+		for i := 0; i < n; i++ {
+			sin[mi*n+i], cos[mi*n+i] = math.Sincos(k*(x0+float64(i)*h) + phase)
+		}
+	}
+	return sin, cos
+}
+
+// SampleRows is the lattice kernel every grid fill goes through. It
+// evaluates the fields named by comps on lat at time t and hands them out
+// one x-row at a time: emit(j, k, vals) receives vals[c][i], the float64
+// value of comps[c] at lattice point (i, j, k). On a lattice
+// sin(kx·x + ky·y + kz·z + ωt + φ) factors by angle addition, so a call
+// costs modes × (nx+ny+nz) Sincos calls and each point two multiply-adds
+// per mode per component.
+//
+// z-planes are split over par.Workers(0) goroutines, so emit runs
+// concurrently for different k (never for the same row) and must only
+// touch state that row owns; vals is reused once emit returns. Every row
+// is computed by the same arithmetic wherever it runs, so the output does
+// not depend on the worker count.
+func (f *Field) SampleRows(lat Lattice, t float64, comps []Component, emit func(j, k int, vals [][]float64)) error {
+	return f.sampleRows(lat, t, comps, par.Workers(0), emit)
+}
+
+// sampleRows is SampleRows with the worker count exposed, so tests can
+// hold the output identical across counts.
+func (f *Field) sampleRows(lat Lattice, t float64, comps []Component, workers int, emit func(j, k int, vals [][]float64)) error {
+	if err := lat.check(); err != nil {
+		return err
+	}
+	d, nm := lat.Dims, len(f.modes)
+	xs, xc := f.axisTable(d.Nx, lat.X0, lat.Hx, func(m *mode) (float64, float64) { return m.kx, 0 })
+	ys, yc := f.axisTable(d.Ny, lat.Y0, lat.Hy, func(m *mode) (float64, float64) { return m.ky, 0 })
+	zs, zc := f.axisTable(d.Nz, lat.Z0, lat.Hz, func(m *mode) (float64, float64) { return m.kz, m.omega*t + m.phase })
+	weights := make([]float64, len(comps)*nm)
+	for ci, c := range comps {
+		for mi := range f.modes {
+			weights[ci*nm+mi] = f.modes[mi].weight(c)
+		}
+	}
+	par.For(d.Nz, workers, 1, func(k0, k1 int) {
+		buf := make([]float64, 2*nm+len(comps)*d.Nx)
+		sinB, cosB, rows := buf[:nm], buf[nm:2*nm], buf[2*nm:]
+		vals := make([][]float64, len(comps))
+		for ci := range vals {
+			vals[ci] = rows[ci*d.Nx:][:d.Nx]
+		}
+		for k := k0; k < k1; k++ {
+			for j := 0; j < d.Ny; j++ {
+				// b = ky·y + kz·z + ωt + φ is constant along the row.
+				for mi := 0; mi < nm; mi++ {
+					sy, cy := ys[mi*d.Ny+j], yc[mi*d.Ny+j]
+					sz, cz := zs[mi*d.Nz+k], zc[mi*d.Nz+k]
+					sinB[mi] = sy*cz + cy*sz
+					cosB[mi] = cy*cz - sy*sz
+				}
+				for ci, row := range vals {
+					clear(row)
+					for mi := 0; mi < nm; mi++ {
+						// w·sin(a+b) = (w cos b)·sin a + (w sin b)·cos a
+						w := weights[ci*nm+mi]
+						p, q := w*cosB[mi], w*sinB[mi]
+						sa, ca := xs[mi*d.Nx:][:len(row)], xc[mi*d.Nx:][:len(row)]
+						for i := range row {
+							row[i] += p*sa[i] + q*ca[i]
+						}
+					}
+				}
+				emit(j, k, vals)
+			}
+		}
+	})
+	return nil
+}
+
+// sampleInto fills dst with component c on the unit lattice at time t,
+// narrowing (or not) at the store.
+func sampleInto[F num.Float](f *Field, dst *grid.Field3DOf[F], c Component, t float64) error {
+	d := dst.Dims
+	return f.SampleRows(UnitLattice(d), t, []Component{c}, func(j, k int, vals [][]float64) {
+		row := dst.Data[dst.Index(0, j, k):][:d.Nx]
+		for i, v := range vals[0] {
+			row[i] = F(v)
+		}
+	})
+}
+
+// sample allocates an nx×ny×nz grid and fills it with component c.
+func (f *Field) sample(nx, ny, nz int, c Component, t float64) (*grid.Field3D, error) {
+	// Checked here as well because NewField3D panics on what check rejects.
+	if err := UnitLattice(grid.Dims{Nx: nx, Ny: ny, Nz: nz}).check(); err != nil {
+		return nil, err
+	}
+	out := grid.NewField3D(nx, ny, nz)
+	return out, sampleInto(f, out, c, t)
+}
+
+// SampleScalar fills an nx×ny×nz grid spanning [0, 2π)³ with the scalar
+// field at time t.
+func (f *Field) SampleScalar(nx, ny, nz int, t float64) (*grid.Field3D, error) {
+	return f.sample(nx, ny, nz, Scalar, t)
+}
+
+// SampleScalarInto fills dst with the scalar field at time t, leaving dst's
+// buffer in place — the recycled-buffer variant the streaming ingest path
 // uses. dst supplies the sampling resolution.
 func (f *Field) SampleScalarInto(dst *grid.Field3D, t float64) error {
-	return sampleScalarIntoOf(f, dst, t)
+	return sampleInto(f, dst, Scalar, t)
 }
 
 // SampleScalarInto32 is SampleScalarInto storing at float32 — the
 // single-precision ingest path. The mode sum stays float64; only the
 // sampled field is 4 bytes per sample.
 func (f *Field) SampleScalarInto32(dst *grid.Field3D32, t float64) error {
-	return sampleScalarIntoOf(f, dst, t)
-}
-
-// sampleScalarIntoOf is the precision-generic fill loop behind the two
-// SampleScalarInto variants: evaluation stays float64, the store narrows
-// (or not) at the fill point.
-func sampleScalarIntoOf[F num.Float](f *Field, dst *grid.Field3DOf[F], t float64) error {
-	if !dst.Dims.Valid() {
-		return fmt.Errorf("synth: invalid dst dims %v", dst.Dims)
-	}
-	nx, ny, nz := dst.Dims.Nx, dst.Dims.Ny, dst.Dims.Nz
-	hx := 2 * math.Pi / float64(nx)
-	hy := 2 * math.Pi / float64(ny)
-	hz := 2 * math.Pi / float64(nz)
-	for z := 0; z < nz; z++ {
-		Z := float64(z) * hz
-		for y := 0; y < ny; y++ {
-			Y := float64(y) * hy
-			for x := 0; x < nx; x++ {
-				dst.Set(x, y, z, F(f.ScalarAt(float64(x)*hx, Y, Z, t)))
-			}
-		}
-	}
-	return nil
+	return sampleInto(f, dst, Scalar, t)
 }
 
 // SampleVelocityX fills a grid with the X component of the synthetic
 // velocity at time t.
-func (f *Field) SampleVelocityX(nx, ny, nz int, t float64) *grid.Field3D {
-	out := grid.NewField3D(nx, ny, nz)
-	hx := 2 * math.Pi / float64(nx)
-	hy := 2 * math.Pi / float64(ny)
-	hz := 2 * math.Pi / float64(nz)
-	for z := 0; z < nz; z++ {
-		Z := float64(z) * hz
-		for y := 0; y < ny; y++ {
-			Y := float64(y) * hy
-			for x := 0; x < nx; x++ {
-				u, _, _ := f.VelocityAt(float64(x)*hx, Y, Z, t)
-				out.Set(x, y, z, u)
-			}
-		}
-	}
-	return out
+func (f *Field) SampleVelocityX(nx, ny, nz int, t float64) (*grid.Field3D, error) {
+	return f.sample(nx, ny, nz, VelocityX, t)
 }
 
-// ScalarWindow samples `count` scalar slices at interval dt starting at t0.
+// ScalarWindow samples `count` scalar slices at interval dt starting at
+// t0. It panics unless every extent is positive.
 func (f *Field) ScalarWindow(nx, ny, nz, count int, t0, dt float64) *grid.Window {
 	w := grid.NewWindow(grid.Dims{Nx: nx, Ny: ny, Nz: nz})
 	for i := 0; i < count; i++ {
 		t := t0 + float64(i)*dt
-		if err := w.Append(f.SampleScalar(nx, ny, nz, t), t); err != nil {
-			panic(err) // dims are ours by construction
+		s, err := f.SampleScalar(nx, ny, nz, t)
+		if err == nil {
+			err = w.Append(s, t)
+		}
+		if err != nil {
+			panic(err)
 		}
 	}
 	return w

@@ -3,6 +3,8 @@ package synth
 import (
 	"math"
 	"testing"
+
+	"stwave/internal/grid"
 )
 
 func TestNewFieldValidation(t *testing.T) {
@@ -81,8 +83,11 @@ func TestTimeScaleControlsTemporalCoherence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a := f.SampleScalar(12, 12, 12, 0)
-		b := f.SampleScalar(12, 12, 12, 5.0)
+		a, errA := f.SampleScalar(12, 12, 12, 0)
+		b, errB := f.SampleScalar(12, 12, 12, 5.0)
+		if errA != nil || errB != nil {
+			t.Fatal(errA, errB)
+		}
 		var num, da, db float64
 		for i := range a.Data {
 			num += a.Data[i] * b.Data[i]
@@ -101,19 +106,76 @@ func TestTimeScaleControlsTemporalCoherence(t *testing.T) {
 	}
 }
 
-func TestSampleScalarMatchesPointEvaluation(t *testing.T) {
-	f, err := NewField(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
+// sumAmp bounds |ScalarAt| and every velocity component: the error budget
+// of the lattice kernel is stated relative to it.
+func sumAmp(f *Field) float64 {
+	var s float64
+	for _, m := range f.modes {
+		s += math.Abs(m.amp)
 	}
-	g := f.SampleScalar(8, 6, 4, 2.5)
-	if g.Dims.Nx != 8 || g.Dims.Ny != 6 || g.Dims.Nz != 4 {
-		t.Fatalf("dims = %v", g.Dims)
-	}
-	h := 2 * math.Pi
-	want := f.ScalarAt(3*h/8, 2*h/6, 1*h/4, 2.5)
-	if got := g.At(3, 2, 1); got != want {
-		t.Errorf("grid sample %g != point evaluation %g", got, want)
+	return s
+}
+
+// withinOneUlp32 reports whether got is want or one of its float32
+// neighbours.
+func withinOneUlp32(got, want float32) bool {
+	return got == want ||
+		got == math.Nextafter32(want, float32(math.Inf(1))) ||
+		got == math.Nextafter32(want, float32(math.Inf(-1)))
+}
+
+// The lattice kernel against the pointwise oracle, over the whole grid:
+// non-cubic and odd dims, times large enough that ωt dominates the phase,
+// both stores, both components the Sample* methods expose, and both the
+// default and the benchmark's 8-mode ensemble.
+func TestSampleMatchesPointEvaluation(t *testing.T) {
+	dims := []grid.Dims{{Nx: 8, Ny: 6, Nz: 4}, {Nx: 17, Ny: 5, Nz: 3}, {Nx: 64, Ny: 64, Nz: 64}}
+	for _, modes := range []int{DefaultConfig().Modes, 8} {
+		cfg := DefaultConfig()
+		cfg.Modes = modes
+		f, err := NewField(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tol := 1e-11 * sumAmp(f)
+		for _, d := range dims {
+			if testing.Short() && d.Len() > 1<<12 {
+				continue
+			}
+			lat := UnitLattice(d)
+			s32 := grid.NewField3D32(d.Nx, d.Ny, d.Nz)
+			for _, tm := range []float64{0, 2.5, 9999.75} {
+				s64, err := f.SampleScalar(d.Nx, d.Ny, d.Nz, tm)
+				if err == nil {
+					err = f.SampleScalarInto32(s32, tm)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				u64, err := f.SampleVelocityX(d.Nx, d.Ny, d.Nz, tm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var worstS, worstU float64
+				for z := 0; z < d.Nz; z++ {
+					for y := 0; y < d.Ny; y++ {
+						for x := 0; x < d.Nx; x++ {
+							X, Y, Z := float64(x)*lat.Hx, float64(y)*lat.Hy, float64(z)*lat.Hz
+							want := f.ScalarAt(X, Y, Z, tm)
+							worstS = math.Max(worstS, math.Abs(s64.At(x, y, z)-want))
+							if got := s32.At(x, y, z); !withinOneUlp32(got, float32(want)) {
+								t.Fatalf("%d modes %v t=%g: f32 sample (%d,%d,%d) = %g, oracle %g", modes, d, tm, x, y, z, got, float32(want))
+							}
+							wantU, _, _ := f.VelocityAt(X, Y, Z, tm)
+							worstU = math.Max(worstU, math.Abs(u64.At(x, y, z)-wantU))
+						}
+					}
+				}
+				if worstS > tol || worstU > tol {
+					t.Errorf("%d modes %v t=%g: max |grid − oracle| scalar %.3g, velocity %.3g, want <= %.3g", modes, d, tm, worstS, worstU, tol)
+				}
+			}
+		}
 	}
 }
 

@@ -2,9 +2,11 @@ package tornado
 
 import (
 	"fmt"
+	"math"
 
 	"stwave/internal/grid"
 	"stwave/internal/num"
+	"stwave/internal/sim/synth"
 )
 
 // Cell spacing helpers: grid index i maps to physical coordinate
@@ -24,36 +26,46 @@ func (m *Model) Spacing() (dx, dy, dz float64) {
 	return m.cfg.Lx / float64(m.cfg.Nx), m.cfg.Ly / float64(m.cfg.Ny), m.cfg.Lz / float64(m.cfg.Nz)
 }
 
-// sample fills a grid by evaluating fn at every cell center.
-func (m *Model) sample(fn func(x, y, z float64) float64) *grid.Field3D {
-	f := grid.NewField3D(m.cfg.Nx, m.cfg.Ny, m.cfg.Nz)
-	m.sampleInto(f, fn)
-	return f
-}
-
-// sampleInto fills dst by evaluating fn at every cell center, without
-// allocating; dst must match the model grid.
-func (m *Model) sampleInto(dst *grid.Field3D, fn func(x, y, z float64) float64) error {
-	return sampleIntoOf(m, dst, fn)
-}
-
-// sampleIntoOf is the precision-generic fill loop behind sampleInto and
-// the Into32 variants: the analytic evaluation stays float64, the store
-// narrows (or not) at the fill point.
-func sampleIntoOf[F num.Float](m *Model, dst *grid.Field3DOf[F], fn func(x, y, z float64) float64) error {
-	if want := (grid.Dims{Nx: m.cfg.Nx, Ny: m.cfg.Ny, Nz: m.cfg.Nz}); dst.Dims != want {
-		return fmt.Errorf("tornado: dst dims %v != model dims %v", dst.Dims, want)
+// lattice is the cell-centre grid in the turbulence field's coordinates
+// (see velocityWaves): the lattice synth's kernel sums the modes on.
+func (m *Model) lattice(waves float64) synth.Lattice {
+	hx := waves * math.Pi / float64(m.cfg.Nx)
+	hy := waves * math.Pi / float64(m.cfg.Ny)
+	hz := waves * math.Pi / float64(m.cfg.Nz)
+	return synth.Lattice{
+		Dims: grid.Dims{Nx: m.cfg.Nx, Ny: m.cfg.Ny, Nz: m.cfg.Nz},
+		X0:   hx / 2, Y0: hy / 2, Z0: hz / 2,
+		Hx: hx, Hy: hy, Hz: hz,
 	}
-	for k := 0; k < m.cfg.Nz; k++ {
-		Z := m.CellZ(k)
-		for j := 0; j < m.cfg.Ny; j++ {
-			Y := m.CellY(j)
-			for i := 0; i < m.cfg.Nx; i++ {
-				dst.Set(i, j, k, F(fn(m.CellX(i), Y, Z)))
-			}
+}
+
+// fillOf is the fill loop behind every single-field sampler: dst gets
+// point(x, y, z, turb) at every cell center, where turb is component c of
+// the turbulence on lattice(waves). synth's lattice kernel sums the modes
+// a row at a time and spreads z-planes over the CPUs, so point runs
+// concurrently and adds only the analytic part. Evaluation stays float64,
+// the store narrows (or not) at the fill point.
+func fillOf[F num.Float](m *Model, dst *grid.Field3DOf[F], t, waves float64, c synth.Component, point func(x, y, z, turb float64) float64) error {
+	lat := m.lattice(waves)
+	if dst.Dims != lat.Dims {
+		return fmt.Errorf("tornado: dst dims %v != model dims %v", dst.Dims, lat.Dims)
+	}
+	return m.turb.SampleRows(lat, t, []synth.Component{c}, func(j, k int, vals [][]float64) {
+		Y, Z := m.CellY(j), m.CellZ(k)
+		row := dst.Data[dst.Index(0, j, k):][:m.cfg.Nx]
+		for i, turb := range vals[0] {
+			row[i] = F(point(m.CellX(i), Y, Z, turb))
 		}
+	})
+}
+
+// sample allocates a model-sized grid and fills it through fillOf.
+func (m *Model) sample(t, waves float64, c synth.Component, point func(x, y, z, turb float64) float64) *grid.Field3D {
+	f := grid.NewField3D(m.cfg.Nx, m.cfg.Ny, m.cfg.Nz)
+	if err := fillOf(m, f, t, waves, c, point); err != nil {
+		panic(err) // unreachable: f has the model's dims, which NewModel validated
 	}
-	return nil
+	return f
 }
 
 // Velocity samples all three wind components at time t.
@@ -61,60 +73,68 @@ func (m *Model) Velocity(t float64) (u, v, w *grid.Field3D) {
 	u = grid.NewField3D(m.cfg.Nx, m.cfg.Ny, m.cfg.Nz)
 	v = grid.NewField3D(m.cfg.Nx, m.cfg.Ny, m.cfg.Nz)
 	w = grid.NewField3D(m.cfg.Nx, m.cfg.Ny, m.cfg.Nz)
-	for k := 0; k < m.cfg.Nz; k++ {
-		Z := m.CellZ(k)
-		for j := 0; j < m.cfg.Ny; j++ {
-			Y := m.CellY(j)
-			for i := 0; i < m.cfg.Nx; i++ {
-				uu, vv, ww := m.VelocityAt(m.CellX(i), Y, Z, t)
-				idx := u.Index(i, j, k)
-				u.Data[idx] = uu
-				v.Data[idx] = vv
-				w.Data[idx] = ww
-			}
+	comps := []synth.Component{synth.VelocityX, synth.VelocityY, synth.VelocityZ}
+	err := m.turb.SampleRows(m.lattice(velocityWaves), t, comps, func(j, k int, vals [][]float64) {
+		Y, Z := m.CellY(j), m.CellZ(k)
+		for i := 0; i < m.cfg.Nx; i++ {
+			uu, vv, ww := m.windAt(m.CellX(i), Y, Z, t)
+			idx := u.Index(i, j, k)
+			u.Data[idx] = uu + m.cfg.TurbulenceAmplitude*vals[0][i]
+			v.Data[idx] = vv + m.cfg.TurbulenceAmplitude*vals[1][i]
+			w.Data[idx] = ww + m.cfg.TurbulenceAmplitude*vals[2][i]
 		}
+	})
+	if err != nil {
+		panic(err) // unreachable: NewModel validated the dims
 	}
 	return u, v, w
 }
 
 // VelocityX samples the X wind component at time t.
 func (m *Model) VelocityX(t float64) *grid.Field3D {
-	return m.sample(func(x, y, z float64) float64 {
-		u, _, _ := m.VelocityAt(x, y, z, t)
-		return u
+	return m.sample(t, velocityWaves, synth.VelocityX, func(x, y, z, turb float64) float64 {
+		u, _, _ := m.windAt(x, y, z, t)
+		return u + m.cfg.TurbulenceAmplitude*turb
 	})
 }
 
 // VelocityZ samples the vertical wind component at time t (the paper's
 // isosurface study uses Z-velocity).
 func (m *Model) VelocityZ(t float64) *grid.Field3D {
-	return m.sample(func(x, y, z float64) float64 {
-		_, _, w := m.VelocityAt(x, y, z, t)
-		return w
-	})
+	return m.sample(t, velocityWaves, synth.VelocityZ, m.updraft(t))
+}
+
+// updraft is fillOf's point function for the vertical wind at time t.
+func (m *Model) updraft(t float64) func(x, y, z, turb float64) float64 {
+	return func(x, y, z, turb float64) float64 {
+		_, _, w := m.windAt(x, y, z, t)
+		return w + m.cfg.TurbulenceAmplitude*turb
+	}
 }
 
 // PressurePerturbation samples the pressure deficit field at time t.
 func (m *Model) PressurePerturbation(t float64) *grid.Field3D {
-	return m.sample(func(x, y, z float64) float64 {
-		return m.PressurePerturbationAt(x, y, z, t)
+	return m.sample(t, pressureWaves, synth.Scalar, func(x, y, z, turb float64) float64 {
+		return m.pressureAt(x, y, z, t) + pressureTurbulence*turb
 	})
+}
+
+// cloud is fillOf's point function for the cloud water field at time t.
+func (m *Model) cloud(t float64) func(x, y, z, turb float64) float64 {
+	w := m.updraft(t)
+	return func(x, y, z, turb float64) float64 { return m.cloudOf(w(x, y, z, turb), z) }
 }
 
 // CloudMixingRatio samples the cloud water field at time t.
 func (m *Model) CloudMixingRatio(t float64) *grid.Field3D {
-	return m.sample(func(x, y, z float64) float64 {
-		return m.CloudMixingRatioAt(x, y, z, t)
-	})
+	return m.sample(t, velocityWaves, synth.VelocityZ, m.cloud(t))
 }
 
 // CloudMixingRatioInto samples the cloud water field at time t into dst
-// without allocating — the streaming ingest path's recycled-buffer
-// variant. dst must match the model grid.
+// without replacing its buffer — the streaming ingest path's
+// recycled-buffer variant. dst must match the model grid.
 func (m *Model) CloudMixingRatioInto(dst *grid.Field3D, t float64) error {
-	return m.sampleInto(dst, func(x, y, z float64) float64 {
-		return m.CloudMixingRatioAt(x, y, z, t)
-	})
+	return fillOf(m, dst, t, velocityWaves, synth.VelocityZ, m.cloud(t))
 }
 
 // CloudMixingRatioInto32 is CloudMixingRatioInto storing at float32 — the
@@ -122,9 +142,7 @@ func (m *Model) CloudMixingRatioInto(dst *grid.Field3D, t float64) error {
 // only the sampled field is 4 bytes per sample. dst must match the model
 // grid.
 func (m *Model) CloudMixingRatioInto32(dst *grid.Field3D32, t float64) error {
-	return sampleIntoOf(m, dst, func(x, y, z float64) float64 {
-		return m.CloudMixingRatioAt(x, y, z, t)
-	})
+	return fillOf(m, dst, t, velocityWaves, synth.VelocityZ, m.cloud(t))
 }
 
 // Enstrophy samples |curl u|² at time t using centered finite differences

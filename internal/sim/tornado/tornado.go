@@ -87,6 +87,15 @@ func DefaultConfig(nx, ny, nz int) Config {
 	}
 }
 
+// The turbulence field is 2π-periodic per unit coordinate; the wind and
+// the pressure perturbation stretch that many half-periods of it over the
+// domain, so a point at x meters reads it at waves·π·x/Lx.
+const (
+	velocityWaves      = 8
+	pressureWaves      = 6
+	pressureTurbulence = 25 // amplitude of the broadband pressure term (Pa)
+)
+
 // Model samples the analytic tornado at arbitrary points and times.
 type Model struct {
 	cfg  Config
@@ -163,8 +172,17 @@ func (m *Model) heightProfile(z float64) float64 {
 }
 
 // VelocityAt returns the wind vector (m/s) at point (x, y, z) meters and
-// time t seconds.
+// time t seconds: the analytic wind plus broadband turbulence.
 func (m *Model) VelocityAt(x, y, z, t float64) (u, v, w float64) {
+	u, v, w = m.windAt(x, y, z, t)
+	tx, ty, tz := m.turb.VelocityAt(
+		velocityWaves*math.Pi*x/m.cfg.Lx, velocityWaves*math.Pi*y/m.cfg.Ly, velocityWaves*math.Pi*z/m.cfg.Lz, t)
+	return u + m.cfg.TurbulenceAmplitude*tx, v + m.cfg.TurbulenceAmplitude*ty, w + m.cfg.TurbulenceAmplitude*tz
+}
+
+// windAt is the analytic part of VelocityAt: the vortices and the
+// storm-relative environmental flow, without the turbulence.
+func (m *Model) windAt(x, y, z, t float64) (u, v, w float64) {
 	cx, cy := m.center(t)
 	amp := m.intensity(t)
 	hp := m.heightProfile(z)
@@ -198,21 +216,21 @@ func (m *Model) VelocityAt(x, y, z, t float64) (u, v, w float64) {
 		addVortex(svx, svy, 0.35*m.cfg.CoreRadius, 0.4*m.cfg.MaxSwirl*amp, 0.25*m.cfg.MaxSwirl*amp)
 	}
 
-	// Storm-relative environmental flow plus broadband turbulence.
-	u += m.cfg.TranslationX
-	v += m.cfg.TranslationY
-	tx, ty, tz := m.turb.VelocityAt(
-		8*math.Pi*x/m.cfg.Lx, 8*math.Pi*y/m.cfg.Ly, 8*math.Pi*z/m.cfg.Lz, t)
-	u += m.cfg.TurbulenceAmplitude * tx
-	v += m.cfg.TurbulenceAmplitude * ty
-	w += m.cfg.TurbulenceAmplitude * tz
-	return u, v, w
+	// Storm-relative environmental flow.
+	return u + m.cfg.TranslationX, v + m.cfg.TranslationY, w
 }
 
 // PressurePerturbationAt returns the cyclostrophic pressure deficit (Pa) at
 // a point: p' ≈ -ρ v_peak² exp(-r²/rc²) scaled by the height profile, the
 // closed-form balance for a Gaussian swirl core.
 func (m *Model) PressurePerturbationAt(x, y, z, t float64) float64 {
+	// Small broadband component so the field is not perfectly smooth.
+	return m.pressureAt(x, y, z, t) + pressureTurbulence*m.turb.ScalarAt(
+		pressureWaves*math.Pi*x/m.cfg.Lx, pressureWaves*math.Pi*y/m.cfg.Ly, pressureWaves*math.Pi*z/m.cfg.Lz, t)
+}
+
+// pressureAt is the analytic part of PressurePerturbationAt.
+func (m *Model) pressureAt(x, y, z, t float64) float64 {
 	const rhoAir = 1.1
 	cx, cy := m.center(t)
 	amp := m.intensity(t)
@@ -222,10 +240,7 @@ func (m *Model) PressurePerturbationAt(x, y, z, t float64) float64 {
 	r2 := dx*dx + dy*dy
 	rc := m.cfg.CoreRadius
 	vmax := m.cfg.MaxSwirl * amp * hp
-	p := -rhoAir * vmax * vmax * math.Exp(-r2/(rc*rc))
-	// Small broadband component so the field is not perfectly smooth.
-	p += 25 * m.turb.ScalarAt(6*math.Pi*x/m.cfg.Lx, 6*math.Pi*y/m.cfg.Ly, 6*math.Pi*z/m.cfg.Lz, t)
-	return p
+	return -rhoAir * vmax * vmax * math.Exp(-r2/(rc*rc))
 }
 
 // CloudMixingRatioAt returns the cloud water mixing ratio (g/kg) at a
@@ -234,6 +249,11 @@ func (m *Model) PressurePerturbationAt(x, y, z, t float64) float64 {
 // describes as "what the clouds look like to human eyes".
 func (m *Model) CloudMixingRatioAt(x, y, z, t float64) float64 {
 	_, _, w := m.VelocityAt(x, y, z, t)
+	return m.cloudOf(w, z)
+}
+
+// cloudOf is the mixing ratio at height z given the updraft w there.
+func (m *Model) cloudOf(w, z float64) float64 {
 	zfrac := z / m.cfg.Lz
 	// Cloud base around 0.15 Lz; deep cloud above.
 	heightFactor := sigmoid((zfrac - 0.15) * 20)

@@ -245,3 +245,76 @@ func TestDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// Every grid sampler against its pointwise oracle over the whole grid, on
+// non-cubic and odd dims and at a time large enough that ωt dominates the
+// turbulence phase. The grid path sums the turbulence with synth's lattice
+// kernel; the tolerance is that kernel's 1e-11·Σ|amp| (Σ|amp| <= 48: one
+// per mode) times each field's sensitivity to the turbulence term.
+func TestGridSamplersMatchPointEvaluation(t *testing.T) {
+	const kernelTol = 1e-11 * 48
+	for _, dims := range [][3]int{{24, 24, 16}, {17, 5, 3}, {8, 6, 4}} {
+		m, err := NewModel(DefaultConfig(dims[0], dims[1], dims[2]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		velTol := kernelTol * m.cfg.TurbulenceAmplitude
+		for _, tm := range []float64{0, 2.5, 9999.75} {
+			u, v, w := m.Velocity(tm)
+			ux, wz := m.VelocityX(tm), m.VelocityZ(tm)
+			p, q := m.PressurePerturbation(tm), m.CloudMixingRatio(tm)
+			q32 := grid.NewField3D32(dims[0], dims[1], dims[2])
+			if err := m.CloudMixingRatioInto32(q32, tm); err != nil {
+				t.Fatal(err)
+			}
+			check := func(name string, i, j, k int, got, want, tol float64) {
+				t.Helper()
+				if math.Abs(got-want) > tol {
+					t.Fatalf("%v t=%g: %s(%d,%d,%d) = %v, point evaluation %v (tol %.3g)", dims, tm, name, i, j, k, got, want, tol)
+				}
+			}
+			for k := 0; k < dims[2]; k++ {
+				for j := 0; j < dims[1]; j++ {
+					for i := 0; i < dims[0]; i++ {
+						x, y, z := m.CellX(i), m.CellY(j), m.CellZ(k)
+						wu, wv, ww := m.VelocityAt(x, y, z, tm)
+						check("Velocity.u", i, j, k, u.At(i, j, k), wu, velTol)
+						check("Velocity.v", i, j, k, v.At(i, j, k), wv, velTol)
+						check("Velocity.w", i, j, k, w.At(i, j, k), ww, velTol)
+						check("VelocityX", i, j, k, ux.At(i, j, k), wu, velTol)
+						check("VelocityZ", i, j, k, wz.At(i, j, k), ww, velTol)
+						check("PressurePerturbation", i, j, k, p.At(i, j, k), m.PressurePerturbationAt(x, y, z, tm), kernelTol*pressureTurbulence)
+						// dq/dw <= 3.2/(4·1.5) < 1.
+						wq := m.CloudMixingRatioAt(x, y, z, tm)
+						check("CloudMixingRatio", i, j, k, q.At(i, j, k), wq, velTol)
+						if got, want := q32.At(i, j, k), float32(wq); got != want &&
+							got != math.Nextafter32(want, float32(math.Inf(1))) && got != math.Nextafter32(want, float32(math.Inf(-1))) {
+							t.Fatalf("%v t=%g: CloudMixingRatioInto32(%d,%d,%d) = %v, point evaluation %v", dims, tm, i, j, k, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestCloudMixingRatioIntoRejectsForeignDims(t *testing.T) {
+	m := testModel(t)
+	if err := m.CloudMixingRatioInto(grid.NewField3D(24, 24, 8), 0); err == nil {
+		t.Error("CloudMixingRatioInto accepted a grid that is not the model's")
+	}
+}
+
+func BenchmarkCloudMixingRatioInto(b *testing.B) {
+	m, err := NewModel(DefaultConfig(64, 64, 64))
+	if err != nil {
+		b.Fatal(err)
+	}
+	dst := grid.NewField3D(64, 64, 64)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.CloudMixingRatioInto(dst, 2.5); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
