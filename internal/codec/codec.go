@@ -63,7 +63,9 @@ type Block interface {
 	// DecodeInto32 is DecodeInto at single precision: the float32 pipeline's
 	// native decode path, with no widen-then-narrow round trip. For blocks
 	// that store exact float32 values (sparse, entropy-lossless) the output
-	// bits equal the encoded input bits.
+	// bits equal the encoded input bits. Interface methods cannot be
+	// generic, so each precision needs its own name; implementations
+	// forward both to one generic body.
 	DecodeInto32(out []float32, workers int) error
 }
 
@@ -96,7 +98,9 @@ type Codec interface {
 	// EncodeSlices32 is EncodeSlices at single precision. The serialized
 	// bytes are identical to encoding the exactly-widened float64 copies —
 	// the on-disk formats never stored more than float32 values — so a
-	// reader cannot tell which precision produced a stream.
+	// reader cannot tell which precision produced a stream. Like
+	// DecodeInto32 it is a separate name only because interface methods
+	// cannot be generic.
 	EncodeSlices32(datas [][]float32, workers int) ([]Block, error)
 	// WriteBlock serializes one of this codec's blocks. It fails on
 	// blocks produced by a different codec.

@@ -9,6 +9,7 @@ import (
 	"stwave/internal/compress"
 	"stwave/internal/entropy"
 	"stwave/internal/fbits"
+	"stwave/internal/num"
 )
 
 func testSlices(t *testing.T, nslices, n int) [][]float64 {
@@ -197,30 +198,79 @@ func TestWrapSparseAccessors(t *testing.T) {
 	}
 }
 
+// TestEncodeDeterministicAcrossWorkers pins every codec's stream across
+// worker counts and precisions: EncodeSlices32(x) must write the bytes
+// EncodeSlices writes for the widened copy of x, and DecodeInto32 must
+// return float32(DecodeInto) bit for bit (exact for sparse and
+// entropy-lossless, one rounding of the dequantized value for lossy
+// entropy).
 func TestEncodeDeterministicAcrossWorkers(t *testing.T) {
 	datas := testSlices(t, 5, 40000)
+	datas32 := make([][]float32, len(datas))
+	widened := make([][]float64, len(datas))
+	for i, d := range datas {
+		datas32[i] = num.Narrow(d)
+		widened[i] = num.Widen(datas32[i])
+	}
+	lossless, err := EntropyWith(entropy.Params{Lossless: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	codecs := map[string]Codec{"entropy-lossless": lossless}
 	for _, name := range Names() {
-		c, err := ByName(name)
-		if err != nil {
+		if codecs[name], err = ByName(name); err != nil {
 			t.Fatal(err)
 		}
-		var ref []byte
+	}
+	for name, c := range codecs {
+		ref := encodeStream(t, c, datas, 1)
+		ref32 := encodeStream(t, c, widened, 1)
 		for _, workers := range []int{1, 2, 7, 16} {
-			blocks, err := c.EncodeSlices(datas, workers)
+			if !bytes.Equal(ref, encodeStream(t, c, datas, workers)) {
+				t.Fatalf("%s: workers=%d stream differs from workers=1", name, workers)
+			}
+			blocks, err := c.EncodeSlices32(datas32, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var buf bytes.Buffer
-			for _, b := range blocks {
-				if _, err := c.WriteBlock(&buf, b); err != nil {
+			if !bytes.Equal(ref32, writeStream(t, c, blocks)) {
+				t.Fatalf("%s: workers=%d f32 stream differs from the widened f64 stream", name, workers)
+			}
+			for si, b := range blocks {
+				out64 := make([]float64, b.Total())
+				out32 := make([]float32, b.Total())
+				if err := b.DecodeInto(out64, workers); err != nil {
 					t.Fatal(err)
 				}
-			}
-			if ref == nil {
-				ref = buf.Bytes()
-			} else if !bytes.Equal(ref, buf.Bytes()) {
-				t.Fatalf("%s: workers=%d stream differs from workers=1", name, workers)
+				if err := b.DecodeInto32(out32, workers); err != nil {
+					t.Fatal(err)
+				}
+				for i := range out32 {
+					if math.Float32bits(out32[i]) != math.Float32bits(float32(out64[i])) {
+						t.Fatalf("%s slice %d i=%d: DecodeInto32 %g, float32(DecodeInto) %g", name, si, i, out32[i], float32(out64[i]))
+					}
+				}
 			}
 		}
 	}
+}
+
+func encodeStream(t *testing.T, c Codec, datas [][]float64, workers int) []byte {
+	t.Helper()
+	blocks, err := c.EncodeSlices(datas, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return writeStream(t, c, blocks)
+}
+
+func writeStream(t *testing.T, c Codec, blocks []Block) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	for _, b := range blocks {
+		if _, err := c.WriteBlock(&buf, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"stwave/internal/entropy"
+	"stwave/internal/num"
 	"stwave/internal/par"
 )
 
@@ -35,6 +36,14 @@ func (entropyCodec) ID() ID       { return IDEntropy }
 func (entropyCodec) Name() string { return "entropy" }
 
 func (c entropyCodec) EncodeSlices(datas [][]float64, workers int) ([]Block, error) {
+	return encodeEntropy(c.params, datas, workers)
+}
+
+func (c entropyCodec) EncodeSlices32(datas [][]float32, workers int) ([]Block, error) {
+	return encodeEntropy(c.params, datas, workers)
+}
+
+func encodeEntropy[F num.Float](p entropy.Params, datas [][]F, workers int) ([]Block, error) {
 	blocks := make([]Block, len(datas))
 	errs := make([]error, len(datas))
 	// Slices encode concurrently and each slice's chunks encode
@@ -42,25 +51,7 @@ func (c entropyCodec) EncodeSlices(datas [][]float64, workers int) ([]Block, err
 	outer, inner := par.Split(workers, len(datas))
 	par.For(len(datas), outer, 1, func(start, end int) {
 		for i := start; i < end; i++ {
-			b, err := entropy.Encode(datas[i], c.params, inner)
-			blocks[i], errs[i] = b, err
-		}
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("codec: encoding slice %d: %w", i, err)
-		}
-	}
-	return blocks, nil
-}
-
-func (c entropyCodec) EncodeSlices32(datas [][]float32, workers int) ([]Block, error) {
-	blocks := make([]Block, len(datas))
-	errs := make([]error, len(datas))
-	outer, inner := par.Split(workers, len(datas))
-	par.For(len(datas), outer, 1, func(start, end int) {
-		for i := start; i < end; i++ {
-			b, err := entropy.Encode32(datas[i], c.params, inner)
+			b, err := entropy.Encode(datas[i], p, inner)
 			blocks[i], errs[i] = b, err
 		}
 	})

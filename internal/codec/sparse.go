@@ -24,17 +24,18 @@ func (b SparseBlock) Total() int { return b.SparseBlock.Total }
 
 // DecodeInto expands the block into out on up to workers goroutines.
 func (b SparseBlock) DecodeInto(out []float64, workers int) error {
-	return b.DecodeIntoP(out, workers)
+	return compress.DecodeInto(b.SparseBlock, out, workers)
 }
 
 // DecodeInto32 expands the block into a float32 slice, reproducing the
-// stored float32 values bit-for-bit.
+// stored float32 values bit-for-bit. It exists beside DecodeInto because
+// interface methods cannot be generic.
 func (b SparseBlock) DecodeInto32(out []float32, workers int) error {
-	return b.DecodeInto32P(out, workers)
+	return compress.DecodeInto(b.SparseBlock, out, workers)
 }
 
 // sparseCodec is the original backend: significance bitmap + raw float32
-// values, chunk-parallel through compress.EncodeBlocks/DecodeIntoP.
+// values, chunk-parallel through compress.EncodeBlocks/DecodeInto.
 type sparseCodec struct{}
 
 // Sparse returns the sparse backend (format ID 1, the default).
@@ -48,7 +49,7 @@ func (sparseCodec) EncodeSlices(datas [][]float64, workers int) ([]Block, error)
 }
 
 func (sparseCodec) EncodeSlices32(datas [][]float32, workers int) ([]Block, error) {
-	return wrapAll(compress.EncodeBlocks32(datas, workers)), nil
+	return wrapAll(compress.EncodeBlocks(datas, workers)), nil
 }
 
 func (sparseCodec) WriteBlock(w io.Writer, b Block) (int64, error) {
@@ -85,7 +86,7 @@ func (deflateCodec) EncodeSlices(datas [][]float64, workers int) ([]Block, error
 }
 
 func (deflateCodec) EncodeSlices32(datas [][]float32, workers int) ([]Block, error) {
-	return wrapAll(compress.EncodeBlocks32(datas, workers)), nil
+	return wrapAll(compress.EncodeBlocks(datas, workers)), nil
 }
 
 func (deflateCodec) WriteBlock(w io.Writer, b Block) (int64, error) {

@@ -8,6 +8,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"stwave/internal/num"
 )
 
 func TestKeepCount(t *testing.T) {
@@ -66,7 +68,7 @@ func TestThresholdEdgeCases(t *testing.T) {
 			t.Error("keep 0 must zero everything")
 		}
 	}
-	if kept := Threshold(nil, 0); kept != 0 {
+	if kept := Threshold[float64](nil, 0); kept != 0 {
 		t.Errorf("nil input: kept = %d", kept)
 	}
 }
@@ -190,7 +192,7 @@ func TestSparseBlockDecodeInto(t *testing.T) {
 	for i := range out {
 		out[i] = 99
 	}
-	if err := b.DecodeInto(out); err != nil {
+	if err := DecodeInto(b, out, 1); err != nil {
 		t.Fatal(err)
 	}
 	for i := range coeffs {
@@ -198,7 +200,7 @@ func TestSparseBlockDecodeInto(t *testing.T) {
 			t.Fatalf("DecodeInto = %v, want %v", out, coeffs)
 		}
 	}
-	if err := b.DecodeInto(make([]float64, 4)); err == nil {
+	if err := DecodeInto(b, make([]float64, 4), 1); err == nil {
 		t.Error("expected length-mismatch error")
 	}
 }
@@ -315,13 +317,16 @@ func TestQuickSparseRoundTrip(t *testing.T) {
 	}
 }
 
-func BenchmarkThreshold1M(b *testing.B) {
+func BenchmarkThreshold1M(b *testing.B)   { benchThreshold1M[float64](b) }
+func BenchmarkThreshold1M32(b *testing.B) { benchThreshold1M[float32](b) }
+
+func benchThreshold1M[F num.Float](b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
-	orig := make([]float64, 1<<20)
+	orig := make([]F, 1<<20)
 	for i := range orig {
-		orig[i] = rng.NormFloat64()
+		orig[i] = F(rng.NormFloat64())
 	}
-	work := make([]float64, len(orig))
+	work := make([]F, len(orig))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -3,9 +3,9 @@ package compress
 // Property tests pinning the parallel selection and coding paths to the
 // serial reference implementations, bit for bit: ThresholdSlices against
 // thresholdSerial (the original quickselect code, kept in threshold.go),
-// and NewSparseBlockP/DecodeIntoP against the obvious append-growth
-// encoder. Run under -race by `make check` to also prove the chunked
-// passes are data-race free.
+// and NewSparseBlockP/DecodeInto against the obvious append-growth
+// encoder. Each runs at both precisions. Run under -race by `make check`
+// to also prove the chunked passes are data-race free.
 
 import (
 	"math"
@@ -13,7 +13,52 @@ import (
 	"testing"
 
 	"stwave/internal/fbits"
+	"stwave/internal/num"
 )
+
+// precisions drives the float64 and float32 paths through the same
+// assertions against the float64 references. round maps test data to the
+// values the precision holds (the nearest float32, widened back, for f32);
+// the other functions run one stage at that precision on round(data) and
+// return the result widened. Widening is exact, so an f32 run must match
+// the reference on the widened copy bit for bit.
+var precisions = []struct {
+	name      string
+	round     func([]float64) []float64
+	threshold func(ref []float64, keep, workers int) ([]float64, int)
+	cutoff    func(ref []float64, keep int) float64
+	encode    func(ref []float64, workers int) *SparseBlock
+	decode    func(b *SparseBlock, workers int) ([]float64, error)
+}{
+	{"f64", func(x []float64) []float64 { return x }, thresholdAt[float64], cutoffAt[float64], encodeAt[float64], decodeAt[float64]},
+	{"f32", func(x []float64) []float64 { return num.Widen(num.Narrow(x)) }, thresholdAt[float32], cutoffAt[float32], encodeAt[float32], decodeAt[float32]},
+}
+
+func convertTo[F num.Float](ref []float64) []F {
+	out := make([]F, len(ref))
+	num.Convert(out, ref)
+	return out
+}
+
+func thresholdAt[F num.Float](ref []float64, keep, workers int) ([]float64, int) {
+	got := convertTo[F](ref)
+	kept := ThresholdSlices([][]F{got}, keep, workers)
+	return num.Widen(got), kept
+}
+
+func cutoffAt[F num.Float](ref []float64, keep int) float64 {
+	return float64(CutoffMagnitude(convertTo[F](ref), keep))
+}
+
+func encodeAt[F num.Float](ref []float64, workers int) *SparseBlock {
+	return NewSparseBlockP(convertTo[F](ref), workers)
+}
+
+func decodeAt[F num.Float](b *SparseBlock, workers int) ([]float64, error) {
+	out := make([]F, b.Total)
+	err := DecodeInto(b, out, workers)
+	return num.Widen(out), err
+}
 
 // refSparseBlock is the original append-growth encoder.
 func refSparseBlock(coeffs []float64) *SparseBlock {
@@ -70,9 +115,9 @@ func sliceBitIdentical(t *testing.T, label string, got, want []float64) {
 }
 
 // TestThresholdMatchesSerial pins the radix-select Threshold to the
-// quickselect reference across sizes, keeps, distributions, and worker
-// counts. The concatenated multi-slice form must equal the reference run
-// on the materialized concatenation.
+// quickselect reference across sizes, keeps, distributions, worker counts
+// and precisions: the float32 survivor mask must be the float64 mask of
+// the widened data.
 func TestThresholdMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	gens := map[string]func(*rand.Rand, int) []float64{
@@ -90,19 +135,21 @@ func TestThresholdMatchesSerial(t *testing.T) {
 	for name, gen := range gens {
 		for _, n := range sizes {
 			data := gen(rng, n)
-			for _, keep := range []int{0, 1, n / 3, n - 1, n, n + 5} {
-				if keep < 0 {
-					continue
-				}
-				for _, workers := range []int{1, 4} {
-					want := append([]float64(nil), data...)
-					wantKept := thresholdSerial(want, keep)
-					got := append([]float64(nil), data...)
-					gotKept := ThresholdSlices([][]float64{got}, keep, workers)
-					if gotKept != wantKept {
-						t.Fatalf("%s n=%d keep=%d workers=%d: kept %d, want %d", name, n, keep, workers, gotKept, wantKept)
+			for _, p := range precisions {
+				ref := p.round(data)
+				for _, keep := range []int{0, 1, n / 3, n - 1, n, n + 5} {
+					if keep < 0 {
+						continue
 					}
-					sliceBitIdentical(t, name, got, want)
+					want := append([]float64(nil), ref...)
+					wantKept := thresholdSerial(want, keep)
+					for _, workers := range []int{1, 4} {
+						got, gotKept := p.threshold(ref, keep, workers)
+						if gotKept != wantKept {
+							t.Fatalf("%s %s n=%d keep=%d workers=%d: kept %d, want %d", p.name, name, n, keep, workers, gotKept, wantKept)
+						}
+						sliceBitIdentical(t, p.name+" "+name, got, want)
+					}
 				}
 			}
 		}
@@ -138,72 +185,75 @@ func TestThresholdSlicesJoint(t *testing.T) {
 }
 
 // TestCutoffMagnitudeMatchesSerial pins the histogram-based cutoff against
-// the quickselect reference and checks coeffs are untouched.
+// the quickselect reference at both precisions and checks coeffs are
+// untouched.
 func TestCutoffMagnitudeMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, n := range []int{1, 5, 333, 40000} {
 		data := mixed(rng, n)
-		orig := append([]float64(nil), data...)
-		for _, keep := range []int{1, n / 2, n - 1} {
-			if keep < 1 {
-				continue
-			}
-			mags := make([]float64, n)
-			for i, v := range data {
-				mags[i] = math.Abs(v)
-			}
-			var want float64
-			if keep >= n {
-				want = 0
-			} else {
-				want = selectKth(mags, keep-1)
-			}
-			got := CutoffMagnitude(data, keep)
-			if keep < n && math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("n=%d keep=%d: cutoff %v, want %v", n, keep, got, want)
+		for _, p := range precisions {
+			ref := p.round(data)
+			for _, keep := range []int{1, n / 2, n - 1} {
+				if keep < 1 || keep >= n {
+					continue
+				}
+				mags := make([]float64, n)
+				for i, v := range ref {
+					mags[i] = math.Abs(v)
+				}
+				want := selectKth(mags, keep-1)
+				if got := p.cutoff(ref, keep); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s n=%d keep=%d: cutoff %v, want %v", p.name, n, keep, got, want)
+				}
 			}
 		}
+		orig := append([]float64(nil), data...)
+		CutoffMagnitude(data, n/2+1)
 		sliceBitIdentical(t, "input untouched", data, orig)
 	}
 }
 
 // TestSparseBlockMatchesSerial pins the counted two-pass encoder and the
 // chunked decoder to the append-growth reference across sizes that cover
-// empty, sub-chunk, chunk-boundary, and multi-chunk blocks.
+// empty, sub-chunk, chunk-boundary, and multi-chunk blocks, at both
+// precisions: a float32 slice encodes to the block of its widened copy and
+// decodes to the stored values.
 func TestSparseBlockMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	sizes := []int{0, 1, 9, sparseChunk - 1, sparseChunk, sparseChunk + 1, 3*sparseChunk + 17}
 	for _, n := range sizes {
 		data := tieHeavy(rng, n)
-		want := refSparseBlock(data)
-		for _, workers := range []int{1, 4} {
-			got := NewSparseBlockP(data, workers)
-			if got.Total != want.Total {
-				t.Fatalf("n=%d: total %d != %d", n, got.Total, want.Total)
-			}
-			if len(got.Bitmap) != len(want.Bitmap) {
-				t.Fatalf("n=%d: bitmap len %d != %d", n, len(got.Bitmap), len(want.Bitmap))
-			}
-			for i := range want.Bitmap {
-				if got.Bitmap[i] != want.Bitmap[i] {
-					t.Fatalf("n=%d workers=%d: bitmap byte %d: %02x != %02x", n, workers, i, got.Bitmap[i], want.Bitmap[i])
+		for _, p := range precisions {
+			ref := p.round(data)
+			want := refSparseBlock(ref)
+			for _, workers := range []int{1, 4} {
+				got := p.encode(ref, workers)
+				if got.Total != want.Total {
+					t.Fatalf("%s n=%d: total %d != %d", p.name, n, got.Total, want.Total)
 				}
-			}
-			if len(got.Values) != len(want.Values) {
-				t.Fatalf("n=%d: values len %d != %d", n, len(got.Values), len(want.Values))
-			}
-			for i := range want.Values {
-				if math.Float32bits(got.Values[i]) != math.Float32bits(want.Values[i]) {
-					t.Fatalf("n=%d workers=%d: value %d: %v != %v", n, workers, i, got.Values[i], want.Values[i])
+				if len(got.Bitmap) != len(want.Bitmap) {
+					t.Fatalf("%s n=%d: bitmap len %d != %d", p.name, n, len(got.Bitmap), len(want.Bitmap))
 				}
-			}
+				for i := range want.Bitmap {
+					if got.Bitmap[i] != want.Bitmap[i] {
+						t.Fatalf("%s n=%d workers=%d: bitmap byte %d: %02x != %02x", p.name, n, workers, i, got.Bitmap[i], want.Bitmap[i])
+					}
+				}
+				if len(got.Values) != len(want.Values) {
+					t.Fatalf("%s n=%d: values len %d != %d", p.name, n, len(got.Values), len(want.Values))
+				}
+				for i := range want.Values {
+					if math.Float32bits(got.Values[i]) != math.Float32bits(want.Values[i]) {
+						t.Fatalf("%s n=%d workers=%d: value %d: %v != %v", p.name, n, workers, i, got.Values[i], want.Values[i])
+					}
+				}
 
-			out := make([]float64, n)
-			if err := got.DecodeIntoP(out, workers); err != nil {
-				t.Fatalf("n=%d: DecodeIntoP: %v", n, err)
+				out, err := p.decode(got, workers)
+				if err != nil {
+					t.Fatalf("%s n=%d: DecodeInto: %v", p.name, n, err)
+				}
+				sliceBitIdentical(t, p.name+" decode", out, want.Decode())
 			}
-			ref := want.Decode()
-			sliceBitIdentical(t, "decode", out, ref)
 		}
 	}
 }

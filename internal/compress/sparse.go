@@ -8,6 +8,7 @@ import (
 	"math"
 
 	"stwave/internal/fbits"
+	"stwave/internal/num"
 	"stwave/internal/par"
 	"stwave/internal/scratch"
 )
@@ -45,8 +46,9 @@ func NewSparseBlock(coeffs []float64) *SparseBlock {
 // pass counts survivors per fixed-size chunk, a prefix sum gives every
 // chunk its exact Values segment, and a second pass fills bitmap and
 // values with no appends and no coordination. Output is identical for
-// every worker count.
-func NewSparseBlockP(coeffs []float64, workers int) *SparseBlock {
+// every worker count, and identical at float32 to encoding the widened
+// float64 copy: the block stores 32-bit values either way.
+func NewSparseBlockP[F num.Float](coeffs []F, workers int) *SparseBlock {
 	n := len(coeffs)
 	b := &SparseBlock{
 		Total:  n,
@@ -111,7 +113,7 @@ func (b *SparseBlock) Retained() int { return len(b.Values) }
 // calling NewSparseBlock on each, but with all blocks, bitmaps, and value
 // arrays carved from three shared allocations sized by a parallel count
 // pass — the per-window encode path allocates O(1) instead of O(slices).
-func EncodeBlocks(datas [][]float64, workers int) []*SparseBlock {
+func EncodeBlocks[F num.Float](datas [][]F, workers int) []*SparseBlock {
 	nb := len(datas)
 	blocks := make([]*SparseBlock, nb)
 	if nb == 0 {
@@ -182,18 +184,14 @@ func (b *SparseBlock) Decode() []float64 {
 	return out
 }
 
-// DecodeInto is like Decode but fills a caller-provided slice, which must
-// have length Total.
-func (b *SparseBlock) DecodeInto(out []float64) error {
-	return b.DecodeIntoP(out, 1)
-}
-
-// DecodeIntoP is DecodeInto on up to workers goroutines: a popcount pass
-// over the bitmap gives every chunk its offset into Values, then chunks
-// expand independently. Output is identical for every worker count.
-func (b *SparseBlock) DecodeIntoP(out []float64, workers int) error {
+// DecodeInto expands b into out, which must have length b.Total, on up to
+// workers goroutines: a popcount pass over the bitmap gives every chunk
+// its offset into Values, then chunks expand independently. Output is
+// identical for every worker count; at float32 it is the stored values bit
+// for bit. (A function, not a method: methods cannot take type parameters.)
+func DecodeInto[F num.Float](b *SparseBlock, out []F, workers int) error {
 	if len(out) != b.Total {
-		return fmt.Errorf("compress: DecodeIntoP length %d != total %d", len(out), b.Total)
+		return fmt.Errorf("compress: DecodeInto length %d != total %d", len(out), b.Total)
 	}
 	n := b.Total
 	if n == 0 {
@@ -235,7 +233,7 @@ func (b *SparseBlock) DecodeIntoP(out []float64, workers int) error {
 			vi := int(counts[ci]) //stlint:ignore trunccast counts now holds prefix offsets, checked against len(b.Values) above
 			for i := lo; i < hi; i++ {
 				if b.Bitmap[i>>3]&(1<<uint(i&7)) != 0 {
-					out[i] = float64(b.Values[vi])
+					out[i] = F(b.Values[vi])
 					vi++
 				} else {
 					out[i] = 0

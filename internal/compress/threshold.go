@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"stwave/internal/fbits"
+	"stwave/internal/num"
 	"stwave/internal/par"
 	"stwave/internal/scratch"
 )
@@ -46,10 +47,11 @@ func KeepCount(total int, ratio float64) (int, error) {
 // input) see the quickselect. NaN payloads rank above +Inf in key order —
 // a deterministic total order where float comparison has none.
 const (
-	histBits  = 11
-	histSize  = 1 << histBits
-	histShift = 64 - histBits
-	signMask  = 1 << 63
+	histBits   = 11
+	histSize   = 1 << histBits
+	histShift  = 64 - histBits
+	signMask   = 1 << 63
+	sign32Mask = 1 << 31
 
 	// thresholdChunk is the fixed per-task granule of the parallel passes.
 	// Chunk boundaries are deterministic (independent of the worker count),
@@ -65,7 +67,7 @@ type thChunk struct {
 	lo, hi int // element range within slice si
 }
 
-func buildChunks(slices [][]float64) (chunks []thChunk, total int) {
+func buildChunks[F num.Float](slices [][]F) (chunks []thChunk, total int) {
 	n := 0
 	for _, s := range slices {
 		n += (len(s) + thresholdChunk - 1) / thresholdChunk
@@ -89,12 +91,24 @@ func buildChunks(slices [][]float64) (chunks []thChunk, total int) {
 // above all finite magnitudes). Recomputing it per pass is two ALU ops —
 // cheaper than materializing a key-per-coefficient slab and streaming it
 // back through the cache in every pass.
-func magKey(v float64) uint64 { return math.Float64bits(v) &^ signMask }
+//
+// A float32 key is its own 32-bit pattern shifted into the top half, so
+// bucket indices, the quickselect and the tie rules treat both precisions
+// alike. Widening to float64 first would select the same survivors, but
+// float32 magnitudes would then spread over a quarter as many histogram
+// buckets (the index would hold exponent range a float32 never reaches
+// instead of its top mantissa bits), leaving more work for the quickselect.
+func magKey[F num.Float](v F) uint64 {
+	if num.Is32[F]() {
+		return uint64(math.Float32bits(float32(v))&^uint32(sign32Mask)) << 32 //stlint:ignore trunccast Is32 branch: F is float32, so float32(v) is the identity
+	}
+	return math.Float64bits(float64(v)) &^ signMask
+}
 
 // cutKeySlices finds the magnitude-bit key of the keep-th largest
 // magnitude across all slices and returns it together with the number of
 // keys strictly greater than it. Requires 0 < keep <= total.
-func cutKeySlices(slices [][]float64, chunks []thChunk, keep, workers int) (cut uint64, greater int) {
+func cutKeySlices[F num.Float](slices [][]F, chunks []thChunk, keep, workers int) (cut uint64, greater int) {
 	var mu sync.Mutex
 	var hist [histSize]int
 	par.For(len(chunks), workers, 1, func(start, end int) {
@@ -152,16 +166,17 @@ func cutKeySlices(slices [][]float64, chunks []thChunk, keep, workers int) (cut 
 // coeffs and returns the number actually retained (== keep except for
 // degenerate inputs). Ties at the cut magnitude are resolved in index
 // order, deterministically: exactly `keep` coefficients survive.
-func Threshold(coeffs []float64, keep int) int {
-	return ThresholdSlices([][]float64{coeffs}, keep, 1)
+func Threshold[F num.Float](coeffs []F, keep int) int {
+	return ThresholdSlices([][]F{coeffs}, keep, 1)
 }
 
 // ThresholdSlices is Threshold over the concatenation of slices (in slice
 // order) without materializing it: the keep largest magnitudes across all
 // slices survive, ties admitted in global index order. The selection and
 // the zeroing passes run on up to workers goroutines; the output is
-// bit-identical for every worker count, including 1.
-func ThresholdSlices(slices [][]float64, keep, workers int) int {
+// bit-identical for every worker count, including 1. At float32 the
+// survivors are exactly those of the widened float64 copy.
+func ThresholdSlices[F num.Float](slices [][]F, keep, workers int) int {
 	chunks, total := buildChunks(slices)
 	if keep >= total {
 		return total
@@ -255,9 +270,15 @@ func ThresholdSlices(slices [][]float64, keep, workers int) int {
 	return keep
 }
 
+// ThresholdSlices32 is ThresholdSlices at float32. It is kept only because
+// the frozen benchmark harness (benchmark/ingest.go) calls it by name.
+func ThresholdSlices32(slices [][]float32, keep, workers int) int {
+	return ThresholdSlices(slices, keep, workers)
+}
+
 // ThresholdRatio is the common entry point: discards coefficients so that a
 // ratio:1 compression is achieved, returning the retained count.
-func ThresholdRatio(coeffs []float64, ratio float64) (int, error) {
+func ThresholdRatio[F num.Float](coeffs []F, ratio float64) (int, error) {
 	keep, err := KeepCount(len(coeffs), ratio)
 	if err != nil {
 		return 0, err
@@ -320,17 +341,20 @@ func medianU64(a, b, c uint64) uint64 {
 // CutoffMagnitude returns the magnitude of the keep-th largest coefficient
 // without modifying coeffs — the threshold the paper describes finding
 // relative to the largest-magnitude coefficient.
-func CutoffMagnitude(coeffs []float64, keep int) float64 {
+func CutoffMagnitude[F num.Float](coeffs []F, keep int) F {
 	if keep <= 0 || len(coeffs) == 0 {
-		return math.Inf(1)
+		return F(math.Inf(1))
 	}
 	if keep >= len(coeffs) {
 		return 0
 	}
-	slices := [][]float64{coeffs}
+	slices := [][]F{coeffs}
 	chunks, _ := buildChunks(slices)
 	cut, _ := cutKeySlices(slices, chunks, keep, 1)
-	return math.Float64frombits(cut)
+	if num.Is32[F]() {
+		return F(math.Float32frombits(uint32(cut >> 32))) //stlint:ignore trunccast the key's low 32 bits are zero by construction
+	}
+	return F(math.Float64frombits(cut))
 }
 
 // thresholdSerial is the original quickselect implementation, retained

@@ -211,9 +211,8 @@ func CompressWindowOf[F num.Float](ctx context.Context, c *Compressor, w *grid.W
 
 // compressWindowOf is the precision-generic compress orchestration shared
 // by CompressWindowCtx (F = float64) and CompressWindow32Ctx (F =
-// float32). Stage implementations are dispatched to their concrete
-// per-precision code (see precision.go), so the float64 instantiation runs
-// exactly the loops it always has.
+// float32). The stages below it are generic too; precision.go picks the
+// codec interface's per-precision method names.
 func compressWindowOf[F num.Float](ctx context.Context, c *Compressor, w *grid.WindowOf[F]) (*CompressedWindow, error) {
 	if w.Len() == 0 {
 		return nil, fmt.Errorf("core: cannot compress an empty window")

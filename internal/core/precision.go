@@ -10,10 +10,10 @@ import (
 )
 
 // Precision dispatch. The compress/decompress orchestration is written
-// once, generically over num.Float; these helpers route each stage to its
-// concrete per-precision implementation at the stage boundary (one
-// interface conversion per window, never per sample), so the float64 hot
-// loops are the exact code that ran before the float32 path existed.
+// once, generically over num.Float, and so are the threshold and codec
+// bodies below it. Only the codec.Codec and codec.Block interfaces need a
+// per-precision method name (interface methods cannot be generic); the
+// helpers here pick it with one type switch per window, never per sample.
 
 // precisionOf maps the type parameter to the header enum.
 func precisionOf[F num.Float]() Precision {
@@ -45,16 +45,6 @@ func decodeBlockIntoOf[F num.Float](b codec.Block, out []F, workers int) error {
 	return fmt.Errorf("core: unsupported sample type %T", out)
 }
 
-// thresholdSlicesOf routes to the precision's joint threshold.
-func thresholdSlicesOf[F num.Float](datas [][]F, keep, workers int) {
-	switch d := any(datas).(type) {
-	case [][]float64:
-		compress.ThresholdSlices(d, keep, workers)
-	case [][]float32:
-		compress.ThresholdSlices32(d, keep, workers)
-	}
-}
-
 // thresholdOf applies the ratio budget at precision F: per-slice for 3D
 // (and for the PerSliceBudget ablation), jointly over the whole window for
 // 4D — the generic body of Compressor.threshold.
@@ -69,7 +59,7 @@ func thresholdOf[F num.Float](o Options, datas [][]F, workers int) error {
 		}
 		par.For(len(datas), workers, 1, func(start, end int) {
 			for i := start; i < end; i++ {
-				thresholdSlicesOf(datas[i:i+1], keep, 1)
+				compress.ThresholdSlices(datas[i:i+1], keep, 1)
 			}
 		})
 		return nil
@@ -82,6 +72,6 @@ func thresholdOf[F num.Float](o Options, datas [][]F, workers int) error {
 	if err != nil {
 		return err
 	}
-	thresholdSlicesOf(datas, keep, workers)
+	compress.ThresholdSlices(datas, keep, workers)
 	return nil
 }

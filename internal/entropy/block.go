@@ -9,6 +9,7 @@ import (
 	"slices"
 
 	"stwave/internal/fbits"
+	"stwave/internal/num"
 	"stwave/internal/par"
 	"stwave/internal/scratch"
 )
@@ -116,8 +117,10 @@ func magClass(mag uint64) int { return bits.Len64(mag) }
 // Encode entropy-codes one thresholded coefficient slice on up to workers
 // goroutines. Zero-valued coefficients are treated as discarded, exactly
 // as the sparse backend does. The output is bit-identical for every
-// worker count.
-func Encode(coeffs []float64, p Params, workers int) (*Block, error) {
+// worker count. The quantizer and Huffman statistics are computed on exact
+// float64 views of the samples, so a float32 slice encodes to the same
+// bytes as its widened copy.
+func Encode[F num.Float](coeffs []F, p Params, workers int) (*Block, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -152,7 +155,7 @@ func Encode(coeffs []float64, p Params, workers int) (*Block, error) {
 			for _, v := range coeffs[lo:hi] {
 				if !fbits.Zero(v) {
 					k++
-					if a := math.Abs(v); a > m {
+					if a := math.Abs(float64(v)); a > m {
 						m = a
 					}
 				}
@@ -187,7 +190,7 @@ func Encode(coeffs []float64, p Params, workers int) (*Block, error) {
 					if fbits.Zero(v) {
 						continue
 					}
-					h[classSymbol(q.Quantize(v), b.bitDepth)]++
+					h[classSymbol(q.Quantize(float64(v)), b.bitDepth)]++
 				}
 				hists[ci] = h
 			}
@@ -262,7 +265,7 @@ func levelMag(level int64) uint64 {
 
 // encodeChunk produces chunk ci's bitstream: retained count, then
 // (gap, value) pairs.
-func encodeChunk(coeffs []float64, ci int, b *Block, q Quantizer, codes []uint64, kc int) []byte {
+func encodeChunk[F num.Float](coeffs []F, ci int, b *Block, q Quantizer, codes []uint64, kc int) []byte {
 	n := b.total
 	lo, hi := chunkBounds(ci, n)
 	if kc == 0 {
@@ -287,7 +290,7 @@ func encodeChunk(coeffs []float64, ci int, b *Block, q Quantizer, codes []uint64
 			w.WriteBits(uint64(math.Float32bits(float32(v))), 32) //stlint:ignore trunccast the raw-float32 lossless mode stores 32-bit samples by contract
 			continue
 		}
-		level := q.Quantize(v)
+		level := q.Quantize(float64(v))
 		mag := levelMag(level)
 		c := magClass(mag)
 		if c > b.bitDepth {
@@ -313,7 +316,16 @@ func encodeChunk(coeffs []float64, ci int, b *Block, q Quantizer, codes []uint64
 // DecodeInto expands the block into out (which must have length Total)
 // on up to workers goroutines, zeroing discarded positions. Output is
 // identical for every worker count.
-func (b *Block) DecodeInto(out []float64, workers int) error {
+func (b *Block) DecodeInto(out []float64, workers int) error { return decodeInto(b, out, workers) }
+
+// DecodeInto32 is DecodeInto at float32, with no widen-then-narrow round
+// trip: lossless blocks reproduce the stored float32 bits, lossy ones
+// round once from the float64 dequantized value. It is a separate method
+// because codec.Block, an interface, cannot have a generic one.
+func (b *Block) DecodeInto32(out []float32, workers int) error { return decodeInto(b, out, workers) }
+
+// decodeInto is the one body behind DecodeInto and DecodeInto32.
+func decodeInto[F num.Float](b *Block, out []F, workers int) error {
 	if len(out) != b.total {
 		return fmt.Errorf("entropy: DecodeInto length %d != total %d", len(out), b.total)
 	}
@@ -350,7 +362,7 @@ func (b *Block) DecodeInto(out []float64, workers int) error {
 	kcs := make([]int, nch)
 	par.For(nch, workers, 1, func(start, end int) {
 		for ci := start; ci < end; ci++ {
-			kcs[ci], errs[ci] = b.decodeChunk(out, ci, b.payload[offs[ci]:offs[ci+1]], dec, q)
+			kcs[ci], errs[ci] = decodeChunk(b, out, ci, b.payload[offs[ci]:offs[ci+1]], dec, q)
 		}
 	})
 	k := 0
@@ -368,7 +380,7 @@ func (b *Block) DecodeInto(out []float64, workers int) error {
 
 // decodeChunk expands one chunk's bitstream into out[lo:hi], returning
 // the number of values it carried.
-func (b *Block) decodeChunk(out []float64, ci int, payload []byte, dec *huffDecoder, q Quantizer) (int, error) {
+func decodeChunk[F num.Float](b *Block, out []F, ci int, payload []byte, dec *huffDecoder, q Quantizer) (int, error) {
 	lo, hi := chunkBounds(ci, b.total)
 	for i := lo; i < hi; i++ {
 		out[i] = 0
@@ -406,7 +418,7 @@ func (b *Block) decodeChunk(out []float64, ci int, payload []byte, dec *huffDeco
 			if err != nil {
 				return 0, err
 			}
-			out[pos] = float64(math.Float32frombits(uint32(vbits))) //stlint:ignore trunccast ReadBits(32) yields at most 32 bits
+			out[pos] = F(math.Float32frombits(uint32(vbits))) //stlint:ignore trunccast ReadBits(32) yields at most 32 bits
 			continue
 		}
 		sym, err := dec.Decode(r)
@@ -445,7 +457,7 @@ func (b *Block) decodeChunk(out []float64, ci int, payload []byte, dec *huffDeco
 		if sign == 1 {
 			level = -level
 		}
-		out[pos] = q.Dequantize(level)
+		out[pos] = F(q.Dequantize(level)) // at float32: one rounding of the float64 reconstruction
 	}
 	return kc, nil
 }

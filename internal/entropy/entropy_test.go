@@ -353,6 +353,19 @@ func TestBlockRejectsWrongLength(t *testing.T) {
 	if err := b.DecodeInto(make([]float64, 99), 1); err == nil {
 		t.Fatal("short output accepted")
 	}
+	if err := b.DecodeInto32(make([]float32, 99), 1); err == nil {
+		t.Fatal("short float32 output accepted")
+	}
+}
+
+// decodeBoth decodes b at both precisions into fresh buffers of its
+// length, so the forged-stream tests hold DecodeInto and DecodeInto32 to
+// the same verdict.
+func decodeBoth(b *Block, workers int) map[string]error {
+	return map[string]error{
+		"f64": b.DecodeInto(make([]float64, b.Total()), workers),
+		"f32": b.DecodeInto32(make([]float32, b.Total()), workers),
+	}
 }
 
 // forgeGapOverflowBlock builds a lossless block whose single chunk claims
@@ -379,9 +392,10 @@ func forgeGapOverflowBlock(total int, gap uint64) *Block {
 func TestDecodeRejectsGapReachingChunkEnd(t *testing.T) {
 	const n = 100
 	b := forgeGapOverflowBlock(n, n)
-	out := make([]float64, n)
-	if err := b.DecodeInto(out, 1); err == nil {
-		t.Fatal("gap landing on the chunk end accepted")
+	for prec, err := range decodeBoth(b, 1) {
+		if err == nil {
+			t.Fatalf("%s: gap landing on the chunk end accepted", prec)
+		}
 	}
 	// The same stream through the serialized path must fail typed too.
 	var buf bytes.Buffer
@@ -392,8 +406,10 @@ func TestDecodeRejectsGapReachingChunkEnd(t *testing.T) {
 	if err != nil {
 		return // rejecting already at Read is fine
 	}
-	if err := rb.DecodeInto(out, 1); err == nil {
-		t.Fatal("serialized gap-overflow stream accepted")
+	for prec, err := range decodeBoth(rb, 1) {
+		if err == nil {
+			t.Fatalf("%s: serialized gap-overflow stream accepted", prec)
+		}
 	}
 }
 
@@ -417,10 +433,11 @@ func TestDecodeRejectsGapCrossingChunkBoundary(t *testing.T) {
 		chunkLen: []uint32{uint32(len(p0)), uint32(len(p1))}, //stlint:ignore trunccast hand-built payloads are a few bytes
 		payload:  append(append([]byte(nil), p0...), p1...),
 	}
-	out := make([]float64, n)
 	for _, workers := range []int{1, 2} {
-		if err := b.DecodeInto(out, workers); err == nil {
-			t.Fatalf("workers=%d: gap crossing the chunk boundary accepted", workers)
+		for prec, err := range decodeBoth(b, workers) {
+			if err == nil {
+				t.Fatalf("%s workers=%d: gap crossing the chunk boundary accepted", prec, workers)
+			}
 		}
 	}
 }
@@ -440,8 +457,12 @@ func TestDecodeAcceptsLastIndexInChunk(t *testing.T) {
 		if err := b.DecodeInto(out, 2); err != nil {
 			t.Fatalf("n=%d: last-index value rejected: %v", n, err)
 		}
-		if out[n-1] != 0.75 {
-			t.Fatalf("n=%d: last-index value decoded as %g", n, out[n-1])
+		out32 := make([]float32, n)
+		if err := b.DecodeInto32(out32, 2); err != nil {
+			t.Fatalf("n=%d: last-index float32 value rejected: %v", n, err)
+		}
+		if out[n-1] != 0.75 || out32[n-1] != 0.75 {
+			t.Fatalf("n=%d: last-index value decoded as %g / %g", n, out[n-1], out32[n-1])
 		}
 	}
 }

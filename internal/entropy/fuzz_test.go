@@ -56,7 +56,8 @@ func FuzzEntropyRoundtrip(f *testing.F) {
 }
 
 // FuzzBlockRead: arbitrary bytes through Read/DecodeInto must never panic;
-// whatever Read accepts must decode or fail cleanly.
+// whatever Read accepts must decode or fail cleanly, and DecodeInto32 must
+// reach the same verdict with float32(DecodeInto) as its output.
 func FuzzBlockRead(f *testing.F) {
 	coeffs := make([]float64, 300)
 	coeffs[3], coeffs[250] = 0.5, -1.25
@@ -94,6 +95,20 @@ func FuzzBlockRead(f *testing.F) {
 			t.Fatalf("retained %d > total %d accepted", b.Retained(), b.Total())
 		}
 		out := make([]float64, b.Total())
-		_ = b.DecodeInto(out, 2)
+		out32 := make([]float32, b.Total())
+		err64, err32 := b.DecodeInto(out, 2), b.DecodeInto32(out32, 2)
+		if (err64 == nil) != (err32 == nil) {
+			t.Fatalf("DecodeInto error %v, DecodeInto32 error %v", err64, err32)
+		}
+		if err64 != nil {
+			return
+		}
+		for i := range out32 {
+			// Widening quiets a signaling NaN, so NaNs compare by class.
+			a, w := out32[i], float32(out[i])
+			if math.Float32bits(a) != math.Float32bits(w) && !(math.IsNaN(float64(a)) && math.IsNaN(float64(w))) {
+				t.Fatalf("i=%d: DecodeInto32 %x, float32(DecodeInto) %x", i, math.Float32bits(a), math.Float32bits(w))
+			}
+		}
 	})
 }

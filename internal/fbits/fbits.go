@@ -11,18 +11,27 @@
 // analyzer would flag.
 package fbits
 
-import "math"
+import (
+	"math"
+
+	"stwave/internal/num"
+)
 
 const (
-	expMask  = 0x7ff << 52
-	signMask = 1 << 63
+	expMask    = 0x7ff << 52
+	signMask   = 1 << 63
+	signMask32 = 1 << 31
 )
 
 // Zero reports whether x is exactly zero of either sign. It is the
 // bit-level equivalent of x == 0: true for +0 and -0, false for
-// everything else including subnormals and NaN.
-func Zero(x float64) bool {
-	return math.Float64bits(x)&^signMask == 0
+// everything else including subnormals and NaN. The precision branch
+// folds away per instantiation, so the float32 test reads 32-bit patterns.
+func Zero[F num.Float](x F) bool {
+	if num.Is32[F]() {
+		return math.Float32bits(float32(x))&^uint32(signMask32) == 0
+	}
+	return math.Float64bits(float64(x))&^signMask == 0
 }
 
 // Same reports whether a and b carry identical bit patterns. This is
@@ -50,37 +59,4 @@ func Eq(a, b float64) bool {
 // exponent with a non-zero mantissa.
 func isNaNBits(b uint64) bool {
 	return b&expMask == expMask && b&(1<<52-1) != 0
-}
-
-// Single-precision variants for the float32 fast path. Semantics mirror
-// the float64 predicates exactly, defined on float32 bit patterns.
-
-const (
-	expMask32  = 0xff << 23
-	signMask32 = 1 << 31
-)
-
-// Zero32 reports whether x is exactly zero of either sign.
-func Zero32(x float32) bool {
-	return math.Float32bits(x)&^uint32(signMask32) == 0
-}
-
-// Same32 reports whether a and b carry identical bit patterns.
-func Same32(a, b float32) bool {
-	return math.Float32bits(a) == math.Float32bits(b)
-}
-
-// Eq32 reports whether a == b under IEEE-754 rules, implemented with bit
-// tests exactly like Eq.
-func Eq32(a, b float32) bool {
-	ba, bb := math.Float32bits(a), math.Float32bits(b)
-	if ba&^uint32(signMask32) == 0 && bb&^uint32(signMask32) == 0 {
-		return true
-	}
-	return ba == bb && !isNaNBits32(ba)
-}
-
-// isNaNBits32 reports whether the bit pattern encodes a float32 NaN.
-func isNaNBits32(b uint32) bool {
-	return b&expMask32 == expMask32 && b&(1<<23-1) != 0
 }

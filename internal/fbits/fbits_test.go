@@ -32,6 +32,24 @@ func TestZero(t *testing.T) {
 			t.Errorf("Zero(%v) = %v, want %v", tc.x, got, tc.want)
 		}
 	}
+	// float32 instantiation: the f64 subnormal rounds to zero at 32 bits,
+	// so its own smallest subnormal stands in.
+	for _, tc := range []struct {
+		x    float32
+		want bool
+	}{
+		{0, true},
+		{float32(neg0), true},
+		{math.SmallestNonzeroFloat32, false},
+		{-math.SmallestNonzeroFloat32, false},
+		{1, false},
+		{float32(inf), false},
+		{float32(nan), false},
+	} {
+		if got := Zero(tc.x); got != tc.want {
+			t.Errorf("Zero[float32](%v) = %v, want %v", tc.x, got, tc.want)
+		}
+	}
 }
 
 func TestEqMatchesIEEE(t *testing.T) {

@@ -107,3 +107,27 @@ func floatSame(v float32) float32 {
 func suppressedRounding(v float64) float32 {
 	return float32(v) //stlint:ignore trunccast the raw wire format is 32-bit by contract
 }
+
+// Type parameters: float32(v) of an F whose type set holds float64 rounds
+// in that instantiation, the generic form of floatNarrow.
+type float interface{ ~float32 | ~float64 }
+
+func genericNarrow[F float](v F) float32 {
+	return float32(v) // want `\[trunccast\] float32\(v\) rounds when F is float64`
+}
+
+func genericNarrowEmbedded[G interface{ float }](v G) float32 {
+	return float32(v) // want `\[trunccast\] float32\(v\) rounds when G is float64`
+}
+
+func genericNarrow32Only[F ~float32](v F) float32 {
+	return float32(v) // type set holds no float64: no finding
+}
+
+func genericWiden[F float](v F) float64 {
+	return float64(v) // widening preserves every value: no finding
+}
+
+func genericSuppressed[F float](v F) float32 {
+	return float32(v) //stlint:ignore trunccast the raw wire format is 32-bit by contract
+}

@@ -26,7 +26,8 @@ import (
 // Float conversions are covered too: float32(x) of a float64 operand
 // silently rounds, which on the same encode paths is the widen-then-
 // narrow round trip the native float32 pipeline exists to avoid (see
-// checkFloatNarrow).
+// checkFloatNarrow). So does float32(v) of a type parameter whose type
+// set holds float64: generic code rounds in its float64 instantiation.
 //
 // The analyzer runs only on packages named by Config.TruncScope (the
 // encode/record paths); an empty scope means every package.
@@ -77,6 +78,13 @@ func checkTruncIn(pass *Pass, root ast.Node, guardScope ast.Node) {
 		arg := ast.Unparen(call.Args[0])
 		atv, ok := pass.TypesInfo.Types[arg]
 		if !ok {
+			return true
+		}
+		if tp, ok := atv.Type.(*types.TypeParam); ok {
+			if dst.Kind() == types.Float32 && typeSetHas(tp, types.Float64) {
+				pass.Reportf(call.Pos(), "float32(%s) rounds when %s is float64; keep the f32 path native, or annotate the one documented rounding",
+					types.ExprString(call.Args[0]), tp.Obj().Name())
+			}
 			return true
 		}
 		src, ok := atv.Type.Underlying().(*types.Basic)
@@ -134,6 +142,29 @@ func checkFloatNarrow(pass *Pass, call *ast.CallExpr, dst, src *types.Basic, arg
 	}
 	pass.Reportf(call.Pos(), "float32(%s) silently rounds float64; keep the f32 path native, or annotate the one documented rounding",
 		types.ExprString(call.Args[0]))
+}
+
+// typeSetHas reports whether the type set of t — a basic type, or the
+// constraint of a type parameter, unions and embedded interfaces
+// included — contains a type whose underlying type has the given kind.
+func typeSetHas(t types.Type, kind types.BasicKind) bool {
+	switch u := t.Underlying().(type) {
+	case *types.Basic:
+		return u.Kind() == kind
+	case *types.Interface:
+		for i := 0; i < u.NumEmbeddeds(); i++ {
+			if typeSetHas(u.EmbeddedType(i), kind) {
+				return true
+			}
+		}
+	case *types.Union:
+		for i := 0; i < u.Len(); i++ {
+			if typeSetHas(u.Term(i).Type(), kind) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // floatFits32 reports whether constant v round-trips through float32

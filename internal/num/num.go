@@ -6,23 +6,21 @@
 // slabs is generic over this constraint.
 package num
 
+import "unsafe"
+
 // Float constrains a type parameter to the two supported coefficient
 // precisions.
 type Float interface{ ~float32 | ~float64 }
 
 // SampleBytes returns the in-memory size of one sample of F (4 or 8).
-func SampleBytes[F Float]() int {
-	if _, ok := any(F(0)).(float32); ok {
-		return 4
-	}
-	return 8
-}
+// gc stencils float32 and float64 separately and folds the size to a
+// constant in each, so a branch on it costs nothing inside a hot loop.
+func SampleBytes[F Float]() int { return int(unsafe.Sizeof(F(0))) }
 
-// Is32 reports whether F is the single-precision instantiation.
-func Is32[F Float]() bool {
-	_, ok := any(F(0)).(float32)
-	return ok
-}
+// Is32 reports whether F is the single-precision instantiation. Like
+// SampleBytes it folds to a constant per instantiation, so generic bodies
+// may branch on it per element.
+func Is32[F Float]() bool { return unsafe.Sizeof(F(0)) == 4 }
 
 // Convert copies src into dst with a per-element value conversion
 // (correctly rounded when narrowing). The slices must have equal length.
