@@ -16,12 +16,15 @@ all: build vet test check
 # tests, the synth/tornado lattice sampler that splits z-planes over
 # goroutines, and the lint suite itself, whose dogfooding test shells
 # out to go list and replays every analyzer over the whole module), a
-# GOMAXPROCS=1 smoke of the same parallel stages, ingest engine and
+# GOMAXPROCS=1 smoke of the same parallel stages — survivor selection
+# and the survivor encoders included — ingest engine and
 # sampler (worker budgets must degrade to clean sequential
 # execution), and short fuzz smokes of the container index parser, the
 # 1D wavelet round-trip at both precisions, the record-frame codec, the gap-marker codec,
 # the level-offset table parser of the progressive (v4) layout, the
-# entropy coder round-trip, and the coefficient codec block decoders.
+# entropy coder round-trip, the coefficient codec block decoders,
+# survivor selection against the serial threshold, and every codec's
+# survivor encoder against its dense encode.
 check: vet fmt-check lint docscheck bench-smoke
 	$(GO) test -race ./internal/server ./internal/storage ./internal/compress ./internal/faultio ./internal/transform ./internal/core ./internal/par ./internal/codec ./internal/entropy ./internal/ingest ./internal/lint ./internal/sim/synth ./internal/sim/tornado
 	GOMAXPROCS=1 $(GO) test ./internal/par ./internal/transform ./internal/compress ./internal/core ./internal/codec ./internal/entropy ./internal/ingest ./internal/sim/synth ./internal/sim/tornado
@@ -33,6 +36,8 @@ check: vet fmt-check lint docscheck bench-smoke
 	$(GO) test -run=NONE -fuzz=FuzzLevelTable -fuzztime=5s ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzEntropyRoundtrip -fuzztime=5s ./internal/entropy
 	$(GO) test -run=NONE -fuzz=FuzzCodecDecode -fuzztime=5s ./internal/codec
+	$(GO) test -run=NONE -fuzz=FuzzSelectSurvivors -fuzztime=5s ./internal/compress
+	$(GO) test -run=NONE -fuzz=FuzzEncodeSurvivors -fuzztime=5s ./internal/codec
 
 # Domain-aware static analysis: ten analyzers proving the pipeline's
 # numeric, I/O, taint, scratch-pool, context, and worker-budget

@@ -229,6 +229,25 @@ func TestRunCompressFloat32RoundTrip(t *testing.T) {
 	}
 }
 
+// TestRunCompressRejectsNonFiniteRatio: -ratio NaN compares false against
+// every bound, so it must be rejected explicitly rather than compress each
+// window to a single coefficient.
+func TestRunCompressRejectsNonFiniteRatio(t *testing.T) {
+	dir := t.TempDir()
+	f := grid.NewField3D(4, 4, 4)
+	in := filepath.Join(dir, "in.raw")
+	if err := f.SaveRawFile(in); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []string{"NaN", "Inf"} {
+		out := filepath.Join(dir, r+".stw")
+		err := runCompress([]string{"-dims", "4x4x4", "-mode", "3d", "-ratio", r, "-out", out, in})
+		if err == nil {
+			t.Errorf("-ratio %s accepted", r)
+		}
+	}
+}
+
 // TestRunIngestFloat32 runs the in-situ path at -precision f32.
 func TestRunIngestFloat32(t *testing.T) {
 	dir := t.TempDir()

@@ -19,6 +19,9 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"stwave/internal/compress"
+	"stwave/internal/num"
 )
 
 // ID is the on-disk format identifier of a codec. It is recorded as the
@@ -91,9 +94,15 @@ type Codec interface {
 	// Name returns the codec's stable CLI-facing name ("sparse",
 	// "entropy", ...).
 	Name() string
-	// EncodeSlices encodes one Block per coefficient slice on up to
-	// workers goroutines. Zero-valued coefficients are treated as
-	// discarded. Output is bit-identical for every worker count.
+	// EncodeSurvivors encodes one Block per survivor list (the sparse
+	// hand-off from compress.SelectSurvivors; see compress.CheckSurvivors
+	// for the contract) on up to workers goroutines, touching only the
+	// survivors. Output is bit-identical for every worker count. It is the
+	// one encode body of every backend.
+	EncodeSurvivors(survs []compress.Survivors, workers int) ([]Block, error)
+	// EncodeSlices encodes one Block per dense coefficient slice: the
+	// nonzeros are collected and handed to EncodeSurvivors, so zero-valued
+	// coefficients are treated as discarded.
 	EncodeSlices(datas [][]float64, workers int) ([]Block, error)
 	// EncodeSlices32 is EncodeSlices at single precision. The serialized
 	// bytes are identical to encoding the exactly-widened float64 copies —
@@ -109,6 +118,12 @@ type Codec interface {
 	// bytes from r — safe to call repeatedly on one stream. Corrupt or
 	// forged input returns an error, never panics.
 	ReadBlock(r io.Reader) (Block, error)
+}
+
+// encodeDense is the body of every EncodeSlices/EncodeSlices32: collect
+// the nonzeros, then encode them through the codec's survivor path.
+func encodeDense[F num.Float](c Codec, datas [][]F, workers int) ([]Block, error) {
+	return c.EncodeSurvivors(compress.Nonzeros(datas, workers), workers)
 }
 
 // The static registry. Codecs are compiled in, not plugged at runtime, so

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"io"
 
+	"stwave/internal/compress"
 	"stwave/internal/entropy"
-	"stwave/internal/num"
 	"stwave/internal/par"
 )
 
@@ -36,22 +36,26 @@ func (entropyCodec) ID() ID       { return IDEntropy }
 func (entropyCodec) Name() string { return "entropy" }
 
 func (c entropyCodec) EncodeSlices(datas [][]float64, workers int) ([]Block, error) {
-	return encodeEntropy(c.params, datas, workers)
+	return encodeDense(c, datas, workers)
 }
 
 func (c entropyCodec) EncodeSlices32(datas [][]float32, workers int) ([]Block, error) {
-	return encodeEntropy(c.params, datas, workers)
+	return encodeDense(c, datas, workers)
 }
 
-func encodeEntropy[F num.Float](p entropy.Params, datas [][]F, workers int) ([]Block, error) {
-	blocks := make([]Block, len(datas))
-	errs := make([]error, len(datas))
+func (c entropyCodec) EncodeSurvivors(survs []compress.Survivors, workers int) ([]Block, error) {
+	if err := compress.CheckSurvivors(survs); err != nil {
+		return nil, err
+	}
+	blocks := make([]Block, len(survs))
+	errs := make([]error, len(survs))
 	// Slices encode concurrently and each slice's chunks encode
 	// concurrently below that; Split keeps the product within the budget.
-	outer, inner := par.Split(workers, len(datas))
-	par.For(len(datas), outer, 1, func(start, end int) {
+	outer, inner := par.Split(workers, len(survs))
+	par.For(len(survs), outer, 1, func(start, end int) {
 		for i := start; i < end; i++ {
-			b, err := entropy.Encode(datas[i], p, inner)
+			s := survs[i]
+			b, err := entropy.EncodeSurvivors(s.Total, s.Idx, s.Val, c.params, inner)
 			blocks[i], errs[i] = b, err
 		}
 	})

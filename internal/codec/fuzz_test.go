@@ -2,8 +2,11 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
+
+	"stwave/internal/compress"
 )
 
 // FuzzCodecDecode: arbitrary bytes through every registered codec's
@@ -61,6 +64,82 @@ func FuzzCodecDecode(f *testing.F) {
 				if math.Float32bits(a) != math.Float32bits(w) && !(math.IsNaN(float64(a)) && math.IsNaN(float64(w))) {
 					t.Fatalf("%s i=%d: DecodeInto32 %x, float32(DecodeInto) %x", name, i, math.Float32bits(a), math.Float32bits(w))
 				}
+			}
+		}
+	})
+}
+
+// FuzzEncodeSurvivors: for every registered codec and both precisions,
+// encoding a survivor list must give the bytes of EncodeSlices (or
+// EncodeSlices32) on the densified slice. Records of 10 bytes are (gap to
+// the next index, value bits); zero values are skipped as the contract
+// requires, and at float32 every value is narrowed first so the dense
+// slice can hold it exactly.
+func FuzzEncodeSurvivors(f *testing.F) {
+	rec := func(gap uint16, v float64) []byte {
+		b := binary.LittleEndian.AppendUint16(nil, gap)
+		return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	seed := append(rec(3, 1.5), rec(0, -2.25)...)
+	seed = append(seed, rec(40000, math.NaN())...)
+	seed = append(seed, rec(1, math.Inf(-1))...)
+	f.Add(seed, uint16(50000), uint8(3), false)
+	f.Add(seed, uint16(9), uint8(1), true)
+	f.Add([]byte{}, uint16(0), uint8(2), false)
+
+	f.Fuzz(func(t *testing.T, raw []byte, total uint16, workers uint8, f32 bool) {
+		n := int(total)
+		s := compress.Survivors{Total: n}
+		for i := -1; len(raw) >= 10; raw = raw[10:] {
+			i += 1 + int(binary.LittleEndian.Uint16(raw))
+			v := math.Float64frombits(binary.LittleEndian.Uint64(raw[2:]))
+			if f32 {
+				v = float64(float32(v))
+			}
+			if i >= n {
+				break
+			}
+			if v == 0 {
+				continue
+			}
+			s.Idx, s.Val = append(s.Idx, i), append(s.Val, v)
+		}
+		w := int(workers%8) + 1
+		for _, name := range Names() {
+			c, err := ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := c.EncodeSurvivors([]compress.Survivors{s}, w)
+			if err != nil {
+				t.Fatalf("%s: EncodeSurvivors: %v", name, err)
+			}
+			var want []Block
+			if f32 {
+				dense := make([]float32, n)
+				for j, i := range s.Idx {
+					dense[i] = float32(s.Val[j])
+				}
+				want, err = c.EncodeSlices32([][]float32{dense}, w)
+			} else {
+				dense := make([]float64, n)
+				for j, i := range s.Idx {
+					dense[i] = s.Val[j]
+				}
+				want, err = c.EncodeSlices([][]float64{dense}, w)
+			}
+			if err != nil {
+				t.Fatalf("%s: dense encode: %v", name, err)
+			}
+			var gb, wb bytes.Buffer
+			if _, err := c.WriteBlock(&gb, got[0]); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.WriteBlock(&wb, want[0]); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
+				t.Fatalf("%s f32=%v: survivor bytes differ from the densified encode (%d vs %d bytes)", name, f32, gb.Len(), wb.Len())
 			}
 		}
 	})

@@ -35,7 +35,8 @@ func (b SparseBlock) DecodeInto32(out []float32, workers int) error {
 }
 
 // sparseCodec is the original backend: significance bitmap + raw float32
-// values, chunk-parallel through compress.EncodeBlocks/DecodeInto.
+// values, encoded from survivors by compress.EncodeSurvivorBlocks and
+// decoded chunk-parallel by compress.DecodeInto.
 type sparseCodec struct{}
 
 // Sparse returns the sparse backend (format ID 1, the default).
@@ -44,12 +45,16 @@ func Sparse() Codec { return sparseCodec{} }
 func (sparseCodec) ID() ID       { return IDSparse }
 func (sparseCodec) Name() string { return "sparse" }
 
-func (sparseCodec) EncodeSlices(datas [][]float64, workers int) ([]Block, error) {
-	return wrapAll(compress.EncodeBlocks(datas, workers)), nil
+func (c sparseCodec) EncodeSlices(datas [][]float64, workers int) ([]Block, error) {
+	return encodeDense(c, datas, workers)
 }
 
-func (sparseCodec) EncodeSlices32(datas [][]float32, workers int) ([]Block, error) {
-	return wrapAll(compress.EncodeBlocks(datas, workers)), nil
+func (c sparseCodec) EncodeSlices32(datas [][]float32, workers int) ([]Block, error) {
+	return encodeDense(c, datas, workers)
+}
+
+func (sparseCodec) EncodeSurvivors(survs []compress.Survivors, workers int) ([]Block, error) {
+	return encodeSparse(survs, workers)
 }
 
 func (sparseCodec) WriteBlock(w io.Writer, b Block) (int64, error) {
@@ -81,12 +86,16 @@ func Deflate() Codec { return deflateCodec{} }
 func (deflateCodec) ID() ID       { return IDDeflate }
 func (deflateCodec) Name() string { return "deflate" }
 
-func (deflateCodec) EncodeSlices(datas [][]float64, workers int) ([]Block, error) {
-	return wrapAll(compress.EncodeBlocks(datas, workers)), nil
+func (c deflateCodec) EncodeSlices(datas [][]float64, workers int) ([]Block, error) {
+	return encodeDense(c, datas, workers)
 }
 
-func (deflateCodec) EncodeSlices32(datas [][]float32, workers int) ([]Block, error) {
-	return wrapAll(compress.EncodeBlocks(datas, workers)), nil
+func (c deflateCodec) EncodeSlices32(datas [][]float32, workers int) ([]Block, error) {
+	return encodeDense(c, datas, workers)
+}
+
+func (deflateCodec) EncodeSurvivors(survs []compress.Survivors, workers int) ([]Block, error) {
+	return encodeSparse(survs, workers)
 }
 
 func (deflateCodec) WriteBlock(w io.Writer, b Block) (int64, error) {
@@ -105,12 +114,18 @@ func (deflateCodec) ReadBlock(r io.Reader) (Block, error) {
 	return WrapSparse(sb), nil
 }
 
-func wrapAll(sbs []*compress.SparseBlock) []Block {
+// encodeSparse is the survivor encoder the sparse and deflate backends
+// share: their blocks are identical, only the wire framing differs.
+func encodeSparse(survs []compress.Survivors, workers int) ([]Block, error) {
+	if err := compress.CheckSurvivors(survs); err != nil {
+		return nil, err
+	}
+	sbs := compress.EncodeSurvivorBlocks(survs, workers)
 	blocks := make([]Block, len(sbs))
 	for i, sb := range sbs {
 		blocks[i] = WrapSparse(sb)
 	}
-	return blocks
+	return blocks, nil
 }
 
 func asSparse(b Block, codecName string) (*compress.SparseBlock, error) {

@@ -31,8 +31,10 @@ func TestKeepCount(t *testing.T) {
 			t.Errorf("KeepCount(%d, %g) = %d, want %d", c.total, c.ratio, got, c.want)
 		}
 	}
-	if _, err := KeepCount(100, 0.5); err == nil {
-		t.Error("expected error for ratio < 1")
+	for _, r := range []float64{0.5, 0, -3, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := KeepCount(100, r); err == nil {
+			t.Errorf("KeepCount(100, %g) accepted", r)
+		}
 	}
 }
 
@@ -133,23 +135,6 @@ func TestSelectKthMatchesSort(t *testing.T) {
 		if got != sorted[k] {
 			t.Fatalf("selectKth(k=%d, n=%d) = %g, want %g", k, n, got, sorted[k])
 		}
-	}
-}
-
-func TestCutoffMagnitude(t *testing.T) {
-	coeffs := []float64{1, -9, 3, 0.5, -7, 2, 8, -0.1}
-	if got := CutoffMagnitude(coeffs, 3); got != 7 {
-		t.Errorf("CutoffMagnitude(keep=3) = %g, want 7", got)
-	}
-	if got := CutoffMagnitude(coeffs, 100); got != 0 {
-		t.Errorf("CutoffMagnitude(keep>=n) = %g, want 0", got)
-	}
-	if got := CutoffMagnitude(coeffs, 0); !math.IsInf(got, 1) {
-		t.Errorf("CutoffMagnitude(keep=0) = %g, want +Inf", got)
-	}
-	// Original must be unmodified.
-	if coeffs[1] != -9 || coeffs[6] != 8 {
-		t.Error("CutoffMagnitude modified its input")
 	}
 }
 

@@ -2,7 +2,7 @@ package compress
 
 // Property tests pinning the parallel selection and coding paths to the
 // serial reference implementations, bit for bit: ThresholdSlices against
-// thresholdSerial (the original quickselect code, kept in threshold.go),
+// thresholdSerial (the original quickselect code, kept below),
 // and NewSparseBlockP/DecodeInto against the obvious append-growth
 // encoder. Each runs at both precisions. Run under -race by `make check`
 // to also prove the chunked passes are data-race free.
@@ -26,12 +26,11 @@ var precisions = []struct {
 	name      string
 	round     func([]float64) []float64
 	threshold func(ref []float64, keep, workers int) ([]float64, int)
-	cutoff    func(ref []float64, keep int) float64
 	encode    func(ref []float64, workers int) *SparseBlock
 	decode    func(b *SparseBlock, workers int) ([]float64, error)
 }{
-	{"f64", func(x []float64) []float64 { return x }, thresholdAt[float64], cutoffAt[float64], encodeAt[float64], decodeAt[float64]},
-	{"f32", func(x []float64) []float64 { return num.Widen(num.Narrow(x)) }, thresholdAt[float32], cutoffAt[float32], encodeAt[float32], decodeAt[float32]},
+	{"f64", func(x []float64) []float64 { return x }, thresholdAt[float64], encodeAt[float64], decodeAt[float64]},
+	{"f32", func(x []float64) []float64 { return num.Widen(num.Narrow(x)) }, thresholdAt[float32], encodeAt[float32], decodeAt[float32]},
 }
 
 func convertTo[F num.Float](ref []float64) []F {
@@ -44,10 +43,6 @@ func thresholdAt[F num.Float](ref []float64, keep, workers int) ([]float64, int)
 	got := convertTo[F](ref)
 	kept := ThresholdSlices([][]F{got}, keep, workers)
 	return num.Widen(got), kept
-}
-
-func cutoffAt[F num.Float](ref []float64, keep int) float64 {
-	return float64(CutoffMagnitude(convertTo[F](ref), keep))
 }
 
 func encodeAt[F num.Float](ref []float64, workers int) *SparseBlock {
@@ -184,35 +179,6 @@ func TestThresholdSlicesJoint(t *testing.T) {
 	}
 }
 
-// TestCutoffMagnitudeMatchesSerial pins the histogram-based cutoff against
-// the quickselect reference at both precisions and checks coeffs are
-// untouched.
-func TestCutoffMagnitudeMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, n := range []int{1, 5, 333, 40000} {
-		data := mixed(rng, n)
-		for _, p := range precisions {
-			ref := p.round(data)
-			for _, keep := range []int{1, n / 2, n - 1} {
-				if keep < 1 || keep >= n {
-					continue
-				}
-				mags := make([]float64, n)
-				for i, v := range ref {
-					mags[i] = math.Abs(v)
-				}
-				want := selectKth(mags, keep-1)
-				if got := p.cutoff(ref, keep); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s n=%d keep=%d: cutoff %v, want %v", p.name, n, keep, got, want)
-				}
-			}
-		}
-		orig := append([]float64(nil), data...)
-		CutoffMagnitude(data, n/2+1)
-		sliceBitIdentical(t, "input untouched", data, orig)
-	}
-}
-
 // TestSparseBlockMatchesSerial pins the counted two-pass encoder and the
 // chunked decoder to the append-growth reference across sizes that cover
 // empty, sub-chunk, chunk-boundary, and multi-chunk blocks, at both
@@ -256,4 +222,98 @@ func TestSparseBlockMatchesSerial(t *testing.T) {
 			}
 		}
 	}
+}
+
+// thresholdSerial is the original quickselect implementation, retained
+// verbatim as the reference the equivalence tests pin ThresholdSlices and
+// SelectSurvivors against. It must not be changed independently of
+// Threshold's documented semantics. NaN has no place in its float order,
+// so NaN inputs are checked against thresholdByKey instead.
+func thresholdSerial(coeffs []float64, keep int) int {
+	n := len(coeffs)
+	if keep >= n {
+		return n
+	}
+	if keep <= 0 {
+		for i := range coeffs {
+			coeffs[i] = 0
+		}
+		return 0
+	}
+	mags := make([]float64, n)
+	for i, v := range coeffs {
+		mags[i] = math.Abs(v)
+	}
+	cut := selectKth(mags, keep-1) // 0-indexed: (keep-1)-th in descending order
+
+	// First pass: keep everything strictly above the cut.
+	kept := 0
+	for _, v := range coeffs {
+		if math.Abs(v) > cut {
+			kept++
+		}
+	}
+	// Second pass: admit ties (== cut) until the budget is exhausted, then
+	// zero the rest.
+	remaining := keep - kept
+	for i, v := range coeffs {
+		a := math.Abs(v)
+		if a > cut {
+			continue
+		}
+		if fbits.Eq(a, cut) && remaining > 0 {
+			remaining--
+			continue
+		}
+		coeffs[i] = 0
+	}
+	return keep
+}
+
+// selectKth returns the k-th largest element (0-indexed) of a, using
+// iterative quickselect with median-of-three pivoting. a is permuted.
+// Retained for thresholdSerial only.
+func selectKth(a []float64, k int) float64 {
+	lo, hi := 0, len(a)-1
+	for {
+		if lo == hi {
+			return a[lo]
+		}
+		p := partitionDesc(a, lo, hi)
+		switch {
+		case k == p:
+			return a[p]
+		case k < p:
+			hi = p - 1
+		default:
+			lo = p + 1
+		}
+	}
+}
+
+// partitionDesc partitions a[lo..hi] in descending order around a
+// median-of-three pivot and returns the pivot's final index.
+func partitionDesc(a []float64, lo, hi int) int {
+	mid := lo + (hi-lo)/2
+	// Median-of-three: order a[lo] >= a[mid] >= a[hi] candidates.
+	if a[mid] > a[lo] {
+		a[mid], a[lo] = a[lo], a[mid]
+	}
+	if a[hi] > a[lo] {
+		a[hi], a[lo] = a[lo], a[hi]
+	}
+	if a[hi] > a[mid] {
+		a[hi], a[mid] = a[mid], a[hi]
+	}
+	pivot := a[mid]
+	a[mid], a[hi] = a[hi], a[mid]
+	store := lo
+	for i := lo; i < hi; i++ {
+		if a[i] > pivot {
+			a[i], a[store] = a[store], a[i]
+			store++
+		}
+	}
+	a[store], a[hi] = a[hi], a[store]
+	return store
 }

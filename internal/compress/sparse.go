@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 
-	"stwave/internal/fbits"
 	"stwave/internal/num"
 	"stwave/internal/par"
 	"stwave/internal/scratch"
@@ -31,9 +30,8 @@ type SparseBlock struct {
 	Values []float32
 }
 
-// sparseChunk is the per-task granule of the parallel encode and decode
-// passes. It is a multiple of 8 so no two chunks ever share a bitmap
-// byte, letting chunks write their bitmap regions without coordination.
+// sparseChunk is the per-task granule of the parallel decode pass. It is
+// a multiple of 8 so no two chunks ever share a bitmap byte.
 const sparseChunk = 1 << 15
 
 // NewSparseBlock encodes a (typically thresholded) coefficient slice.
@@ -42,108 +40,48 @@ func NewSparseBlock(coeffs []float64) *SparseBlock {
 	return NewSparseBlockP(coeffs, 1)
 }
 
-// NewSparseBlockP is NewSparseBlock on up to workers goroutines: a first
-// pass counts survivors per fixed-size chunk, a prefix sum gives every
-// chunk its exact Values segment, and a second pass fills bitmap and
-// values with no appends and no coordination. Output is identical for
-// every worker count, and identical at float32 to encoding the widened
-// float64 copy: the block stores 32-bit values either way.
+// NewSparseBlockP is NewSparseBlock with the nonzero scan on up to workers
+// goroutines. Output is identical for every worker count, and identical at
+// float32 to encoding the widened float64 copy: the block stores 32-bit
+// values either way.
 func NewSparseBlockP[F num.Float](coeffs []F, workers int) *SparseBlock {
-	n := len(coeffs)
-	b := &SparseBlock{
-		Total:  n,
-		Bitmap: make([]byte, (n+7)/8),
-	}
-	if n == 0 {
-		return b
-	}
-	nch := (n + sparseChunk - 1) / sparseChunk
-	counts := scratch.Uint64s(nch)
-	par.For(nch, workers, 1, func(start, end int) {
-		for ci := start; ci < end; ci++ {
-			lo, hi := ci*sparseChunk, (ci+1)*sparseChunk
-			if hi > n {
-				hi = n
-			}
-			c := 0
-			for _, v := range coeffs[lo:hi] {
-				if !fbits.Zero(v) {
-					c++
-				}
-			}
-			counts[ci] = uint64(c) //stlint:ignore trunccast c is a non-negative element count
-		}
-	})
-	k := 0
-	for ci := range counts {
-		c := int(counts[ci])   //stlint:ignore trunccast counts holds per-chunk tallies bounded by len(coeffs)
-		counts[ci] = uint64(k) //stlint:ignore trunccast k is a running non-negative prefix sum
-		k += c
-	}
-	if k == 0 {
-		scratch.PutUint64s(counts)
-		return b
-	}
-	b.Values = make([]float32, k)
-	par.For(nch, workers, 1, func(start, end int) {
-		for ci := start; ci < end; ci++ {
-			lo, hi := ci*sparseChunk, (ci+1)*sparseChunk
-			if hi > n {
-				hi = n
-			}
-			vi := int(counts[ci]) //stlint:ignore trunccast counts now holds prefix offsets bounded by len(b.Values)
-			for i := lo; i < hi; i++ {
-				v := coeffs[i]
-				if !fbits.Zero(v) {
-					b.Bitmap[i>>3] |= 1 << uint(i&7)
-					b.Values[vi] = float32(v) //stlint:ignore trunccast the sparse block stores 32-bit values by format contract (DESIGN section 5)
-					vi++
-				}
-			}
-		}
-	})
-	scratch.PutUint64s(counts)
-	return b
+	return EncodeBlocks([][]F{coeffs}, workers)[0]
 }
 
 // Retained returns the number of surviving coefficients.
 func (b *SparseBlock) Retained() int { return len(b.Values) }
 
-// EncodeBlocks encodes one block per coefficient slice, identical to
-// calling NewSparseBlock on each, but with all blocks, bitmaps, and value
-// arrays carved from three shared allocations sized by a parallel count
-// pass — the per-window encode path allocates O(1) instead of O(slices).
+// EncodeBlocks encodes one block per dense coefficient slice: the nonzeros
+// are collected (Nonzeros) and encoded by EncodeSurvivorBlocks.
 func EncodeBlocks[F num.Float](datas [][]F, workers int) []*SparseBlock {
-	nb := len(datas)
+	return EncodeSurvivorBlocks(Nonzeros(datas, workers), workers)
+}
+
+// EncodeSurvivorBlocks encodes one block per survivor list (see
+// CheckSurvivors for the input contract), with all blocks, bitmaps, and
+// value arrays carved from three shared allocations, so the per-window
+// encode path allocates O(1) instead of O(slices). Only the survivors are
+// visited; the bitmap is the one dense structure, at one bit per
+// coefficient.
+func EncodeSurvivorBlocks(survs []Survivors, workers int) []*SparseBlock {
+	nb := len(survs)
 	blocks := make([]*SparseBlock, nb)
 	if nb == 0 {
 		return blocks
 	}
 	arr := make([]SparseBlock, nb)
-	counts := scratch.Uint64s(nb)
-	par.For(nb, workers, 1, func(start, end int) {
-		for bi := start; bi < end; bi++ {
-			k := 0
-			for _, v := range datas[bi] {
-				if !fbits.Zero(v) {
-					k++
-				}
-			}
-			counts[bi] = uint64(k) //stlint:ignore trunccast k is a non-negative element count
-		}
-	})
 	totalBits, totalVals := 0, 0
-	for bi, d := range datas {
-		totalBits += (len(d) + 7) / 8
-		totalVals += int(counts[bi]) //stlint:ignore trunccast counts holds per-slice tallies bounded by len(datas[bi])
+	for _, s := range survs {
+		totalBits += (s.Total + 7) / 8
+		totalVals += len(s.Idx)
 	}
 	bitmapSlab := make([]byte, totalBits)
 	valueSlab := make([]float32, totalVals)
 	bo, vo := 0, 0
-	for bi, d := range datas {
-		bn, vn := (len(d)+7)/8, int(counts[bi]) //stlint:ignore trunccast counts holds per-slice tallies bounded by len(d)
+	for bi, s := range survs {
+		bn, vn := (s.Total+7)/8, len(s.Idx)
 		arr[bi] = SparseBlock{
-			Total:  len(d),
+			Total:  s.Total,
 			Bitmap: bitmapSlab[bo : bo+bn : bo+bn],
 		}
 		if vn > 0 {
@@ -155,18 +93,13 @@ func EncodeBlocks[F num.Float](datas [][]F, workers int) []*SparseBlock {
 	}
 	par.For(nb, workers, 1, func(start, end int) {
 		for bi := start; bi < end; bi++ {
-			b := blocks[bi]
-			vi := 0
-			for i, v := range datas[bi] {
-				if !fbits.Zero(v) {
-					b.Bitmap[i>>3] |= 1 << uint(i&7)
-					b.Values[vi] = float32(v) //stlint:ignore trunccast the sparse block stores 32-bit values by format contract (DESIGN section 5)
-					vi++
-				}
+			b, s := blocks[bi], survs[bi]
+			for j, i := range s.Idx {
+				b.Bitmap[i>>3] |= 1 << uint(i&7)
+				b.Values[j] = float32(s.Val[j]) //stlint:ignore trunccast the sparse block stores 32-bit values by format contract (DESIGN section 5)
 			}
 		}
 	})
-	scratch.PutUint64s(counts)
 	return blocks
 }
 

@@ -1,10 +1,13 @@
 // Package compress implements coefficient selection and coding: given a
 // target compression ratio n:1, it retains the 1/n largest-magnitude wavelet
-// coefficients and discards (zeroes) the rest, exactly as the paper's
-// Section IV-A step three describes. It also provides a sparse on-disk
-// encoding (significance bitmap + packed float32 values) so real file sizes
-// can be measured, and budget helpers for per-slice (3D) versus whole-window
-// (4D) coefficient accounting.
+// coefficients and discards the rest, exactly as the paper's Section IV-A
+// step three describes. Selection hands its result on as sparse survivor
+// lists (SelectSurvivors) so the codecs never rescan the dense window; the
+// in-place dense form (ThresholdSlices) is the same selection plus a
+// zero-fill. It also provides a sparse on-disk encoding (significance
+// bitmap + packed float32 values) so real file sizes can be measured, and
+// budget helpers for per-slice (3D) versus whole-window (4D) coefficient
+// accounting.
 package compress
 
 import (
@@ -20,10 +23,12 @@ import (
 
 // KeepCount returns how many coefficients a ratio:1 compression retains out
 // of total. Ratio 1 retains everything. Always at least 1 when total > 0 so
-// a reconstruction exists at extreme ratios.
+// a reconstruction exists at extreme ratios. Non-finite ratios are
+// rejected: NaN would otherwise slip past every ordered comparison and
+// silently keep a single coefficient.
 func KeepCount(total int, ratio float64) (int, error) {
-	if ratio < 1 {
-		return 0, fmt.Errorf("compress: ratio must be >= 1, got %g", ratio)
+	if math.IsNaN(ratio) || math.IsInf(ratio, 0) || ratio < 1 {
+		return 0, fmt.Errorf("compress: ratio must be finite and >= 1, got %g", ratio)
 	}
 	if total <= 0 {
 		return 0, nil
@@ -105,25 +110,152 @@ func magKey[F num.Float](v F) uint64 {
 	return math.Float64bits(float64(v)) &^ signMask
 }
 
-// cutKeySlices finds the magnitude-bit key of the keep-th largest
-// magnitude across all slices and returns it together with the number of
-// keys strictly greater than it. Requires 0 < keep <= total.
-func cutKeySlices[F num.Float](slices [][]F, chunks []thChunk, keep, workers int) (cut uint64, greater int) {
-	var mu sync.Mutex
-	var hist [histSize]int
-	par.For(len(chunks), workers, 1, func(start, end int) {
-		var local [histSize]int
+// Survivors is one slice's retained coefficients in sparse form: the
+// strictly ascending indices of its nonzero survivors within a dense slice
+// of length Total, and their values widened to float64 (exact at either
+// precision). It is the hand-off from selection to the codecs, so nothing
+// downstream of the threshold reads the dense window again.
+type Survivors struct {
+	Total int
+	Idx   []int
+	Val   []float64
+}
+
+// CheckSurvivors reports the first list that is not a valid encoder
+// input: one value per index, indices strictly ascending inside [0,
+// Total), and no zero values (a zero is a discarded coefficient).
+func CheckSurvivors(survs []Survivors) error {
+	for si, s := range survs {
+		if s.Total < 0 || len(s.Val) != len(s.Idx) {
+			return fmt.Errorf("compress: survivor list %d: %d indices, %d values, total %d", si, len(s.Idx), len(s.Val), s.Total)
+		}
+		prev := -1
+		for j, i := range s.Idx {
+			if i <= prev || i >= s.Total {
+				return fmt.Errorf("compress: survivor list %d: index %d at position %d is out of order or outside [0, %d)", si, i, j, s.Total)
+			}
+			if fbits.Zero(s.Val[j]) {
+				return fmt.Errorf("compress: survivor list %d: zero value at index %d", si, i)
+			}
+			prev = i
+		}
+	}
+	return nil
+}
+
+// carve splits one (idx, val) slab, ordered by slice, into per-slice
+// survivor lists of the given lengths.
+func carve[F num.Float](slices [][]F, lens []int, idx []int, val []float64) []Survivors {
+	out := make([]Survivors, len(slices))
+	off := 0
+	for si, s := range slices {
+		n := lens[si]
+		out[si] = Survivors{Total: len(s), Idx: idx[off : off+n : off+n], Val: val[off : off+n : off+n]}
+		off += n
+	}
+	return out
+}
+
+// Nonzeros collects every nonzero coefficient of each slice as survivors:
+// the sparse form of an already-thresholded dense window, for callers that
+// still hold one. A counting pass sizes every chunk's region and a fill
+// pass writes it, both on up to workers goroutines; the result is
+// identical for every worker count.
+func Nonzeros[F num.Float](slices [][]F, workers int) []Survivors {
+	chunks, _ := buildChunks(slices)
+	return collectNonzeros(slices, chunks, workers)
+}
+
+func collectNonzeros[F num.Float](slices [][]F, chunks []thChunk, workers int) []Survivors {
+	nch := len(chunks)
+	offs := scratch.Uint64s(nch + 1)
+	defer scratch.PutUint64s(offs)
+	par.For(nch, workers, 1, func(start, end int) {
 		for ci := start; ci < end; ci++ {
 			ch := chunks[ci]
+			n := uint64(0)
 			for _, v := range slices[ch.si][ch.lo:ch.hi] {
-				local[magKey(v)>>histShift]++
+				if !fbits.Zero(v) {
+					n++
+				}
+			}
+			offs[ci+1] = n
+		}
+	})
+	offs[0] = 0
+	lens := make([]int, len(slices))
+	for ci, ch := range chunks {
+		lens[ch.si] += int(offs[ci+1]) //stlint:ignore trunccast a per-chunk count bounded by thresholdChunk
+		offs[ci+1] += offs[ci]
+	}
+	n := int(offs[nch]) //stlint:ignore trunccast the survivor total is bounded by the input length
+	idx, val := make([]int, n), make([]float64, n)
+	par.For(nch, workers, 1, func(start, end int) {
+		for ci := start; ci < end; ci++ {
+			ch := chunks[ci]
+			o := int(offs[ci]) //stlint:ignore trunccast prefix offsets are bounded by n
+			for j, v := range slices[ch.si][ch.lo:ch.hi] {
+				if !fbits.Zero(v) {
+					idx[o], val[o] = ch.lo+j, float64(v)
+					o++
+				}
+			}
+		}
+	})
+	return carve(slices, lens, idx, val)
+}
+
+// SelectSurvivors picks the keep largest magnitudes across the
+// concatenation of slices (in slice order), ties admitted in global index
+// order, and returns them per slice as ascending survivor lists with
+// exact zeros dropped. The coefficients are only read.
+//
+// Two parallel passes touch the dense data: a per-chunk key histogram,
+// which locates the bucket holding the cut and sizes every chunk's
+// candidate region, then a gather of the index of every key in or above
+// that bucket (and of the cut bucket's keys for the quickselect). All
+// later work is on the candidates alone. The result is identical for
+// every worker count, including 1; at float32 the survivors are exactly
+// those of the widened float64 copy.
+func SelectSurvivors[F num.Float](slices [][]F, keep, workers int) []Survivors {
+	survs, _ := selectSurvivors(slices, keep, workers)
+	return survs
+}
+
+// selectSurvivors is SelectSurvivors that also reports how many zeros the
+// tie budget admitted (nonzero only when the cut reaches the zeros):
+// ThresholdSlices leaves those, the first in index order, untouched.
+func selectSurvivors[F num.Float](slices [][]F, keep, workers int) (survs []Survivors, zeroTies int) {
+	chunks, total := buildChunks(slices)
+	if keep >= total {
+		return collectNonzeros(slices, chunks, workers), 0
+	}
+	if keep <= 0 {
+		return carve(slices, make([]int, len(slices)), nil, nil), 0
+	}
+	nch := len(chunks)
+
+	// Pass 1: one histogram per chunk, merged into the global one.
+	hists := scratch.Uint64s(nch * histSize)
+	defer scratch.PutUint64s(hists)
+	var mu sync.Mutex
+	var hist [histSize]uint64
+	par.For(nch, workers, 1, func(start, end int) {
+		var local [histSize]uint64
+		for ci := start; ci < end; ci++ {
+			ch := chunks[ci]
+			h := hists[ci*histSize : (ci+1)*histSize]
+			clear(h)
+			for _, v := range slices[ch.si][ch.lo:ch.hi] {
+				h[magKey(v)>>histShift]++
+			}
+			for b, c := range h {
+				local[b] += c
 			}
 		}
 		mu.Lock()
-		for i, c := range local {
-			if c != 0 {
-				hist[i] += c
-			}
+		for b, c := range local {
+			hist[b] += c
 		}
 		mu.Unlock()
 	})
@@ -132,34 +264,100 @@ func cutKeySlices[F num.Float](slices [][]F, chunks []thChunk, keep, workers int
 	// keep-th largest key.
 	bucket, before := 0, 0
 	for b := histSize - 1; b >= 0; b-- {
-		if before+hist[b] >= keep {
+		c := int(hist[b]) //stlint:ignore trunccast a bucket count is bounded by the input length
+		if before+c >= keep {
 			bucket = b
 			break
 		}
-		before += hist[b]
+		before += c
 	}
 
-	cands := scratch.Uint64s(hist[bucket])
-	ci := 0
-	for _, s := range slices {
-		for _, v := range s {
-			if k := magKey(v); int(k>>histShift) == bucket { //stlint:ignore trunccast the shift keeps 11 bits, far inside int range
-				cands[ci] = k
-				ci++
+	// Candidate and cut-bucket regions per chunk, in chunk (= index) order.
+	offs := scratch.Uint64s(2 * (nch + 1))
+	defer scratch.PutUint64s(offs)
+	coff, boff := offs[:nch+1], offs[nch+1:]
+	coff[0], boff[0] = 0, 0
+	for ci := 0; ci < nch; ci++ {
+		h := hists[ci*histSize : (ci+1)*histSize]
+		c := uint64(0)
+		for _, n := range h[bucket:] {
+			c += n
+		}
+		coff[ci+1] = coff[ci] + c
+		boff[ci+1] = boff[ci] + h[bucket]
+	}
+	cidx := scratch.Uint64s(int(coff[nch])) //stlint:ignore trunccast the candidate total is bounded by the input length
+	defer scratch.PutUint64s(cidx)
+	bkeys := scratch.Uint64s(int(boff[nch])) //stlint:ignore trunccast the bucket total is bounded by the input length
+	defer scratch.PutUint64s(bkeys)
+
+	// Pass 2: gather candidates. Bucket 0 holds the zeros, so a cut there
+	// gathers them too; they are dropped at emission.
+	ub := uint64(bucket) //stlint:ignore trunccast bucket is a histogram index in [0, histSize)
+	low := ub << histShift
+	par.For(nch, workers, 1, func(start, end int) {
+		for ci := start; ci < end; ci++ {
+			ch := chunks[ci]
+			c, b := coff[ci], boff[ci]
+			for j, v := range slices[ch.si][ch.lo:ch.hi] {
+				k := magKey(v)
+				if k < low {
+					continue
+				}
+				cidx[c] = uint64(ch.lo + j) //stlint:ignore trunccast a non-negative element index
+				c++
+				if k>>histShift == ub {
+					bkeys[b] = k
+					b++
+				}
 			}
 		}
-	}
-	cut = selectKthU64Desc(cands, keep-1-before)
+	})
+
 	// Every key in a higher bucket is > cut (the bucket is the key's most
-	// significant bits), so only the candidate bucket needs a scan.
-	greater = before
-	for _, k := range cands {
+	// significant bits), so only the cut bucket needs the quickselect.
+	cut := selectKthU64Desc(bkeys, keep-1-before)
+	greater, ties := before, 0
+	for _, k := range bkeys {
 		if k > cut {
 			greater++
+		} else if k == cut {
+			ties++
 		}
 	}
-	scratch.PutUint64s(cands)
-	return cut, greater
+	budget := keep - greater // ties admitted in index order
+	n := keep
+	if cut == 0 {
+		n = greater // admitted ties are zeros, discarded either way
+	}
+
+	idx, val := make([]int, n), make([]float64, n)
+	lens := make([]int, len(slices))
+	o := 0
+	for ci, ch := range chunks {
+		data := slices[ch.si]
+		for _, c := range cidx[coff[ci]:coff[ci+1]] {
+			v := data[c]
+			k := magKey(v)
+			if k < cut {
+				continue
+			}
+			if k == cut {
+				if budget == 0 {
+					continue
+				}
+				budget--
+				if k == 0 {
+					zeroTies++
+					continue
+				}
+			}
+			idx[o], val[o] = int(c), float64(v) //stlint:ignore trunccast c is an element index below len(data)
+			o++
+			lens[ch.si]++
+		}
+	}
+	return carve(slices, lens, idx, val), zeroTies
 }
 
 // Threshold zeroes, in place, all but the keep largest-magnitude entries of
@@ -171,103 +369,48 @@ func Threshold[F num.Float](coeffs []F, keep int) int {
 }
 
 // ThresholdSlices is Threshold over the concatenation of slices (in slice
-// order) without materializing it: the keep largest magnitudes across all
-// slices survive, ties admitted in global index order. The selection and
-// the zeroing passes run on up to workers goroutines; the output is
-// bit-identical for every worker count, including 1. At float32 the
-// survivors are exactly those of the widened float64 copy.
+// order) without materializing it: SelectSurvivors, then a zero-fill of
+// every position that did not survive. The survivors keep their exact
+// input bits. Output is bit-identical for every worker count, including 1.
 func ThresholdSlices[F num.Float](slices [][]F, keep, workers int) int {
-	chunks, total := buildChunks(slices)
+	total := 0
+	for _, s := range slices {
+		total += len(s)
+	}
 	if keep >= total {
 		return total
 	}
-	if keep <= 0 {
-		par.For(len(chunks), workers, 1, func(start, end int) {
-			for ci := start; ci < end; ci++ {
-				ch := chunks[ci]
-				data := slices[ch.si][ch.lo:ch.hi]
-				for j := range data {
-					data[j] = 0
+	survs, zeroTies := selectSurvivors(slices, keep, workers)
+	if zeroTies > 0 {
+		// The cut reached the zeros: the first zeroTies of them are
+		// admitted ties and keep their sign bits, as in a serial
+		// threshold. Rare enough for one ordered walk.
+		for si, d := range slices {
+			idx, p := survs[si].Idx, 0
+			for j, v := range d {
+				switch {
+				case p < len(idx) && idx[p] == j:
+					p++
+				case zeroTies > 0 && fbits.Zero(v):
+					zeroTies--
+				default:
+					d[j] = 0
 				}
-			}
-		})
-		return 0
-	}
-
-	cut, totalGreater := cutKeySlices(slices, chunks, keep, workers)
-
-	if workers <= 1 {
-		// Serial fast path: ties admit in index order against one running
-		// budget, so the per-chunk counting pass is unnecessary.
-		budget := keep - totalGreater
-		for _, ch := range chunks {
-			data := slices[ch.si][ch.lo:ch.hi]
-			for j, v := range data {
-				k := magKey(v)
-				if k > cut {
-					continue
-				}
-				if k == cut && budget > 0 {
-					budget--
-					continue
-				}
-				data[j] = 0
 			}
 		}
 		return keep
 	}
-
-	// Count, per chunk, the ties at the cut (the strictly-greater total is
-	// already known globally; only ties need a per-chunk split for the
-	// prefix below).
-	nch := len(chunks)
-	ties := scratch.Uint64s(nch)
-	par.For(nch, workers, 1, func(start, end int) {
-		for ci := start; ci < end; ci++ {
-			ch := chunks[ci]
-			t := 0
-			for _, v := range slices[ch.si][ch.lo:ch.hi] {
-				if magKey(v) == cut {
-					t++
-				}
+	par.For(len(slices), workers, 1, func(start, end int) {
+		for si := start; si < end; si++ {
+			d, prev := slices[si], 0
+			for _, i := range survs[si].Idx {
+				clear(d[prev:i])
+				prev = i + 1
 			}
-			ties[ci] = uint64(t) //stlint:ignore trunccast t is a non-negative tie count
+			clear(d[prev:])
 		}
 	})
-
-	// Prefix over chunks in index order: chunk ci may admit only the ties
-	// left after every earlier chunk took theirs — the serial tie rule.
-	budget := keep - totalGreater
-	for ci := range ties {
-		admit := int(ties[ci]) //stlint:ignore trunccast ties holds per-chunk tallies bounded by the chunk size
-		if admit > budget {
-			admit = budget
-		}
-		ties[ci] = uint64(admit)
-		budget -= admit
-	}
-
-	par.For(nch, workers, 1, func(start, end int) {
-		for ci := start; ci < end; ci++ {
-			ch := chunks[ci]
-			data := slices[ch.si][ch.lo:ch.hi]
-			admit := int(ties[ci]) //stlint:ignore trunccast ties holds clamped admit budgets bounded by keep
-			for j, v := range data {
-				k := magKey(v)
-				if k > cut {
-					continue
-				}
-				if k == cut && admit > 0 {
-					admit--
-					continue
-				}
-				data[j] = 0
-			}
-		}
-	})
-
-	scratch.PutUint64s(ties)
-	return keep
+	return max(keep, 0)
 }
 
 // ThresholdSlices32 is ThresholdSlices at float32. It is kept only because
@@ -336,116 +479,4 @@ func medianU64(a, b, c uint64) uint64 {
 		b = a
 	}
 	return b
-}
-
-// CutoffMagnitude returns the magnitude of the keep-th largest coefficient
-// without modifying coeffs — the threshold the paper describes finding
-// relative to the largest-magnitude coefficient.
-func CutoffMagnitude[F num.Float](coeffs []F, keep int) F {
-	if keep <= 0 || len(coeffs) == 0 {
-		return F(math.Inf(1))
-	}
-	if keep >= len(coeffs) {
-		return 0
-	}
-	slices := [][]F{coeffs}
-	chunks, _ := buildChunks(slices)
-	cut, _ := cutKeySlices(slices, chunks, keep, 1)
-	if num.Is32[F]() {
-		return F(math.Float32frombits(uint32(cut >> 32))) //stlint:ignore trunccast the key's low 32 bits are zero by construction
-	}
-	return F(math.Float64frombits(cut))
-}
-
-// thresholdSerial is the original quickselect implementation, retained
-// verbatim as the reference the equivalence tests pin ThresholdSlices
-// against. It must not be changed independently of Threshold's documented
-// semantics.
-func thresholdSerial(coeffs []float64, keep int) int {
-	n := len(coeffs)
-	if keep >= n {
-		return n
-	}
-	if keep <= 0 {
-		for i := range coeffs {
-			coeffs[i] = 0
-		}
-		return 0
-	}
-	mags := make([]float64, n)
-	for i, v := range coeffs {
-		mags[i] = math.Abs(v)
-	}
-	cut := selectKth(mags, keep-1) // 0-indexed: (keep-1)-th in descending order
-
-	// First pass: keep everything strictly above the cut.
-	kept := 0
-	for _, v := range coeffs {
-		if math.Abs(v) > cut {
-			kept++
-		}
-	}
-	// Second pass: admit ties (== cut) until the budget is exhausted, then
-	// zero the rest.
-	remaining := keep - kept
-	for i, v := range coeffs {
-		a := math.Abs(v)
-		if a > cut {
-			continue
-		}
-		if fbits.Eq(a, cut) && remaining > 0 {
-			remaining--
-			continue
-		}
-		coeffs[i] = 0
-	}
-	return keep
-}
-
-// selectKth returns the k-th largest element (0-indexed) of a, using
-// iterative quickselect with median-of-three pivoting. a is permuted.
-// Retained for thresholdSerial only.
-func selectKth(a []float64, k int) float64 {
-	lo, hi := 0, len(a)-1
-	for {
-		if lo == hi {
-			return a[lo]
-		}
-		p := partitionDesc(a, lo, hi)
-		switch {
-		case k == p:
-			return a[p]
-		case k < p:
-			hi = p - 1
-		default:
-			lo = p + 1
-		}
-	}
-}
-
-// partitionDesc partitions a[lo..hi] in descending order around a
-// median-of-three pivot and returns the pivot's final index.
-func partitionDesc(a []float64, lo, hi int) int {
-	mid := lo + (hi-lo)/2
-	// Median-of-three: order a[lo] >= a[mid] >= a[hi] candidates.
-	if a[mid] > a[lo] {
-		a[mid], a[lo] = a[lo], a[mid]
-	}
-	if a[hi] > a[lo] {
-		a[hi], a[lo] = a[lo], a[hi]
-	}
-	if a[hi] > a[mid] {
-		a[hi], a[mid] = a[mid], a[hi]
-	}
-	pivot := a[mid]
-	a[mid], a[hi] = a[hi], a[mid]
-	store := lo
-	for i := lo; i < hi; i++ {
-		if a[i] > pivot {
-			a[i], a[store] = a[store], a[i]
-			store++
-		}
-	}
-	a[store], a[hi] = a[hi], a[store]
-	return store
 }

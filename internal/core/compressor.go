@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"stwave/internal/codec"
+	"stwave/internal/compress"
 	"stwave/internal/grid"
 	"stwave/internal/num"
 	"stwave/internal/obs"
@@ -181,8 +182,8 @@ func (c *Compressor) CompressWindow(w *grid.Window) (*CompressedWindow, error) {
 //
 // The working copy of the window lives in one pooled slab carved into
 // per-slice fields, so the hot path allocates O(1) regardless of window
-// size; the coefficient view is handed to the slice-aware threshold and
-// encode stages directly, with no gather/scatter copies.
+// size. Selection reads the transformed copy and hands survivor lists to
+// the encoder, which never rescans the dense coefficients.
 func (c *Compressor) CompressWindowCtx(ctx context.Context, w *grid.Window) (*CompressedWindow, error) {
 	return compressWindowOf(ctx, c, w)
 }
@@ -202,17 +203,58 @@ func (c *Compressor) CompressWindow32Ctx(ctx context.Context, w *grid.Window32) 
 }
 
 // CompressWindowOf is the precision-generic entry point for callers that
-// are themselves generic over the sample type (the streaming ingest
-// engine). It is exactly CompressWindowCtx / CompressWindow32Ctx,
-// selected by F.
+// are themselves generic over the sample type. It is exactly
+// CompressWindowCtx / CompressWindow32Ctx, selected by F, and likewise
+// leaves w untouched.
 func CompressWindowOf[F num.Float](ctx context.Context, c *Compressor, w *grid.WindowOf[F]) (*CompressedWindow, error) {
 	return compressWindowOf(ctx, c, w)
 }
 
-// compressWindowOf is the precision-generic compress orchestration shared
-// by CompressWindowCtx (F = float64) and CompressWindow32Ctx (F =
-// float32). The stages below it are generic too; precision.go picks the
-// codec interface's per-precision method names.
+// CompressWindowInPlaceOf is CompressWindowOf without the working copy:
+// the forward transform runs on w's own buffers, so on return — error or
+// not — w holds the window's wavelet coefficients, not its samples. The
+// bytes are those CompressWindowOf produces. Selection never writes, so
+// the coefficients stay intact for RecompressCoefficientsOf. This is the
+// streaming ingest path, which owns its window buffers. The error-bounded
+// mode (MaxErr) verifies against the raw samples and is rejected.
+func CompressWindowInPlaceOf[F num.Float](ctx context.Context, c *Compressor, w *grid.WindowOf[F]) (*CompressedWindow, error) {
+	if c.opts.MaxErr > 0 {
+		return nil, fmt.Errorf("core: error-bounded mode (MaxErr) needs the raw window; use CompressWindowOf")
+	}
+	if w.Len() == 0 {
+		return nil, fmt.Errorf("core: cannot compress an empty window")
+	}
+	ctx, sp := obs.Start(ctx, "core.compress_window")
+	defer sp.End()
+	spec := c.opts.spec(w.Dims, w.Len())
+	if err := transform.Forward4DCtx(ctx, w, spec); err != nil {
+		return nil, fmt.Errorf("core: forward transform: %w", err)
+	}
+	return encodeCoefficients(ctx, c, w, spec, par.Workers(c.opts.Workers))
+}
+
+// RecompressCoefficientsOf selects and encodes, at c's ratio, the
+// coefficient window CompressWindowInPlaceOf left behind — no transform
+// runs. c must share the transform configuration (kernels, levels, mode)
+// of the compressor that transformed the window; the ingest ladder's rungs
+// differ only in Ratio. Because Forward4D is deterministic, the bytes
+// equal compressing the raw window at c's ratio. coeffs is only read.
+func RecompressCoefficientsOf[F num.Float](ctx context.Context, c *Compressor, coeffs *grid.WindowOf[F]) (*CompressedWindow, error) {
+	if c.opts.MaxErr > 0 {
+		return nil, fmt.Errorf("core: error-bounded mode (MaxErr) needs the raw window; use CompressWindowOf")
+	}
+	if coeffs.Len() == 0 {
+		return nil, fmt.Errorf("core: cannot compress an empty window")
+	}
+	ctx, sp := obs.Start(ctx, "core.compress_window")
+	defer sp.End()
+	return encodeCoefficients(ctx, c, coeffs, c.opts.spec(coeffs.Dims, coeffs.Len()), par.Workers(c.opts.Workers))
+}
+
+// compressWindowOf is the precision-generic, input-preserving compress
+// orchestration behind CompressWindowCtx (F = float64) and
+// CompressWindow32Ctx (F = float32): clone, transform the clone, then
+// select and encode (or, under MaxErr, the verified dense loop).
 func compressWindowOf[F num.Float](ctx context.Context, c *Compressor, w *grid.WindowOf[F]) (*CompressedWindow, error) {
 	if w.Len() == 0 {
 		return nil, fmt.Errorf("core: cannot compress an empty window")
@@ -232,80 +274,119 @@ func compressWindowOf[F num.Float](ctx context.Context, c *Compressor, w *grid.W
 		slices[i] = &fields[i]
 		datas[i] = d
 	}
+	obs.Default().Counter("core.window_clone_bytes_total").Add(int64(t*s) * int64(num.SampleBytes[F]()))
 	work := &grid.WindowOf[F]{Dims: w.Dims, Slices: slices, Times: w.Times}
 	spec := c.opts.spec(work.Dims, work.Len())
-	workers := par.Workers(c.opts.Workers)
-	rawBytes := int64(work.TotalSamples()) * int64(num.SampleBytes[F]())
 
 	if err := transform.Forward4DCtx(ctx, work, spec); err != nil {
 		return nil, fmt.Errorf("core: forward transform: %w", err)
 	}
+	workers := par.Workers(c.opts.Workers)
+	if c.opts.MaxErr <= 0 {
+		return encodeCoefficients(ctx, c, work, spec, workers)
+	}
 
-	cdc := c.opts.codec()
-	cw := &CompressedWindow{
-		Dims:           work.Dims,
-		Times:          append([]float64(nil), work.Times...),
+	// Error-bounded mode: threshold and encode fuse into one verified
+	// loop, because the bound is checked on the exact encoded stream
+	// (codec quantization included). The mode is defined on the float64
+	// oracle only.
+	w64, okW := any(w).(*grid.Window)
+	datas64, okD := any(datas).([][]float64)
+	if !okW || !okD {
+		return nil, fmt.Errorf("core: error-bounded mode (MaxErr) requires the float64 pipeline")
+	}
+	cw := newCompressedWindow(c, work, spec)
+	rawBytes := int64(work.TotalSamples()) * int64(num.SampleBytes[F]())
+	_, spTh := obs.Start(ctx, "core.threshold_maxerr")
+	start := time.Now()
+	err := c.thresholdMaxErr(w64, datas64, spec, workers, cw)
+	spTh.End()
+	if err != nil {
+		return nil, err
+	}
+	observeThroughput("compress.threshold_mb_per_s", rawBytes, time.Since(start))
+	finishWindow(cw, rawBytes)
+	return cw, nil
+}
+
+// newCompressedWindow starts the compressed form of a window transformed
+// under spec; the encode stage fills in its blocks.
+func newCompressedWindow[F num.Float](c *Compressor, w *grid.WindowOf[F], spec transform.Spec) *CompressedWindow {
+	return &CompressedWindow{
+		Dims:           w.Dims,
+		Times:          append([]float64(nil), w.Times...),
 		Opts:           c.opts,
 		SpatialLevels:  spec.SpatialLevels,
 		TemporalLevels: spec.TemporalLevels,
 		Precision:      precisionOf[F](),
 	}
+}
 
-	if c.opts.MaxErr > 0 {
-		// Error-bounded mode: threshold and encode fuse into one
-		// verified loop, because the bound is checked on the exact
-		// encoded stream (codec quantization included). The mode is
-		// defined on the float64 oracle only.
-		w64, okW := any(w).(*grid.Window)
-		datas64, okD := any(datas).([][]float64)
-		if !okW || !okD {
-			return nil, fmt.Errorf("core: error-bounded mode (MaxErr) requires the float64 pipeline")
-		}
-		_, spTh := obs.Start(ctx, "core.threshold_maxerr")
-		start := time.Now()
-		err := c.thresholdMaxErr(w64, datas64, spec, workers, cw)
-		spTh.End()
-		if err != nil {
-			return nil, err
-		}
-		observeThroughput("compress.threshold_mb_per_s", rawBytes, time.Since(start))
-	} else {
-		_, spTh := obs.Start(ctx, "core.threshold")
-		start := time.Now()
-		if err := thresholdOf(c.opts, datas, workers); err != nil {
-			spTh.End()
-			return nil, err
-		}
-		observeThroughput("compress.threshold_mb_per_s", rawBytes, time.Since(start))
-		spTh.End()
-
-		_, spEnc := obs.Start(ctx, "core.encode")
-		start = time.Now()
-		if c.opts.Progressive {
-			levelBlocks, err := encodeProgressiveOf(cdc, datas, work.Dims, spec.SpatialLevels, workers)
-			if err != nil {
-				spEnc.End()
-				return nil, err
-			}
-			cw.LevelBlocks = levelBlocks
-		} else {
-			blocks, err := encodeSlicesOf(cdc, datas, workers)
-			if err != nil {
-				spEnc.End()
-				return nil, fmt.Errorf("core: %s encode: %w", cdc.Name(), err)
-			}
-			cw.Blocks = blocks
-		}
-		elapsed := time.Since(start)
-		observeThroughput("compress.encode_mb_per_s", rawBytes, elapsed)
-		observeThroughput("codec.encode_mb_per_s."+cdc.Name(), rawBytes, elapsed)
-		spEnc.End()
+// encodeCoefficients is the ratio-mode tail shared by every compress entry
+// point: select survivors from the transformed window (the
+// "core.threshold" span) and encode them in the configured layout
+// ("core.encode").
+func encodeCoefficients[F num.Float](ctx context.Context, c *Compressor, coeffs *grid.WindowOf[F], spec transform.Spec, workers int) (*CompressedWindow, error) {
+	rawBytes := int64(coeffs.TotalSamples()) * int64(num.SampleBytes[F]())
+	datas := make([][]F, coeffs.Len())
+	for i, f := range coeffs.Slices {
+		datas[i] = f.Data
 	}
+	cdc := c.opts.codec()
+	cw := newCompressedWindow(c, coeffs, spec)
+
+	_, spTh := obs.Start(ctx, "core.threshold")
+	start := time.Now()
+	survs, err := selectOf(c.opts, datas, workers)
+	spTh.End()
+	if err != nil {
+		return nil, err
+	}
+	observeThroughput("compress.threshold_mb_per_s", rawBytes, time.Since(start))
+
+	_, spEnc := obs.Start(ctx, "core.encode")
+	start = time.Now()
+	cw.Blocks, cw.LevelBlocks, err = encodeSurvivors(cdc, survs, cw.Dims, cw.SpatialLevels, c.opts.Progressive, workers)
+	spEnc.End()
+	if err != nil {
+		return nil, err
+	}
+	elapsed := time.Since(start)
+	observeThroughput("compress.encode_mb_per_s", rawBytes, elapsed)
+	observeThroughput("codec.encode_mb_per_s."+cdc.Name(), rawBytes, elapsed)
+	finishWindow(cw, rawBytes)
+	return cw, nil
+}
+
+// encodeSurvivors encodes per-slice survivors in the window's layout: one
+// block per slice, or, progressive, one row of blocks per level group
+// (coarsest first) split by the level index. Only survivors are touched.
+func encodeSurvivors(cdc codec.Codec, survs []compress.Survivors, dims grid.Dims, spatialLevels int, progressive bool, workers int) ([]codec.Block, [][]codec.Block, error) {
+	if !progressive {
+		blocks, err := cdc.EncodeSurvivors(survs, workers)
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: %s encode: %w", cdc.Name(), err)
+		}
+		return blocks, nil, nil
+	}
+	rows := newLevelIndex(dims, spatialLevels).split(survs, workers)
+	levelBlocks := make([][]codec.Block, len(rows))
+	for g, row := range rows {
+		blocks, err := cdc.EncodeSurvivors(row, workers)
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: %s encode of level group %d: %w", cdc.Name(), g, err)
+		}
+		levelBlocks[g] = blocks
+	}
+	return nil, levelBlocks, nil
+}
+
+// finishWindow records the window-level compress metrics.
+func finishWindow(cw *CompressedWindow, rawBytes int64) {
 	if enc := cw.EncodedSizeBytes(); enc > 0 {
-		obs.Default().Gauge("codec.ratio." + cdc.Name()).Set(float64(rawBytes) / float64(enc))
+		obs.Default().Gauge("codec.ratio." + cw.Codec().Name()).Set(float64(rawBytes) / float64(enc))
 	}
 	obs.Default().Counter("core.compress_windows_total").Add(1)
-	return cw, nil
 }
 
 // Decompress reconstructs the window from its compressed form. The result is

@@ -75,6 +75,8 @@ func TestOptionsValidate(t *testing.T) {
 		func() Options { o := DefaultOptions(); o.TemporalKernel = wavelet.Kernel(9); return o }(),
 		func() Options { o := DefaultOptions(); o.WindowSize = 1; return o }(),
 		func() Options { o := DefaultOptions(); o.Ratio = 0.5; return o }(),
+		func() Options { o := DefaultOptions(); o.Ratio = math.NaN(); return o }(),
+		func() Options { o := DefaultOptions(); o.Ratio = math.Inf(1); return o }(),
 		func() Options { o := DefaultOptions(); o.SpatialLevels = -2; return o }(),
 		func() Options { o := DefaultOptions(); o.TemporalLevels = -3; return o }(),
 	}

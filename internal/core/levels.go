@@ -3,8 +3,11 @@ package core
 import (
 	"fmt"
 
+	"stwave/internal/compress"
 	"stwave/internal/grid"
 	"stwave/internal/num"
+	"stwave/internal/par"
+	"stwave/internal/scratch"
 	"stwave/internal/transform"
 )
 
@@ -70,16 +73,112 @@ func groupRows(g LevelGroup, rowDims grid.Dims, fn func(rowBase, x0, n int)) {
 	}
 }
 
-// gatherGroup copies the group's coefficients out of a full-grid Mallat
-// layout (dims full) into dst in canonical order, returning the number
-// of coefficients written. dst must have room for g.Count values.
-func gatherGroup[F num.Float](dst, src []F, full grid.Dims, g LevelGroup) int {
-	n := 0
-	groupRows(g, full, func(rowBase, x0, runLen int) {
-		copy(dst[n:n+runLen], src[rowBase+x0:rowBase+x0+runLen])
-		n += runLen
+// levelIndex maps a full-grid Mallat-layout index to its level group and
+// its position in that group's canonical order, so survivor lists split
+// into level groups without touching the dense grid. A point belongs to
+// the first group whose Outer cube contains it: the largest of its
+// per-axis groups, since the cubes nest. Within the group, each full-grid
+// row (z, y) starts its canonical run at rowBase[g][row] + x0, so a
+// point's local index is rowBase[g][row] + x.
+type levelIndex struct {
+	nx      int
+	groups  []LevelGroup
+	lx      []int   // group of each x coordinate
+	lrow    []int   // larger of the y and z groups of each row z*Ny+y
+	rowBase [][]int // per group and row: local index of x = 0 (rows outside the group unused)
+}
+
+func newLevelIndex(d grid.Dims, spatialLevels int) *levelIndex {
+	groups := LevelGroups(d, spatialLevels)
+	axis := func(n int, outer func(grid.Dims) int) []int {
+		t := make([]int, n)
+		g := 0
+		for c := range t {
+			for outer(groups[g].Outer) <= c {
+				g++
+			}
+			t[c] = g
+		}
+		return t
+	}
+	ly := axis(d.Ny, func(o grid.Dims) int { return o.Ny })
+	lz := axis(d.Nz, func(o grid.Dims) int { return o.Nz })
+	li := &levelIndex{
+		nx:      d.Nx,
+		groups:  groups,
+		lx:      axis(d.Nx, func(o grid.Dims) int { return o.Nx }),
+		lrow:    make([]int, d.Ny*d.Nz),
+		rowBase: make([][]int, len(groups)),
+	}
+	for z := 0; z < d.Nz; z++ {
+		for y := 0; y < d.Ny; y++ {
+			li.lrow[z*d.Ny+y] = max(ly[y], lz[z])
+		}
+	}
+	for g, lg := range groups {
+		rb := make([]int, d.Ny*d.Nz)
+		n := 0
+		groupRows(lg, d, func(rowBase, x0, runLen int) {
+			rb[rowBase/d.Nx] = n - x0
+			n += runLen
+		})
+		li.rowBase[g] = rb
+	}
+	return li
+}
+
+// split distributes per-slice survivors over the level groups: row g
+// holds, for every slice, the survivors of group g indexed in the group's
+// canonical order. The canonical order is the grid's z, y, x order
+// restricted to the group, so each list stays ascending. Rows are carved
+// from one shared slab; slices split in parallel on up to workers
+// goroutines.
+func (li *levelIndex) split(survs []compress.Survivors, workers int) [][]compress.Survivors {
+	ng, t := len(li.groups), len(survs)
+	rows := make([][]compress.Survivors, ng)
+	for g := range rows {
+		rows[g] = make([]compress.Survivors, t)
+	}
+	offs := make([]int, t+1)
+	for i, s := range survs {
+		offs[i+1] = offs[i] + len(s.Idx)
+	}
+	idx, val := make([]int, offs[t]), make([]float64, offs[t])
+	par.For(t, workers, 1, func(start, end int) {
+		at := make([]int, ng) // per group: count, then running write position
+		for i := start; i < end; i++ {
+			s := survs[i]
+			// loc packs each survivor's group (high half) and local index
+			// (low half; block totals stay below 2^31). Indices ascend, so
+			// the row is tracked by stepping, not dividing.
+			loc := scratch.Uint64s(len(s.Idx))
+			clear(at)
+			row, rowEnd := 0, li.nx
+			for j, x := range s.Idx {
+				for x >= rowEnd {
+					row++
+					rowEnd += li.nx
+				}
+				x -= rowEnd - li.nx
+				g := max(li.lx[x], li.lrow[row])
+				loc[j] = uint64(g)<<32 | uint64(li.rowBase[g][row]+x) //stlint:ignore trunccast g and the local index are non-negative and below 2^32
+				at[g]++
+			}
+			o := offs[i]
+			for g, n := range at {
+				rows[g][i] = compress.Survivors{Total: li.groups[g].Count, Idx: idx[o : o+n : o+n], Val: val[o : o+n : o+n]}
+				at[g] = o
+				o += n
+			}
+			for j, p := range loc {
+				g := p >> 32
+				idx[at[g]], val[at[g]] = int(p&(1<<32-1)), s.Val[j]
+				at[g]++
+			}
+			scratch.PutUint64s(loc)
+		}
 	})
-	return n
+	return rows
 }
 
 // scatterGroup writes the group's canonical-order coefficients from src

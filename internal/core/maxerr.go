@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"stwave/internal/codec"
+	"stwave/internal/compress"
 	"stwave/internal/grid"
 	"stwave/internal/par"
 	"stwave/internal/scratch"
@@ -223,17 +223,7 @@ func (c *Compressor) thresholdMaxErr(orig *grid.Window, datas [][]float64, spec 
 
 		// Encode exactly as the window will be stored, then decode the
 		// encoded blocks back: the verified stream is the written stream.
-		var blocks []codec.Block
-		var levelBlocks [][]codec.Block
-		var err error
-		if c.opts.Progressive {
-			levelBlocks, err = encodeProgressiveOf(cdc, datas, dims, levels, workers)
-		} else {
-			blocks, err = cdc.EncodeSlices(datas, workers)
-			if err != nil {
-				err = fmt.Errorf("core: %s encode: %w", cdc.Name(), err)
-			}
-		}
+		blocks, levelBlocks, err := encodeSurvivors(cdc, compress.Nonzeros(datas, workers), dims, levels, c.opts.Progressive, workers)
 		if err != nil {
 			return err
 		}

@@ -19,6 +19,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"stwave/internal/codec"
 	"stwave/internal/grid"
@@ -209,8 +210,8 @@ func (o Options) Validate() error {
 			return fmt.Errorf("core: 4D mode requires window size >= 2, got %d", o.WindowSize)
 		}
 	}
-	if o.Ratio < 1 {
-		return fmt.Errorf("core: ratio must be >= 1, got %g", o.Ratio)
+	if math.IsNaN(o.Ratio) || math.IsInf(o.Ratio, 0) || o.Ratio < 1 {
+		return fmt.Errorf("core: ratio must be finite and >= 1, got %g", o.Ratio)
 	}
 	if o.SpatialLevels < -1 {
 		return fmt.Errorf("core: invalid spatial levels %d", o.SpatialLevels)

@@ -11,9 +11,10 @@ import (
 
 // Precision dispatch. The compress/decompress orchestration is written
 // once, generically over num.Float, and so are the threshold and codec
-// bodies below it. Only the codec.Codec and codec.Block interfaces need a
-// per-precision method name (interface methods cannot be generic); the
-// helpers here pick it with one type switch per window, never per sample.
+// bodies below it. Encoding needs no dispatch at all (survivors carry
+// float64 values at either precision); only codec.Block's decode needs a
+// per-precision method name (interface methods cannot be generic), which
+// decodeBlockIntoOf picks with one type switch per block, never per sample.
 
 // precisionOf maps the type parameter to the header enum.
 func precisionOf[F num.Float]() Precision {
@@ -21,17 +22,6 @@ func precisionOf[F num.Float]() Precision {
 		return Float32
 	}
 	return Float64
-}
-
-// encodeSlicesOf routes to the codec's native encode path for F.
-func encodeSlicesOf[F num.Float](cdc codec.Codec, datas [][]F, workers int) ([]codec.Block, error) {
-	switch d := any(datas).(type) {
-	case [][]float64:
-		return cdc.EncodeSlices(d, workers)
-	case [][]float32:
-		return cdc.EncodeSlices32(d, workers)
-	}
-	return nil, fmt.Errorf("core: unsupported sample type %T", datas)
 }
 
 // decodeBlockIntoOf routes to the block's native decode path for F.
@@ -45,24 +35,26 @@ func decodeBlockIntoOf[F num.Float](b codec.Block, out []F, workers int) error {
 	return fmt.Errorf("core: unsupported sample type %T", out)
 }
 
-// thresholdOf applies the ratio budget at precision F: per-slice for 3D
-// (and for the PerSliceBudget ablation), jointly over the whole window for
-// 4D — the generic body of Compressor.threshold.
-func thresholdOf[F num.Float](o Options, datas [][]F, workers int) error {
+// selectOf applies the ratio budget at precision F and returns the
+// survivors per slice: per-slice budgets for 3D (and for the
+// PerSliceBudget ablation), one joint budget over the whole window for 4D.
+// The coefficients are only read.
+func selectOf[F num.Float](o Options, datas [][]F, workers int) ([]compress.Survivors, error) {
 	if o.Mode == Spatial3D || o.PerSliceBudget {
 		if len(datas) == 0 {
-			return nil
+			return nil, nil
 		}
 		keep, err := compress.KeepCount(len(datas[0]), o.Ratio)
 		if err != nil {
-			return err
+			return nil, err
 		}
+		survs := make([]compress.Survivors, len(datas))
 		par.For(len(datas), workers, 1, func(start, end int) {
 			for i := start; i < end; i++ {
-				compress.ThresholdSlices(datas[i:i+1], keep, 1)
+				survs[i] = compress.SelectSurvivors(datas[i:i+1], keep, 1)[0]
 			}
 		})
-		return nil
+		return survs, nil
 	}
 	total := 0
 	for _, d := range datas {
@@ -70,8 +62,7 @@ func thresholdOf[F num.Float](o Options, datas [][]F, workers int) error {
 	}
 	keep, err := compress.KeepCount(total, o.Ratio)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	compress.ThresholdSlices(datas, keep, workers)
-	return nil
+	return compress.SelectSurvivors(datas, keep, workers), nil
 }

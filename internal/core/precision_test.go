@@ -6,9 +6,42 @@ import (
 	"testing"
 
 	"stwave/internal/codec"
+	"stwave/internal/compress"
 	"stwave/internal/grid"
+	"stwave/internal/num"
+	"stwave/internal/par"
 	"stwave/internal/wavelet"
 )
+
+// thresholdOf is the dense, in-place form of selectOf: the same budgets,
+// applied by compress.ThresholdSlices. The golden test hashes its slabs.
+func thresholdOf[F num.Float](o Options, datas [][]F, workers int) error {
+	if o.Mode == Spatial3D || o.PerSliceBudget {
+		if len(datas) == 0 {
+			return nil
+		}
+		keep, err := compress.KeepCount(len(datas[0]), o.Ratio)
+		if err != nil {
+			return err
+		}
+		par.For(len(datas), workers, 1, func(start, end int) {
+			for i := start; i < end; i++ {
+				compress.ThresholdSlices(datas[i:i+1], keep, 1)
+			}
+		})
+		return nil
+	}
+	total := 0
+	for _, d := range datas {
+		total += len(d)
+	}
+	keep, err := compress.KeepCount(total, o.Ratio)
+	if err != nil {
+		return err
+	}
+	compress.ThresholdSlices(datas, keep, workers)
+	return nil
+}
 
 // coherentWindow32 is coherentWindow filled at float32: the same smooth
 // spatiotemporal field, narrowed once at the fill point the way a

@@ -317,41 +317,6 @@ func ReadCompressedWindowLevels(r io.Reader, maxLevel int) (*CompressedWindow, e
 	return readCompressedWindow(r, maxLevel, true)
 }
 
-// encodeProgressiveOf gathers thresholded full-grid coefficient slices
-// into level groups (coarsest first) and encodes one block per (group,
-// slice) pair — the level-major layout, at either precision. The
-// per-group gather buffers come from the scratch pool.
-func encodeProgressiveOf[F num.Float](cdc codec.Codec, datas [][]F, dims grid.Dims, spatialLevels, workers int) ([][]codec.Block, error) {
-	groups := LevelGroups(dims, spatialLevels)
-	t := len(datas)
-	levelBlocks := make([][]codec.Block, len(groups))
-	encodeGroup := func(g int, lg LevelGroup) ([]codec.Block, error) {
-		slab := scratch.FloatsOf[F](t * lg.Count)
-		defer scratch.PutFloatsOf(slab)
-		gdatas := make([][]F, t)
-		for i, d := range datas {
-			buf := slab[i*lg.Count : (i+1)*lg.Count : (i+1)*lg.Count]
-			if n := gatherGroup(buf, d, dims, lg); n != lg.Count {
-				return nil, fmt.Errorf("core: level group %d gathered %d of %d coefficients", g, n, lg.Count)
-			}
-			gdatas[i] = buf
-		}
-		blocks, err := encodeSlicesOf(cdc, gdatas, workers)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s encode of level group %d: %w", cdc.Name(), g, err)
-		}
-		return blocks, nil
-	}
-	for g, lg := range groups {
-		blocks, err := encodeGroup(g, lg)
-		if err != nil {
-			return nil, err
-		}
-		levelBlocks[g] = blocks
-	}
-	return levelBlocks, nil
-}
-
 // validateLevelBlocks checks the shape of every present level group —
 // row length and per-block coefficient counts against the header's
 // geometry — BEFORE any dims-derived buffer is sized. Block totals are

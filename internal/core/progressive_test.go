@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"slices"
 	"testing"
 
 	"stwave/internal/codec"
+	"stwave/internal/compress"
 	"stwave/internal/grid"
+	"stwave/internal/num"
 	"stwave/internal/transform"
 	"stwave/internal/wavelet"
 )
@@ -49,6 +52,54 @@ func windowsBitIdentical(t *testing.T, a, b *grid.Window, label string) {
 		for j := range av {
 			if math.Float64bits(av[j]) != math.Float64bits(bv[j]) {
 				t.Fatalf("%s: slice %d sample %d differs: %g vs %g", label, i, j, av[j], bv[j])
+			}
+		}
+	}
+}
+
+// gatherGroup copies the group's coefficients out of a full-grid Mallat
+// layout (dims full) into dst in canonical order, returning the number
+// of coefficients written. dst must have room for g.Count values. It is
+// the dense reference levelIndex.split is pinned against.
+func gatherGroup[F num.Float](dst, src []F, full grid.Dims, g LevelGroup) int {
+	n := 0
+	groupRows(g, full, func(rowBase, x0, runLen int) {
+		copy(dst[n:n+runLen], src[rowBase+x0:rowBase+x0+runLen])
+		n += runLen
+	})
+	return n
+}
+
+// TestLevelIndexMatchesGather pins the survivor split to the dense
+// gather: for every geometry and level depth, splitting a sparse window's
+// survivors into level groups yields exactly the nonzeros of each
+// gathered group, in canonical order.
+func TestLevelIndexMatchesGather(t *testing.T) {
+	for _, g := range progressiveGeometries {
+		datas := make([][]float64, 3)
+		for i := range datas {
+			datas[i] = make([]float64, g.dims.Len())
+			for j := range datas[i] {
+				if (j*7+i*3)%5 == 0 {
+					datas[i][j] = float64(j + 1)
+				}
+			}
+		}
+		for levels := 0; levels <= 4; levels++ {
+			li := newLevelIndex(g.dims, levels)
+			for _, workers := range []int{1, 3} {
+				rows := li.split(compress.Nonzeros(datas, workers), workers)
+				for gi, lg := range li.groups {
+					for i, d := range datas {
+						buf := make([]float64, lg.Count)
+						gatherGroup(buf, d, g.dims, lg)
+						want := compress.Nonzeros([][]float64{buf}, 1)[0]
+						got := rows[gi][i]
+						if got.Total != want.Total || !slices.Equal(got.Idx, want.Idx) || !slices.Equal(got.Val, want.Val) {
+							t.Fatalf("%s levels=%d group %d slice %d: split %+v, gather %+v", g.name, levels, gi, i, got, want)
+						}
+					}
+				}
 			}
 		}
 	}

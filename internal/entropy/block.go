@@ -7,8 +7,8 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sort"
 
-	"stwave/internal/fbits"
 	"stwave/internal/num"
 	"stwave/internal/par"
 	"stwave/internal/scratch"
@@ -114,22 +114,26 @@ func chunkBounds(ci, n int) (lo, hi int) {
 // value: 0 for 0, otherwise the number of significant bits.
 func magClass(mag uint64) int { return bits.Len64(mag) }
 
-// Encode entropy-codes one thresholded coefficient slice on up to workers
-// goroutines. Zero-valued coefficients are treated as discarded, exactly
-// as the sparse backend does. The output is bit-identical for every
-// worker count. The quantizer and Huffman statistics are computed on exact
-// float64 views of the samples, so a float32 slice encodes to the same
-// bytes as its widened copy.
-func Encode[F num.Float](coeffs []F, p Params, workers int) (*Block, error) {
+// EncodeSurvivors entropy-codes one coefficient slice of total entries
+// given only its survivors: idx strictly ascending in [0, total), val the
+// matching nonzero values (codec.EncodeSurvivors checks this contract).
+// Every pass — the magnitude maximum, the Huffman histogram, and the chunk
+// bitstreams — visits survivors only, on up to workers goroutines. The
+// output is bit-identical for every worker count.
+func EncodeSurvivors(total int, idx []int, val []float64, p Params, workers int) (*Block, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	n := len(coeffs)
+	n := total
 	if n >= maxBlockTotal {
 		return nil, fmt.Errorf("entropy: %d coefficients exceed the format cap %d", n, maxBlockTotal)
 	}
+	if len(idx) != len(val) || len(idx) > n {
+		return nil, fmt.Errorf("entropy: %d survivor indices, %d values for %d coefficients", len(idx), len(val), n)
+	}
 	b := &Block{
 		total:    n,
+		retained: len(idx),
 		lossless: p.Lossless,
 		bitDepth: p.BitDepth,
 	}
@@ -142,32 +146,33 @@ func Encode[F num.Float](coeffs []F, p Params, workers int) (*Block, error) {
 		return b, nil
 	}
 
-	// Pass 1: per-chunk survivor counts and magnitude maxima. The maxima
-	// buffer comes from the shared scratch arena; every slot is written
-	// before it is read.
-	counts := make([]int, nch)
+	// Pass 1: each chunk's survivor range and magnitude maximum. The
+	// maxima buffer comes from the shared scratch arena; every slot is
+	// written before it is read.
+	starts := make([]int, nch+1)
 	maxs := scratch.Floats(nch)
 	defer scratch.PutFloats(maxs)
+	starts[nch] = len(idx)
 	par.For(nch, workers, 1, func(start, end int) {
 		for ci := start; ci < end; ci++ {
-			lo, hi := chunkBounds(ci, n)
-			k, m := 0, 0.0
-			for _, v := range coeffs[lo:hi] {
-				if !fbits.Zero(v) {
-					k++
-					if a := math.Abs(float64(v)); a > m {
-						m = a
-					}
+			starts[ci] = sort.SearchInts(idx, ci*chunkSize)
+		}
+	})
+	par.For(nch, workers, 1, func(start, end int) {
+		for ci := start; ci < end; ci++ {
+			m := 0.0
+			for _, v := range val[starts[ci]:starts[ci+1]] {
+				if a := math.Abs(v); a > m {
+					m = a
 				}
 			}
-			counts[ci], maxs[ci] = k, m
+			maxs[ci] = m
 		}
 	})
 	maxMag := 0.0
-	for ci := range counts {
-		b.retained += counts[ci]
-		if maxs[ci] > maxMag {
-			maxMag = maxs[ci]
+	for _, m := range maxs {
+		if m > maxMag {
+			maxMag = m
 		}
 	}
 	q := p.newQuantizer(maxMag)
@@ -183,14 +188,10 @@ func Encode[F num.Float](coeffs []F, p Params, workers int) (*Block, error) {
 		hists := make([][]uint64, nch)
 		par.For(nch, workers, 1, func(start, end int) {
 			for ci := start; ci < end; ci++ {
-				lo, hi := chunkBounds(ci, n)
 				h := scratch.Uint64s(nsyms)
 				clear(h)
-				for _, v := range coeffs[lo:hi] {
-					if fbits.Zero(v) {
-						continue
-					}
-					h[classSymbol(q.Quantize(float64(v)), b.bitDepth)]++
+				for _, v := range val[starts[ci]:starts[ci+1]] {
+					h[classSymbol(q.Quantize(v), b.bitDepth)]++
 				}
 				hists[ci] = h
 			}
@@ -210,7 +211,8 @@ func Encode[F num.Float](coeffs []F, p Params, workers int) (*Block, error) {
 	chunks := make([][]byte, nch)
 	par.For(nch, workers, 1, func(start, end int) {
 		for ci := start; ci < end; ci++ {
-			chunks[ci] = encodeChunk(coeffs, ci, b, q, codes, counts[ci])
+			lo, hi := starts[ci], starts[ci+1]
+			chunks[ci] = encodeChunk(idx[lo:hi], val[lo:hi], ci*chunkSize, b, q, codes)
 		}
 	})
 	totalBytes := 0
@@ -263,11 +265,11 @@ func levelMag(level int64) uint64 {
 	return uint64(level)
 }
 
-// encodeChunk produces chunk ci's bitstream: retained count, then
-// (gap, value) pairs.
-func encodeChunk[F num.Float](coeffs []F, ci int, b *Block, q Quantizer, codes []uint64, kc int) []byte {
-	n := b.total
-	lo, hi := chunkBounds(ci, n)
+// encodeChunk produces one chunk's bitstream from its survivors (idx
+// ascending, all >= lo, the chunk's first coefficient): retained count,
+// then (gap, value) pairs.
+func encodeChunk(idx []int, val []float64, lo int, b *Block, q Quantizer, codes []uint64) []byte {
+	kc := len(idx)
 	if kc == 0 {
 		// An empty chunk still writes its zero count so the decoder can
 		// process chunks independently.
@@ -279,18 +281,15 @@ func encodeChunk[F num.Float](coeffs []F, ci int, b *Block, q Quantizer, codes [
 	w.WriteExpGolomb(uint64(kc), 0) //stlint:ignore trunccast kc is a non-negative survivor count
 	prev := lo - 1
 	esc := len(codes) - 1 // the escape symbol is the table's last entry (b.bitDepth+1)
-	for i := lo; i < hi; i++ {
-		v := coeffs[i]
-		if fbits.Zero(v) {
-			continue
-		}
+	for j, i := range idx {
+		v := val[j]
 		w.WriteExpGolomb(uint64(i-prev-1), uint(b.gapK)) //stlint:ignore trunccast gap between ascending indices is non-negative
 		prev = i
 		if b.lossless {
 			w.WriteBits(uint64(math.Float32bits(float32(v))), 32) //stlint:ignore trunccast the raw-float32 lossless mode stores 32-bit samples by contract
 			continue
 		}
-		level := q.Quantize(float64(v))
+		level := q.Quantize(v)
 		mag := levelMag(level)
 		c := magClass(mag)
 		if c > b.bitDepth {

@@ -8,7 +8,24 @@ import (
 	"testing"
 
 	"stwave/internal/fbits"
+	"stwave/internal/num"
 )
+
+// Encode entropy-codes one dense thresholded coefficient slice, the form
+// the tests build: its nonzeros are handed to EncodeSurvivors, so zero
+// values are discarded and a float32 slice encodes to the same bytes as
+// its widened copy.
+func Encode[F num.Float](coeffs []F, p Params, workers int) (*Block, error) {
+	var idx []int
+	var val []float64
+	for i, v := range coeffs {
+		if !fbits.Zero(v) {
+			idx = append(idx, i)
+			val = append(val, float64(v))
+		}
+	}
+	return EncodeSurvivors(len(coeffs), idx, val, p, workers)
+}
 
 func TestBitWriterReaderRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))

@@ -15,14 +15,16 @@ import (
 	"stwave/internal/storage"
 )
 
-// Backpressure design. The engine keeps a byte ledger of every raw window
-// it holds in memory: the one being filled from the solver plus every one
+// Backpressure design. The engine keeps a byte ledger of every window it
+// holds in memory: the one being filled from the solver plus every one
 // submitted to the compression pipeline whose append has not completed.
-// Raw buffers are retained until their window is durably appended — that
-// is what lets the degrade policy recompress a window at a coarser ratio
-// when the append itself fails — and are then recycled through the
-// scratch arena, so steady-state memory is the budget, not the run
-// length. When admitting the next window would exceed the budget, or when
+// Compression transforms the window's own buffers in place (no working
+// copy), and since selection only reads them they keep the window's
+// coefficients until it is durably appended — that is what lets the
+// degrade policy re-select and re-encode a window at a coarser ratio,
+// with no second transform, when the append itself fails. The buffers are
+// then recycled through the scratch arena, so steady-state memory is the
+// budget, not the run length. When admitting the next window would exceed the budget, or when
 // an append fails after retries, the configured policy decides what gives:
 //
 //   - stall:   the solver blocks until in-flight windows drain (or the
@@ -128,7 +130,8 @@ type Stats struct {
 }
 
 // windowJobOf is the per-window bookkeeping the delivery side needs: the
-// retained raw window (for degrade recompression and buffer recycling),
+// retained window (its coefficients after compression, or its raw
+// samples under MaxErr, for degrade recompression and buffer recycling),
 // its ledger charge, which rung compressed it, and any staged slice ids.
 type windowJobOf[F num.Float] struct {
 	win      *grid.WindowOf[F]
@@ -429,7 +432,11 @@ func (e *EngineOf[F]) produceWindow(pipe *core.Pipeline, nextID *int, src Source
 	*nextID++
 	_, err := pipe.Submit(func() (*core.CompressedWindow, error) {
 		cstart := time.Now()
-		cw, err := core.CompressWindowOf(context.Background(), comp, win)
+		compress := core.CompressWindowInPlaceOf[F]
+		if e.cfg.Opts.MaxErr > 0 {
+			compress = core.CompressWindowOf[F] // verifies against the raw samples, so keeps them
+		}
+		cw, err := compress(context.Background(), comp, win)
 		if err == nil {
 			obs.Default().Histogram("ingest.compress_seconds").ObserveSince(cstart)
 		}
@@ -494,9 +501,9 @@ func (e *EngineOf[F]) deliver(id int, cw *core.CompressedWindow) error {
 }
 
 // appendWindow appends cw, driving the policy through append failures:
-// stall retries the same bytes until the deadline, degrade recompresses
-// the retained raw window at coarser rungs, shed gives the window up and
-// journals a write-failed gap in its place.
+// stall retries the same bytes until the deadline, degrade re-encodes the
+// retained window at coarser rungs, shed gives the window up and journals
+// a write-failed gap in its place.
 func (e *EngineOf[F]) appendWindow(job *windowJobOf[F], cw *core.CompressedWindow) error {
 	start := time.Now()
 	deadline := time.Now().Add(e.cfg.Deadline)
@@ -539,10 +546,10 @@ func (e *EngineOf[F]) appendWindow(job *windowJobOf[F], cw *core.CompressedWindo
 		case PolicyDegrade:
 			// A progressive window has a free degrade step before any
 			// recompression rung: dropping its finest retained detail level
-			// shrinks the payload without touching the raw window (the
-			// level-major layout makes the finest group a suffix). Only
-			// when the window is down to its approximation group does the
-			// ladder pay for a coarser recompression.
+			// shrinks the payload without touching the retained window
+			// (the level-major layout makes the finest group a suffix).
+			// Only when the window is down to its approximation group does
+			// the ladder pay for a coarser re-encode.
 			if dropped, ok := cw.DropFinestLevel(); ok {
 				cw = dropped
 				e.mu.Lock()
@@ -566,7 +573,11 @@ func (e *EngineOf[F]) appendWindow(job *windowJobOf[F], cw *core.CompressedWindo
 			e.stats.DegradeSteps++
 			e.mu.Unlock()
 			obs.Default().Counter("ingest.degrade_steps_total").Add(1)
-			recompressed, rerr := core.CompressWindowOf(context.Background(), e.comps[rung], job.win)
+			recompress := core.RecompressCoefficientsOf[F]
+			if e.cfg.Opts.MaxErr > 0 {
+				recompress = core.CompressWindowOf[F]
+			}
+			recompressed, rerr := recompress(context.Background(), e.comps[rung], job.win)
 			if rerr != nil {
 				return rerr
 			}

@@ -223,10 +223,15 @@ func TestIngestStallAdmission(t *testing.T) {
 	wg := onCounterRise(t, "ingest.backpressure_events_total.stall", start, func() {
 		released.Do(func() { close(release) })
 	})
+	cloned := obs.Default().Counter("core.window_clone_bytes_total").Load()
 	stats, err := eng.Run(newTestSource(t), 8)
 	wg.Wait()
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The engine compresses its own buffers in place: no window is copied.
+	if d := obs.Default().Counter("core.window_clone_bytes_total").Load() - cloned; d != 0 {
+		t.Fatalf("engine cloned %d window bytes, want 0", d)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

@@ -126,7 +126,7 @@ func TestIngestENOSPCStall(t *testing.T) {
 }
 
 // TestIngestENOSPCDegrade: when the fine-ratio record does not fit, the
-// degrade policy recompresses the retained raw window at the next rung
+// degrade policy re-encodes the retained coefficients at the next rung
 // and the journal records the coarser ratio in the window's own header.
 func TestIngestENOSPCDegrade(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "degrade.stw")
@@ -144,6 +144,8 @@ func TestIngestENOSPCDegrade(t *testing.T) {
 		t.Fatalf("coarse record (%d) not smaller than fine (%d); test sizing broken", coarse, fine)
 	}
 	ff.SetFreeSpace(coarse) // ratio-4 record cannot fit, ratio-8 exactly does
+	fwd := obs.Default().Histogram("transform.forward_3d_seconds." + testOpts().SpatialKernel.Slug())
+	fwd0 := fwd.Count()
 	stats, err := eng.Run(newTestSource(t), 4)
 	if err != nil {
 		t.Fatal(err)
@@ -154,6 +156,10 @@ func TestIngestENOSPCDegrade(t *testing.T) {
 	}
 	if stats.DegradeSteps != 1 || stats.FinalRatio != 8 || stats.WindowsShed != 0 {
 		t.Fatalf("stats = %+v, want exactly one degrade step to ratio 8", stats)
+	}
+	// The rung re-selects from the retained coefficients: one transform.
+	if n := fwd.Count() - fwd0; n != 1 {
+		t.Fatalf("degraded window ran %d forward transforms, want 1", n)
 	}
 	r, err := storage.OpenContainer(path)
 	if err != nil {

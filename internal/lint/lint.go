@@ -156,6 +156,10 @@ func DefaultConfig() Config {
 			// CompressWindow32Ctx, ...): each resolves the budget exactly once
 			// per call and hands shares down, so they are the owners now.
 			"internal/core.compressWindowOf",
+			// The in-place ingest entry points are compressWindowOf
+			// without the working copy.
+			"internal/core.CompressWindowInPlaceOf",
+			"internal/core.RecompressCoefficientsOf",
 			"internal/core.decompressOf",
 			// Partial decode and refinement are decode entry points like
 			// decompressOf; the Refiner resolves its budget once at
