@@ -17,20 +17,23 @@ all: build vet test check
 # goroutines, and the lint suite itself, whose dogfooding test shells
 # out to go list and replays every analyzer over the whole module), a
 # GOMAXPROCS=1 smoke of the same parallel stages — survivor selection
-# and the survivor encoders included — ingest engine and
-# sampler (worker budgets must degrade to clean sequential
-# execution), and short fuzz smokes of the container index parser, the
-# 1D wavelet round-trip at both precisions, the record-frame codec, the gap-marker codec,
+# and the survivor encoders included — ingest engine, sampler and
+# server decode path (worker budgets must degrade to clean sequential
+# execution; -count=1 because the test cache does not key on
+# GOMAXPROCS), and short fuzz smokes of the container index parser, the
+# 1D wavelet round-trip at both precisions, the window deserializer
+# with a reconstruction query, the record-frame codec, the gap-marker codec,
 # the level-offset table parser of the progressive (v4) layout, the
 # entropy coder round-trip, the coefficient codec block decoders,
 # survivor selection against the serial threshold, and every codec's
 # survivor encoder against its dense encode.
 check: vet fmt-check lint docscheck bench-smoke
 	$(GO) test -race ./internal/server ./internal/storage ./internal/compress ./internal/faultio ./internal/transform ./internal/core ./internal/par ./internal/codec ./internal/entropy ./internal/ingest ./internal/lint ./internal/sim/synth ./internal/sim/tornado
-	GOMAXPROCS=1 $(GO) test ./internal/par ./internal/transform ./internal/compress ./internal/core ./internal/codec ./internal/entropy ./internal/ingest ./internal/sim/synth ./internal/sim/tornado
+	GOMAXPROCS=1 $(GO) test -count=1 ./internal/par ./internal/transform ./internal/compress ./internal/core ./internal/codec ./internal/entropy ./internal/ingest ./internal/server ./internal/sim/synth ./internal/sim/tornado
 	$(GO) test -run=NONE -fuzz=FuzzOpenContainer -fuzztime=10s ./internal/storage
 	$(GO) test -run=NONE -fuzz='FuzzWaveletRoundtrip$$' -fuzztime=5s ./internal/wavelet
 	$(GO) test -run=NONE -fuzz=FuzzWaveletRoundtrip32 -fuzztime=5s ./internal/wavelet
+	$(GO) test -run=NONE -fuzz=FuzzReadCompressedWindow -fuzztime=5s ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzRecordFrame -fuzztime=5s ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzGapMarker -fuzztime=5s ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzLevelTable -fuzztime=5s ./internal/core

@@ -636,37 +636,36 @@ func runDecompress(args []string) error {
 		}
 		// Raw output files are float32 either way; float32 windows skip the
 		// widen entirely by reconstructing at their native precision.
+		write := writeWindow[float64]
 		if cwin.Precision == core.Float32 {
-			win, err := core.Decompress32(cwin)
-			if err != nil {
-				return err
-			}
-			for _, s := range win.Slices {
-				path := fmt.Sprintf("%s%04d.raw", *prefix, n)
-				if err := s.SaveRawFile(path); err != nil {
-					return err
-				}
-				n++
-			}
-			continue
+			write = writeWindow[float32]
 		}
-		win, err := core.Decompress(cwin)
+		written, err := write(cwin, *prefix, n)
 		if err != nil {
 			return err
 		}
-		for _, s := range win.Slices {
-			path := fmt.Sprintf("%s%04d.raw", *prefix, n)
-			if err := s.SaveRawFile(path); err != nil {
-				return err
-			}
-			n++
-		}
+		n += written
 	}
 	fmt.Printf("wrote %d slices with prefix %s\n", n-skipped, *prefix)
 	if skipped > 0 {
 		fmt.Printf("  %d slices fall in ingest gaps; their indices are reserved, no files written\n", skipped)
 	}
 	return nil
+}
+
+// writeWindow reconstructs cw at precision F and writes slice i to
+// prefix%04d.raw numbered from first+i, returning the slice count.
+func writeWindow[F num.Float](cw *core.CompressedWindow, prefix string, first int) (int, error) {
+	win, err := core.Reconstruct[F](context.Background(), cw, core.Query{MaxLevel: core.All, Slice: core.All})
+	if err != nil {
+		return 0, err
+	}
+	for i, s := range win.Slices {
+		if err := s.SaveRawFile(fmt.Sprintf("%s%04d.raw", prefix, first+i)); err != nil {
+			return 0, err
+		}
+	}
+	return win.Len(), nil
 }
 
 func runInfo(args []string) error {

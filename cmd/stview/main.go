@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -101,7 +102,14 @@ func loadField(path, dimsStr string, windowIdx, sliceIdx int) (*grid.Field3D, er
 		if err != nil {
 			return nil, err
 		}
-		return core.DecompressSlice(cw, sliceIdx)
+		if sliceIdx < 0 {
+			return nil, fmt.Errorf("slice %d out of range", sliceIdx)
+		}
+		w, err := core.Reconstruct[float64](context.Background(), cw, core.Query{MaxLevel: core.All, Slice: sliceIdx})
+		if err != nil {
+			return nil, err
+		}
+		return w.Slices[0], nil
 	}
 	if dimsStr == "" {
 		return nil, fmt.Errorf("raw input requires -dims")

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -106,11 +107,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	slice9, err := core.DecompressSlice(cw, 9)
+	slice9, err := core.Reconstruct[float64](context.Background(), cw, core.Query{MaxLevel: core.All, Slice: 9})
 	if err != nil {
 		log.Fatal(err)
 	}
-	nr, err := metrics.NRMSE(orig.Slices[9].Data, slice9.Data)
+	nr, err := metrics.NRMSE(orig.Slices[9].Data, slice9.Slices[0].Data)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -68,9 +68,9 @@ type CompressedWindow struct {
 	LevelBlocks [][]codec.Block
 	// Precision records which pipeline produced the window: Float32
 	// windows were transformed, thresholded, and encoded entirely at
-	// single precision and decode natively through Decompress32. The flag
-	// is serialized in the window header; legacy containers (which never
-	// set it) read back as Float64.
+	// single precision and decode natively through Reconstruct[float32].
+	// The flag is serialized in the window header; legacy containers
+	// (which never set it) read back as Float64.
 	Precision Precision
 	// MaxErrAchieved / ROIMaxErrAchieved record the verified maximum
 	// absolute reconstruction errors (background / ROI) measured at
@@ -89,6 +89,15 @@ func (cw *CompressedWindow) NumSlices() int {
 		return len(cw.LevelBlocks[0])
 	}
 	return 0
+}
+
+// timeAt returns the simulation time of slice i, defaulting to its index
+// when the window carries no timeline.
+func (cw *CompressedWindow) timeAt(i int) float64 {
+	if i < len(cw.Times) {
+		return cw.Times[i]
+	}
+	return float64(i)
 }
 
 // eachBlock visits every encoded block of the window in either layout.
@@ -387,109 +396,6 @@ func finishWindow(cw *CompressedWindow, rawBytes int64) {
 		obs.Default().Gauge("codec.ratio." + cw.Codec().Name()).Set(float64(rawBytes) / float64(enc))
 	}
 	obs.Default().Counter("core.compress_windows_total").Add(1)
-}
-
-// Decompress reconstructs the window from its compressed form. The result is
-// a fully-allocated window independent of cw.
-func Decompress(cw *CompressedWindow) (*grid.Window, error) {
-	return DecompressCtx(context.Background(), cw)
-}
-
-// DecompressCtx is Decompress with context propagation: the sparse-decode
-// and inverse-transform stages record spans under any trace carried by
-// ctx, and decode throughput lands in the process-wide metrics registry.
-//
-// Windows of either precision decode through this path (blocks widen
-// their float32 values exactly); use Decompress32 for the native
-// single-precision reconstruction of a Float32 window.
-func DecompressCtx(ctx context.Context, cw *CompressedWindow) (*grid.Window, error) {
-	return decompressOf[float64](ctx, cw)
-}
-
-// Decompress32 reconstructs the window natively at single precision:
-// blocks decode straight into float32 slabs and the inverse transform
-// runs at 4 bytes per sample. It is the bit-faithful reconstruction of a
-// window compressed by CompressWindow32.
-func Decompress32(cw *CompressedWindow) (*grid.Window32, error) {
-	return Decompress32Ctx(context.Background(), cw)
-}
-
-// Decompress32Ctx is Decompress32 with context propagation.
-func Decompress32Ctx(ctx context.Context, cw *CompressedWindow) (*grid.Window32, error) {
-	return decompressOf[float32](ctx, cw)
-}
-
-// decompressOf is the precision-generic decompress orchestration behind
-// DecompressCtx (F = float64) and Decompress32Ctx (F = float32).
-func decompressOf[F num.Float](ctx context.Context, cw *CompressedWindow) (*grid.WindowOf[F], error) {
-	if cw.NumSlices() == 0 {
-		return nil, fmt.Errorf("core: empty compressed window")
-	}
-	if !cw.Dims.Valid() {
-		return nil, fmt.Errorf("core: invalid dims %v", cw.Dims)
-	}
-	if cw.Progressive() {
-		// Full-resolution decode of a level-major window: scatter every
-		// group and invert — the operations (and bits) match the legacy
-		// path exactly.
-		return decompressLevelsOf[F](ctx, cw, cw.SpatialLevels)
-	}
-	ctx, sp := obs.Start(ctx, "core.decompress")
-	defer sp.End()
-	_, spDec := obs.Start(ctx, "core.decode_blocks")
-	defer spDec.End()
-	start := time.Now()
-	t, s := len(cw.Blocks), cw.Dims.Len()
-	for i, b := range cw.Blocks {
-		if b.Total() != s {
-			return nil, fmt.Errorf("core: block %d has %d coefficients, grid needs %d", i, b.Total(), s)
-		}
-	}
-	// The result window is carved from a single backing slab: the caller
-	// owns it, so it cannot come from the pool, but one allocation replaces
-	// one per slice and the blocks decode into it in parallel.
-	slab := make([]F, t*s)
-	fields := make([]grid.Field3DOf[F], t)
-	slices := make([]*grid.Field3DOf[F], t)
-	times := make([]float64, t)
-	workers := par.Workers(cw.Opts.Workers)
-	errs := make([]error, t)
-	outer, inner := par.Split(workers, t)
-	par.For(t, outer, 1, func(start, end int) {
-		for i := start; i < end; i++ {
-			d := slab[i*s : (i+1)*s : (i+1)*s]
-			errs[i] = decodeBlockIntoOf(cw.Blocks[i], d, inner)
-			fields[i] = grid.Field3DOf[F]{Dims: cw.Dims, Data: d}
-			slices[i] = &fields[i]
-			times[i] = float64(i)
-			if cw.Times != nil && i < len(cw.Times) {
-				times[i] = cw.Times[i]
-			}
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	w := &grid.WindowOf[F]{Dims: cw.Dims, Slices: slices, Times: times}
-	spDec.End()
-	decElapsed := time.Since(start)
-	rawBytes := int64(w.TotalSamples()) * int64(num.SampleBytes[F]())
-	observeThroughput("compress.decode_mb_per_s", rawBytes, decElapsed)
-	observeThroughput("codec.decode_mb_per_s."+cw.Codec().Name(), rawBytes, decElapsed)
-	spec := transform.Spec{
-		SpatialKernel:  cw.Opts.SpatialKernel,
-		SpatialLevels:  cw.SpatialLevels,
-		TemporalKernel: cw.Opts.TemporalKernel,
-		TemporalLevels: cw.TemporalLevels,
-		Workers:        cw.Opts.Workers,
-	}
-	if err := transform.Inverse4DCtx(ctx, w, spec); err != nil {
-		return nil, fmt.Errorf("core: inverse transform: %w", err)
-	}
-	obs.Default().Counter("core.decompress_windows_total").Add(1)
-	return w, nil
 }
 
 // RoundTrip compresses then decompresses a window — the operation every

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -80,8 +81,8 @@ func ExampleNewWriter() {
 	// windows flushed: 1
 }
 
-// ExampleDecompressSlice shows single-slice random access from a 4D window.
-func ExampleDecompressSlice() {
+// ExampleReconstruct shows single-slice random access from a 4D window.
+func ExampleReconstruct() {
 	window := buildWindow()
 	comp, err := core.New(core.DefaultOptions())
 	if err != nil {
@@ -91,7 +92,7 @@ func ExampleDecompressSlice() {
 	if err != nil {
 		panic(err)
 	}
-	slice, err := core.DecompressSlice(compressed, 7)
+	slice, err := core.Reconstruct[float64](context.Background(), compressed, core.Query{MaxLevel: core.All, Slice: 7})
 	if err != nil {
 		panic(err)
 	}

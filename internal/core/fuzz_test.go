@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"stwave/internal/grid"
+	"stwave/internal/transform"
 )
 
 // FuzzRecordFrame hammers the record-frame header codec: ParseRecordHeader
@@ -65,7 +67,8 @@ func FuzzGapMarker(f *testing.F) {
 
 // FuzzReadCompressedWindow hammers the window deserializer with mutated
 // inputs: it must return an error or a valid window, never panic, and any
-// window it accepts must decompress without panicking.
+// window it accepts must decompress without panicking and answer a query
+// derived from the input with the queried shape.
 func FuzzReadCompressedWindow(f *testing.F) {
 	// Seed with a real serialized window.
 	w := coherentWindow(grid.Dims{Nx: 6, Ny: 5, Nz: 4}, 6, 0.2)
@@ -106,6 +109,24 @@ func FuzzReadCompressedWindow(f *testing.F) {
 			if s.Dims != cw.Dims {
 				t.Fatalf("slice dims %v != header %v", s.Dims, cw.Dims)
 			}
+		}
+		// A query derived from the input: an accepted answer has the
+		// queried slice count and the level's coarse extents.
+		q := Query{MaxLevel: len(data)%(cw.SpatialLevels+2) - 1, Slice: len(data)%(cw.NumSlices()+1) - 1}
+		part, err := Reconstruct[float32](context.Background(), cw, q)
+		if err != nil {
+			return
+		}
+		wantSlices, depth := 1, q.MaxLevel
+		if q.Slice == All {
+			wantSlices = cw.NumSlices()
+		}
+		if depth == All {
+			depth = cw.SpatialLevels
+		}
+		want := transform.CoarseDims(cw.Dims, cw.SpatialLevels-depth)
+		if part.Len() != wantSlices || part.Dims != want {
+			t.Fatalf("query %+v: %d slices of %v, want %d of %v", q, part.Len(), part.Dims, wantSlices, want)
 		}
 	})
 }
@@ -152,7 +173,7 @@ func FuzzLevelTable(f *testing.F) {
 			}
 		}
 		if cw, err := ReadCompressedWindowLevels(bytes.NewReader(data), 0); err == nil {
-			if _, err := DecompressLevels(cw, 0); err != nil {
+			if _, err := levelsOf[float64](cw, 0); err != nil {
 				_ = err // partial decode may fail typed, never panic
 			}
 		}

@@ -183,12 +183,9 @@ func (c *Compressor) thresholdMaxErr(orig *grid.Window, datas [][]float64, spec 
 	defer scratch.PutFloats(vslab)
 	vfields := make([]grid.Field3D, t)
 	vslices := make([]*grid.Field3D, t)
-	vdatas := make([][]float64, t)
 	for i := range vfields {
-		d := vslab[i*s : (i+1)*s : (i+1)*s]
-		vfields[i] = grid.Field3D{Dims: dims, Data: d}
+		vfields[i] = grid.Field3D{Dims: dims, Data: vslab[i*s : (i+1)*s : (i+1)*s]}
 		vslices[i] = &vfields[i]
-		vdatas[i] = d
 	}
 	vw := &grid.Window{Dims: dims, Slices: vslices, Times: orig.Times}
 
@@ -227,24 +224,9 @@ func (c *Compressor) thresholdMaxErr(orig *grid.Window, datas [][]float64, spec 
 		if err != nil {
 			return err
 		}
-		if c.opts.Progressive {
-			tmp := &CompressedWindow{Dims: dims, Opts: c.opts, SpatialLevels: levels, LevelBlocks: levelBlocks}
-			if err := scatterLevels(tmp, vdatas, dims, 0, levels, workers); err != nil {
-				return err
-			}
-		} else {
-			errs := make([]error, t)
-			outer, inner := par.Split(workers, t)
-			par.For(t, outer, 1, func(start, end int) {
-				for i := start; i < end; i++ {
-					errs[i] = blocks[i].DecodeInto(vdatas[i], inner)
-				}
-			})
-			for _, derr := range errs {
-				if derr != nil {
-					return derr
-				}
-			}
+		tmp := &CompressedWindow{Dims: dims, Opts: c.opts, SpatialLevels: levels, Blocks: blocks, LevelBlocks: levelBlocks}
+		if err := decodeInto(tmp, vslices, levels, workers); err != nil {
+			return err
 		}
 		if err := transform.Inverse4D(vw, spec); err != nil {
 			return fmt.Errorf("core: verification inverse transform: %w", err)

@@ -134,10 +134,10 @@ type Options struct {
 	// Progressive stores windows in the level-major (v4) layout: the
 	// approximation cube and each detail shell become independently
 	// addressable byte ranges, so readers can fetch and decode a coarse
-	// reconstruction from a byte prefix and refine incrementally (see
-	// DecompressLevels / Refiner). Costs a level-offset table plus one
-	// codec block header per (level, slice) pair; legacy readers reject
-	// progressive windows typed rather than misparsing them.
+	// reconstruction from a byte prefix (see Query.MaxLevel). Costs a
+	// level-offset table plus one codec block header per (level, slice)
+	// pair; legacy readers reject progressive windows typed rather than
+	// misparsing them.
 	Progressive bool
 	// Precision selects the pipeline's sample width (Float64 unless set).
 	// It declares which entry points a configuration is meant for —

@@ -254,13 +254,13 @@ func TestFloat32ProgressiveLevels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaLevels, err := DecompressLevels32(cw, cw.SpatialLevels)
+	viaLevels, err := levelsOf[float32](cw, cw.SpatialLevels)
 	if err != nil {
 		t.Fatal(err)
 	}
 	windows32BitIdentical(t, full, viaLevels, "f32 progressive full refine")
 
-	coarse, err := DecompressLevels32(cw, 0)
+	coarse, err := levelsOf[float32](cw, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestDecompressSlice32MatchesFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, slice := range []int{0, 5, 9} {
-		f, err := DecompressSlice32(cw, slice)
+		f, err := sliceOf[float32](cw, slice)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,8 +2,8 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -12,10 +12,8 @@ import (
 	"stwave/internal/codec"
 	"stwave/internal/grid"
 	"stwave/internal/num"
-	"stwave/internal/obs"
 	"stwave/internal/par"
 	"stwave/internal/scratch"
-	"stwave/internal/transform"
 )
 
 // Progressive (v4) window layout. The 40-byte header is shared with the
@@ -152,11 +150,7 @@ func (cw *CompressedWindow) writeToProgressive(w io.Writer, cdc codec.Codec) (in
 	}
 	times := make([]byte, 8*numSlices)
 	for i := 0; i < numSlices; i++ {
-		t := float64(i)
-		if cw.Times != nil && i < len(cw.Times) {
-			t = cw.Times[i]
-		}
-		binary.LittleEndian.PutUint64(times[i*8:], math.Float64bits(t))
+		binary.LittleEndian.PutUint64(times[i*8:], math.Float64bits(cw.timeAt(i)))
 	}
 	n, err = w.Write(times)
 	written += int64(n)
@@ -305,8 +299,8 @@ func readProgressiveBody(r io.Reader, cdc codec.Codec, cw *CompressedWindow, num
 
 // ReadCompressedWindowLevels deserializes only level groups 0..maxLevel
 // of a progressive window — the partial-decode read path. The returned
-// window decodes (via DecompressLevels) up to maxLevel; finer groups are
-// absent as if they had been shed. The reader needs to supply only the
+// window reconstructs at any Query.MaxLevel up to maxLevel; finer groups
+// are absent as if they had been shed. The reader needs to supply only the
 // byte prefix covering those groups (see ReadWindowLevelTable /
 // LevelTable.PrefixBytes); nothing past group maxLevel is read. Legacy
 // windows fail with ErrNotProgressive.
@@ -343,56 +337,41 @@ func validateLevelBlocks(cw *CompressedWindow) error {
 	return nil
 }
 
-// scatterLevels decodes the window's level groups 0..maxLevel into
-// coefficient-space slice buffers laid out for dims sub (which must be
-// CoarseDims(cw.Dims, L-maxLevel) or any larger approximation cube).
-// Groups beyond those present decode as zeros; datas must arrive
-// zero-filled. firstLevel skips groups below it (the refinement path,
-// whose coarser groups are already in place).
-func scatterLevels[F num.Float](cw *CompressedWindow, datas [][]F, sub grid.Dims, firstLevel, maxLevel, workers int) error {
+// decodeInto decodes the window's coefficients into the zero-filled
+// slice fields, slices in parallel. Legacy blocks decode in place.
+// Progressive level groups 0..maxLevel decode through a pooled buffer and
+// scatter into the fields' layout, which must be CoarseDims(cw.Dims,
+// L-maxLevel) or any larger approximation cube; groups the window does
+// not carry stay zero.
+func decodeInto[F num.Float](cw *CompressedWindow, slices []*grid.Field3DOf[F], maxLevel, workers int) error {
 	groups := LevelGroups(cw.Dims, cw.SpatialLevels)
-	last := maxLevel
-	if last > len(cw.LevelBlocks)-1 {
-		last = len(cw.LevelBlocks) - 1
-	}
-	if last < firstLevel {
-		return nil
-	}
+	last := min(maxLevel, len(cw.LevelBlocks)-1)
 	maxCount := 0
-	for g := firstLevel; g <= last; g++ {
-		if groups[g].Count > maxCount {
-			maxCount = groups[g].Count
-		}
+	for g := 0; g <= last; g++ {
+		maxCount = max(maxCount, groups[g].Count)
 	}
-	t := len(datas)
+	t := len(slices)
 	errs := make([]error, t)
 	outer, inner := par.Split(workers, t)
 	par.For(t, outer, 1, func(start, end int) {
 		buf := scratch.FloatsOf[F](maxCount)
 		defer scratch.PutFloatsOf(buf)
 		for i := start; i < end; i++ {
-			for g := firstLevel; g <= last; g++ {
+			if !cw.Progressive() {
+				errs[i] = decodeBlockIntoOf(cw.Blocks[i], slices[i].Data, inner)
+				continue
+			}
+			for g := 0; g <= last; g++ {
 				lg := groups[g]
-				b := cw.LevelBlocks[g][i]
-				if b.Total() != lg.Count {
-					errs[i] = fmt.Errorf("core: level %d block %d has %d coefficients, group needs %d",
-						g, i, b.Total(), lg.Count)
-					return
-				}
-				if err := decodeBlockIntoOf(b, buf[:lg.Count], inner); err != nil {
+				if err := decodeBlockIntoOf(cw.LevelBlocks[g][i], buf[:lg.Count], inner); err != nil {
 					errs[i] = err
 					return
 				}
-				scatterGroup(datas[i], sub, buf[:lg.Count], lg)
+				scatterGroup(slices[i].Data, slices[i].Dims, buf[:lg.Count], lg)
 			}
 		}
 	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // approxRescale undoes the approximation band's per-level sqrt(2)^3
@@ -400,216 +379,16 @@ func scatterLevels[F num.Float](cw *CompressedWindow, datas [][]F, sub grid.Dims
 // matching transform.CoarseApproximation's convention so a level-K
 // reconstruction is directly comparable to a coarse preview of the
 // original field.
-func approxRescale[F num.Float](datas [][]F, skippedLevels, workers int) {
+func approxRescale[F num.Float](fields []*grid.Field3DOf[F], skippedLevels, workers int) {
 	if skippedLevels <= 0 {
 		return
 	}
 	scale := F(math.Pow(math.Sqrt2, -3*float64(skippedLevels)))
-	par.For(len(datas), workers, 1, func(start, end int) {
-		for i := start; i < end; i++ {
-			d := datas[i]
-			for j := range d {
-				d[j] *= scale
+	par.For(len(fields), workers, 1, func(start, end int) {
+		for _, f := range fields[start:end] {
+			for j := range f.Data {
+				f.Data[j] *= scale
 			}
 		}
 	})
-}
-
-// DecompressLevels reconstructs a progressive window from its level
-// groups 0..maxLevel alone: the result has CoarseDims(cw.Dims,
-// L-maxLevel) extents per slice (all slices and their timeline are
-// preserved — the temporal transform is fully inverted) and never
-// decodes a block finer than maxLevel. maxLevel = SpatialLevels is a
-// full-resolution decode, bit-identical to Decompress. Groups the
-// window no longer carries (shed or not fetched) reconstruct as zero
-// detail. Legacy windows fail with ErrNotProgressive.
-func DecompressLevels(cw *CompressedWindow, maxLevel int) (*grid.Window, error) {
-	return DecompressLevelsCtx(context.Background(), cw, maxLevel)
-}
-
-// DecompressLevelsCtx is DecompressLevels with context propagation for
-// tracing spans, mirroring DecompressCtx.
-func DecompressLevelsCtx(ctx context.Context, cw *CompressedWindow, maxLevel int) (*grid.Window, error) {
-	return decompressLevelsOf[float64](ctx, cw, maxLevel)
-}
-
-// DecompressLevels32 is DecompressLevels at native single precision —
-// the partial-decode path of the float32 pipeline.
-func DecompressLevels32(cw *CompressedWindow, maxLevel int) (*grid.Window32, error) {
-	return decompressLevelsOf[float32](context.Background(), cw, maxLevel)
-}
-
-// DecompressLevels32Ctx is DecompressLevels32 with context propagation.
-func DecompressLevels32Ctx(ctx context.Context, cw *CompressedWindow, maxLevel int) (*grid.Window32, error) {
-	return decompressLevelsOf[float32](ctx, cw, maxLevel)
-}
-
-// decompressLevelsOf is the precision-generic level-bounded decode behind
-// DecompressLevelsCtx and DecompressLevels32.
-func decompressLevelsOf[F num.Float](ctx context.Context, cw *CompressedWindow, maxLevel int) (*grid.WindowOf[F], error) {
-	if !cw.Progressive() {
-		return nil, ErrNotProgressive
-	}
-	if cw.NumSlices() == 0 {
-		return nil, fmt.Errorf("core: empty compressed window")
-	}
-	if !cw.Dims.Valid() {
-		return nil, fmt.Errorf("core: invalid dims %v", cw.Dims)
-	}
-	L := cw.SpatialLevels
-	if maxLevel < 0 || maxLevel > L {
-		return nil, fmt.Errorf("core: level %d out of range [0, %d]", maxLevel, L)
-	}
-	if err := validateLevelBlocks(cw); err != nil {
-		return nil, err
-	}
-	ctx, sp := obs.Start(ctx, "core.decompress_levels")
-	defer sp.End()
-
-	sub := transform.CoarseDims(cw.Dims, L-maxLevel)
-	t, s := cw.NumSlices(), sub.Len()
-	workers := par.Workers(cw.Opts.Workers)
-	slab := make([]F, t*s)
-	fields := make([]grid.Field3DOf[F], t)
-	slices := make([]*grid.Field3DOf[F], t)
-	datas := make([][]F, t)
-	times := make([]float64, t)
-	for i := range fields {
-		d := slab[i*s : (i+1)*s : (i+1)*s]
-		fields[i] = grid.Field3DOf[F]{Dims: sub, Data: d}
-		slices[i] = &fields[i]
-		datas[i] = d
-		times[i] = float64(i)
-		if cw.Times != nil && i < len(cw.Times) {
-			times[i] = cw.Times[i]
-		}
-	}
-	if err := scatterLevels(cw, datas, sub, 0, maxLevel, workers); err != nil {
-		return nil, err
-	}
-	w := &grid.WindowOf[F]{Dims: sub, Slices: slices, Times: times}
-	spec := transform.Spec{
-		SpatialKernel:  cw.Opts.SpatialKernel,
-		SpatialLevels:  maxLevel,
-		TemporalKernel: cw.Opts.TemporalKernel,
-		TemporalLevels: cw.TemporalLevels,
-		Workers:        cw.Opts.Workers,
-	}
-	if err := transform.Inverse4DCtx(ctx, w, spec); err != nil {
-		return nil, fmt.Errorf("core: inverse transform: %w", err)
-	}
-	approxRescale(datas, L-maxLevel, workers)
-	if maxLevel < L {
-		obs.Default().Counter("core.partial_decodes_total").Add(1)
-	}
-	obs.Default().Counter("core.decompress_windows_total").Add(1)
-	return w, nil
-}
-
-// Refiner incrementally reconstructs a progressive window: start at a
-// coarse level, then Advance as finer groups become worth decoding (or
-// their bytes arrive), paying only for the newly added groups each time.
-// The refined state lives in coefficient space, so an Advance from K to
-// K' is a corner copy plus the new groups' scatter — no inverse
-// transform is repeated until Materialize.
-type Refiner struct {
-	cw      *CompressedWindow
-	level   int
-	coeff   *grid.Window
-	workers int // resolved once at construction; Advance/Materialize reuse it
-}
-
-// NewRefiner prepares incremental reconstruction of cw. No blocks are
-// decoded until the first Advance.
-func NewRefiner(cw *CompressedWindow) (*Refiner, error) {
-	if !cw.Progressive() {
-		return nil, ErrNotProgressive
-	}
-	if cw.NumSlices() == 0 {
-		return nil, fmt.Errorf("core: empty compressed window")
-	}
-	if err := validateLevelBlocks(cw); err != nil {
-		return nil, err
-	}
-	return &Refiner{cw: cw, level: -1, workers: par.Workers(cw.Opts.Workers)}, nil
-}
-
-// Level returns the finest level group applied so far; -1 before the
-// first Advance.
-func (r *Refiner) Level() int { return r.level }
-
-// Advance extends the refined state through level group toLevel, which
-// must be finer than the current level and at most SpatialLevels.
-func (r *Refiner) Advance(toLevel int) error {
-	L := r.cw.SpatialLevels
-	if toLevel <= r.level || toLevel > L {
-		return fmt.Errorf("core: refine level %d out of range (%d, %d]", toLevel, r.level, L)
-	}
-	sub := transform.CoarseDims(r.cw.Dims, L-toLevel)
-	t, s := r.cw.NumSlices(), sub.Len()
-	workers := r.workers
-	slab := make([]float64, t*s)
-	fields := make([]grid.Field3D, t)
-	slices := make([]*grid.Field3D, t)
-	datas := make([][]float64, t)
-	times := make([]float64, t)
-	for i := range fields {
-		d := slab[i*s : (i+1)*s : (i+1)*s]
-		fields[i] = grid.Field3D{Dims: sub, Data: d}
-		slices[i] = &fields[i]
-		datas[i] = d
-		times[i] = float64(i)
-		if r.cw.Times != nil && i < len(r.cw.Times) {
-			times[i] = r.cw.Times[i]
-		}
-	}
-	if r.coeff != nil {
-		// Carry the already-decoded coarse cube into the corner of the
-		// finer layout: coefficient coordinates are resolution-stable in
-		// the Mallat corner layout.
-		old := r.coeff.Dims
-		for i := range datas {
-			src := r.coeff.Slices[i].Data
-			for z := 0; z < old.Nz; z++ {
-				for y := 0; y < old.Ny; y++ {
-					srcBase := (z*old.Ny + y) * old.Nx
-					dstBase := (z*sub.Ny + y) * sub.Nx
-					copy(datas[i][dstBase:dstBase+old.Nx], src[srcBase:srcBase+old.Nx])
-				}
-			}
-		}
-	}
-	if err := scatterLevels(r.cw, datas, sub, r.level+1, toLevel, workers); err != nil {
-		return err
-	}
-	r.coeff = &grid.Window{Dims: sub, Slices: slices, Times: times}
-	r.level = toLevel
-	return nil
-}
-
-// Materialize inverts a copy of the refined coefficient state into
-// sample space at the current level's resolution. The refiner remains
-// usable for further Advance calls. A full refinement (level ==
-// SpatialLevels) materializes bit-identically to Decompress.
-func (r *Refiner) Materialize() (*grid.Window, error) {
-	if r.level < 0 {
-		return nil, fmt.Errorf("core: refiner has no levels applied; call Advance first")
-	}
-	w := r.coeff.Clone()
-	spec := transform.Spec{
-		SpatialKernel:  r.cw.Opts.SpatialKernel,
-		SpatialLevels:  r.level,
-		TemporalKernel: r.cw.Opts.TemporalKernel,
-		TemporalLevels: r.cw.TemporalLevels,
-		Workers:        r.cw.Opts.Workers,
-	}
-	if err := transform.Inverse4D(w, spec); err != nil {
-		return nil, fmt.Errorf("core: inverse transform: %w", err)
-	}
-	datas := make([][]float64, len(w.Slices))
-	for i, f := range w.Slices {
-		datas[i] = f.Data
-	}
-	approxRescale(datas, r.cw.SpatialLevels-r.level, r.workers)
-	return w, nil
 }

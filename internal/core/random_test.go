@@ -44,7 +44,7 @@ func TestDecompressSliceWindowBoundaries(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, slice := range []int{0, slices - 1} {
-			single, err := DecompressSlice(cw, slice)
+			single, err := sliceOf[float64](cw, slice)
 			if err != nil {
 				t.Fatalf("%d slices, slice %d: %v", slices, slice, err)
 			}
@@ -80,7 +80,7 @@ func TestDecompressSliceOneSliceWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := DecompressSlice(cw, 0)
+	single, err := sliceOf[float64](cw, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +92,8 @@ func TestDecompressSliceOneSliceWindow(t *testing.T) {
 }
 
 // TestDecompressSliceTemporalSubsampling reconstructs every other slice
-// (temporal resolution 1/2, the paper's Figure 2c access pattern) via
-// DecompressSlice and checks agreement with the slices of one full
+// (temporal resolution 1/2, the paper's Figure 2c access pattern) as
+// one-slice queries and checks agreement with the slices of one full
 // Decompress.
 func TestDecompressSliceTemporalSubsampling(t *testing.T) {
 	d := grid.Dims{Nx: 10, Ny: 10, Nz: 10}
@@ -119,7 +119,7 @@ func TestDecompressSliceTemporalSubsampling(t *testing.T) {
 	}
 	for k := 0; k < sub.Len(); k++ {
 		slice := 2 * k
-		single, err := DecompressSlice(cw, slice)
+		single, err := sliceOf[float64](cw, slice)
 		if err != nil {
 			t.Fatal(err)
 		}

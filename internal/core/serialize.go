@@ -137,11 +137,7 @@ func (cw *CompressedWindow) writeTo(w io.Writer, cdc codec.Codec) (int64, error)
 	}
 	var tb [8]byte
 	for i := 0; i < len(cw.Blocks); i++ {
-		t := float64(i)
-		if cw.Times != nil && i < len(cw.Times) {
-			t = cw.Times[i]
-		}
-		binary.LittleEndian.PutUint64(tb[:], math.Float64bits(t))
+		binary.LittleEndian.PutUint64(tb[:], math.Float64bits(cw.timeAt(i)))
 		n, err = bw.Write(tb[:])
 		written += int64(n)
 		if err != nil {

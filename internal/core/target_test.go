@@ -105,13 +105,13 @@ func TestDecompressSliceMatchesFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, slice := range []int{0, 5, 17} {
-		single, err := DecompressSlice(cw, slice)
+		single, err := sliceOf[float64](cw, slice)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range single.Data {
 			if single.Data[i] != full.Slices[slice].Data[i] {
-				t.Fatalf("slice %d sample %d: DecompressSlice %g != full %g",
+				t.Fatalf("slice %d sample %d: one-slice query %g != full %g",
 					slice, i, single.Data[i], full.Slices[slice].Data[i])
 			}
 		}
@@ -130,7 +130,7 @@ func TestDecompressSliceWorksFor3DMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := DecompressSlice(cw, 0)
+	f, err := sliceOf[float64](cw, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestDecompressSliceWorksFor3DMode(t *testing.T) {
 	}
 	for i := range f.Data {
 		if f.Data[i] != full.Slices[0].Data[i] {
-			t.Fatal("3D-mode DecompressSlice differs from full decompress")
+			t.Fatal("3D-mode one-slice query differs from full decompress")
 		}
 	}
 }
@@ -158,10 +158,10 @@ func TestDecompressSliceValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecompressSlice(cw, -1); err == nil {
+	if _, err := sliceOf[float64](cw, -2); err == nil { // -1 is All
 		t.Error("expected error for negative index")
 	}
-	if _, err := DecompressSlice(cw, 5); err == nil {
+	if _, err := sliceOf[float64](cw, 5); err == nil {
 		t.Error("expected error for out-of-range index")
 	}
 }

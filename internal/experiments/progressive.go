@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 
@@ -144,7 +145,7 @@ func RunProgressiveStudy(sc Scale, progress io.Writer) (*ProgressiveResult, erro
 		if err != nil {
 			return nil, err
 		}
-		recon, err := core.DecompressLevels(cw, K)
+		recon, err := core.Reconstruct[float64](context.Background(), cw, core.Query{MaxLevel: K, Slice: core.All})
 		if err != nil {
 			return nil, err
 		}

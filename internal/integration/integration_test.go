@@ -6,6 +6,7 @@
 package integration
 
 import (
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -116,7 +117,7 @@ func TestSimulationToContainerAndBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := core.DecompressSlice(cw, 3)
+	one, err := core.Reconstruct[float64](context.Background(), cw, core.Query{MaxLevel: core.All, Slice: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,8 +125,8 @@ func TestSimulationToContainerAndBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range one.Data {
-		if one.Data[i] != full.Slices[3].Data[i] {
+	for i, v := range one.Slices[0].Data {
+		if v != full.Slices[3].Data[i] {
 			t.Fatal("random-access slice differs from full decode")
 		}
 	}

@@ -160,12 +160,9 @@ func DefaultConfig() Config {
 			// without the working copy.
 			"internal/core.CompressWindowInPlaceOf",
 			"internal/core.RecompressCoefficientsOf",
-			"internal/core.decompressOf",
-			// Partial decode and refinement are decode entry points like
-			// decompressOf; the Refiner resolves its budget once at
-			// construction and reuses it across Advance/Materialize.
-			"internal/core.decompressLevelsOf",
-			"internal/core.NewRefiner",
+			// The one decode body: every reconstruction query (full,
+			// levels=K, one slice) at either precision.
+			"internal/core.Reconstruct",
 			"internal/transform.Workers",
 			// Server construction owns its resource envelope: the
 			// decompress semaphore is sized once, not per request.

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -24,6 +25,14 @@ func TestRepoIsClean(t *testing.T) {
 		t.Fatalf("loaded only %d packages; expected the whole module", len(pkgs))
 	}
 	cfg := DefaultConfig()
+	// A registration naming no symbol matches nothing, silently: a
+	// refactor that renames or deletes a registered function must fail
+	// here instead.
+	for _, entry := range slices.Concat(cfg.BudgetOwners, cfg.TaintStructs) {
+		if !declared(pkgs, entry) {
+			t.Errorf("config entry %q names no package-level symbol in the loaded packages", entry)
+		}
+	}
 	var all []Finding
 	for _, pkg := range pkgs {
 		all = append(all, RunPackage(cfg, pkg, All)...)
@@ -34,6 +43,21 @@ func TestRepoIsClean(t *testing.T) {
 	if len(all) > 0 {
 		t.Errorf("stlint found %d unsuppressed findings; fix them or annotate with //stlint:ignore <analyzer> <reason>", len(all))
 	}
+}
+
+// declared reports whether a package whose path ends in entry's
+// path-suffix declares entry's name ("path-suffix.Name") at package level.
+func declared(pkgs []*Package, entry string) bool {
+	dot := strings.LastIndex(entry, ".")
+	if dot < 0 {
+		return false
+	}
+	for _, p := range pkgs {
+		if strings.HasSuffix(p.Types.Path(), entry[:dot]) && p.Types.Scope().Lookup(entry[dot+1:]) != nil {
+			return true
+		}
+	}
+	return false
 }
 
 // parseSynthetic builds a Package (syntax and fileset only — enough for

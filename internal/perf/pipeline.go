@@ -264,11 +264,11 @@ func RunPipeline(ctx context.Context, cfg Config, progress io.Writer) ([]Result,
 			return err
 		}},
 		{"core.decompress_window", rawBytes, func(ctx context.Context) error {
-			_, err := core.DecompressCtx(ctx, cw)
+			_, err := core.Reconstruct[float64](ctx, cw, core.Query{MaxLevel: core.All, Slice: core.All})
 			return err
 		}},
 		{"core.partial_decode", coarseBytes, func(ctx context.Context) error {
-			_, err := core.DecompressLevelsCtx(ctx, progCW, 0)
+			_, err := core.Reconstruct[float64](ctx, progCW, core.Query{MaxLevel: 0, Slice: core.All})
 			return err
 		}},
 		{"codec.entropy_encode", rawBytes, func(ctx context.Context) error {

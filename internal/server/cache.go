@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"sync"
 
-	"stwave/internal/grid"
 	"stwave/internal/obs"
 )
 
@@ -42,64 +41,9 @@ type WindowCache struct {
 	misses *obs.Counter
 }
 
-// cachedWindow is the cache value: a decompressed window at its native
-// container precision. Exactly one of the fields is non-nil — float32
-// windows are cached as float32, so they cost half the budget and the
-// cache holds twice the working set.
-type cachedWindow struct {
-	w64 *grid.Window
-	w32 *grid.Window32
-}
-
-// cache64 wraps a double-precision window as a cache value.
-func cache64(w *grid.Window) cachedWindow { return cachedWindow{w64: w} }
-
-// cache32 wraps a single-precision window as a cache value.
-func cache32(w *grid.Window32) cachedWindow { return cachedWindow{w32: w} }
-
-// bytes is the retained size of the decompressed window at its native
-// precision.
-func (cw cachedWindow) bytes() int64 {
-	if cw.w32 != nil {
-		return int64(cw.w32.TotalSamples()) * 4
-	}
-	return int64(cw.w64.TotalSamples()) * 8
-}
-
-// numSlices returns the window's slice count at either precision.
-func (cw cachedWindow) numSlices() int {
-	if cw.w32 != nil {
-		return len(cw.w32.Slices)
-	}
-	return len(cw.w64.Slices)
-}
-
-// timeAt returns the simulation time of local slice i, defaulting to the
-// given fallback when the window carries no timeline.
-func (cw cachedWindow) timeAt(i int, fallback float64) float64 {
-	var times []float64
-	if cw.w32 != nil {
-		times = cw.w32.Times
-	} else {
-		times = cw.w64.Times
-	}
-	if times != nil && i < len(times) {
-		return times[i]
-	}
-	return fallback
-}
-
-// slice returns local slice i as a native-precision view.
-func (cw cachedWindow) slice(i int) sliceView {
-	if cw.w32 != nil {
-		return sliceView{f32: cw.w32.Slices[i]}
-	}
-	return sliceView{f64: cw.w64.Slices[i]}
-}
-
 type cacheEntry struct {
 	key  windowKey
-	w    cachedWindow
+	w    window
 	size int64
 }
 
@@ -114,16 +58,11 @@ func NewWindowCache(budget int64) *WindowCache {
 	}
 }
 
-// windowBytes is the retained size of a decompressed float64 window.
-func windowBytes(w *grid.Window) int64 {
-	return cache64(w).bytes()
-}
-
 // Get returns the cached window for key, promoting it to most recently
 // used, and counts the lookup as a hit or a miss. Callers re-checking
 // the cache for a lookup they already counted (the flight re-check) must
 // use peek instead, so each request counts exactly once.
-func (c *WindowCache) Get(key windowKey) (cachedWindow, bool) {
+func (c *WindowCache) Get(key windowKey) (window, bool) {
 	w, ok := c.peek(key)
 	if ok {
 		c.hits.Add(1)
@@ -134,12 +73,12 @@ func (c *WindowCache) Get(key windowKey) (cachedWindow, bool) {
 }
 
 // peek is Get without the hit/miss accounting.
-func (c *WindowCache) peek(key windowKey) (cachedWindow, bool) {
+func (c *WindowCache) peek(key windowKey) (window, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		return cachedWindow{}, false
+		return nil, false
 	}
 	c.ll.MoveToFront(el)
 	return el.Value.(*cacheEntry).w, true
@@ -149,7 +88,7 @@ func (c *WindowCache) peek(key windowKey) (cachedWindow, bool) {
 // until the byte budget holds. A window larger than the whole budget is not
 // admitted (admitting it would evict everything for a single entry that
 // can never be joined by another).
-func (c *WindowCache) Put(key windowKey, w cachedWindow) {
+func (c *WindowCache) Put(key windowKey, w window) {
 	size := w.bytes()
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -20,13 +20,13 @@ func testCacheWindow(d grid.Dims, slices int) *grid.Window {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	d := grid.Dims{Nx: 4, Ny: 4, Nz: 4}       // 512 bytes/slice
-	one := windowBytes(testCacheWindow(d, 2)) // 1024 bytes
+	d := grid.Dims{Nx: 4, Ny: 4, Nz: 4}             // 512 bytes/slice
+	one := newWindow(testCacheWindow(d, 2)).bytes() // 1024 bytes
 	c := NewWindowCache(3 * one)
 
 	key := func(i int) windowKey { return windowKey{dataset: "d", window: i} }
 	for i := 0; i < 3; i++ {
-		c.Put(key(i), cache64(testCacheWindow(d, 2)))
+		c.Put(key(i), newWindow(testCacheWindow(d, 2)))
 	}
 	if st := c.Stats(); st.Windows != 3 || st.UsedBytes != 3*one {
 		t.Fatalf("stats after fill: %+v", st)
@@ -35,7 +35,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	if _, ok := c.Get(key(0)); !ok {
 		t.Fatal("window 0 missing")
 	}
-	c.Put(key(3), cache64(testCacheWindow(d, 2)))
+	c.Put(key(3), newWindow(testCacheWindow(d, 2)))
 	if _, ok := c.Get(key(1)); ok {
 		t.Error("window 1 should have been evicted as LRU")
 	}
@@ -52,7 +52,7 @@ func TestCacheLRUEviction(t *testing.T) {
 func TestCacheRejectsOversizedWindow(t *testing.T) {
 	d := grid.Dims{Nx: 4, Ny: 4, Nz: 4}
 	c := NewWindowCache(1000) // one 2-slice window is 1024 bytes
-	c.Put(windowKey{dataset: "d", window: 0}, cache64(testCacheWindow(d, 2)))
+	c.Put(windowKey{dataset: "d", window: 0}, newWindow(testCacheWindow(d, 2)))
 	if st := c.Stats(); st.Windows != 0 || st.UsedBytes != 0 {
 		t.Errorf("oversized window admitted: %+v", st)
 	}
@@ -67,7 +67,7 @@ func TestCacheRejectsOversizedWindow(t *testing.T) {
 func TestCacheDisabled(t *testing.T) {
 	c := NewWindowCache(0)
 	d := grid.Dims{Nx: 2, Ny: 2, Nz: 2}
-	c.Put(windowKey{dataset: "d", window: 0}, cache64(testCacheWindow(d, 1)))
+	c.Put(windowKey{dataset: "d", window: 0}, newWindow(testCacheWindow(d, 1)))
 	if _, ok := c.Get(windowKey{dataset: "d", window: 0}); ok {
 		t.Error("zero-budget cache stored a window")
 	}
@@ -77,9 +77,9 @@ func TestCacheReplaceAndFlush(t *testing.T) {
 	d := grid.Dims{Nx: 4, Ny: 4, Nz: 4}
 	c := NewWindowCache(1 << 20)
 	k := windowKey{dataset: "d", window: 0}
-	c.Put(k, cache64(testCacheWindow(d, 2)))
-	c.Put(k, cache64(testCacheWindow(d, 3))) // replace with a different size
-	if st := c.Stats(); st.Windows != 1 || st.UsedBytes != windowBytes(testCacheWindow(d, 3)) {
+	c.Put(k, newWindow(testCacheWindow(d, 2)))
+	c.Put(k, newWindow(testCacheWindow(d, 3))) // replace with a different size
+	if st := c.Stats(); st.Windows != 1 || st.UsedBytes != newWindow(testCacheWindow(d, 3)).bytes() {
 		t.Errorf("stats after replace: %+v", st)
 	}
 	c.Flush()
@@ -90,7 +90,7 @@ func TestCacheReplaceAndFlush(t *testing.T) {
 
 func TestCacheConcurrentAccess(t *testing.T) {
 	d := grid.Dims{Nx: 4, Ny: 4, Nz: 4}
-	c := NewWindowCache(4 * windowBytes(testCacheWindow(d, 2)))
+	c := NewWindowCache(4 * newWindow(testCacheWindow(d, 2)).bytes())
 	done := make(chan struct{})
 	for g := 0; g < 8; g++ {
 		go func(g int) {
@@ -98,7 +98,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				k := windowKey{dataset: fmt.Sprintf("d%d", g%2), window: i % 8}
 				if _, ok := c.Get(k); !ok {
-					c.Put(k, cache64(testCacheWindow(d, 2)))
+					c.Put(k, newWindow(testCacheWindow(d, 2)))
 				}
 			}
 		}(g)

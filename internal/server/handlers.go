@@ -2,11 +2,9 @@ package server
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -229,14 +227,14 @@ func (s *Server) handleSlice(w http.ResponseWriter, r *http.Request, m *mount) e
 		return err
 	}
 	var (
-		v     sliceView
+		v     view
 		tv    float64
 		state cacheState
 	)
 	if levels >= 0 {
 		v, tv, state, err = s.sliceLevel(r.Context(), m, t, levels)
 	} else {
-		v, tv, state, err = s.fetchSlice(r.Context(), m, t)
+		v, tv, state, err = s.slice(r.Context(), m, t)
 	}
 	if err != nil {
 		return err
@@ -260,7 +258,7 @@ func (s *Server) handleCrop(w http.ResponseWriter, r *http.Request, m *mount) er
 		}
 		box[i] = v
 	}
-	v, tv, state, err := s.fetchSlice(r.Context(), m, t)
+	v, tv, state, err := s.slice(r.Context(), m, t)
 	if err != nil {
 		return err
 	}
@@ -305,7 +303,7 @@ func (s *Server) handlePreview(w http.ResponseWriter, r *http.Request, m *mount)
 	// resolution, so reconstruct the approximation band's worth and keep
 	// downsampling with the same spatial kernel the container was
 	// compressed with (recorded in every window header).
-	v, tv, state, err := s.fetchSlice(r.Context(), m, t)
+	v, tv, state, err := s.slice(r.Context(), m, t)
 	if err != nil {
 		return err
 	}
@@ -321,7 +319,7 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request, m *mount) 
 	if err != nil {
 		return err
 	}
-	v, _, state, err := s.fetchSlice(r.Context(), m, t)
+	v, _, state, err := s.slice(r.Context(), m, t)
 	if err != nil {
 		return err
 	}
@@ -456,47 +454,26 @@ func (s *Server) handleWindowLevels(w http.ResponseWriter, r *http.Request, m *m
 	return writeJSON(w, resp)
 }
 
-// fetchSlice is the handlers' entry into the engine.
-func (s *Server) fetchSlice(ctx context.Context, m *mount, t int) (sliceView, float64, cacheState, error) {
-	return s.slice(ctx, m, t)
-}
-
 // writeField emits a field as raw float32 or JSON, tagging extent, time,
 // and cache-state headers. The raw wire format is little-endian float32
 // regardless of container precision, so float32 views serialize without
 // any widen-then-narrow round trip.
-func writeField(w http.ResponseWriter, r *http.Request, v sliceView, tv float64, state cacheState) error {
+func writeField(w http.ResponseWriter, r *http.Request, v view, tv float64, state cacheState) error {
 	w.Header().Set("X-Cache", string(state))
 	w.Header().Set("X-STW-Dims", v.dims().String())
 	w.Header().Set("X-STW-Time", strconv.FormatFloat(tv, 'g', -1, 64))
 	switch format := paramOr(r, "format", "raw"); format {
 	case "raw":
-		n := v.samples()
+		buf := v.raw()
 		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Length", strconv.Itoa(n*4))
-		buf := make([]byte, n*4)
-		if v.f32 != nil {
-			for i, s := range v.f32.Data {
-				binary.LittleEndian.PutUint32(buf[i*4:], math.Float32bits(s))
-			}
-		} else {
-			for i, s := range v.f64.Data {
-				binary.LittleEndian.PutUint32(buf[i*4:], math.Float32bits(float32(s)))
-			}
-		}
+		w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
 		_, err := w.Write(buf)
 		return err
 	case "json":
-		var data any = nil
-		if v.f32 != nil {
-			data = v.f32.Data
-		} else {
-			data = v.f64.Data
-		}
 		return writeJSON(w, map[string]any{
 			"dims": v.dims().String(),
 			"time": tv,
-			"data": data,
+			"data": v.samples(),
 		})
 	default:
 		return badRequest("format must be raw or json, got %q", format)

@@ -101,39 +101,41 @@ func TestDebugVarsMergesRegistries(t *testing.T) {
 }
 
 // TestRequestTraceSpanTree enables request tracing, issues one cold
-// request, and checks the recorded span tree covers the whole pipeline:
-// handler -> cache lookup -> storage read -> decompress -> inverse
-// transform stages.
+// request per container layout (legacy and progressive), and checks each
+// recorded span tree covers the whole pipeline: handler -> cache lookup
+// -> storage read -> decompress -> decode and inverse transform stages.
 func TestRequestTraceSpanTree(t *testing.T) {
 	d := grid.Dims{Nx: 8, Ny: 8, Nz: 8}
 	cfg := DefaultConfig()
 	cfg.TraceRequests = true
-	_, ts := newTestServer(t, cfg, d, 10, 5)
-
-	if resp, _ := get(t, ts.URL+"/v1/test/slice?t=0"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("slice status %d", resp.StatusCode)
-	}
-	_, body := get(t, ts.URL+"/debug/traces")
-	var traces []obs.SpanTree
-	if err := json.Unmarshal(body, &traces); err != nil {
-		t.Fatalf("bad /debug/traces JSON: %v", err)
-	}
-	if len(traces) != 1 {
-		t.Fatalf("got %d traces, want 1", len(traces))
-	}
-	seen := map[string]bool{}
-	traces[0].Walk(func(n obs.SpanTree, depth int) { seen[n.Name] = true })
-	for _, want := range []string{
-		"handler /v1/test/slice",
-		"cache.lookup",
-		"storage.read_window",
-		"core.decompress",
-		"core.decode_blocks",
-		"xform.inverse_3d",
-		"xform.inverse_temporal",
-	} {
-		if !seen[want] {
-			t.Errorf("span %q missing from trace (have %v)", want, seen)
+	_, legacy := newTestServer(t, cfg, d, 10, 5)
+	_, prog := newProgressiveServer(t, cfg, d, 10, 5)
+	for _, tc := range []struct{ url, dataset string }{{legacy.URL, "test"}, {prog.URL, "prog"}} {
+		if resp, _ := get(t, tc.url+"/v1/"+tc.dataset+"/slice?t=0"); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s slice status %d", tc.dataset, resp.StatusCode)
+		}
+		_, body := get(t, tc.url+"/debug/traces")
+		var traces []obs.SpanTree
+		if err := json.Unmarshal(body, &traces); err != nil {
+			t.Fatalf("bad /debug/traces JSON: %v", err)
+		}
+		if len(traces) != 1 {
+			t.Fatalf("%s: got %d traces, want 1", tc.dataset, len(traces))
+		}
+		seen := map[string]bool{}
+		traces[0].Walk(func(n obs.SpanTree, depth int) { seen[n.Name] = true })
+		for _, want := range []string{
+			"handler /v1/" + tc.dataset + "/slice",
+			"cache.lookup",
+			"storage.read_window",
+			"core.decompress",
+			"core.decode_blocks",
+			"xform.inverse_3d",
+			"xform.inverse_temporal",
+		} {
+			if !seen[want] {
+				t.Errorf("%s: span %q missing from trace (have %v)", tc.dataset, want, seen)
+			}
 		}
 	}
 }

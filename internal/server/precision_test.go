@@ -289,7 +289,7 @@ func TestFloat32CacheChargesHalf(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	b32, b64 := cache32(w32).bytes(), cache64(w64).bytes()
+	b32, b64 := newWindow(w32).bytes(), newWindow(w64).bytes()
 	if b32*2 != b64 {
 		t.Errorf("cache32 bytes = %d, cache64 bytes = %d, want exactly half", b32, b64)
 	}

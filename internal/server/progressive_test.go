@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -9,50 +10,21 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"testing"
 
 	"stwave/internal/core"
 	"stwave/internal/grid"
-	"stwave/internal/storage"
 	"stwave/internal/transform"
 )
 
 // buildProgressiveContainer writes a level-major (v4) container.
 func buildProgressiveContainer(t testing.TB, d grid.Dims, numSlices, windowSize int) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "prog.stw")
 	opts := core.DefaultOptions()
 	opts.WindowSize = windowSize
 	opts.Ratio = 8
 	opts.Progressive = true
-	cw, err := storage.CreateContainer(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	writer, err := core.NewWriter(opts, d, func(w *core.CompressedWindow) error {
-		_, err := cw.Append(w)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ts := 0; ts < numSlices; ts++ {
-		f := grid.NewField3D(d.Nx, d.Ny, d.Nz)
-		for i := range f.Data {
-			f.Data[i] = math.Sin(float64(i)*0.1 + float64(ts)*0.2)
-		}
-		if err := writer.WriteSlice(f, float64(ts)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := writer.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := cw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return path
+	return writeContainer(t, d, numSlices, opts, func(ts int) float64 { return float64(ts) })
 }
 
 func newProgressiveServer(t testing.TB, cfg Config, d grid.Dims, numSlices, windowSize int) (*Server, *httptest.Server) {
@@ -280,7 +252,7 @@ func TestWindowLevelsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("level-0 prefix does not parse: %v", err)
 	}
-	if _, err := core.DecompressLevels(cw, 0); err != nil {
+	if _, err := core.Reconstruct[float64](context.Background(), cw, core.Query{MaxLevel: 0, Slice: core.All}); err != nil {
 		t.Fatalf("level-0 prefix does not decode: %v", err)
 	}
 }

@@ -11,8 +11,8 @@
 // (flightGroup), and bounds the number of decompressions in flight with a
 // semaphore so a cold-cache burst degrades to queueing instead of memory
 // exhaustion. Windows too large to ever fit the cache budget fall back to
-// core.DecompressSlice, which skips the spatial inverse for every slice
-// except the requested one.
+// a one-slice core.Reconstruct query, which skips the spatial inverse for
+// every slice except the requested one.
 package server
 
 import (
@@ -336,35 +336,12 @@ const (
 // window returns the decompressed window wi of mount m, consulting the
 // cache and coalescing concurrent misses. The returned window is shared:
 // callers must not modify it.
-func (s *Server) window(ctx context.Context, m *mount, wi int) (cachedWindow, cacheState, error) {
-	return s.windowLevel(ctx, m, wi, -1)
-}
-
-// decompressWindow runs the full decode at the container's native
-// precision: float32 windows reconstruct through the 4-byte pipeline and
-// are cached at half the budget cost.
-func decompressWindow(ctx context.Context, cw *core.CompressedWindow) (cachedWindow, error) {
-	if cw.Precision == core.Float32 {
-		w, err := core.Decompress32Ctx(ctx, cw)
-		return cache32(w), err
-	}
-	w, err := core.DecompressCtx(ctx, cw)
-	return cache64(w), err
-}
-
-// decompressWindowLevels is decompressWindow for level-bounded decodes of
-// progressive windows.
-func decompressWindowLevels(ctx context.Context, cw *core.CompressedWindow, maxLevel int) (cachedWindow, error) {
-	if cw.Precision == core.Float32 {
-		w, err := core.DecompressLevels32Ctx(ctx, cw, maxLevel)
-		return cache32(w), err
-	}
-	w, err := core.DecompressLevelsCtx(ctx, cw, maxLevel)
-	return cache64(w), err
+func (s *Server) window(ctx context.Context, m *mount, wi int) (window, cacheState, error) {
+	return s.windowLevel(ctx, m, wi, core.All)
 }
 
 // windowLevel is window generalized to level-bounded decodes of
-// progressive windows: maxLevel < 0 decompresses the whole window;
+// progressive windows: maxLevel = core.All decompresses the whole window;
 // maxLevel >= 0 reads only the byte prefix covering level groups
 // 0..maxLevel and reconstructs at the matching coarse dims. Each depth is
 // its own cache entry and its own flight, so a level-0 preview neither
@@ -372,7 +349,7 @@ func decompressWindowLevels(ctx context.Context, cw *core.CompressedWindow, maxL
 // inside cache.Get — the flight's re-check uses the uncounted peek — so
 // every call here counts exactly one hit or one miss. Callers pass
 // maxLevel >= 0 only for windows whose header says Progressive.
-func (s *Server) windowLevel(ctx context.Context, m *mount, wi, maxLevel int) (cachedWindow, cacheState, error) {
+func (s *Server) windowLevel(ctx context.Context, m *mount, wi, maxLevel int) (window, cacheState, error) {
 	levels := 0
 	if maxLevel >= 0 {
 		levels = maxLevel + 1
@@ -400,30 +377,28 @@ func (s *Server) windowLevel(ctx context.Context, m *mount, wi, maxLevel int) (c
 		}
 		defer func() { <-s.sem }()
 		start := time.Now()
-		var w cachedWindow
+		var (
+			cw        *core.CompressedWindow
+			bytesRead int64
+			err       error
+		)
 		if maxLevel >= 0 {
-			cw, bytesRead, err := m.r.ReadWindowLevelsCtx(workCtx, wi, maxLevel)
-			if err != nil {
-				s.noteCorrupt(m, wi, err)
-				return nil, err
-			}
-			w, err = decompressWindowLevels(workCtx, cw, maxLevel)
-			if err != nil {
-				return nil, err
-			}
+			cw, bytesRead, err = m.r.ReadWindowLevelsCtx(workCtx, wi, maxLevel)
+		} else {
+			cw, err = m.r.ReadWindowCtx(workCtx, wi)
+		}
+		if err != nil {
+			s.noteCorrupt(m, wi, err)
+			return nil, err
+		}
+		w, err := reconstruct(workCtx, cw, core.Query{MaxLevel: maxLevel, Slice: core.All})
+		if err != nil {
+			return nil, err
+		}
+		if maxLevel >= 0 {
 			s.metrics.PartialDecodes.Add(1)
 			if total, err := m.r.WindowSizeBytes(wi); err == nil && total > bytesRead {
 				s.metrics.ProgressiveBytesSaved.Add(total - bytesRead)
-			}
-		} else {
-			cw, err := m.r.ReadWindowCtx(workCtx, wi)
-			if err != nil {
-				s.noteCorrupt(m, wi, err)
-				return nil, err
-			}
-			w, err = decompressWindow(workCtx, cw)
-			if err != nil {
-				return nil, err
 			}
 		}
 		s.metrics.Decompressions.Add(1)
@@ -432,14 +407,14 @@ func (s *Server) windowLevel(ctx context.Context, m *mount, wi, maxLevel int) (c
 		return w, nil
 	})
 	if err != nil {
-		return cachedWindow{}, stateMiss, err
+		return nil, stateMiss, err
 	}
 	state := stateMiss
 	if coalesced {
 		s.metrics.Coalesced.Add(1)
 		state = stateCoalesced
 	}
-	return val.(cachedWindow), state, nil
+	return val.(window), state, nil
 }
 
 // noteCorrupt records a newly discovered corrupt window in the mount and
@@ -478,14 +453,14 @@ func (m *mount) servable(t int) (int, int, error) {
 // full decode followed by spatial downsampling, so the endpoint contract
 // (dims, semantics) is uniform across container generations; only the
 // I/O saving is progressive-only.
-func (s *Server) sliceLevel(ctx context.Context, m *mount, t, maxLevel int) (sliceView, float64, cacheState, error) {
+func (s *Server) sliceLevel(ctx context.Context, m *mount, t, maxLevel int) (view, float64, cacheState, error) {
 	wi, local, err := m.servable(t)
 	if err != nil {
-		return sliceView{}, 0, stateMiss, err
+		return nil, 0, stateMiss, err
 	}
 	meta := m.windows[wi]
 	if maxLevel < 0 || maxLevel > meta.info.SpatialLevels {
-		return sliceView{}, 0, stateMiss, badRequest("levels must be in [0, %d], got %d", meta.info.SpatialLevels, maxLevel)
+		return nil, 0, stateMiss, badRequest("levels must be in [0, %d], got %d", meta.info.SpatialLevels, maxLevel)
 	}
 	if maxLevel == meta.info.SpatialLevels {
 		return s.slice(ctx, m, t)
@@ -493,37 +468,39 @@ func (s *Server) sliceLevel(ctx context.Context, m *mount, t, maxLevel int) (sli
 	if !meta.info.Progressive {
 		v, tv, state, err := s.slice(ctx, m, t)
 		if err != nil {
-			return sliceView{}, 0, state, err
+			return nil, 0, state, err
 		}
 		coarse, err := v.coarse(meta.info.SpatialKernel, meta.info.SpatialLevels-maxLevel, 0)
 		if err != nil {
-			return sliceView{}, 0, state, err
+			return nil, 0, state, err
 		}
 		return coarse, tv, state, nil
 	}
 	w, state, err := s.windowLevel(ctx, m, wi, maxLevel)
 	if err != nil {
-		return sliceView{}, 0, state, err
+		return nil, 0, state, err
 	}
-	return w.slice(local), w.timeAt(local, float64(t)), state, nil
+	v, tv := w.slice(local)
+	return v, tv, state, nil
 }
 
 // slice returns the field at global time index t of the named dataset. For
 // cacheable windows it decompresses (or reuses) the whole window; for
 // windows larger than the cache budget it decodes just the one slice. The
 // returned field may be shared with other requests: treat as read-only.
-func (s *Server) slice(ctx context.Context, m *mount, t int) (sliceView, float64, cacheState, error) {
+func (s *Server) slice(ctx context.Context, m *mount, t int) (view, float64, cacheState, error) {
 	wi, local, err := m.servable(t)
 	if err != nil {
-		return sliceView{}, 0, stateMiss, err
+		return nil, 0, stateMiss, err
 	}
 	meta := m.windows[wi]
 	if s.cache.Admits(meta.info.RawSizeBytes()) {
 		w, state, err := s.window(ctx, m, wi)
 		if err != nil {
-			return sliceView{}, 0, state, err
+			return nil, 0, state, err
 		}
-		return w.slice(local), w.timeAt(local, float64(t)), state, nil
+		v, tv := w.slice(local)
+		return v, tv, state, nil
 	}
 	// Uncacheable path: the window can never fit the budget, so skip the
 	// full decompression and reconstruct only the requested slice. Still
@@ -539,28 +516,20 @@ func (s *Server) slice(ctx context.Context, m *mount, t int) (sliceView, float64
 			s.noteCorrupt(m, wi, err)
 			return nil, err
 		}
-		_, spd := obs.Start(workCtx, "core.decompress_slice")
-		var v sliceView
-		if cw.Precision == core.Float32 {
-			f, derr := core.DecompressSlice32(cw, local)
-			err, v = derr, view32(f)
-		} else {
-			f, derr := core.DecompressSlice(cw, local)
-			err, v = derr, view64(f)
-		}
-		spd.End()
+		w, err := reconstruct(workCtx, cw, core.Query{MaxLevel: core.All, Slice: local})
 		if err != nil {
 			return nil, err
 		}
 		s.metrics.SliceDecodes.Add(1)
 		s.metrics.DecompressLatency.ObserveSince(start)
-		return v, nil
+		return w, nil
 	})
 	if err != nil {
-		return sliceView{}, 0, stateUncached, err
+		return nil, 0, stateUncached, err
 	}
 	if coalesced {
 		s.metrics.Coalesced.Add(1)
 	}
-	return val.(sliceView), float64(t), stateUncached, nil
+	v, tv := val.(window).slice(0)
+	return v, tv, stateUncached, nil
 }

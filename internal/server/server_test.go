@@ -32,11 +32,18 @@ func buildContainer(t testing.TB, d grid.Dims, numSlices, windowSize int) string
 // backend (nil means the default sparse codec).
 func buildContainerCodec(t testing.TB, d grid.Dims, numSlices, windowSize int, cdc codec.Codec) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "data.stw")
 	opts := core.DefaultOptions()
 	opts.WindowSize = windowSize
 	opts.Ratio = 8
 	opts.Codec = cdc
+	return writeContainer(t, d, numSlices, opts, func(ts int) float64 { return float64(ts) })
+}
+
+// writeContainer compresses numSlices slices of a smooth field with opts,
+// slice ts at simulation time at(ts), and returns the container's path.
+func writeContainer(t testing.TB, d grid.Dims, numSlices int, opts core.Options, at func(int) float64) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "data.stw")
 	cw, err := storage.CreateContainer(path)
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +60,7 @@ func buildContainerCodec(t testing.TB, d grid.Dims, numSlices, windowSize int, c
 		for i := range f.Data {
 			f.Data[i] = math.Sin(float64(i)*0.1 + float64(ts)*0.2)
 		}
-		if err := writer.WriteSlice(f, float64(ts)); err != nil {
+		if err := writer.WriteSlice(f, at(ts)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -390,6 +397,46 @@ func TestUncacheableWindowUsesSliceDecode(t *testing.T) {
 	}
 	if s.cache.Stats().Windows != 0 {
 		t.Errorf("cache unexpectedly holds %d windows", s.cache.Stats().Windows)
+	}
+}
+
+// TestSliceTimeIndependentOfCacheBudget: X-STW-Time is the slice's
+// stored time, and the payload the same bytes, whether the slice comes
+// from a cached window or the uncacheable one-slice decode.
+func TestSliceTimeIndependentOfCacheBudget(t *testing.T) {
+	d := grid.Dims{Nx: 8, Ny: 8, Nz: 8}
+	opts := core.DefaultOptions()
+	opts.WindowSize = 5
+	opts.Ratio = 8
+	path := writeContainer(t, d, 10, opts, func(ts int) float64 { return 100 + 0.5*float64(ts) })
+	var bodies [][]byte
+	for _, tc := range []struct {
+		budget int64
+		state  cacheState
+	}{{DefaultConfig().CacheBytes, stateMiss}, {0, stateUncached}} {
+		cfg := DefaultConfig()
+		cfg.CacheBytes = tc.budget
+		s := New(cfg)
+		if err := s.Mount("test", path); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		resp, body := get(t, ts.URL+"/v1/test/slice?t=7")
+		ts.Close()
+		s.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("budget %d: status %d: %s", tc.budget, resp.StatusCode, body)
+		}
+		if got := resp.Header.Get("X-Cache"); got != string(tc.state) {
+			t.Errorf("budget %d: X-Cache = %q, want %q", tc.budget, got, tc.state)
+		}
+		if got := resp.Header.Get("X-STW-Time"); got != "103.5" {
+			t.Errorf("budget %d: X-STW-Time = %q, want 103.5", tc.budget, got)
+		}
+		bodies = append(bodies, body)
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Error("cached and uncacheable paths served different bytes")
 	}
 }
 

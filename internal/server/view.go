@@ -1,74 +1,105 @@
 package server
 
 import (
+	"context"
+	"encoding/binary"
+	"math"
+
+	"stwave/internal/core"
 	"stwave/internal/grid"
+	"stwave/internal/num"
 	"stwave/internal/render"
 	"stwave/internal/transform"
 	"stwave/internal/wavelet"
 )
 
-// sliceView is one reconstructed time slice at its native container
-// precision. Exactly one of the fields is non-nil. Handlers operate on the
-// view directly — crop, coarsen, render, and raw serialization all have
-// native paths at both precisions — so float32 containers never pay a
-// widen-then-narrow round trip on the hot path. Views share storage with
-// the window cache: treat the data as read-only.
-type sliceView struct {
-	f64 *grid.Field3D
-	f32 *grid.Field3D32
+// window is a reconstructed window at its native container precision —
+// the cache's value. Float32 windows stay float32, so they cost half the
+// budget and the cache holds twice the working set. Windows are shared
+// between requests: treat them as read-only.
+type window interface {
+	// bytes is the retained size of the samples.
+	bytes() int64
+	// slice returns local slice i and its stored simulation time.
+	slice(i int) (view, float64)
 }
 
-// view64 wraps a double-precision field.
-func view64(f *grid.Field3D) sliceView { return sliceView{f64: f} }
+// view is one reconstructed time slice at its native container
+// precision. Handlers crop, coarsen, render and serialize it natively, so
+// float32 containers never pay a widen-then-narrow round trip on the hot
+// path. Views share storage with the window cache: treat them as
+// read-only.
+type view interface {
+	dims() grid.Dims
+	subVolume(x0, y0, z0, nx, ny, nz int) (view, error)
+	// coarse downsamples by the given number of wavelet levels.
+	coarse(k wavelet.Kernel, levels, workers int) (view, error)
+	sliceImage(k int) (*render.Image, error)
+	mipImage(axis render.MIPAxis) (*render.Image, error)
+	// raw is the wire encoding: little-endian float32 samples, x fastest.
+	raw() []byte
+	// samples is the sample slice, for JSON encoding.
+	samples() any
+}
 
-// view32 wraps a single-precision field.
-func view32(f *grid.Field3D32) sliceView { return sliceView{f32: f} }
-
-// dims returns the field extents at either precision.
-func (v sliceView) dims() grid.Dims {
-	if v.f32 != nil {
-		return v.f32.Dims
+// reconstruct answers q at cw's native precision. It is the server's one
+// precision decision: float32 windows reconstruct through the 4-byte
+// pipeline.
+func reconstruct(ctx context.Context, cw *core.CompressedWindow, q core.Query) (window, error) {
+	if cw.Precision == core.Float32 {
+		return reconstructOf[float32](ctx, cw, q)
 	}
-	return v.f64.Dims
+	return reconstructOf[float64](ctx, cw, q)
 }
 
-// samples returns the number of samples in the field.
-func (v sliceView) samples() int { return v.dims().Len() }
-
-// subVolume crops the view at its native precision.
-func (v sliceView) subVolume(x0, y0, z0, nx, ny, nz int) (sliceView, error) {
-	if v.f32 != nil {
-		sub, err := v.f32.SubVolume(x0, y0, z0, nx, ny, nz)
-		return sliceView{f32: sub}, err
+func reconstructOf[F num.Float](ctx context.Context, cw *core.CompressedWindow, q core.Query) (window, error) {
+	w, err := core.Reconstruct[F](ctx, cw, q)
+	if err != nil {
+		return nil, err
 	}
-	sub, err := v.f64.SubVolume(x0, y0, z0, nx, ny, nz)
-	return sliceView{f64: sub}, err
+	return newWindow(w), nil
 }
 
-// coarse downsamples the view by the given number of wavelet levels at its
-// native precision.
-func (v sliceView) coarse(k wavelet.Kernel, levels, workers int) (sliceView, error) {
-	if v.f32 != nil {
-		c, err := transform.CoarseApproximation(v.f32, k, levels, workers)
-		return sliceView{f32: c}, err
-	}
-	c, err := transform.CoarseApproximation(v.f64, k, levels, workers)
-	return sliceView{f64: c}, err
+// windowOf is a window at precision F.
+type windowOf[F num.Float] struct{ *grid.WindowOf[F] }
+
+func newWindow[F num.Float](w *grid.WindowOf[F]) window { return windowOf[F]{w} }
+
+func (w windowOf[F]) bytes() int64 {
+	return int64(w.TotalSamples()) * int64(num.SampleBytes[F]())
 }
 
-// sliceImage renders the z=k plane at the view's native precision.
-func (v sliceView) sliceImage(k int) (*render.Image, error) {
-	if v.f32 != nil {
-		return render.SliceXY(v.f32, k)
-	}
-	return render.SliceXY(v.f64, k)
+func (w windowOf[F]) slice(i int) (view, float64) {
+	return viewOf[F]{w.Slices[i]}, w.Times[i]
 }
 
-// mipImage renders a maximum-intensity projection at the view's native
-// precision.
-func (v sliceView) mipImage(axis render.MIPAxis) (*render.Image, error) {
-	if v.f32 != nil {
-		return render.MIP(v.f32, axis)
-	}
-	return render.MIP(v.f64, axis)
+// viewOf is a view at precision F.
+type viewOf[F num.Float] struct{ *grid.Field3DOf[F] }
+
+func (v viewOf[F]) dims() grid.Dims { return v.Dims }
+
+func (v viewOf[F]) subVolume(x0, y0, z0, nx, ny, nz int) (view, error) {
+	sub, err := v.SubVolume(x0, y0, z0, nx, ny, nz)
+	return viewOf[F]{sub}, err
 }
+
+func (v viewOf[F]) coarse(k wavelet.Kernel, levels, workers int) (view, error) {
+	c, err := transform.CoarseApproximation(v.Field3DOf, k, levels, workers)
+	return viewOf[F]{c}, err
+}
+
+func (v viewOf[F]) sliceImage(k int) (*render.Image, error) { return render.SliceXY(v.Field3DOf, k) }
+
+func (v viewOf[F]) mipImage(axis render.MIPAxis) (*render.Image, error) {
+	return render.MIP(v.Field3DOf, axis)
+}
+
+func (v viewOf[F]) raw() []byte {
+	buf := make([]byte, len(v.Data)*4)
+	for i, s := range v.Data {
+		binary.LittleEndian.PutUint32(buf[i*4:], math.Float32bits(float32(s)))
+	}
+	return buf
+}
+
+func (v viewOf[F]) samples() any { return v.Data }

@@ -31,7 +31,7 @@ import (
 // ReadWindowLevels reads the minimal byte prefix of window i needed to
 // reconstruct detail levels 0..maxLevel and parses it into a
 // CompressedWindow holding only those level groups (decode it with
-// core.DecompressLevels). The second return is the number of payload
+// core.Reconstruct at Query.MaxLevel <= maxLevel). The second return is the number of payload
 // bytes actually read — callers surface it so the bytes-saved accounting
 // in /metrics is honest. Windows written in the legacy slice-major
 // layout return core.ErrNotProgressive; callers fall back to ReadWindow.

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"errors"
 	"math"
 	"os"
@@ -74,6 +75,7 @@ func TestReadWindowLevels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
 	for k := 0; k <= full.SpatialLevels; k++ {
 		cw, bytesRead, err := r.ReadWindowLevels(0, k)
 		if err != nil {
@@ -82,11 +84,11 @@ func TestReadWindowLevels(t *testing.T) {
 		if k < full.SpatialLevels && bytesRead >= total {
 			t.Errorf("level %d read %d of %d bytes — no partial-read saving", k, bytesRead, total)
 		}
-		want, err := core.DecompressLevels(full, k)
+		want, err := core.Reconstruct[float64](ctx, full, core.Query{MaxLevel: k, Slice: core.All})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := core.DecompressLevels(cw, k)
+		got, err := core.Reconstruct[float64](ctx, cw, core.Query{MaxLevel: k, Slice: core.All})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -205,6 +205,14 @@ func Inverse4D[F num.Float](w *grid.WindowOf[F], s Spec) error {
 // and per-stage registry timings, mirroring Forward4DCtx (including its
 // slice-parallel 3D stage and worker-budget split).
 func Inverse4DCtx[F num.Float](ctx context.Context, w *grid.WindowOf[F], s Spec) error {
+	return InverseSlicesCtx(ctx, w, s, w.Slices)
+}
+
+// InverseSlicesCtx is Inverse4DCtx returning only the slices in out (a
+// subset of w.Slices) to sample space: the temporal inverse needs every
+// slice, but the spatial inverse runs on out alone and leaves the other
+// slices as spatial coefficients.
+func InverseSlicesCtx[F num.Float](ctx context.Context, w *grid.WindowOf[F], s Spec, out []*grid.Field3DOf[F]) error {
 	spatial, temporal := s.resolve(w.Dims, w.Len())
 	_, spT := obs.Start(ctx, "xform.inverse_temporal")
 	spT.SetAttr("kernel", s.TemporalKernel.String())
@@ -219,7 +227,7 @@ func Inverse4DCtx[F num.Float](ctx context.Context, w *grid.WindowOf[F], s Spec)
 	_, sp3 := obs.Start(ctx, "xform.inverse_3d")
 	sp3.SetAttr("kernel", s.SpatialKernel.String())
 	start = time.Now()
-	err := forEachSlice(w.Slices, s.Workers, func(i int, f *grid.Field3DOf[F], inner int) error {
+	err := forEachSlice(out, s.Workers, func(i int, f *grid.Field3DOf[F], inner int) error {
 		if err := Inverse3D(f, s.SpatialKernel, spatial, inner); err != nil {
 			return fmt.Errorf("transform: slice %d: %w", i, err)
 		}
