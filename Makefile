@@ -9,9 +9,10 @@ all: build vet test check
 # Fast correctness gate: static checks (vet, gofmt, the stlint analyzer
 # suite — which self-lints internal/lint along with everything else),
 # race-detector runs of the packages with real concurrency (the
-# HTTP server, the shared container reader and fault-injection wrapper,
-# the burst buffer, the entropy/sparse codecs, the streaming ingest
-# engine with its backpressure policies, the parallel
+# HTTP server and the stserve serve-and-drain recipe, the shared
+# container reader and fault-injection wrapper, the burst buffer, the
+# entropy/sparse codecs, the streaming ingest engine with its
+# backpressure policies, the parallel
 # transform/threshold stages with their serial-equivalence property
 # tests, the synth/tornado lattice sampler that splits z-planes over
 # goroutines, and the lint suite itself, whose dogfooding test shells
@@ -28,7 +29,7 @@ all: build vet test check
 # survivor selection against the serial threshold, and every codec's
 # survivor encoder against its dense encode.
 check: vet fmt-check lint docscheck bench-smoke
-	$(GO) test -race ./internal/server ./internal/storage ./internal/compress ./internal/faultio ./internal/transform ./internal/core ./internal/par ./internal/codec ./internal/entropy ./internal/ingest ./internal/lint ./internal/sim/synth ./internal/sim/tornado
+	$(GO) test -race ./internal/server ./cmd/stserve ./internal/storage ./internal/compress ./internal/faultio ./internal/transform ./internal/core ./internal/par ./internal/codec ./internal/entropy ./internal/ingest ./internal/lint ./internal/sim/synth ./internal/sim/tornado
 	GOMAXPROCS=1 $(GO) test -count=1 ./internal/par ./internal/transform ./internal/compress ./internal/core ./internal/codec ./internal/entropy ./internal/ingest ./internal/server ./internal/sim/synth ./internal/sim/tornado
 	$(GO) test -run=NONE -fuzz=FuzzOpenContainer -fuzztime=10s ./internal/storage
 	$(GO) test -run=NONE -fuzz='FuzzWaveletRoundtrip$$' -fuzztime=5s ./internal/wavelet

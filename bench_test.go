@@ -7,6 +7,7 @@ package stwave
 // `go test -bench=. -benchmem` regenerates the whole evaluation.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -173,7 +174,7 @@ func BenchmarkAblationJointVsPerSliceBudget(b *testing.B) {
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := comp.CompressWindow(w); err != nil {
+				if _, err := core.Compress(context.Background(), comp, w, core.Copy); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -194,7 +195,7 @@ func BenchmarkAblationTemporalLevels(b *testing.B) {
 				b.Fatal(err)
 			}
 			for i := 0; i < b.N; i++ {
-				if _, err := comp.CompressWindow(w); err != nil {
+				if _, err := core.Compress(context.Background(), comp, w, core.Copy); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -239,7 +240,7 @@ func BenchmarkCompressorThroughput(b *testing.B) {
 			b.SetBytes(int64(w.TotalSamples()) * 8)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := comp.CompressWindow(w); err != nil {
+				if _, err := core.Compress(context.Background(), comp, w, core.Copy); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -254,7 +255,7 @@ func BenchmarkDecompress(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cw, err := comp.CompressWindow(w)
+	cw, err := core.Compress(context.Background(), comp, w, core.Copy)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -283,7 +284,7 @@ func BenchmarkServeSlice(b *testing.B) {
 	}
 	opts := core.DefaultOptions()
 	opts.WindowSize = windowSize
-	writer, err := core.NewWriter(opts, d, func(w *core.CompressedWindow) error {
+	writer, err := core.NewWriterOf[float64](opts, d, func(w *core.CompressedWindow) error {
 		_, err := cont.Append(w)
 		return err
 	})

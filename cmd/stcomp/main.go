@@ -565,9 +565,9 @@ func runIngest(args []string) error {
 		runErr error
 	)
 	if precision == core.Float32 {
-		st, runErr = ingestRunOf[float32](cfg, dims, cw, strings.ToLower(*source), *dt, *seed, *slices, ingest.NewEngine32)
+		st, runErr = ingestRunOf[float32](cfg, dims, cw, strings.ToLower(*source), *dt, *seed, *slices)
 	} else {
-		st, runErr = ingestRunOf[float64](cfg, dims, cw, strings.ToLower(*source), *dt, *seed, *slices, ingest.NewEngine)
+		st, runErr = ingestRunOf[float64](cfg, dims, cw, strings.ToLower(*source), *dt, *seed, *slices)
 	}
 	closeErr := cw.Close()
 
@@ -585,15 +585,14 @@ func runIngest(args []string) error {
 }
 
 // ingestRunOf builds the source and engine at the chosen precision and
-// runs the ingest; newEngine is ingest.NewEngine or ingest.NewEngine32.
+// runs the ingest.
 func ingestRunOf[F num.Float](cfg ingest.Config, dims grid.Dims, cw *storage.ContainerWriter,
-	source string, dt float64, seed int64, slices int,
-	newEngine func(ingest.Config, grid.Dims, *storage.ContainerWriter) (*ingest.EngineOf[F], error)) (ingest.Stats, error) {
+	source string, dt float64, seed int64, slices int) (ingest.Stats, error) {
 	src, err := makeSourceOf[F](source, dims, dt, seed)
 	if err != nil {
 		return ingest.Stats{}, err
 	}
-	eng, err := newEngine(cfg, dims, cw)
+	eng, err := ingest.NewEngineOf[F](cfg, dims, cw)
 	if err != nil {
 		return ingest.Stats{}, err
 	}

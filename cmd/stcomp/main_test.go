@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -137,7 +138,7 @@ func TestInfoAndDecompressWithGaps(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cw, err := comp.CompressWindow(win)
+	cw, err := core.Compress(context.Background(), comp, win, core.Copy)
 	if err != nil {
 		t.Fatal(err)
 	}

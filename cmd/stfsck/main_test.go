@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -40,7 +41,7 @@ func buildContainer(t *testing.T, numWindows int) string {
 				t.Fatal(err)
 			}
 		}
-		cw, err := comp.CompressWindow(win)
+		cw, err := core.Compress(context.Background(), comp, win, core.Copy)
 		if err != nil {
 			t.Fatal(err)
 		}

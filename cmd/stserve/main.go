@@ -29,7 +29,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -41,20 +43,49 @@ import (
 	"stwave/internal/server"
 )
 
+// errUsage marks a command-line error: main exits 2, as flag does.
+var errUsage = errors.New("usage")
+
 func main() {
-	listen := flag.String("listen", ":8080", "address to listen on")
-	cacheMB := flag.Int64("cache-mb", 256, "decompressed-window cache budget in MB (0 disables caching)")
-	maxDecompress := flag.Int("max-decompress", 0, "max concurrent window decompressions (0 = GOMAXPROCS)")
-	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout (0 disables)")
-	degraded := flag.Bool("degraded", false, "serve containers with corrupt windows: checksum-verify at mount, answer 410 for lost windows, report damage via /healthz and /metrics")
-	traceReq := flag.Bool("trace-requests", false, "record a span tree per request, served at /debug/traces (a small ring of recent requests)")
-	pprof := flag.Bool("pprof", false, "expose the net/http/pprof profiling endpoints under /debug/pprof/")
-	flag.Parse()
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "stserve: at least one container is required (NAME=PATH or PATH)")
-		flag.Usage()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stderr)
+	stop()
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
 		os.Exit(2)
+	default:
+		fmt.Fprintf(os.Stderr, "stserve: %v\n", err)
+		os.Exit(1)
 	}
+}
+
+// run mounts the containers named in args, serves them until ctx is
+// cancelled, then drains in-flight requests and returns. Log lines,
+// including the bound address (so -listen 127.0.0.1:0 is usable), go to
+// logw.
+func run(ctx context.Context, args []string, logw io.Writer) error {
+	fs := flag.NewFlagSet("stserve", flag.ContinueOnError)
+	fs.SetOutput(logw)
+	listen := fs.String("listen", ":8080", "address to listen on")
+	cacheMB := fs.Int64("cache-mb", 256, "decompressed-window cache budget in MB (0 disables caching)")
+	maxDecompress := fs.Int("max-decompress", 0, "max concurrent window decompressions (0 = GOMAXPROCS)")
+	timeout := fs.Duration("timeout", 30*time.Second, "per-request timeout (0 disables)")
+	degraded := fs.Bool("degraded", false, "serve containers with corrupt windows: checksum-verify at mount, answer 410 for lost windows, report damage via /healthz and /metrics")
+	traceReq := fs.Bool("trace-requests", false, "record a span tree per request, served at /debug/traces (a small ring of recent requests)")
+	pprof := fs.Bool("pprof", false, "expose the net/http/pprof profiling endpoints under /debug/pprof/")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return fmt.Errorf("%w: %v", errUsage, err)
+	}
+	if fs.NArg() == 0 {
+		fmt.Fprintln(logw, "stserve: at least one container is required (NAME=PATH or PATH)")
+		fs.Usage()
+		return errUsage
+	}
+	logger := log.New(logw, "", log.LstdFlags)
 
 	srv := server.New(server.Config{
 		CacheBytes:     *cacheMB << 20,
@@ -65,36 +96,40 @@ func main() {
 		Pprof:          *pprof,
 	})
 	defer srv.Close()
-	for _, arg := range flag.Args() {
+	for _, arg := range fs.Args() {
 		name, path, ok := strings.Cut(arg, "=")
 		if !ok {
 			path = arg
 			name = strings.TrimSuffix(filepath.Base(arg), filepath.Ext(arg))
 		}
 		if err := srv.Mount(name, path); err != nil {
-			log.Fatalf("stserve: mounting %s: %v", arg, err)
+			return fmt.Errorf("mounting %s: %w", arg, err)
 		}
-		log.Printf("mounted %q from %s", name, path)
+		logger.Printf("mounted %q from %s", name, path)
 	}
 
-	httpSrv := &http.Server{Addr: *listen, Handler: srv.Handler()}
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		return err
+	}
+	httpSrv := &http.Server{Handler: srv.Handler()}
 	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-	log.Printf("serving on %s (cache %d MB, timeout %v)", *listen, *cacheMB, *timeout)
+	go func() { errc <- httpSrv.Serve(ln) }()
+	logger.Printf("serving on %s (cache %d MB, timeout %v)", ln.Addr(), *cacheMB, *timeout)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case err := <-errc:
-		log.Fatalf("stserve: %v", err)
+		return err
 	case <-ctx.Done():
 	}
 
 	// Graceful drain: stop accepting, let in-flight requests finish.
-	log.Printf("shutting down")
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	logger.Printf("shutting down")
+	shutCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 10*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		log.Printf("stserve: shutdown: %v", err)
+		logger.Printf("stserve: shutdown: %v", err)
 	}
+	<-errc // Serve has returned http.ErrServerClosed
+	return nil
 }

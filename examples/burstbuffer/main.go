@@ -47,7 +47,7 @@ func main() {
 
 	opts := core.DefaultOptions() // 4D, CDF 9/7, window 20, 32:1
 	opts.Ratio = 16
-	writer, err := core.NewWriter(opts, d, func(cw *core.CompressedWindow) error {
+	writer, err := core.NewWriterOf[float64](opts, d, func(cw *core.CompressedWindow) error {
 		idx, err := container.Append(cw)
 		if err != nil {
 			return err

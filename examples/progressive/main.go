@@ -103,7 +103,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cw, err := comp.CompressWindow(orig)
+	cw, err := core.Compress(context.Background(), comp, orig, core.Copy)
 	if err != nil {
 		log.Fatal(err)
 	}

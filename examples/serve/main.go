@@ -47,7 +47,7 @@ func main() {
 	opts.WindowSize = 6
 	opts.Ratio = 16
 	first := model.CloudMixingRatio(8502)
-	writer, err := core.NewWriter(opts, first.Dims, func(w *core.CompressedWindow) error {
+	writer, err := core.NewWriterOf[float64](opts, first.Dims, func(w *core.CompressedWindow) error {
 		_, err := cont.Append(w)
 		return err
 	})

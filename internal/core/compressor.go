@@ -175,140 +175,78 @@ func (cw *CompressedWindow) RetainedCoefficients() int {
 	return n
 }
 
-// CompressWindow compresses the window according to the compressor's mode.
-// The window's slices are not modified (they are cloned internally). In 4D
-// mode the window length should normally equal Options.WindowSize, but any
-// length >= 1 is accepted: temporal levels adapt to the actual length
-// (shorter final windows at end of simulation).
-func (c *Compressor) CompressWindow(w *grid.Window) (*CompressedWindow, error) {
-	return c.CompressWindowCtx(context.Background(), w)
-}
+// Input says what the window handed to Compress holds and whether
+// Compress may overwrite it.
+type Input int
 
-// CompressWindowCtx is CompressWindow with context propagation: when ctx
-// carries a trace, the transform, threshold, and encode stages each record
-// a span, and stage throughputs land in the process-wide metrics registry
-// either way.
+const (
+	// Copy: w holds samples and is left untouched; a pooled working copy
+	// is transformed. The only input the error-bounded mode (MaxErr)
+	// accepts, because its bound is verified against the raw samples.
+	Copy Input = iota
+	// InPlace: w holds samples, and on return — error or not — it holds
+	// the window's wavelet coefficients. Selection never writes, so the
+	// coefficients stay intact for a later Coefficients call.
+	InPlace
+	// Coefficients: w already holds the coefficients of a window that a
+	// compressor with the same transform configuration (kernels, levels,
+	// mode) transformed; no transform runs and w is only read. Because
+	// Forward4D is deterministic, the bytes equal compressing the raw
+	// window at c's ratio.
+	Coefficients
+)
+
+// Compress compresses one window of time slices according to c's mode,
+// reading w as in says. In 4D mode the window length should normally
+// equal Options.WindowSize, but any length >= 1 is accepted: temporal
+// levels adapt to the actual length (shorter final windows at end of
+// simulation). At F = float32 the transform, threshold, and encode all
+// move 4-byte samples; MaxErr is defined on the float64 oracle only.
 //
-// The working copy of the window lives in one pooled slab carved into
-// per-slice fields, so the hot path allocates O(1) regardless of window
-// size. Selection reads the transformed copy and hands survivor lists to
-// the encoder, which never rescans the dense coefficients.
-func (c *Compressor) CompressWindowCtx(ctx context.Context, w *grid.Window) (*CompressedWindow, error) {
-	return compressWindowOf(ctx, c, w)
-}
-
-// CompressWindow32 compresses a float32 window through the
-// single-precision pipeline: transform, threshold, and encode all move
-// 4-byte samples, halving the bytes on every memory-bound stage. The
-// error-bounded mode (MaxErr) is defined on the float64 oracle and is
-// rejected here.
-func (c *Compressor) CompressWindow32(w *grid.Window32) (*CompressedWindow, error) {
-	return c.CompressWindow32Ctx(context.Background(), w)
-}
-
-// CompressWindow32Ctx is CompressWindow32 with context propagation.
-func (c *Compressor) CompressWindow32Ctx(ctx context.Context, w *grid.Window32) (*CompressedWindow, error) {
-	return compressWindowOf(ctx, c, w)
-}
-
-// CompressWindowOf is the precision-generic entry point for callers that
-// are themselves generic over the sample type. It is exactly
-// CompressWindowCtx / CompressWindow32Ctx, selected by F, and likewise
-// leaves w untouched.
-func CompressWindowOf[F num.Float](ctx context.Context, c *Compressor, w *grid.WindowOf[F]) (*CompressedWindow, error) {
-	return compressWindowOf(ctx, c, w)
-}
-
-// CompressWindowInPlaceOf is CompressWindowOf without the working copy:
-// the forward transform runs on w's own buffers, so on return — error or
-// not — w holds the window's wavelet coefficients, not its samples. The
-// bytes are those CompressWindowOf produces. Selection never writes, so
-// the coefficients stay intact for RecompressCoefficientsOf. This is the
-// streaming ingest path, which owns its window buffers. The error-bounded
-// mode (MaxErr) verifies against the raw samples and is rejected.
-func CompressWindowInPlaceOf[F num.Float](ctx context.Context, c *Compressor, w *grid.WindowOf[F]) (*CompressedWindow, error) {
-	if c.opts.MaxErr > 0 {
-		return nil, fmt.Errorf("core: error-bounded mode (MaxErr) needs the raw window; use CompressWindowOf")
-	}
-	if w.Len() == 0 {
+// When ctx carries a trace, the transform, threshold, and encode stages
+// each record a span under "core.compress_window", and stage throughputs
+// land in the process-wide metrics registry either way. The output bytes
+// depend only on c's options and the window's samples, never on in.
+func Compress[F num.Float](ctx context.Context, c *Compressor, w *grid.WindowOf[F], in Input) (*CompressedWindow, error) {
+	switch {
+	case w.Len() == 0:
 		return nil, fmt.Errorf("core: cannot compress an empty window")
+	case in < Copy || in > Coefficients:
+		return nil, fmt.Errorf("core: unknown compress input %d", int(in))
+	case c.opts.MaxErr > 0 && in != Copy:
+		return nil, fmt.Errorf("core: error-bounded mode (MaxErr) verifies against the raw window and needs Copy input")
 	}
 	ctx, sp := obs.Start(ctx, "core.compress_window")
 	defer sp.End()
+	work := w
+	if in == Copy {
+		slab := scratch.FloatsOf[F](w.TotalSamples())
+		defer scratch.PutFloatsOf(slab)
+		work = cloneInto(w, slab)
+	}
 	spec := c.opts.spec(w.Dims, w.Len())
-	if err := transform.Forward4DCtx(ctx, w, spec); err != nil {
-		return nil, fmt.Errorf("core: forward transform: %w", err)
-	}
-	return encodeCoefficients(ctx, c, w, spec, par.Workers(c.opts.Workers))
-}
-
-// RecompressCoefficientsOf selects and encodes, at c's ratio, the
-// coefficient window CompressWindowInPlaceOf left behind — no transform
-// runs. c must share the transform configuration (kernels, levels, mode)
-// of the compressor that transformed the window; the ingest ladder's rungs
-// differ only in Ratio. Because Forward4D is deterministic, the bytes
-// equal compressing the raw window at c's ratio. coeffs is only read.
-func RecompressCoefficientsOf[F num.Float](ctx context.Context, c *Compressor, coeffs *grid.WindowOf[F]) (*CompressedWindow, error) {
-	if c.opts.MaxErr > 0 {
-		return nil, fmt.Errorf("core: error-bounded mode (MaxErr) needs the raw window; use CompressWindowOf")
-	}
-	if coeffs.Len() == 0 {
-		return nil, fmt.Errorf("core: cannot compress an empty window")
-	}
-	ctx, sp := obs.Start(ctx, "core.compress_window")
-	defer sp.End()
-	return encodeCoefficients(ctx, c, coeffs, c.opts.spec(coeffs.Dims, coeffs.Len()), par.Workers(c.opts.Workers))
-}
-
-// compressWindowOf is the precision-generic, input-preserving compress
-// orchestration behind CompressWindowCtx (F = float64) and
-// CompressWindow32Ctx (F = float32): clone, transform the clone, then
-// select and encode (or, under MaxErr, the verified dense loop).
-func compressWindowOf[F num.Float](ctx context.Context, c *Compressor, w *grid.WindowOf[F]) (*CompressedWindow, error) {
-	if w.Len() == 0 {
-		return nil, fmt.Errorf("core: cannot compress an empty window")
-	}
-	ctx, sp := obs.Start(ctx, "core.compress_window")
-	defer sp.End()
-	t, s := w.Len(), w.Dims.Len()
-	slab := scratch.FloatsOf[F](t * s)
-	defer scratch.PutFloatsOf(slab)
-	fields := make([]grid.Field3DOf[F], t)
-	slices := make([]*grid.Field3DOf[F], t)
-	datas := make([][]F, t)
-	for i := range fields {
-		d := slab[i*s : (i+1)*s : (i+1)*s]
-		copy(d, w.Slices[i].Data)
-		fields[i] = grid.Field3DOf[F]{Dims: w.Dims, Data: d}
-		slices[i] = &fields[i]
-		datas[i] = d
-	}
-	obs.Default().Counter("core.window_clone_bytes_total").Add(int64(t*s) * int64(num.SampleBytes[F]()))
-	work := &grid.WindowOf[F]{Dims: w.Dims, Slices: slices, Times: w.Times}
-	spec := c.opts.spec(work.Dims, work.Len())
-
-	if err := transform.Forward4DCtx(ctx, work, spec); err != nil {
-		return nil, fmt.Errorf("core: forward transform: %w", err)
+	if in != Coefficients {
+		if err := transform.Forward4DCtx(ctx, work, spec); err != nil {
+			return nil, fmt.Errorf("core: forward transform: %w", err)
+		}
 	}
 	workers := par.Workers(c.opts.Workers)
 	if c.opts.MaxErr <= 0 {
 		return encodeCoefficients(ctx, c, work, spec, workers)
 	}
-
 	// Error-bounded mode: threshold and encode fuse into one verified
 	// loop, because the bound is checked on the exact encoded stream
-	// (codec quantization included). The mode is defined on the float64
-	// oracle only.
-	w64, okW := any(w).(*grid.Window)
-	datas64, okD := any(datas).([][]float64)
-	if !okW || !okD {
+	// (codec quantization included).
+	orig, okW := any(w).(*grid.Window)
+	coeffs, okC := any(work).(*grid.Window)
+	if !okW || !okC {
 		return nil, fmt.Errorf("core: error-bounded mode (MaxErr) requires the float64 pipeline")
 	}
 	cw := newCompressedWindow(c, work, spec)
 	rawBytes := int64(work.TotalSamples()) * int64(num.SampleBytes[F]())
 	_, spTh := obs.Start(ctx, "core.threshold_maxerr")
 	start := time.Now()
-	err := c.thresholdMaxErr(w64, datas64, spec, workers, cw)
+	err := c.thresholdMaxErr(orig, coeffs, spec, workers, cw)
 	spTh.End()
 	if err != nil {
 		return nil, err
@@ -316,6 +254,28 @@ func compressWindowOf[F num.Float](ctx context.Context, c *Compressor, w *grid.W
 	observeThroughput("compress.threshold_mb_per_s", rawBytes, time.Since(start))
 	finishWindow(cw, rawBytes)
 	return cw, nil
+}
+
+// CompressWindowOf is Compress with Copy input, kept for the benchmark
+// harness.
+func CompressWindowOf[F num.Float](ctx context.Context, c *Compressor, w *grid.WindowOf[F]) (*CompressedWindow, error) {
+	return Compress(ctx, c, w, Copy)
+}
+
+// cloneInto copies w's samples into slab, carved into per-slice fields,
+// so the working copy costs O(1) allocations regardless of window size.
+func cloneInto[F num.Float](w *grid.WindowOf[F], slab []F) *grid.WindowOf[F] {
+	t, s := w.Len(), w.Dims.Len()
+	fields := make([]grid.Field3DOf[F], t)
+	slices := make([]*grid.Field3DOf[F], t)
+	for i := range fields {
+		d := slab[i*s : (i+1)*s : (i+1)*s]
+		copy(d, w.Slices[i].Data)
+		fields[i] = grid.Field3DOf[F]{Dims: w.Dims, Data: d}
+		slices[i] = &fields[i]
+	}
+	obs.Default().Counter("core.window_clone_bytes_total").Add(int64(t*s) * int64(num.SampleBytes[F]()))
+	return &grid.WindowOf[F]{Dims: w.Dims, Slices: slices, Times: w.Times}
 }
 
 // newCompressedWindow starts the compressed form of a window transformed
@@ -331,10 +291,9 @@ func newCompressedWindow[F num.Float](c *Compressor, w *grid.WindowOf[F], spec t
 	}
 }
 
-// encodeCoefficients is the ratio-mode tail shared by every compress entry
-// point: select survivors from the transformed window (the
-// "core.threshold" span) and encode them in the configured layout
-// ("core.encode").
+// encodeCoefficients is Compress's ratio-mode tail: select survivors
+// from the transformed window (the "core.threshold" span) and encode them
+// in the configured layout ("core.encode").
 func encodeCoefficients[F num.Float](ctx context.Context, c *Compressor, coeffs *grid.WindowOf[F], spec transform.Spec, workers int) (*CompressedWindow, error) {
 	rawBytes := int64(coeffs.TotalSamples()) * int64(num.SampleBytes[F]())
 	datas := make([][]F, coeffs.Len())
@@ -401,7 +360,7 @@ func finishWindow(cw *CompressedWindow, rawBytes int64) {
 // RoundTrip compresses then decompresses a window — the operation every
 // error-evaluation experiment performs. It never modifies w.
 func (c *Compressor) RoundTrip(w *grid.Window) (*grid.Window, *CompressedWindow, error) {
-	cw, err := c.CompressWindow(w)
+	cw, err := Compress(context.Background(), c, w, Copy)
 	if err != nil {
 		return nil, nil, err
 	}

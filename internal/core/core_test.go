@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -106,7 +107,7 @@ func TestCompressorRejectsEmptyWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.CompressWindow(grid.NewWindow(grid.Dims{Nx: 4, Ny: 4, Nz: 4})); err == nil {
+	if _, err := Compress(context.Background(), c, grid.NewWindow(grid.Dims{Nx: 4, Ny: 4, Nz: 4}), Copy); err == nil {
 		t.Error("expected error for empty window")
 	}
 }
@@ -142,7 +143,7 @@ func TestRatioControlsRetainedCoefficients(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cw, err := c.CompressWindow(w)
+		cw, err := Compress(context.Background(), c, w, Copy)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +168,7 @@ func Test3DAnd4DRetainSameBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cw, err := c.CompressWindow(w)
+		cw, err := Compress(context.Background(), c, w, Copy)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +269,7 @@ func TestPerSliceBudgetAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cw, err := c.CompressWindow(w)
+	cw, err := Compress(context.Background(), c, w, Copy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +315,7 @@ func TestSerializationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cw, err := c.CompressWindow(w)
+	cw, err := Compress(context.Background(), c, w, Copy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +372,7 @@ func TestStreamWriter4D(t *testing.T) {
 	opts := DefaultOptions()
 	opts.WindowSize = 10
 	opts.Ratio = 8
-	wr, err := NewWriter(opts, d, func(cw *CompressedWindow) error {
+	wr, err := NewWriterOf[float64](opts, d, func(cw *CompressedWindow) error {
 		got = append(got, cw)
 		return nil
 	})
@@ -416,7 +417,7 @@ func TestStreamWriter3DFlushesImmediately(t *testing.T) {
 	d := grid.Dims{Nx: 6, Ny: 6, Nz: 6}
 	count := 0
 	opts := Options{Mode: Spatial3D, SpatialKernel: wavelet.CDF97, Ratio: 8, SpatialLevels: -1}
-	wr, err := NewWriter(opts, d, func(cw *CompressedWindow) error {
+	wr, err := NewWriterOf[float64](opts, d, func(cw *CompressedWindow) error {
 		count++
 		if cw.NumSlices() != 1 {
 			t.Errorf("3D window has %d slices", cw.NumSlices())
@@ -445,13 +446,13 @@ func TestStreamWriter3DFlushesImmediately(t *testing.T) {
 
 func TestStreamWriterValidation(t *testing.T) {
 	d := grid.Dims{Nx: 4, Ny: 4, Nz: 4}
-	if _, err := NewWriter(DefaultOptions(), d, nil); err == nil {
+	if _, err := NewWriterOf[float64](DefaultOptions(), d, nil); err == nil {
 		t.Error("expected error for nil sink")
 	}
-	if _, err := NewWriter(DefaultOptions(), grid.Dims{}, func(*CompressedWindow) error { return nil }); err == nil {
+	if _, err := NewWriterOf[float64](DefaultOptions(), grid.Dims{}, func(*CompressedWindow) error { return nil }); err == nil {
 		t.Error("expected error for invalid dims")
 	}
-	wr, err := NewWriter(DefaultOptions(), d, func(*CompressedWindow) error { return nil })
+	wr, err := NewWriterOf[float64](DefaultOptions(), d, func(*CompressedWindow) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +498,7 @@ func TestDeflatedSerializationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cw, err := c.CompressWindow(w)
+	cw, err := Compress(context.Background(), c, w, Copy)
 	if err != nil {
 		t.Fatal(err)
 	}

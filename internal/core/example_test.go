@@ -39,7 +39,7 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	compressed, err := comp.CompressWindow(window)
+	compressed, err := core.Compress(context.Background(), comp, window, core.Copy)
 	if err != nil {
 		panic(err)
 	}
@@ -56,11 +56,11 @@ func Example() {
 	// kept 2560 of 81920 coefficients
 }
 
-// ExampleNewWriter shows the streaming interface a simulation would use.
-func ExampleNewWriter() {
+// ExampleNewWriterOf shows the streaming interface a simulation would use.
+func ExampleNewWriterOf() {
 	window := buildWindow()
 	flushed := 0
-	writer, err := core.NewWriter(core.DefaultOptions(), window.Dims,
+	writer, err := core.NewWriterOf[float64](core.DefaultOptions(), window.Dims,
 		func(cw *core.CompressedWindow) error {
 			flushed++
 			return nil
@@ -88,7 +88,7 @@ func ExampleReconstruct() {
 	if err != nil {
 		panic(err)
 	}
-	compressed, err := comp.CompressWindow(window)
+	compressed, err := core.Compress(context.Background(), comp, window, core.Copy)
 	if err != nil {
 		panic(err)
 	}

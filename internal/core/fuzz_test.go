@@ -79,7 +79,7 @@ func FuzzReadCompressedWindow(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	cw, err := comp.CompressWindow(w)
+	cw, err := Compress(context.Background(), comp, w, Copy)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func FuzzLevelTable(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	cw, err := comp.CompressWindow(w)
+	cw, err := Compress(context.Background(), comp, w, Copy)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -147,12 +147,16 @@ func temporalDepths(t, levels int) []int {
 }
 
 // thresholdMaxErr runs the error-bounded threshold-encode-verify loop
-// over the transformed coefficients in datas, filling cw's block layout
+// over the transformed coefficients in coeffs, filling cw's block layout
 // (progressive or slice-major per Options) with the verified encoding
 // and recording the achieved error maxima. orig is the untransformed
-// window the bound is measured against; datas are consumed as scratch.
-func (c *Compressor) thresholdMaxErr(orig *grid.Window, datas [][]float64, spec transform.Spec, workers int, cw *CompressedWindow) error {
+// window the bound is measured against; coeffs is consumed as scratch.
+func (c *Compressor) thresholdMaxErr(orig, coeffs *grid.Window, spec transform.Spec, workers int, cw *CompressedWindow) error {
 	dims := orig.Dims
+	datas := make([][]float64, coeffs.Len())
+	for i, f := range coeffs.Slices {
+		datas[i] = f.Data
+	}
 	t, s := len(datas), dims.Len()
 	levels := spec.SpatialLevels
 	roi := c.opts.ROI

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -143,7 +144,7 @@ func TestMaxErrUnreachableBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.CompressWindow(w); err == nil {
+	if _, err := Compress(context.Background(), c, w, Copy); err == nil {
 		t.Fatal("accepted an error bound below the codec quantization floor")
 	}
 }

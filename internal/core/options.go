@@ -140,9 +140,9 @@ type Options struct {
 	// misparsing them.
 	Progressive bool
 	// Precision selects the pipeline's sample width (Float64 unless set).
-	// It declares which entry points a configuration is meant for —
-	// CompressWindow at Float64, CompressWindow32 at Float32 — and is what
-	// the streaming writers and CLIs switch on. The error-bounded mode
+	// It declares which sample type a configuration is meant for —
+	// Compress[float64] at Float64, Compress[float32] at Float32 — and is
+	// what the CLIs switch on. The error-bounded mode
 	// (MaxErr) is defined on the float64 oracle only.
 	Precision Precision
 	// MaxErr, when > 0, replaces the Ratio budget with an error-bounded

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -59,7 +60,7 @@ func BenchmarkCompressWindow(b *testing.B) {
 	b.SetBytes(int64(w.TotalSamples()) * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := comp.CompressWindow(w); err != nil {
+		if _, err := Compress(context.Background(), comp, w, Copy); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -71,7 +72,7 @@ func BenchmarkCompressWindow32(b *testing.B) {
 	b.SetBytes(int64(w.TotalSamples()) * 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := comp.CompressWindow32(w); err != nil {
+		if _, err := Compress(context.Background(), comp, w, Copy); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -80,7 +81,7 @@ func BenchmarkCompressWindow32(b *testing.B) {
 func BenchmarkDecompressWindow(b *testing.B) {
 	w := benchWindow(24, 10)
 	comp := benchCompressor(b)
-	cw, err := comp.CompressWindow(w)
+	cw, err := Compress(context.Background(), comp, w, Copy)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func BenchmarkDecompressWindow(b *testing.B) {
 func BenchmarkDecompressWindow32(b *testing.B) {
 	w := benchWindow32(benchWindow(24, 10))
 	comp := benchCompressor(b)
-	cw, err := comp.CompressWindow32(w)
+	cw, err := Compress(context.Background(), comp, w, Copy)
 	if err != nil {
 		b.Fatal(err)
 	}

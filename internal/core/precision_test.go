@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -148,7 +149,7 @@ func TestFloat32CompressSerializeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cw, err := c.CompressWindow32(w)
+		cw, err := Compress(context.Background(), c, w, Copy)
 		if err != nil {
 			t.Fatalf("%s: compress32: %v", cdc.Name(), err)
 		}
@@ -208,7 +209,7 @@ func TestLegacyFloat64HeaderHasNoPrecisionFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cw, err := c.CompressWindow(w)
+	cw, err := Compress(context.Background(), c, w, Copy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +243,7 @@ func TestFloat32ProgressiveLevels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cw, err := c.CompressWindow32(w)
+	cw, err := Compress(context.Background(), c, w, Copy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,11 +296,8 @@ func TestFloat32MaxErrRejected(t *testing.T) {
 	}
 	o.Precision = Float64
 	d := grid.Dims{Nx: 8, Ny: 8, Nz: 8}
-	if _, err := NewWriter32(o, d, func(*CompressedWindow) error { return nil }); err == nil {
-		t.Fatal("NewWriter32 accepted MaxErr options")
-	}
-	if _, err := NewAsyncWriter32(o, d, 2, func(*CompressedWindow) error { return nil }); err == nil {
-		t.Fatal("NewAsyncWriter32 accepted MaxErr options")
+	if _, err := NewWriterOf[float32](o, d, func(*CompressedWindow) error { return nil }); err == nil {
+		t.Fatal("NewWriterOf[float32] accepted MaxErr options")
 	}
 }
 
@@ -317,7 +315,7 @@ func TestFloat32WorkerBitDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cw, err := c.CompressWindow32(w.Clone())
+		cw, err := Compress(context.Background(), c, w.Clone(), Copy)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -346,7 +344,7 @@ func TestDecompressSlice32MatchesFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cw, err := c.CompressWindow32(w)
+	cw, err := Compress(context.Background(), c, w, Copy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +370,7 @@ func TestWriter32Stream(t *testing.T) {
 	o := DefaultOptions()
 	o.WindowSize = 4
 	var got []*CompressedWindow
-	w, err := NewWriter32(o, d, func(cw *CompressedWindow) error {
+	w, err := NewWriterOf[float32](o, d, func(cw *CompressedWindow) error {
 		got = append(got, cw)
 		return nil
 	})
@@ -402,62 +400,6 @@ func TestWriter32Stream(t *testing.T) {
 	}
 	if want := int64(d.Len()) * 4 * 4; st.PeakBufferSize != want {
 		t.Fatalf("peak buffer %d bytes, want %d (float32 samples)", st.PeakBufferSize, want)
-	}
-}
-
-func TestAsyncWriter32MatchesSync(t *testing.T) {
-	d := grid.Dims{Nx: 10, Ny: 8, Nz: 6}
-	o := DefaultOptions()
-	o.WindowSize = 5
-	o.Workers = 2
-
-	serialize := func(cw *CompressedWindow) []byte {
-		var buf bytes.Buffer
-		if _, err := cw.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-
-	var syncOut [][]byte
-	sw, err := NewWriter32(o, d, func(cw *CompressedWindow) error {
-		syncOut = append(syncOut, serialize(cw))
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var asyncOut [][]byte
-	aw, err := NewAsyncWriter32(o, d, 3, func(cw *CompressedWindow) error {
-		asyncOut = append(asyncOut, serialize(cw))
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	src := coherentWindow32(d, 10, 0.6)
-	for i, f := range src.Slices {
-		if err := sw.WriteSlice(f, float64(i)); err != nil {
-			t.Fatal(err)
-		}
-		if err := aw.WriteSlice(f, float64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := aw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if len(syncOut) != len(asyncOut) {
-		t.Fatalf("sync %d windows vs async %d", len(syncOut), len(asyncOut))
-	}
-	for i := range syncOut {
-		if !bytes.Equal(syncOut[i], asyncOut[i]) {
-			t.Fatalf("window %d differs between sync and async f32 writers", i)
-		}
 	}
 }
 
@@ -514,7 +456,7 @@ func TestFloat32PipelineMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cw64, err := c.CompressWindow(w64)
+			cw64, err := Compress(context.Background(), c, w64, Copy)
 			if err != nil {
 				t.Fatalf("%v slices=%d: f64 compress: %v", kernel, slices, err)
 			}
@@ -529,7 +471,7 @@ func TestFloat32PipelineMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cw32, err := c32.CompressWindow32(w32)
+			cw32, err := Compress(context.Background(), c32, w32, Copy)
 			if err != nil {
 				t.Fatalf("%v slices=%d: f32 compress: %v", kernel, slices, err)
 			}

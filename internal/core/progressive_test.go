@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"math"
 	"slices"
@@ -168,7 +169,7 @@ func TestProgressiveFullDecodeMatchesLegacy(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pcw, err := pc.CompressWindow(w)
+			pcw, err := Compress(context.Background(), pc, w, Copy)
 			if err != nil {
 				t.Fatalf("%s/%s progressive compress: %v", cdc.Name(), g.name, err)
 			}
@@ -205,7 +206,7 @@ func TestDecompressLevelsGeometry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cw, err := c.CompressWindow(w)
+	cw, err := Compress(context.Background(), c, w, Copy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +254,7 @@ func TestProgressiveSerializeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cw, err := c.CompressWindow(w)
+		cw, err := Compress(context.Background(), c, w, Copy)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,7 +323,7 @@ func TestDropFinestLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cw, err := c.CompressWindow(w)
+	cw, err := Compress(context.Background(), c, w, Copy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +381,7 @@ func TestProgressiveLegacyInterop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cw, err := c.CompressWindow(w)
+	cw, err := Compress(context.Background(), c, w, Copy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +426,7 @@ func TestProgressiveTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cw, err := c.CompressWindow(w)
+	cw, err := Compress(context.Background(), c, w, Copy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +475,7 @@ func TestReadCompressedWindowLevelsStopsReading(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cw, err := c.CompressWindow(w)
+	cw, err := Compress(context.Background(), c, w, Copy)
 	if err != nil {
 		t.Fatal(err)
 	}

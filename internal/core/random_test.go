@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -35,7 +36,7 @@ func TestDecompressSliceWindowBoundaries(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, slices := range []int{8, 3, 2, 1} {
-		cw, err := comp.CompressWindow(boundaryTestWindow(d, slices))
+		cw, err := Compress(context.Background(), comp, boundaryTestWindow(d, slices), Copy)
 		if err != nil {
 			t.Fatalf("window of %d slices: %v", slices, err)
 		}
@@ -69,7 +70,7 @@ func TestDecompressSliceOneSliceWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cw, err := comp.CompressWindow(boundaryTestWindow(d, 1))
+	cw, err := Compress(context.Background(), comp, boundaryTestWindow(d, 1), Copy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestDecompressSliceTemporalSubsampling(t *testing.T) {
 		t.Fatal(err)
 	}
 	orig := boundaryTestWindow(d, 8)
-	cw, err := comp.CompressWindow(orig)
+	cw, err := Compress(context.Background(), comp, orig, Copy)
 	if err != nil {
 		t.Fatal(err)
 	}

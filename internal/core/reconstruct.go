@@ -156,7 +156,7 @@ func DecompressCtx(ctx context.Context, cw *CompressedWindow) (*grid.Window, err
 }
 
 // Decompress32 is Reconstruct[float32] of the whole window: the
-// bit-faithful reconstruction of a window compressed by CompressWindow32.
+// bit-faithful reconstruction of a window compressed by Compress[float32].
 func Decompress32(cw *CompressedWindow) (*grid.Window32, error) {
 	return Reconstruct[float32](context.Background(), cw, Query{MaxLevel: All, Slice: All})
 }

@@ -46,7 +46,7 @@ func queryWindow[F num.Float](t *testing.T, o Options, d grid.Dims, slices int) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	cw, err := CompressWindowOf(context.Background(), c, w)
+	cw, err := Compress(context.Background(), c, w, Copy)
 	if err != nil {
 		t.Fatal(err)
 	}

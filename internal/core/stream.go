@@ -12,26 +12,24 @@ import (
 // typically a storage tier, a file, or a test collector.
 type Sink func(*CompressedWindow) error
 
-// Writer accumulates time slices as a simulation emits them and compresses
-// a window whenever WindowSize slices have been buffered — the Figure 1
-// workflow. In 3D mode every slice is compressed individually the moment it
-// arrives (no buffering).
+// WriterOf accumulates time slices of precision F as a simulation emits
+// them and compresses a window whenever WindowSize slices have been
+// buffered — the Figure 1 workflow. In 3D mode every slice is compressed
+// individually the moment it arrives. A float32 writer stays at 4 bytes
+// per sample from the caller's slice to the encoded bytes.
 //
-// Writer is not safe for concurrent use; simulations emit slices in order.
-type Writer = WriterOf[float64]
-
-// Writer32 is the single-precision streaming writer: float32 slices are
-// buffered and compressed without ever widening to float64, so a float32
-// simulation source stays at 4 bytes per sample from fill to durable
-// bytes.
-type Writer32 = WriterOf[float32]
-
-// WriterOf is the precision-generic streaming writer behind Writer and
-// Writer32.
+// The writer owns its pending window: each slice is copied once, in
+// WriteSlice, and the window is compressed InPlace. Under MaxErr it is
+// compressed Copy, because the bound is verified against the raw samples.
+//
+// WriterOf is not safe for concurrent use; simulations emit slices in
+// order.
 type WriterOf[F num.Float] struct {
 	comp    *Compressor
 	sink    Sink
 	dims    grid.Dims
+	in      Input
+	target  int // slices per window: WindowSize, or 1 in 3D mode
 	pending *grid.WindowOf[F]
 	ctx     context.Context
 
@@ -43,29 +41,13 @@ type WriterOf[F num.Float] struct {
 	peakBufferSize int64
 }
 
-// NewWriter creates a streaming writer feeding compressed windows to sink.
-func NewWriter(opts Options, dims grid.Dims, sink Sink) (*Writer, error) {
-	return newWriterOf[float64](opts, dims, sink)
-}
-
-// NewWriter32 creates a single-precision streaming writer. Options with
-// MaxErr set are rejected (the error-bounded mode runs on the float64
-// oracle).
-func NewWriter32(opts Options, dims grid.Dims, sink Sink) (*Writer32, error) {
-	return NewWriterOf[float32](opts, dims, sink)
-}
-
-// NewWriterOf creates a streaming writer at either sample precision — the
-// generic entry behind NewWriter and NewWriter32 for callers that are
-// themselves generic over the precision.
+// NewWriterOf creates a streaming writer feeding compressed windows to
+// sink. Options with MaxErr set are rejected at F = float32 (the
+// error-bounded mode runs on the float64 oracle).
 func NewWriterOf[F num.Float](opts Options, dims grid.Dims, sink Sink) (*WriterOf[F], error) {
 	if num.Is32[F]() && opts.MaxErr > 0 {
 		return nil, fmt.Errorf("core: error-bounded mode (MaxErr) requires the float64 pipeline")
 	}
-	return newWriterOf[F](opts, dims, sink)
-}
-
-func newWriterOf[F num.Float](opts Options, dims grid.Dims, sink Sink) (*WriterOf[F], error) {
 	comp, err := New(opts)
 	if err != nil {
 		return nil, err
@@ -76,7 +58,14 @@ func newWriterOf[F num.Float](opts Options, dims grid.Dims, sink Sink) (*WriterO
 	if sink == nil {
 		return nil, fmt.Errorf("core: nil sink")
 	}
-	return &WriterOf[F]{comp: comp, sink: sink, dims: dims, ctx: context.Background()}, nil
+	w := &WriterOf[F]{comp: comp, sink: sink, dims: dims, in: InPlace, target: opts.WindowSize, ctx: context.Background()}
+	if opts.MaxErr > 0 {
+		w.in = Copy
+	}
+	if opts.Mode == Spatial3D {
+		w.target = 1
+	}
+	return w, nil
 }
 
 // SetContext installs the context used when compressing flushed windows.
@@ -90,39 +79,26 @@ func (w *WriterOf[F]) SetContext(ctx context.Context) {
 	w.ctx = ctx
 }
 
-// WriteSlice appends one time slice at simulation time t. The slice is
-// cloned during compression, so the caller may reuse its buffer after the
-// call returns. When a window fills, it is compressed and flushed to the
-// sink before WriteSlice returns.
+// WriteSlice appends a copy of one time slice at simulation time t, so
+// the caller may reuse its buffer after the call returns. When a window
+// fills, it is compressed and flushed to the sink before WriteSlice
+// returns.
 func (w *WriterOf[F]) WriteSlice(f *grid.Field3DOf[F], t float64) error {
 	if f.Dims != w.dims {
 		return fmt.Errorf("core: slice dims %v != writer dims %v", f.Dims, w.dims)
 	}
 	w.slicesIn++
-
-	if w.comp.opts.Mode == Spatial3D {
-		// No temporal buffering: compress the single slice immediately.
-		win := grid.NewWindowOf[F](w.dims)
-		if err := win.Append(f, t); err != nil {
-			return err
-		}
-		return w.flushWindow(win)
-	}
-
 	if w.pending == nil {
 		w.pending = grid.NewWindowOf[F](w.dims)
 	}
-	// Buffer a private copy: the simulation will overwrite its buffers.
 	if err := w.pending.Append(f.Clone(), t); err != nil {
 		return err
 	}
 	if sz := int64(w.pending.TotalSamples()) * int64(num.SampleBytes[F]()); sz > w.peakBufferSize {
 		w.peakBufferSize = sz
 	}
-	if w.pending.Len() >= w.comp.opts.WindowSize {
-		win := w.pending
-		w.pending = nil
-		return w.flushWindow(win)
+	if w.pending.Len() >= w.target {
+		return w.Flush()
 	}
 	return nil
 }
@@ -134,11 +110,7 @@ func (w *WriterOf[F]) Flush() error {
 	}
 	win := w.pending
 	w.pending = nil
-	return w.flushWindow(win)
-}
-
-func (w *WriterOf[F]) flushWindow(win *grid.WindowOf[F]) error {
-	cw, err := compressWindowOf(w.ctx, w.comp, win)
+	cw, err := Compress(w.ctx, w.comp, win, w.in)
 	if err != nil {
 		return err
 	}

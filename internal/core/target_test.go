@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -96,7 +97,7 @@ func TestDecompressSliceMatchesFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cw, err := comp.CompressWindow(w)
+	cw, err := Compress(context.Background(), comp, w, Copy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestDecompressSliceWorksFor3DMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cw, err := comp.CompressWindow(w)
+	cw, err := Compress(context.Background(), comp, w, Copy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestDecompressSliceValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cw, err := comp.CompressWindow(w)
+	cw, err := Compress(context.Background(), comp, w, Copy)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,7 +124,7 @@ func RunProgressiveStudy(sc Scale, progress io.Writer) (*ProgressiveResult, erro
 	if err != nil {
 		return nil, err
 	}
-	progCW, err := progComp.CompressWindow(win)
+	progCW, err := core.Compress(context.Background(), progComp, win, core.Copy)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -107,7 +108,9 @@ func RunTable1(sc Scale, progress io.Writer) (*Table1Result, error) {
 			return nil, err
 		}
 		start := time.Now()
-		cw, err := comp.CompressWindow(staged)
+		// The slices were just read back from the buffer, so the
+		// window is ours to transform.
+		cw, err := core.Compress(context.Background(), comp, staged, core.InPlace)
 		if err != nil {
 			return nil, err
 		}
@@ -153,7 +156,7 @@ func RunTable1(sc Scale, progress io.Writer) (*Table1Result, error) {
 				return nil, err
 			}
 			start := time.Now()
-			cw, err := comp.CompressWindow(single)
+			cw, err := core.Compress(context.Background(), comp, single, core.Copy)
 			if err != nil {
 				return nil, err
 			}

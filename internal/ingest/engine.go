@@ -88,7 +88,7 @@ func ParsePolicy(s string) (Policy, error) {
 	return 0, fmt.Errorf("ingest: unknown policy %q (want stall, degrade, or shed)", s)
 }
 
-// Config tunes an Engine.
+// Config tunes an EngineOf.
 type Config struct {
 	// Opts is the compression configuration; Opts.Ratio is the base
 	// (finest) target ratio, Opts.WindowSize the slices per window.
@@ -141,18 +141,11 @@ type windowJobOf[F num.Float] struct {
 	stageIDs []int
 }
 
-// Engine drives one streaming double-precision ingest run. Create with
-// NewEngine, call Run once.
-type Engine = EngineOf[float64]
-
-// Engine32 is the single-precision ingest engine: window buffers hold
+// EngineOf drives one streaming ingest run at sample precision F. Create
+// with NewEngineOf, call Run once. At F = float32 window buffers hold
 // float32 samples (half the raw-byte ledger per slice, so the same
 // MemBudget admits twice the slices) and compression runs the native
 // float32 pipeline down to the container bytes.
-type Engine32 = EngineOf[float32]
-
-// EngineOf is the precision-generic ingest engine behind Engine and
-// Engine32.
 type EngineOf[F num.Float] struct {
 	cfg     Config
 	w       *storage.ContainerWriter
@@ -169,24 +162,27 @@ type EngineOf[F num.Float] struct {
 	notify   chan struct{}
 }
 
-// NewEngine builds an engine appending to w. The writer stays owned by
-// the caller: on success close it to finalize the footer; after a failed
-// run the file is still a valid journal for RecoverContainer — that is
-// the crash-consistent drain.
-func NewEngine(cfg Config, dims grid.Dims, w *storage.ContainerWriter) (*Engine, error) {
+// NewEngine is NewEngineOf[float64], kept for the benchmark harness.
+func NewEngine(cfg Config, dims grid.Dims, w *storage.ContainerWriter) (*EngineOf[float64], error) {
+	return NewEngineOf[float64](cfg, dims, w)
+}
+
+// NewEngine32 is NewEngineOf[float32], kept for the benchmark harness.
+func NewEngine32(cfg Config, dims grid.Dims, w *storage.ContainerWriter) (*EngineOf[float32], error) {
+	return NewEngineOf[float32](cfg, dims, w)
+}
+
+// NewEngineOf builds an engine appending to w at sample precision F,
+// which overrides cfg.Opts.Precision. At F = float32 the error-bounded
+// mode (MaxErr), defined on the float64 oracle, is rejected. The writer
+// stays owned by the caller: on success close it to finalize the footer;
+// after a failed run the file is still a valid journal for
+// RecoverContainer — that is the crash-consistent drain.
+func NewEngineOf[F num.Float](cfg Config, dims grid.Dims, w *storage.ContainerWriter) (*EngineOf[F], error) {
 	cfg.Opts.Precision = core.Float64
-	return newEngineOf[float64](cfg, dims, w)
-}
-
-// NewEngine32 builds a single-precision engine appending to w. The
-// error-bounded mode (MaxErr) is defined on the float64 oracle and is
-// rejected.
-func NewEngine32(cfg Config, dims grid.Dims, w *storage.ContainerWriter) (*Engine32, error) {
-	cfg.Opts.Precision = core.Float32
-	return newEngineOf[float32](cfg, dims, w)
-}
-
-func newEngineOf[F num.Float](cfg Config, dims grid.Dims, w *storage.ContainerWriter) (*EngineOf[F], error) {
+	if num.Is32[F]() {
+		cfg.Opts.Precision = core.Float32
+	}
 	if w == nil {
 		return nil, fmt.Errorf("ingest: nil container writer")
 	}
@@ -432,11 +428,11 @@ func (e *EngineOf[F]) produceWindow(pipe *core.Pipeline, nextID *int, src Source
 	*nextID++
 	_, err := pipe.Submit(func() (*core.CompressedWindow, error) {
 		cstart := time.Now()
-		compress := core.CompressWindowInPlaceOf[F]
+		in := core.InPlace
 		if e.cfg.Opts.MaxErr > 0 {
-			compress = core.CompressWindowOf[F] // verifies against the raw samples, so keeps them
+			in = core.Copy // verifies against the raw samples, so keeps them
 		}
-		cw, err := compress(context.Background(), comp, win)
+		cw, err := core.Compress(context.Background(), comp, win, in)
 		if err == nil {
 			obs.Default().Histogram("ingest.compress_seconds").ObserveSince(cstart)
 		}
@@ -573,11 +569,11 @@ func (e *EngineOf[F]) appendWindow(job *windowJobOf[F], cw *core.CompressedWindo
 			e.stats.DegradeSteps++
 			e.mu.Unlock()
 			obs.Default().Counter("ingest.degrade_steps_total").Add(1)
-			recompress := core.RecompressCoefficientsOf[F]
+			in := core.Coefficients
 			if e.cfg.Opts.MaxErr > 0 {
-				recompress = core.CompressWindowOf[F]
+				in = core.Copy
 			}
-			recompressed, rerr := recompress(context.Background(), e.comps[rung], job.win)
+			recompressed, rerr := core.Compress(context.Background(), e.comps[rung], job.win, in)
 			if rerr != nil {
 				return rerr
 			}

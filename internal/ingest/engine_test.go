@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -107,7 +108,7 @@ func verifyTimeline(t *testing.T, path string) (windows, gapSlices, total int) {
 		if err != nil {
 			t.Fatalf("entry %d: rebuilding compressor: %v", i, err)
 		}
-		ref, err := comp.CompressWindow(refWindow(t, cw.Times))
+		ref, err := core.Compress(context.Background(), comp, refWindow(t, cw.Times), core.Copy)
 		if err != nil {
 			t.Fatalf("entry %d: recompressing reference: %v", i, err)
 		}
@@ -134,7 +135,7 @@ func TestIngestMatchesOfflineCompression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(Config{Opts: testOpts(), Workers: 2}, testDims(), w)
+	eng, err := NewEngineOf[float64](Config{Opts: testOpts(), Workers: 2}, testDims(), w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestIngestStallAdmission(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "stall.stw")
 	w, release := gatedWriter(t, path)
 	budget := int64(4) * int64(testDims().Len()) * 8 // exactly one window
-	eng, err := NewEngine(Config{
+	eng, err := NewEngineOf[float64](Config{
 		Opts: testOpts(), Workers: 2, MemBudget: budget,
 		Policy: PolicyStall, RetryEvery: 2 * time.Millisecond,
 	}, testDims(), w)
@@ -254,7 +255,7 @@ func TestIngestShedAdmission(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "shed.stw")
 	w, release := gatedWriter(t, path)
 	budget := int64(4) * int64(testDims().Len()) * 8
-	eng, err := NewEngine(Config{
+	eng, err := NewEngineOf[float64](Config{
 		Opts: testOpts(), Workers: 2, MemBudget: budget,
 		Policy: PolicyShed, RetryEvery: 2 * time.Millisecond,
 	}, testDims(), w)
@@ -311,7 +312,7 @@ func TestIngestDegradeAdmission(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "degrade.stw")
 	w, release := gatedWriter(t, path)
 	budget := int64(4) * int64(testDims().Len()) * 8
-	eng, err := NewEngine(Config{
+	eng, err := NewEngineOf[float64](Config{
 		Opts: testOpts(), Workers: 2, MemBudget: budget,
 		Policy: PolicyDegrade, Ladder: []float64{8, 16},
 		RetryEvery: 2 * time.Millisecond,
@@ -369,7 +370,7 @@ func TestIngestStagesThroughBurstBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(Config{Opts: testOpts(), Workers: 2, Stage: stage}, testDims(), w)
+	eng, err := NewEngineOf[float64](Config{Opts: testOpts(), Workers: 2, Stage: stage}, testDims(), w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,19 +402,19 @@ func TestEngineValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close() //stlint:ignore uncheckederr validation-only writer
-	if _, err := NewEngine(Config{Opts: testOpts()}, grid.Dims{}, w); err == nil {
+	if _, err := NewEngineOf[float64](Config{Opts: testOpts()}, grid.Dims{}, w); err == nil {
 		t.Error("invalid dims accepted")
 	}
-	if _, err := NewEngine(Config{Opts: testOpts()}, testDims(), nil); err == nil {
+	if _, err := NewEngineOf[float64](Config{Opts: testOpts()}, testDims(), nil); err == nil {
 		t.Error("nil writer accepted")
 	}
-	if _, err := NewEngine(Config{Opts: testOpts(), Policy: PolicyDegrade}, testDims(), w); err == nil {
+	if _, err := NewEngineOf[float64](Config{Opts: testOpts(), Policy: PolicyDegrade}, testDims(), w); err == nil {
 		t.Error("degrade without ladder accepted")
 	}
-	if _, err := NewEngine(Config{Opts: testOpts(), Ladder: []float64{2}}, testDims(), w); err == nil {
+	if _, err := NewEngineOf[float64](Config{Opts: testOpts(), Ladder: []float64{2}}, testDims(), w); err == nil {
 		t.Error("non-coarsening ladder accepted")
 	}
-	eng, err := NewEngine(Config{Opts: testOpts()}, testDims(), w)
+	eng, err := NewEngineOf[float64](Config{Opts: testOpts()}, testDims(), w)
 	if err != nil {
 		t.Fatal(err)
 	}

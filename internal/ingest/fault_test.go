@@ -8,6 +8,7 @@ package ingest
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -51,7 +52,7 @@ func recordSize(t *testing.T, times []float64, ratio float64) int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cw, err := comp.CompressWindow(refWindow(t, times))
+	cw, err := core.Compress(context.Background(), comp, refWindow(t, times), core.Copy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ const gapRecordSize = core.RecordHeaderSize + core.GapMarkerSize
 func TestIngestTransientWriteErrors(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "eio.stw")
 	w, ff := faultWriter(t, path)
-	eng, err := NewEngine(Config{Opts: testOpts(), Workers: 2, Policy: PolicyStall}, testDims(), w)
+	eng, err := NewEngineOf[float64](Config{Opts: testOpts(), Workers: 2, Policy: PolicyStall}, testDims(), w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestIngestTransientWriteErrors(t *testing.T) {
 func TestIngestENOSPCStall(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "stall.stw")
 	w, ff := faultWriter(t, path)
-	eng, err := NewEngine(Config{
+	eng, err := NewEngineOf[float64](Config{
 		Opts: testOpts(), Workers: 2, Policy: PolicyStall,
 		RetryEvery: 2 * time.Millisecond,
 	}, testDims(), w)
@@ -131,7 +132,7 @@ func TestIngestENOSPCStall(t *testing.T) {
 func TestIngestENOSPCDegrade(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "degrade.stw")
 	w, ff := faultWriter(t, path)
-	eng, err := NewEngine(Config{
+	eng, err := NewEngineOf[float64](Config{
 		Opts: testOpts(), Workers: 1, Policy: PolicyDegrade,
 		Ladder: []float64{8, 16}, RetryEvery: 2 * time.Millisecond,
 	}, testDims(), w)
@@ -186,7 +187,7 @@ func TestIngestENOSPCDegrade(t *testing.T) {
 func TestIngestENOSPCShed(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "shed.stw")
 	w, ff := faultWriter(t, path)
-	eng, err := NewEngine(Config{
+	eng, err := NewEngineOf[float64](Config{
 		Opts: testOpts(), Workers: 2, Policy: PolicyShed,
 		RetryEvery: 2 * time.Millisecond,
 	}, testDims(), w)
@@ -231,7 +232,7 @@ func TestIngestFsyncFailure(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fsync.stw")
 	w, ff := faultWriter(t, path)
 	w.Sync = storage.SyncPerWindow
-	eng, err := NewEngine(Config{
+	eng, err := NewEngineOf[float64](Config{
 		Opts: testOpts(), Workers: 1, Policy: PolicyStall,
 		RetryEvery: 2 * time.Millisecond,
 	}, testDims(), w)
@@ -278,7 +279,7 @@ func TestIngestENOSPCDegradeShedsLevels(t *testing.T) {
 	opts := testOpts()
 	opts.Progressive = true
 	opts.SpatialKernel = wavelet.Haar // 8^3 supports several Haar levels
-	eng, err := NewEngine(Config{
+	eng, err := NewEngineOf[float64](Config{
 		Opts: opts, Workers: 1, Policy: PolicyDegrade,
 		Ladder: []float64{8}, RetryEvery: 2 * time.Millisecond,
 	}, testDims(), w)
@@ -289,7 +290,7 @@ func TestIngestENOSPCDegradeShedsLevels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := comp.CompressWindow(refWindow(t, sliceTimes(0, 4)))
+	full, err := core.Compress(context.Background(), comp, refWindow(t, sliceTimes(0, 4)), core.Copy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +349,7 @@ func TestIngestENOSPCDegradeShedsLevels(t *testing.T) {
 func TestIngestTornWrite(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "torn.stw")
 	w, ff := faultWriter(t, path)
-	eng, err := NewEngine(Config{
+	eng, err := NewEngineOf[float64](Config{
 		Opts: testOpts(), Workers: 1, Policy: PolicyStall,
 		RetryEvery: 2 * time.Millisecond,
 	}, testDims(), w)
@@ -381,7 +382,7 @@ func TestIngestTornWrite(t *testing.T) {
 func TestIngestCrashConsistentDrain(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "crash.stw")
 	w, ff := faultWriter(t, path)
-	eng, err := NewEngine(Config{
+	eng, err := NewEngineOf[float64](Config{
 		Opts: testOpts(), Workers: 2, Policy: PolicyStall,
 		Deadline: 300 * time.Millisecond, RetryEvery: 5 * time.Millisecond,
 	}, testDims(), w)

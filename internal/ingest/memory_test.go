@@ -17,7 +17,7 @@ func runWithBudget(t *testing.T, windows int, budget int64) int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(Config{
+	eng, err := NewEngineOf[float64](Config{
 		Opts: testOpts(), Workers: 4, MemBudget: budget,
 		Policy: PolicyStall, RetryEvery: time.Millisecond,
 	}, testDims(), w)

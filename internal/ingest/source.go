@@ -12,7 +12,7 @@
 //
 // Both sample precisions stream through the same engine: the float64 path
 // is the reference pipeline, and the float32 path (SourceOf[float32],
-// NewEngine32) keeps single-precision sources at 4 bytes per sample from
+// NewEngineOf[float32]) keeps single-precision sources at 4 bytes per sample from
 // the solver fill through the durable container bytes — the window
 // buffers, the staging tier, and the compressed payload never widen.
 package ingest

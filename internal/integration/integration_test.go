@@ -57,7 +57,7 @@ func TestSimulationToContainerAndBack(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.WindowSize = 10
 	opts.Ratio = 16
-	writer, err := core.NewWriter(opts, src.Dims, func(cw *core.CompressedWindow) error {
+	writer, err := core.NewWriterOf[float64](opts, src.Dims, func(cw *core.CompressedWindow) error {
 		_, err := container.Append(cw)
 		return err
 	})
@@ -286,7 +286,7 @@ func TestContainerFaultInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cw, err := comp.CompressWindow(w)
+	cw, err := core.Compress(context.Background(), comp, w, core.Copy)
 	if err != nil {
 		t.Fatal(err)
 	}

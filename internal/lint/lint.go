@@ -101,7 +101,7 @@ type Config struct {
 	// BudgetOwners lists the functions allowed to resolve a worker
 	// budget (call par.Workers / runtime.NumCPU / runtime.GOMAXPROCS)
 	// inside BudgetScope, as "path-suffix.FuncName" entries like
-	// "internal/core.CompressWindowCtx".
+	// "internal/core.Compress".
 	BudgetOwners []string
 }
 
@@ -151,15 +151,10 @@ func DefaultConfig() Config {
 			"internal/server",
 		},
 		BudgetOwners: []string{
-			// The precision-generic bodies are the shared entry points
-			// behind both the float64 and float32 wrappers (CompressWindowCtx,
-			// CompressWindow32Ctx, ...): each resolves the budget exactly once
-			// per call and hands shares down, so they are the owners now.
-			"internal/core.compressWindowOf",
-			// The in-place ingest entry points are compressWindowOf
-			// without the working copy.
-			"internal/core.CompressWindowInPlaceOf",
-			"internal/core.RecompressCoefficientsOf",
+			// The one compress body: every input contract (Copy,
+			// InPlace, Coefficients) at either precision. It resolves
+			// the budget once per call and hands shares down.
+			"internal/core.Compress",
 			// The one decode body: every reconstruction query (full,
 			// levels=K, one slice) at either precision.
 			"internal/core.Reconstruct",

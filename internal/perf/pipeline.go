@@ -120,7 +120,7 @@ func RunPipeline(ctx context.Context, cfg Config, progress io.Writer) ([]Result,
 	if err := transform.Forward4D(transformed, spec); err != nil {
 		return nil, err
 	}
-	cw, err := comp.CompressWindow(w)
+	cw, err := core.Compress(context.Background(), comp, w, core.Copy)
 	if err != nil {
 		return nil, err
 	}
@@ -179,7 +179,7 @@ func RunPipeline(ctx context.Context, cfg Config, progress io.Writer) ([]Result,
 	if err != nil {
 		return nil, err
 	}
-	progCW, err := progComp.CompressWindow(w)
+	progCW, err := core.Compress(context.Background(), progComp, w, core.Copy)
 	if err != nil {
 		return nil, err
 	}
@@ -193,15 +193,17 @@ func RunPipeline(ctx context.Context, cfg Config, progress io.Writer) ([]Result,
 	}
 	defer os.RemoveAll(dir)
 	contPath := filepath.Join(dir, "bench.stw")
-	if err := writeBenchContainer(contPath, comp, w); err != nil {
+	if err := writeBenchContainer(contPath, opts, w); err != nil {
 		return nil, err
 	}
 	progPath := filepath.Join(dir, "bench-prog.stw")
-	if err := writeBenchContainer(progPath, progComp, w); err != nil {
+	if err := writeBenchContainer(progPath, progOpts, w); err != nil {
 		return nil, err
 	}
 	path32 := filepath.Join(dir, "bench-f32.stw")
-	if err := writeBenchContainer32(path32, opts, w32); err != nil {
+	opts32 := opts
+	opts32.Precision = core.Float32
+	if err := writeBenchContainer(path32, opts32, w32); err != nil {
 		return nil, err
 	}
 	reader, err := storage.OpenContainer(contPath)
@@ -260,7 +262,7 @@ func RunPipeline(ctx context.Context, cfg Config, progress io.Writer) ([]Result,
 			return nil
 		}},
 		{"core.compress_window", rawBytes, func(ctx context.Context) error {
-			_, err := comp.CompressWindowCtx(ctx, w)
+			_, err := core.Compress(ctx, comp, w, core.Copy)
 			return err
 		}},
 		{"core.decompress_window", rawBytes, func(ctx context.Context) error {
@@ -284,7 +286,7 @@ func RunPipeline(ctx context.Context, cfg Config, progress io.Writer) ([]Result,
 			return nil
 		}},
 		{"core.compress_window_entropy", rawBytes, func(ctx context.Context) error {
-			_, err := entComp.CompressWindowCtx(ctx, w)
+			_, err := core.Compress(ctx, entComp, w, core.Copy)
 			return err
 		}},
 		{"storage.write_container", cw.EncodedSizeBytes(), func(ctx context.Context) error {
@@ -325,7 +327,7 @@ func RunPipeline(ctx context.Context, cfg Config, progress io.Writer) ([]Result,
 			return transform.Forward4DCtx(ctx, work32, spec)
 		}},
 		{"core.compress_window_f32", rawBytes32, func(ctx context.Context) error {
-			_, err := comp.CompressWindow32Ctx(ctx, w32)
+			_, err := core.Compress(ctx, comp, w32, core.Copy)
 			return err
 		}},
 		{"server.slice_cold_f32", sliceBytes, func(ctx context.Context) error {
@@ -352,7 +354,7 @@ func RunPipeline(ctx context.Context, cfg Config, progress io.Writer) ([]Result,
 			return nil, err
 		}
 		suite = append(suite, pipelineBenchmark{sw.name, rawBytes, func(ctx context.Context) error {
-			_, err := scomp.CompressWindowCtx(ctx, w)
+			_, err := core.Compress(ctx, scomp, w, core.Copy)
 			return err
 		}})
 	}
@@ -411,7 +413,7 @@ func RunPipeline(ctx context.Context, cfg Config, progress io.Writer) ([]Result,
 			if err != nil {
 				return err
 			}
-			eng, err := ingest.NewEngine(ingest.Config{
+			eng, err := ingest.NewEngineOf[float64](ingest.Config{
 				Opts: ingestOpts, Workers: 2,
 				MemBudget: ingestBudget, Policy: ingest.PolicyStall,
 			}, ingestDims, cont)
@@ -479,43 +481,14 @@ func RunPipeline(ctx context.Context, cfg Config, progress io.Writer) ([]Result,
 	return results, nil
 }
 
-// writeBenchContainer32 streams the float32 bench window into a fresh
-// container via the native single-precision writer.
-func writeBenchContainer32(path string, opts core.Options, w *grid.Window32) error {
+// writeBenchContainer streams the bench window into a fresh container
+// through the streaming writer at the window's sample precision.
+func writeBenchContainer[F num.Float](path string, opts core.Options, w *grid.WindowOf[F]) error {
 	cont, err := storage.CreateContainer(path)
 	if err != nil {
 		return err
 	}
-	o := opts
-	o.Precision = core.Float32
-	writer, err := core.NewWriter32(o, w.Dims, func(cw *core.CompressedWindow) error {
-		_, err := cont.Append(cw)
-		return err
-	})
-	if err != nil {
-		cont.Close() //stlint:ignore uncheckederr the construction error is what matters
-		return err
-	}
-	for i, s := range w.Slices {
-		if err := writer.WriteSlice(s, float64(i)); err != nil {
-			cont.Close() //stlint:ignore uncheckederr the write error is what matters
-			return err
-		}
-	}
-	if err := writer.Flush(); err != nil {
-		cont.Close() //stlint:ignore uncheckederr the flush error is what matters
-		return err
-	}
-	return cont.Close()
-}
-
-// writeBenchContainer streams the bench window into a fresh container.
-func writeBenchContainer(path string, comp *core.Compressor, w *grid.Window) error {
-	cont, err := storage.CreateContainer(path)
-	if err != nil {
-		return err
-	}
-	writer, err := core.NewWriter(comp.Options(), w.Dims, func(cw *core.CompressedWindow) error {
+	writer, err := core.NewWriterOf[F](opts, w.Dims, func(cw *core.CompressedWindow) error {
 		_, err := cont.Append(cw)
 		return err
 	})

@@ -2,7 +2,7 @@
 // size-classed sync.Pools for the temporary float64, float32, and uint64 slices the
 // compression hot path burns through (transform tile slabs, threshold
 // candidate buffers, cloned work windows). Reusing them drives the
-// steady-state allocation count of core.CompressWindow toward zero.
+// steady-state allocation count of core.Compress toward zero.
 //
 // Buffers are pooled by power-of-two capacity class. Get functions return
 // a slice of exactly the requested length whose contents are arbitrary —

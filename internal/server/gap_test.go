@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -51,7 +52,7 @@ func buildGapContainer(t testing.TB, d grid.Dims, layout string) string {
 				}
 				slice++
 			}
-			cw, err := comp.CompressWindow(win)
+			cw, err := core.Compress(context.Background(), comp, win, core.Copy)
 			if err != nil {
 				t.Fatal(err)
 			}

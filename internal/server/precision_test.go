@@ -29,7 +29,7 @@ func buildContainer32(t testing.TB, d grid.Dims, numSlices, windowSize int, prog
 	if err != nil {
 		t.Fatal(err)
 	}
-	writer, err := core.NewWriter32(opts, d, func(w *core.CompressedWindow) error {
+	writer, err := core.NewWriterOf[float32](opts, d, func(w *core.CompressedWindow) error {
 		_, err := cw.Append(w)
 		return err
 	})

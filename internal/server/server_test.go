@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -48,7 +49,7 @@ func writeContainer(t testing.TB, d grid.Dims, numSlices int, opts core.Options,
 	if err != nil {
 		t.Fatal(err)
 	}
-	writer, err := core.NewWriter(opts, d, func(w *core.CompressedWindow) error {
+	writer, err := core.NewWriterOf[float64](opts, d, func(w *core.CompressedWindow) error {
 		_, err := cw.Append(w)
 		return err
 	})
@@ -440,15 +441,56 @@ func TestSliceTimeIndependentOfCacheBudget(t *testing.T) {
 	}
 }
 
+// TestRequestTimeout holds the only decompression slot, so a slice miss
+// waits in acquireSem until its deadline passes and must answer 504; once
+// the slot is free the same request succeeds.
 func TestRequestTimeout(t *testing.T) {
 	d := grid.Dims{Nx: 8, Ny: 8, Nz: 8}
 	cfg := DefaultConfig()
-	cfg.RequestTimeout = time.Nanosecond
-	_, ts := newTestServer(t, cfg, d, 5, 5)
+	cfg.MaxDecompress = 1
+	cfg.RequestTimeout = 50 * time.Millisecond
+	s, ts := newTestServer(t, cfg, d, 5, 5)
+	baseline := runtime.NumGoroutine()
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	get := func() (int, int) {
+		t.Helper()
+		resp, err := client.Get(ts.URL + "/v1/test/slice?t=0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, len(body)
+	}
 
-	resp, _ := get(t, ts.URL+"/v1/test/slice?t=0")
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Errorf("status %d, want %d", resp.StatusCode, http.StatusGatewayTimeout)
+	s.sem <- struct{}{}
+	if got, _ := get(); got != http.StatusGatewayTimeout {
+		t.Errorf("with the slot held: status %d, want %d", got, http.StatusGatewayTimeout)
+	}
+	// The abandoned flight is cancelled; wait for it to leave the group so
+	// the next request starts its own decode instead of joining it.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		s.flights.mu.Lock()
+		n := len(s.flights.m)
+		s.flights.mu.Unlock()
+		if n == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("timed-out flight never finished")
+		}
+	}
+	<-s.sem
+	if got, n := get(); got != http.StatusOK || n != d.Len()*4 {
+		t.Errorf("with the slot free: status %d with %d bytes, want %d with %d", got, n, http.StatusOK, d.Len()*4)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d before the requests, %d after", baseline, runtime.NumGoroutine())
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -39,7 +40,7 @@ func buildTestContainer(t testing.TB, numWindows, windowSize int, d grid.Dims) s
 				t.Fatal(err)
 			}
 		}
-		cw, err := comp.CompressWindow(win)
+		cw, err := core.Compress(context.Background(), comp, win, core.Copy)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package storage_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"os"
@@ -40,7 +41,7 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	cw, err := comp.CompressWindow(window)
+	cw, err := core.Compress(context.Background(), comp, window, core.Copy)
 	if err != nil {
 		panic(err)
 	}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -21,7 +22,7 @@ func compressTestWindow(t *testing.T, d grid.Dims, slices int) *core.CompressedW
 	if err != nil {
 		t.Fatal(err)
 	}
-	cw, err := comp.CompressWindow(testWindow(d, slices))
+	cw, err := core.Compress(context.Background(), comp, testWindow(d, slices), core.Copy)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func progressiveContainer(t *testing.T, d grid.Dims, slices int) *ContainerReade
 	if err != nil {
 		t.Fatal(err)
 	}
-	pcw, err := comp.CompressWindow(testWindow(d, slices))
+	pcw, err := core.Compress(context.Background(), comp, testWindow(d, slices), core.Copy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func progressiveContainer(t *testing.T, d grid.Dims, slices int) *ContainerReade
 	if err != nil {
 		t.Fatal(err)
 	}
-	lcw, err := lcomp.CompressWindow(testWindow(d, slices))
+	lcw, err := core.Compress(context.Background(), lcomp, testWindow(d, slices), core.Copy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestScanReportsProgressive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cw, err := comp.CompressWindow(testWindow(d, 4))
+	cw, err := core.Compress(context.Background(), comp, testWindow(d, 4), core.Copy)
 	if err != nil {
 		t.Fatal(err)
 	}

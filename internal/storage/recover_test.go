@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -59,7 +60,7 @@ func buildFramedCodec(t testing.TB, path string, numWindows int, cdc codec.Codec
 				t.Fatal(err)
 			}
 		}
-		cw, err := comp.CompressWindow(win)
+		cw, err := core.Compress(context.Background(), comp, win, core.Copy)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -623,7 +624,7 @@ func TestFaultInjectionWritePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cw, err := comp.CompressWindow(testWindow(d, 3))
+	cw, err := core.Compress(context.Background(), comp, testWindow(d, 3), core.Copy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -833,7 +834,7 @@ func TestSyncPolicies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cw, err := comp.CompressWindow(testWindow(d, 2))
+	cw, err := core.Compress(context.Background(), comp, testWindow(d, 2), core.Copy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -879,7 +880,7 @@ func TestAtomicClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cw, err := comp.CompressWindow(testWindow(d, 2))
+	cw, err := core.Compress(context.Background(), comp, testWindow(d, 2), core.Copy)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -127,11 +128,11 @@ func TestContainerRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cw1, err := comp.CompressWindow(testWindow(d, 5))
+	cw1, err := core.Compress(context.Background(), comp, testWindow(d, 5), core.Copy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cw2, err := comp.CompressWindow(testWindow(d, 3))
+	cw2, err := core.Compress(context.Background(), comp, testWindow(d, 3), core.Copy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +302,7 @@ func TestContainerDetectsPayloadCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cw, err := comp.CompressWindow(testWindow(d, 5))
+	cw, err := core.Compress(context.Background(), comp, testWindow(d, 5), core.Copy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +346,7 @@ func TestContainerDeflateOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cw, err := comp.CompressWindow(testWindow(d, 8))
+	cw, err := core.Compress(context.Background(), comp, testWindow(d, 8), core.Copy)
 	if err != nil {
 		t.Fatal(err)
 	}
