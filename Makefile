@@ -25,7 +25,8 @@ all: build vet test check
 # 1D wavelet round-trip at both precisions, the window deserializer
 # with a reconstruction query, the record-frame codec, the gap-marker codec,
 # the level-offset table parser of the progressive (v4) layout, the
-# entropy coder round-trip, the coefficient codec block decoders,
+# entropy coder round-trip, the entropy encoder's bytes against its
+# byte-at-a-time reference, the coefficient codec block decoders,
 # survivor selection against the serial threshold, and every codec's
 # survivor encoder against its dense encode.
 check: vet fmt-check lint docscheck bench-smoke
@@ -39,6 +40,7 @@ check: vet fmt-check lint docscheck bench-smoke
 	$(GO) test -run=NONE -fuzz=FuzzGapMarker -fuzztime=5s ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzLevelTable -fuzztime=5s ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzEntropyRoundtrip -fuzztime=5s ./internal/entropy
+	$(GO) test -run=NONE -fuzz=FuzzEncodeMatchesReference -fuzztime=5s ./internal/entropy
 	$(GO) test -run=NONE -fuzz=FuzzCodecDecode -fuzztime=5s ./internal/codec
 	$(GO) test -run=NONE -fuzz=FuzzSelectSurvivors -fuzztime=5s ./internal/compress
 	$(GO) test -run=NONE -fuzz=FuzzEncodeSurvivors -fuzztime=5s ./internal/codec

@@ -152,16 +152,36 @@ func signedZerosNaN(rng *rand.Rand, n int) []float64 {
 	return out
 }
 
+// extreme draws from extremeValues (magnitudes beyond the float64
+// bucket clamp among them) and their negations, with a normal draw in
+// every fourth slot so the cut lands between them too.
+func extreme(rng *rand.Rand, n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		switch v := extremeValues[rng.Intn(len(extremeValues))]; rng.Intn(4) {
+		case 0:
+			out[i] = rng.NormFloat64()
+		case 1:
+			out[i] = -v
+		default:
+			out[i] = v
+		}
+	}
+	return out
+}
+
 // TestSelectSurvivorsMatchesSerial is the property test of the survivor
 // hand-off: every keep in {0, 1, n/3, ties straddling a chunk boundary,
 // n-1, n, >n}, workers 1..8, both precisions, with single- and
-// multi-slice splits that do not align with the chunk grid.
+// multi-slice splits that do not align with the chunk grid, over mixed,
+// tie-heavy, extreme-magnitude and all-equal-key ("constant") inputs.
 func TestSelectSurvivorsMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	gens := map[string]func(*rand.Rand, int) []float64{
 		"mixed":    mixed,
 		"tieheavy": tieHeavy,
 		"zerosnan": signedZerosNaN,
+		"extreme":  extreme,
 		"constant": func(_ *rand.Rand, n int) []float64 {
 			out := make([]float64, n)
 			for i := range out {
@@ -231,6 +251,15 @@ func FuzzSelectSurvivors(f *testing.F) {
 		seed = binary.LittleEndian.AppendUint64(seed, math.Float64bits(v))
 	}
 	f.Add(seed, 3, uint8(2), uint16(0), uint16(3), false)
+	ext := make([]byte, 0, 8*len(extremeValues))
+	for _, v := range extremeValues {
+		ext = binary.LittleEndian.AppendUint64(ext, math.Float64bits(v))
+	}
+	f.Add(ext, 7, uint8(3), uint16(40), uint16(100), false)
+	f.Add(ext, 11, uint8(1), uint16(9000), uint16(5), true)
+	equal := binary.LittleEndian.AppendUint64(nil, math.Float64bits(-0.375))
+	f.Add(equal, 40000, uint8(4), uint16(19999), uint16(30000), false)
+	f.Add(equal, 17, uint8(2), uint16(100), uint16(7), true)
 	f.Add(seed, 5000, uint8(4), uint16(9000), uint16(33000), true)
 	f.Add([]byte{}, 0, uint8(1), uint16(0), uint16(0), false)
 

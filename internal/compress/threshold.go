@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"unsafe"
 
 	"stwave/internal/fbits"
 	"stwave/internal/num"
@@ -44,17 +45,35 @@ func KeepCount(total int, ratio float64) (int, error) {
 }
 
 // Selection runs on the raw IEEE-754 bit patterns of coefficient
-// magnitudes: for non-NaN doubles, clearing the sign bit leaves an
-// unsigned integer whose order matches the magnitude order exactly, so
-// the k-th largest magnitude is the k-th largest key. A histogram over the
-// top histBits bits of the keys narrows the cut to one bucket in a single
-// counting pass; only that bucket's keys (usually a small fraction of the
-// input) see the quickselect. NaN payloads rank above +Inf in key order —
-// a deterministic total order where float comparison has none.
+// magnitudes: for non-NaN values, clearing the sign bit leaves an unsigned
+// integer whose order matches the magnitude order exactly, so the k-th
+// largest magnitude is the k-th largest key. A histogram over a monotone
+// key → bucket map narrows the cut to one bucket in a single counting
+// pass; only that bucket's keys see the quickselect. NaN payloads rank
+// above +Inf in key order — a deterministic total order where float
+// comparison has none.
+//
+// The map gives every binade binadeBuckets buckets: a bucket is the
+// key's exponent and its top binadeBits mantissa bits. A float32 key fits
+// whole — its 8 exponent bits and 3 mantissa bits are the top 11 bits
+// below the cleared sign. A float64 exponent has 2048 binades, so the map
+// keeps the 256 centred on 1 ([2^-128, 2^128)) and clamps the rest into
+// the end buckets: bucket 0 holds the zeros and everything smaller,
+// bucket histSize-1 everything larger, +Inf and NaN. Any monotone map
+// selects the same survivors; a finer one leaves fewer keys in the cut
+// bucket for the quickselect and the candidate gather.
 const (
-	histBits   = 11
-	histSize   = 1 << histBits
-	histShift  = 64 - histBits
+	histBits      = 11
+	histSize      = 1 << histBits
+	binadeBits    = 3
+	binadeBuckets = 1 << binadeBits
+	// bucketShift32 drops a float32 key's low half and its low 20 bits.
+	bucketShift32 = 64 - 1 - histBits
+	// bucketShift64 leaves a float64 key's exponent and top binadeBits
+	// mantissa bits; bucketBase64 is that value at 2^-128.
+	bucketShift64 = 52 - binadeBits
+	bucketBase64  = (1023 - histSize/binadeBuckets/2) << binadeBits
+
 	signMask   = 1 << 63
 	sign32Mask = 1 << 31
 
@@ -98,16 +117,48 @@ func buildChunks[F num.Float](slices [][]F) (chunks []thChunk, total int) {
 // back through the cache in every pass.
 //
 // A float32 key is its own 32-bit pattern shifted into the top half, so
-// bucket indices, the quickselect and the tie rules treat both precisions
-// alike. Widening to float64 first would select the same survivors, but
-// float32 magnitudes would then spread over a quarter as many histogram
-// buckets (the index would hold exponent range a float32 never reaches
-// instead of its top mantissa bits), leaving more work for the quickselect.
+// the quickselect and the tie rules treat both precisions alike, and its
+// bucket (bucketOf) is its top bits with no clamp.
+//
+// magKey and bucketOf run once per coefficient in pass 1, so they test the
+// precision with unsafe.Sizeof rather than num.Is32: both fold to a
+// constant, but a generic call also leaves a dictionary load and nil
+// check in the loop.
 func magKey[F num.Float](v F) uint64 {
-	if num.Is32[F]() {
-		return uint64(math.Float32bits(float32(v))&^uint32(sign32Mask)) << 32 //stlint:ignore trunccast Is32 branch: F is float32, so float32(v) is the identity
+	if unsafe.Sizeof(v) == 4 {
+		return uint64(math.Float32bits(float32(v))&^uint32(sign32Mask)) << 32 //stlint:ignore trunccast 4-byte branch: F is float32, so float32(v) is the identity
 	}
 	return math.Float64bits(float64(v)) &^ signMask
+}
+
+// bucketOf maps a magnitude key at precision F to its histogram bucket in
+// [0, histSize): non-decreasing in the key, so every key of a higher
+// bucket is larger than every key of a lower one.
+func bucketOf[F num.Float](k uint64) uint {
+	if unsafe.Sizeof(F(0)) == 4 {
+		return uint(k>>bucketShift32) & (histSize - 1)
+	}
+	// Below the range the subtraction wraps, so one compare admits
+	// exactly the in-range keys.
+	if b := k>>bucketShift64 - bucketBase64; b < histSize {
+		return uint(b)
+	}
+	if k>>bucketShift64 < bucketBase64 {
+		return 0
+	}
+	return histSize - 1
+}
+
+// bucketLow returns the smallest key of bucket b at precision F, so that
+// bucketOf(k) >= b exactly when k >= bucketLow(b).
+func bucketLow[F num.Float](b uint) uint64 {
+	switch {
+	case num.Is32[F]():
+		return uint64(b) << bucketShift32
+	case b == 0:
+		return 0
+	}
+	return uint64(b+bucketBase64) << bucketShift64
 }
 
 // Survivors is one slice's retained coefficients in sparse form: the
@@ -156,6 +207,15 @@ func carve[F num.Float](slices [][]F, lens []int, idx []int, val []float64) []Su
 	return out
 }
 
+// slabs returns the first n entries of the caller's (idx, val) slabs, or
+// fresh ones when the caller passed none.
+func slabs(idx []int, val []float64, n int) ([]int, []float64) {
+	if idx == nil {
+		return make([]int, n), make([]float64, n)
+	}
+	return idx[:n], val[:n]
+}
+
 // Nonzeros collects every nonzero coefficient of each slice as survivors:
 // the sparse form of an already-thresholded dense window, for callers that
 // still hold one. A counting pass sizes every chunk's region and a fill
@@ -163,10 +223,10 @@ func carve[F num.Float](slices [][]F, lens []int, idx []int, val []float64) []Su
 // identical for every worker count.
 func Nonzeros[F num.Float](slices [][]F, workers int) []Survivors {
 	chunks, _ := buildChunks(slices)
-	return collectNonzeros(slices, chunks, workers)
+	return collectNonzeros(slices, chunks, workers, nil, nil)
 }
 
-func collectNonzeros[F num.Float](slices [][]F, chunks []thChunk, workers int) []Survivors {
+func collectNonzeros[F num.Float](slices [][]F, chunks []thChunk, workers int, idxSlab []int, valSlab []float64) []Survivors {
 	nch := len(chunks)
 	offs := scratch.Uint64s(nch + 1)
 	defer scratch.PutUint64s(offs)
@@ -188,12 +248,11 @@ func collectNonzeros[F num.Float](slices [][]F, chunks []thChunk, workers int) [
 		lens[ch.si] += int(offs[ci+1]) //stlint:ignore trunccast a per-chunk count bounded by thresholdChunk
 		offs[ci+1] += offs[ci]
 	}
-	n := int(offs[nch]) //stlint:ignore trunccast the survivor total is bounded by the input length
-	idx, val := make([]int, n), make([]float64, n)
+	idx, val := slabs(idxSlab, valSlab, int(offs[nch])) //stlint:ignore trunccast the survivor total is bounded by the input length
 	par.For(nch, workers, 1, func(start, end int) {
 		for ci := start; ci < end; ci++ {
 			ch := chunks[ci]
-			o := int(offs[ci]) //stlint:ignore trunccast prefix offsets are bounded by n
+			o := int(offs[ci]) //stlint:ignore trunccast prefix offsets are bounded by the survivor total
 			for j, v := range slices[ch.si][ch.lo:ch.hi] {
 				if !fbits.Zero(v) {
 					idx[o], val[o] = ch.lo+j, float64(v)
@@ -210,28 +269,92 @@ func collectNonzeros[F num.Float](slices [][]F, chunks []thChunk, workers int) [
 // order, and returns them per slice as ascending survivor lists with
 // exact zeros dropped. The coefficients are only read.
 //
-// Two parallel passes touch the dense data: a per-chunk key histogram,
-// which locates the bucket holding the cut and sizes every chunk's
-// candidate region, then a gather of the index of every key in or above
-// that bucket (and of the cut bucket's keys for the quickselect). All
-// later work is on the candidates alone. The result is identical for
-// every worker count, including 1; at float32 the survivors are exactly
-// those of the widened float64 copy.
+// Two parallel passes touch the dense data: a per-chunk bucket histogram
+// (bucketOf), which locates the bucket holding the cut and sizes every
+// chunk's candidate region, then a gather of the index of every key in or
+// above that bucket (and of the cut bucket's keys for the quickselect)
+// that skips every chunk with no such key. All later work is on the
+// candidates alone. The result is identical for every worker count,
+// including 1; at float32 the survivors are exactly those of the widened
+// float64 copy.
 func SelectSurvivors[F num.Float](slices [][]F, keep, workers int) []Survivors {
-	survs, _ := selectSurvivors(slices, keep, workers)
+	survs, _, _ := selectSurvivors(slices, keep, workers, nil, nil)
 	return survs
 }
 
-// selectSurvivors is SelectSurvivors that also reports how many zeros the
-// tie budget admitted (nonzero only when the cut reaches the zeros):
-// ThresholdSlices leaves those, the first in index order, untouched.
-func selectSurvivors[F num.Float](slices [][]F, keep, workers int) (survs []Survivors, zeroTies int) {
+// SelectSurvivorsInto is SelectSurvivors with the lists carved from the
+// caller's slabs instead of fresh memory: idx and val need room for
+// min(keep, total coefficients) survivors, and the returned lists are
+// views into them, so a caller that recycles the slabs (core takes them
+// from internal/scratch) must be done with the lists first.
+func SelectSurvivorsInto[F num.Float](slices [][]F, keep, workers int, idx []int, val []float64) []Survivors {
+	survs, _, _ := selectSurvivors(slices, keep, workers, idx, val)
+	return survs
+}
+
+// selectStats counts one selection's work: the keys in the cut bucket
+// (the quickselect's input), the candidates gathered (keys at or above
+// the cut bucket), and the chunks pass 2 read rather than skipped.
+type selectStats struct {
+	cutBucketKeys, candidates, chunksRead int
+}
+
+// subHists is the number of interleaved sub-histograms pass 1 counts into,
+// so that neighbouring coefficients in one bucket do not serialize on one
+// counter's store → load chain.
+const subHists = 4
+
+// countChunk writes data's bucket histogram into h and adds it to total.
+// The sub-histograms are a local array, which keeps the per-element loop
+// free of pointer checks.
+func countChunk[F num.Float](data []F, h []uint64, total *[histSize]uint64) {
+	var sub [subHists][histSize]uint32
+	n := len(data) &^ (subHists - 1)
+	for j := 0; j < n; j += subHists {
+		sub[0][bucketOf[F](magKey(data[j]))&(histSize-1)]++
+		sub[1][bucketOf[F](magKey(data[j+1]))&(histSize-1)]++
+		sub[2][bucketOf[F](magKey(data[j+2]))&(histSize-1)]++
+		sub[3][bucketOf[F](magKey(data[j+3]))&(histSize-1)]++
+	}
+	for _, v := range data[n:] {
+		sub[0][bucketOf[F](magKey(v))&(histSize-1)]++
+	}
+	h = h[:histSize]
+	for b := range h {
+		c := uint64(sub[0][b]) + uint64(sub[1][b]) + uint64(sub[2][b]) + uint64(sub[3][b])
+		h[b] = c
+		total[b] += c
+	}
+}
+
+// gatherChunk writes into cands, which pass 1 sized exactly, the index
+// (offset by lo) of every element of data whose key is at least low. It
+// stays out of line: inlined into the pass-2 closure, its loop state
+// spills to the stack. The branch predicts well, because coefficients
+// above the cut cluster in the coarse corner of each row.
+//
+//go:noinline
+func gatherChunk[F num.Float](data []F, lo int, low uint64, cands []uint64) {
+	c := 0
+	for j, v := range data {
+		if magKey(v) >= low {
+			cands[c] = uint64(lo + j) //stlint:ignore trunccast a non-negative element index
+			c++
+		}
+	}
+}
+
+// selectSurvivors is SelectSurvivorsInto (nil slabs: fresh memory) that
+// also reports how many zeros the tie budget admitted (nonzero only when
+// the cut reaches the zeros; ThresholdSlices leaves those, the first in
+// index order, untouched) and the selection's work counts.
+func selectSurvivors[F num.Float](slices [][]F, keep, workers int, idxSlab []int, valSlab []float64) (survs []Survivors, zeroTies int, st selectStats) {
 	chunks, total := buildChunks(slices)
 	if keep >= total {
-		return collectNonzeros(slices, chunks, workers), 0
+		return collectNonzeros(slices, chunks, workers, idxSlab, valSlab), 0, st
 	}
 	if keep <= 0 {
-		return carve(slices, make([]int, len(slices)), nil, nil), 0
+		return carve(slices, make([]int, len(slices)), nil, nil), 0, st
 	}
 	nch := len(chunks)
 
@@ -244,14 +367,7 @@ func selectSurvivors[F num.Float](slices [][]F, keep, workers int) (survs []Surv
 		var local [histSize]uint64
 		for ci := start; ci < end; ci++ {
 			ch := chunks[ci]
-			h := hists[ci*histSize : (ci+1)*histSize]
-			clear(h)
-			for _, v := range slices[ch.si][ch.lo:ch.hi] {
-				h[magKey(v)>>histShift]++
-			}
-			for b, c := range h {
-				local[b] += c
-			}
+			countChunk(slices[ch.si][ch.lo:ch.hi], hists[ci*histSize:], &local)
 		}
 		mu.Lock()
 		for b, c := range local {
@@ -262,14 +378,20 @@ func selectSurvivors[F num.Float](slices [][]F, keep, workers int) (survs []Surv
 
 	// Walk buckets from the largest magnitudes down to the one holding the
 	// keep-th largest key.
-	bucket, before := 0, 0
+	bucket, before := uint(0), 0
 	for b := histSize - 1; b >= 0; b-- {
 		c := int(hist[b]) //stlint:ignore trunccast a bucket count is bounded by the input length
 		if before+c >= keep {
-			bucket = b
+			bucket = uint(b)
 			break
 		}
 		before += c
+	}
+
+	// The cut bucket's key range is [low, high].
+	low, high := bucketLow[F](bucket), uint64(math.MaxUint64)
+	if bucket < histSize-1 {
+		high = bucketLow[F](bucket+1) - 1
 	}
 
 	// Candidate and cut-bucket regions per chunk, in chunk (= index) order.
@@ -285,28 +407,33 @@ func selectSurvivors[F num.Float](slices [][]F, keep, workers int) (survs []Surv
 		}
 		coff[ci+1] = coff[ci] + c
 		boff[ci+1] = boff[ci] + h[bucket]
+		if c > 0 {
+			st.chunksRead++
+		}
 	}
-	cidx := scratch.Uint64s(int(coff[nch])) //stlint:ignore trunccast the candidate total is bounded by the input length
+	st.candidates = int(coff[nch])    //stlint:ignore trunccast the candidate total is bounded by the input length
+	st.cutBucketKeys = int(boff[nch]) //stlint:ignore trunccast the bucket total is bounded by the input length
+	cidx := scratch.Uint64s(st.candidates)
 	defer scratch.PutUint64s(cidx)
-	bkeys := scratch.Uint64s(int(boff[nch])) //stlint:ignore trunccast the bucket total is bounded by the input length
+	bkeys := scratch.Uint64s(st.cutBucketKeys)
 	defer scratch.PutUint64s(bkeys)
 
-	// Pass 2: gather candidates. Bucket 0 holds the zeros, so a cut there
-	// gathers them too; they are dropped at emission.
-	ub := uint64(bucket) //stlint:ignore trunccast bucket is a histogram index in [0, histSize)
-	low := ub << histShift
+	// Pass 2: gather candidates from the chunks that hold any, then the
+	// cut bucket's keys from the chunk's few candidates. Bucket 0 holds
+	// the zeros, so a cut there gathers them too; they are dropped at
+	// emission.
 	par.For(nch, workers, 1, func(start, end int) {
 		for ci := start; ci < end; ci++ {
+			if coff[ci] == coff[ci+1] {
+				continue
+			}
 			ch := chunks[ci]
-			c, b := coff[ci], boff[ci]
-			for j, v := range slices[ch.si][ch.lo:ch.hi] {
-				k := magKey(v)
-				if k < low {
-					continue
-				}
-				cidx[c] = uint64(ch.lo + j) //stlint:ignore trunccast a non-negative element index
-				c++
-				if k>>histShift == ub {
+			data := slices[ch.si]
+			cands := cidx[coff[ci]:coff[ci+1]]
+			gatherChunk(data[ch.lo:ch.hi], ch.lo, low, cands)
+			b := boff[ci]
+			for _, i := range cands {
+				if k := magKey(data[i]); k <= high {
 					bkeys[b] = k
 					b++
 				}
@@ -314,8 +441,8 @@ func selectSurvivors[F num.Float](slices [][]F, keep, workers int) (survs []Surv
 		}
 	})
 
-	// Every key in a higher bucket is > cut (the bucket is the key's most
-	// significant bits), so only the cut bucket needs the quickselect.
+	// Every key in a higher bucket is > cut (the map is monotone), so only
+	// the cut bucket needs the quickselect.
 	cut := selectKthU64Desc(bkeys, keep-1-before)
 	greater, ties := before, 0
 	for _, k := range bkeys {
@@ -331,7 +458,7 @@ func selectSurvivors[F num.Float](slices [][]F, keep, workers int) (survs []Surv
 		n = greater // admitted ties are zeros, discarded either way
 	}
 
-	idx, val := make([]int, n), make([]float64, n)
+	idx, val := slabs(idxSlab, valSlab, n)
 	lens := make([]int, len(slices))
 	o := 0
 	for ci, ch := range chunks {
@@ -352,12 +479,12 @@ func selectSurvivors[F num.Float](slices [][]F, keep, workers int) (survs []Surv
 					continue
 				}
 			}
-			idx[o], val[o] = int(c), float64(v) //stlint:ignore trunccast c is an element index below len(data)
+			idx[o], val[o] = int(c), float64(v)
 			o++
 			lens[ch.si]++
 		}
 	}
-	return carve(slices, lens, idx, val), zeroTies
+	return carve(slices, lens, idx, val), zeroTies, st
 }
 
 // Threshold zeroes, in place, all but the keep largest-magnitude entries of
@@ -380,7 +507,7 @@ func ThresholdSlices[F num.Float](slices [][]F, keep, workers int) int {
 	if keep >= total {
 		return total
 	}
-	survs, zeroTies := selectSurvivors(slices, keep, workers)
+	survs, zeroTies, _ := selectSurvivors(slices, keep, workers, nil, nil)
 	if zeroTies > 0 {
 		// The cut reached the zeros: the first zeroTies of them are
 		// admitted ties and keep their sign bits, as in a serial

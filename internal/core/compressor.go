@@ -293,7 +293,9 @@ func newCompressedWindow[F num.Float](c *Compressor, w *grid.WindowOf[F], spec t
 
 // encodeCoefficients is Compress's ratio-mode tail: select survivors
 // from the transformed window (the "core.threshold" span) and encode them
-// in the configured layout ("core.encode").
+// in the configured layout ("core.encode"). The survivor slabs come from
+// the scratch arena and go back once encoded: every codec copies what it
+// keeps, so no block references them.
 func encodeCoefficients[F num.Float](ctx context.Context, c *Compressor, coeffs *grid.WindowOf[F], spec transform.Spec, workers int) (*CompressedWindow, error) {
 	rawBytes := int64(coeffs.TotalSamples()) * int64(num.SampleBytes[F]())
 	datas := make([][]F, coeffs.Len())
@@ -303,13 +305,17 @@ func encodeCoefficients[F num.Float](ctx context.Context, c *Compressor, coeffs 
 	cdc := c.opts.codec()
 	cw := newCompressedWindow(c, coeffs, spec)
 
-	_, spTh := obs.Start(ctx, "core.threshold")
-	start := time.Now()
-	survs, err := selectOf(c.opts, datas, workers)
-	spTh.End()
+	keep, slab, err := survivorBudget(c.opts, datas)
 	if err != nil {
 		return nil, err
 	}
+	idx, val := scratch.Ints(slab), scratch.Floats(slab)
+	defer scratch.PutInts(idx)
+	defer scratch.PutFloats(val)
+	_, spTh := obs.Start(ctx, "core.threshold")
+	start := time.Now()
+	survs := selectOf(c.opts, datas, keep, workers, idx, val)
+	spTh.End()
 	observeThroughput("compress.threshold_mb_per_s", rawBytes, time.Since(start))
 
 	_, spEnc := obs.Start(ctx, "core.encode")
@@ -328,7 +334,8 @@ func encodeCoefficients[F num.Float](ctx context.Context, c *Compressor, coeffs 
 
 // encodeSurvivors encodes per-slice survivors in the window's layout: one
 // block per slice, or, progressive, one row of blocks per level group
-// (coarsest first) split by the level index. Only survivors are touched.
+// (coarsest first) split by the level index into pooled slabs. Only
+// survivors are touched.
 func encodeSurvivors(cdc codec.Codec, survs []compress.Survivors, dims grid.Dims, spatialLevels int, progressive bool, workers int) ([]codec.Block, [][]codec.Block, error) {
 	if !progressive {
 		blocks, err := cdc.EncodeSurvivors(survs, workers)
@@ -337,7 +344,14 @@ func encodeSurvivors(cdc codec.Codec, survs []compress.Survivors, dims grid.Dims
 		}
 		return blocks, nil, nil
 	}
-	rows := newLevelIndex(dims, spatialLevels).split(survs, workers)
+	n := 0
+	for _, s := range survs {
+		n += len(s.Idx)
+	}
+	idx, val := scratch.Ints(n), scratch.Floats(n)
+	defer scratch.PutInts(idx)
+	defer scratch.PutFloats(val)
+	rows := newLevelIndex(dims, spatialLevels).split(survs, workers, idx, val)
 	levelBlocks := make([][]codec.Block, len(rows))
 	for g, row := range rows {
 		blocks, err := cdc.EncodeSurvivors(row, workers)

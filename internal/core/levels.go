@@ -131,9 +131,9 @@ func newLevelIndex(d grid.Dims, spatialLevels int) *levelIndex {
 // holds, for every slice, the survivors of group g indexed in the group's
 // canonical order. The canonical order is the grid's z, y, x order
 // restricted to the group, so each list stays ascending. Rows are carved
-// from one shared slab; slices split in parallel on up to workers
-// goroutines.
-func (li *levelIndex) split(survs []compress.Survivors, workers int) [][]compress.Survivors {
+// from the caller's idx and val slabs, which hold one entry per survivor;
+// slices split in parallel on up to workers goroutines.
+func (li *levelIndex) split(survs []compress.Survivors, workers int, idx []int, val []float64) [][]compress.Survivors {
 	ng, t := len(li.groups), len(survs)
 	rows := make([][]compress.Survivors, ng)
 	for g := range rows {
@@ -143,7 +143,6 @@ func (li *levelIndex) split(survs []compress.Survivors, workers int) [][]compres
 	for i, s := range survs {
 		offs[i+1] = offs[i] + len(s.Idx)
 	}
-	idx, val := make([]int, offs[t]), make([]float64, offs[t])
 	par.For(t, workers, 1, func(start, end int) {
 		at := make([]int, ng) // per group: count, then running write position
 		for i := start; i < end; i++ {

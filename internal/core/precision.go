@@ -35,34 +35,39 @@ func decodeBlockIntoOf[F num.Float](b codec.Block, out []F, workers int) error {
 	return fmt.Errorf("core: unsupported sample type %T", out)
 }
 
-// selectOf applies the ratio budget at precision F and returns the
-// survivors per slice: per-slice budgets for 3D (and for the
-// PerSliceBudget ablation), one joint budget over the whole window for 4D.
-// The coefficients are only read.
-func selectOf[F num.Float](o Options, datas [][]F, workers int) ([]compress.Survivors, error) {
+// survivorBudget applies the ratio budget to a window of datas: per-slice
+// budgets for 3D (and for the PerSliceBudget ablation), one joint budget
+// over the whole window for 4D. It returns the keep count of each
+// selection and the survivor-slab length the whole window needs.
+func survivorBudget[F num.Float](o Options, datas [][]F) (keep, slab int, err error) {
 	if o.Mode == Spatial3D || o.PerSliceBudget {
 		if len(datas) == 0 {
-			return nil, nil
+			return 0, 0, nil
 		}
-		keep, err := compress.KeepCount(len(datas[0]), o.Ratio)
-		if err != nil {
-			return nil, err
-		}
-		survs := make([]compress.Survivors, len(datas))
-		par.For(len(datas), workers, 1, func(start, end int) {
-			for i := start; i < end; i++ {
-				survs[i] = compress.SelectSurvivors(datas[i:i+1], keep, 1)[0]
-			}
-		})
-		return survs, nil
+		keep, err = compress.KeepCount(len(datas[0]), o.Ratio)
+		return keep, keep * len(datas), err
 	}
 	total := 0
 	for _, d := range datas {
 		total += len(d)
 	}
-	keep, err := compress.KeepCount(total, o.Ratio)
-	if err != nil {
-		return nil, err
+	keep, err = compress.KeepCount(total, o.Ratio)
+	return keep, keep, err
+}
+
+// selectOf selects the survivors per slice at precision F under o's
+// budget (keep from survivorBudget), carving the lists from idx and val,
+// which hold the budget's slab length. The coefficients are only read.
+func selectOf[F num.Float](o Options, datas [][]F, keep, workers int, idx []int, val []float64) []compress.Survivors {
+	if o.Mode == Spatial3D || o.PerSliceBudget {
+		survs := make([]compress.Survivors, len(datas))
+		par.For(len(datas), workers, 1, func(start, end int) {
+			for i := start; i < end; i++ {
+				lo, hi := i*keep, (i+1)*keep
+				survs[i] = compress.SelectSurvivorsInto(datas[i:i+1], keep, 1, idx[lo:hi], val[lo:hi])[0]
+			}
+		})
+		return survs
 	}
-	return compress.SelectSurvivors(datas, keep, workers), nil
+	return compress.SelectSurvivorsInto(datas, keep, workers, idx, val)
 }

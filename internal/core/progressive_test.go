@@ -89,7 +89,12 @@ func TestLevelIndexMatchesGather(t *testing.T) {
 		for levels := 0; levels <= 4; levels++ {
 			li := newLevelIndex(g.dims, levels)
 			for _, workers := range []int{1, 3} {
-				rows := li.split(compress.Nonzeros(datas, workers), workers)
+				survs := compress.Nonzeros(datas, workers)
+				n := 0
+				for _, s := range survs {
+					n += len(s.Idx)
+				}
+				rows := li.split(survs, workers, make([]int, n), make([]float64, n))
 				for gi, lg := range li.groups {
 					for i, d := range datas {
 						buf := make([]float64, lg.Count)

@@ -18,98 +18,77 @@
 package entropy
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 )
 
-// BitWriter appends bits MSB-first to a growing byte buffer. The zero
-// value is ready to use; Bytes returns the finished stream with the final
-// partial byte zero-padded.
-type BitWriter struct {
-	buf  []byte
-	acc  uint64 // staged bits, left-aligned within the low `nacc` bits
-	nacc uint   // number of staged bits in acc (< 8 after any Write)
+// wordWriter appends bits MSB-first into a byte region whose final size
+// the encoder computed in advance: whole 64-bit words go out with one
+// big-endian store, and finish writes the last partial word's bytes,
+// zero-padding the final partial byte.
+type wordWriter struct {
+	dst  []byte
+	pos  int    // bytes written to dst
+	acc  uint64 // pending bits in the low n bits; any bits above are stale
+	n    uint   // pending bit count, < 64 between calls
+	over bool   // a write ran past dst
 }
 
-// WriteBits appends the low n bits of v, most significant first. n must be
-// in [0, 64]; bits of v above the low n are ignored.
-func (w *BitWriter) WriteBits(v uint64, n uint) {
-	if n == 0 {
+// write appends the low l bits of v, most significant first. l must be in
+// [0, 64] and v must have no bits at or above l.
+func (w *wordWriter) write(v uint64, l uint) {
+	if l < 64-w.n {
+		w.acc = w.acc<<l | v
+		w.n += l
 		return
 	}
-	if n < 64 {
-		v &= (1 << n) - 1
+	w.flush(v, l)
+}
+
+// flush completes the pending word with the top bits of v, stores it, and
+// keeps the rest of v pending.
+func (w *wordWriter) flush(v uint64, l uint) {
+	free := 64 - w.n
+	rest := l - free
+	if len(w.dst)-w.pos < 8 {
+		w.over = true
+		return
 	}
-	// Drain whole output bytes while the staged bits plus the remaining
-	// input cover one. acc always holds fewer than 8 bits between calls.
-	for w.nacc+n >= 8 {
-		take := 8 - w.nacc // bits of v consumed by this output byte
-		shift := n - take
-		w.buf = append(w.buf, byte(w.acc<<take|v>>shift)) //stlint:ignore trunccast packing exactly the top 8 staged bits into one output byte
-		w.acc, w.nacc = 0, 0
-		n = shift
-		if n < 64 {
-			v &= (1 << n) - 1
+	// acc<<free drops the stale bits above the pending ones, and the stale
+	// bits of v left in acc sit above the new n, where the next word's
+	// shift drops them in turn.
+	binary.BigEndian.PutUint64(w.dst[w.pos:], w.acc<<free|v>>rest)
+	w.pos += 8
+	w.acc, w.n = v, rest
+}
+
+// finish writes the pending bits and reports whether the stream filled
+// dst exactly.
+func (w *wordWriter) finish() bool {
+	last := w.acc << (64 - w.n)
+	for k := uint(0); k < w.n; k += 8 {
+		if w.pos == len(w.dst) {
+			return false
 		}
+		w.dst[w.pos] = byte(last >> 56) //stlint:ignore trunccast the top byte of the left-aligned pending bits
+		last <<= 8
+		w.pos++
 	}
-	if n > 0 {
-		w.acc = w.acc<<n | v
-		w.nacc += n
-	}
+	return !w.over && w.pos == len(w.dst)
 }
 
-// WriteBit appends a single bit (any nonzero b writes 1).
-func (w *BitWriter) WriteBit(b uint) {
-	w.WriteBits(uint64(b&1), 1)
-}
-
-// WriteExpGolomb appends v in order-k exponential-Golomb form: with
-// v' = v + 2^k and n = bits.Len(v'), it writes n-1-k zero bits followed by
-// the n bits of v'. Order 0 codes 0 as "1", 1 as "010", 2 as "011"…;
-// higher orders trade a longer minimum code for flatter growth, which
-// suits streams whose typical value is near 2^k.
-func (w *BitWriter) WriteExpGolomb(v uint64, k uint) {
-	if k > 62 {
-		k = 62
-	}
-	// v + 2^k can overflow uint64 only for v > 2^64 - 2^k; callers code
-	// magnitudes clamped far below that (see Quantizer), but saturate
-	// defensively instead of wrapping into a malformed stream.
-	if v > ^uint64(0)-(1<<k) {
-		v = ^uint64(0) - (1 << k)
-	}
+// expGolomb returns v's order-k exponential-Golomb code as one value and
+// its length: with v' = v + 2^k and n = bits.Len(v'), the code is n-1-k
+// zero bits followed by the n bits of v', which is v' written in 2n-1-k
+// bits. Order 0 codes 0 as "1", 1 as "010", 2 as "011"…; higher orders
+// trade a longer minimum code for flatter growth, which suits streams
+// whose typical value is near 2^k. v must be below 2^62 and k at most
+// 30, so the code fits one word whenever v < 2^32.
+func expGolomb(v uint64, k uint) (code uint64, length uint) {
 	vp := v + 1<<k
 	n := uint(bits.Len64(vp)) //stlint:ignore trunccast bits.Len64 of a nonzero value is in [1, 64]
-	zeros := n - 1 - k
-	for zeros > 0 {
-		take := zeros
-		if take > 32 {
-			take = 32
-		}
-		w.WriteBits(0, take)
-		zeros -= take
-	}
-	w.WriteBits(vp, n)
-}
-
-// BitLen returns the number of bits written so far.
-func (w *BitWriter) BitLen() int { return len(w.buf)*8 + int(w.nacc) } //stlint:ignore trunccast acc holds fewer than 8 bits between calls
-
-// Bytes returns the finished stream, zero-padding the final partial byte.
-// The writer may not be used after Bytes.
-func (w *BitWriter) Bytes() []byte {
-	if w.nacc > 0 {
-		w.buf = append(w.buf, byte(w.acc<<(8-w.nacc))) //stlint:ignore trunccast zero-padding the final partial byte is the contract
-		w.acc, w.nacc = 0, 0
-	}
-	return w.buf
-}
-
-// Reset drops all written bits but keeps the underlying buffer capacity,
-// so a pooled writer can be reused across chunks without reallocating.
-func (w *BitWriter) Reset() {
-	w.buf = w.buf[:0]
-	w.acc, w.nacc = 0, 0
+	return vp, 2*n - 1 - k
 }
 
 // BitReader consumes bits MSB-first from a byte slice. Reads past the end
@@ -159,8 +138,8 @@ func (r *BitReader) ReadBit() (uint, error) {
 	return uint(v), err
 }
 
-// ReadExpGolomb reads one order-k exponential-Golomb value written by
-// WriteExpGolomb. Streams whose zero-run implies a value beyond 64 bits
+// ReadExpGolomb reads one order-k exponential-Golomb value (see
+// expGolomb). Streams whose zero-run implies a value beyond 64 bits
 // are rejected as corrupt.
 func (r *BitReader) ReadExpGolomb(k uint) (uint64, error) {
 	if k > 62 {

@@ -8,6 +8,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"sync"
 
 	"stwave/internal/num"
 	"stwave/internal/par"
@@ -117,9 +118,17 @@ func magClass(mag uint64) int { return bits.Len64(mag) }
 // EncodeSurvivors entropy-codes one coefficient slice of total entries
 // given only its survivors: idx strictly ascending in [0, total), val the
 // matching nonzero values (codec.EncodeSurvivors checks this contract).
-// Every pass — the magnitude maximum, the Huffman histogram, and the chunk
-// bitstreams — visits survivors only, on up to workers goroutines. The
-// output is bit-identical for every worker count.
+// Every pass visits survivors only, on up to workers goroutines, and the
+// output is bit-identical for every worker count:
+//
+//  1. chunk ranges, and the magnitude maximum when the step depends on it;
+//  2. each survivor quantized once into a pooled level slab, counted into
+//     its chunk's class histogram, and its bits outside the Huffman code
+//     (gap code, refinement, sign, escape residual) summed per chunk;
+//  3. the Huffman table from the merged histogram, which fixes every
+//     chunk's exact payload length, so the payload is allocated once;
+//  4. each chunk written straight into its payload region, one word write
+//     per survivor (two when gap and value together exceed 64 bits).
 func EncodeSurvivors(total int, idx []int, val []float64, p Params, workers int) (*Block, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -145,91 +154,254 @@ func EncodeSurvivors(total int, idx []int, val []float64, p Params, workers int)
 	if n == 0 {
 		return b, nil
 	}
+	b.gapK = gapOrder(n, b.retained)
+	e := chunkEncoder{b: b, idx: idx, val: val}
+	if !p.Lossless {
+		e.nsyms = b.bitDepth + 2 // classes 0..bitDepth plus the escape symbol
+	}
 
-	// Pass 1: each chunk's survivor range and magnitude maximum. The
-	// maxima buffer comes from the shared scratch arena; every slot is
-	// written before it is read.
-	starts := make([]int, nch+1)
+	// Per-chunk rows: [0] the chunk's first survivor, [1] its bits outside
+	// the Huffman codes, [2:] its class histogram. One trailing word holds
+	// the end of the last chunk's survivor range.
+	e.stride = e.nsyms + 2
+	rows := scratch.Uint64s(nch*e.stride + 1)
+	defer scratch.PutUint64s(rows)
+	e.rows = rows
+	rows[nch*e.stride] = uint64(len(idx))
+
+	// Pass 1: survivor ranges, and the maximum the adaptive step needs.
 	maxs := scratch.Floats(nch)
 	defer scratch.PutFloats(maxs)
-	starts[nch] = len(idx)
-	par.For(nch, workers, 1, func(start, end int) {
-		for ci := start; ci < end; ci++ {
-			starts[ci] = sort.SearchInts(idx, ci*chunkSize)
-		}
-	})
-	par.For(nch, workers, 1, func(start, end int) {
-		for ci := start; ci < end; ci++ {
-			m := 0.0
-			for _, v := range val[starts[ci]:starts[ci+1]] {
-				if a := math.Abs(v); a > m {
-					m = a
-				}
-			}
-			maxs[ci] = m
-		}
-	})
+	e.maxs = maxs
+	e.adaptive = !p.Lossless && !(p.ErrorBound > 0)
+	e.each(workers, (*chunkEncoder).scan)
 	maxMag := 0.0
-	for _, m := range maxs {
-		if m > maxMag {
-			maxMag = m
+	if e.adaptive {
+		for _, m := range maxs {
+			if m > maxMag {
+				maxMag = m
+			}
 		}
 	}
-	q := p.newQuantizer(maxMag)
-	b.step = q.Step
-	b.gapK = gapOrder(n, b.retained)
+	e.q = p.newQuantizer(maxMag)
+	b.step = e.q.Step
 
-	var codes []uint64
-	if !p.Lossless && b.retained > 0 {
-		// Pass 2: global magnitude-class histogram → canonical Huffman.
-		// Per-chunk histograms merge in chunk order, so the table is a
-		// pure function of the data.
-		nsyms := b.bitDepth + 2 // classes 0..bitDepth plus the escape symbol
-		hists := make([][]uint64, nch)
-		par.For(nch, workers, 1, func(start, end int) {
-			for ci := start; ci < end; ci++ {
-				h := scratch.Uint64s(nsyms)
-				clear(h)
-				for _, v := range val[starts[ci]:starts[ci+1]] {
-					h[classSymbol(q.Quantize(v), b.bitDepth)]++
-				}
-				hists[ci] = h
-			}
-		})
-		hist := make([]int64, nsyms)
-		for _, h := range hists {
-			for s, c := range h {
+	// Pass 2: quantize once, count classes, and sum the other bits.
+	levels := scratch.Uint64s(len(idx))
+	defer scratch.PutUint64s(levels)
+	e.levels = levels
+	e.each(workers, (*chunkEncoder).measure)
+
+	// The table, then every chunk's exact length and payload offset.
+	var hist [maxAlphabet]int64
+	var codes [maxAlphabet]uint64
+	if e.nsyms > 0 && b.retained > 0 {
+		for ci := 0; ci < nch; ci++ {
+			for s, c := range rows[ci*e.stride+2 : (ci+1)*e.stride] {
 				hist[s] += int64(c) //stlint:ignore trunccast per-chunk symbol counts are bounded by chunkSize
 			}
-			scratch.PutUint64s(h)
 		}
-		b.lengths = huffBuildLengths(hist)
-		codes = huffCodes(b.lengths)
+		b.lengths = huffBuildLengths(hist[:e.nsyms])
+		huffCodes(b.lengths, codes[:e.nsyms])
+		e.setTable(codes[:e.nsyms])
 	}
-
-	// Pass 3: encode every chunk into its own bitstream.
-	chunks := make([][]byte, nch)
-	par.For(nch, workers, 1, func(start, end int) {
-		for ci := start; ci < end; ci++ {
-			lo, hi := starts[ci], starts[ci+1]
-			chunks[ci] = encodeChunk(idx[lo:hi], val[lo:hi], ci*chunkSize, b, q, codes)
+	totalBytes := uint64(0)
+	for ci := 0; ci < nch; ci++ {
+		r := rows[ci*e.stride : (ci+1)*e.stride]
+		bits := r[1]
+		for s, l := range b.lengths {
+			bits += r[2+s] * uint64(l)
 		}
-	})
-	totalBytes := 0
-	for ci, c := range chunks {
-		if len(c) > maxChunkPayload {
+		nb := (bits + 7) / 8
+		if nb > maxChunkPayload {
 			// Unreachable for honest inputs (see maxChunkPayload), but a
 			// wrapped uint32 length would corrupt the stream silently.
-			return nil, fmt.Errorf("entropy: chunk %d payload %d exceeds format cap %d", ci, len(c), maxChunkPayload)
+			return nil, fmt.Errorf("entropy: chunk %d payload %d exceeds format cap %d", ci, nb, maxChunkPayload)
 		}
-		b.chunkLen[ci] = uint32(len(c))
-		totalBytes += len(c)
+		b.chunkLen[ci] = uint32(nb)
+		r[1] = totalBytes // from here on: the chunk's payload offset
+		totalBytes += nb
 	}
-	b.payload = make([]byte, 0, totalBytes)
-	for _, c := range chunks {
-		b.payload = append(b.payload, c...)
+	b.payload = make([]byte, totalBytes)
+
+	// Pass 3: write every chunk into its region.
+	e.bad = -1
+	e.each(workers, (*chunkEncoder).write)
+	if e.bad >= 0 {
+		return nil, fmt.Errorf("entropy: chunk %d did not fill its computed length", e.bad)
 	}
 	return b, nil
+}
+
+// maxAlphabet bounds the Huffman alphabet: classes 0..31 plus the escape.
+const maxAlphabet = 33
+
+// chunkEncoder holds what the chunk passes of EncodeSurvivors share.
+type chunkEncoder struct {
+	b      *Block
+	idx    []int
+	val    []float64
+	q      Quantizer
+	nsyms  int
+	stride int
+	rows   []uint64 // per chunk: first survivor, extra bits (then offset), histogram
+	maxs   []float64
+	// adaptive: the step follows the block's magnitude maximum.
+	adaptive bool
+	levels   []uint64 // quantized level of every survivor, as int64 bits
+	// valCode/valLen are the value part of an in-range class c ahead of
+	// its refinement bits: the Huffman code shifted up by c, so that
+	// code, c-1 refinement bits and the sign form one c+len bit field.
+	valCode [maxAlphabet]uint64
+	valLen  [maxAlphabet]uint
+	escCode uint64
+	escLen  uint
+	mu      sync.Mutex
+	bad     int // a chunk whose written length missed its computed one, or -1
+}
+
+// each runs one chunk pass over every chunk on up to workers goroutines;
+// a serial pass calls it directly, with no closure to allocate.
+func (e *chunkEncoder) each(workers int, pass func(e *chunkEncoder, start, end int)) {
+	nch := len(e.b.chunkLen)
+	if nch == 1 || workers == 1 {
+		pass(e, 0, nch)
+		return
+	}
+	par.For(nch, workers, 1, func(start, end int) { pass(e, start, end) })
+}
+
+// scan is pass 1 over chunks [start, end): each chunk's first survivor
+// and, for an adaptive step, its magnitude maximum.
+func (e *chunkEncoder) scan(start, end int) {
+	for ci := start; ci < end; ci++ {
+		lo := sort.SearchInts(e.idx, ci*chunkSize)
+		e.rows[ci*e.stride] = uint64(lo) //stlint:ignore trunccast a survivor position is non-negative
+		if !e.adaptive {
+			continue
+		}
+		hi := lo + sort.SearchInts(e.idx[lo:], (ci+1)*chunkSize)
+		m := 0.0
+		for _, v := range e.val[lo:hi] {
+			if a := math.Abs(v); a > m {
+				m = a
+			}
+		}
+		e.maxs[ci] = m
+	}
+}
+
+// survivors returns chunk ci's survivor range and its first coefficient.
+func (e *chunkEncoder) survivors(ci int) (lo, hi, first int) {
+	r := e.rows[ci*e.stride:]
+	return int(r[0]), int(r[e.stride]), ci * chunkSize //stlint:ignore trunccast survivor positions are bounded by len(idx)
+}
+
+// measure is pass 2 over chunks [start, end): levels, class histogram,
+// and the chunk's bits outside the Huffman codes (count, gaps,
+// refinement and sign bits, escape residuals, raw lossless values).
+func (e *chunkEncoder) measure(start, end int) {
+	bitDepth, k := e.b.bitDepth, uint(e.b.gapK)
+	for ci := start; ci < end; ci++ {
+		lo, hi, first := e.survivors(ci)
+		r := e.rows[ci*e.stride : (ci+1)*e.stride]
+		// Neighbouring survivors often share a class, so odd and even
+		// positions count into separate histograms instead of queueing on
+		// one counter.
+		var hist [2][maxAlphabet]uint32
+		_, extra := expGolomb(uint64(hi-lo), 0) //stlint:ignore trunccast a survivor count is non-negative
+		prev := first - 1
+		for j := lo; j < hi; j++ {
+			i := e.idx[j]
+			_, gl := expGolomb(uint64(i-prev-1), k) //stlint:ignore trunccast gap between ascending indices is non-negative
+			prev = i
+			extra += gl
+			if e.b.lossless {
+				extra += 32
+				continue
+			}
+			level := e.q.Quantize(e.val[j])
+			e.levels[j] = uint64(level) //stlint:ignore trunccast the level's two's-complement bits, read back as int64
+			c := magClass(levelMag(level))
+			if c > bitDepth {
+				hist[j&1][bitDepth+1]++
+				_, el := expGolomb(levelMag(level)-1<<uint(bitDepth), 0)
+				extra += el + 1 // residual and sign
+				continue
+			}
+			hist[j&1][c]++
+			extra += uint(c) // c-1 refinement bits and a sign, none for class 0
+		}
+		r[1] = uint64(extra)
+		for s := range r[2:] {
+			r[2+s] = uint64(hist[0][s]) + uint64(hist[1][s])
+		}
+	}
+}
+
+// setTable derives the per-class write fields from the canonical codes.
+func (e *chunkEncoder) setTable(codes []uint64) {
+	esc := e.b.bitDepth + 1
+	for c := 0; c < esc; c++ {
+		e.valCode[c] = codes[c] << uint(c)
+		e.valLen[c] = uint(e.b.lengths[c]) + uint(c)
+	}
+	e.escCode, e.escLen = codes[esc], uint(e.b.lengths[esc])
+}
+
+// write is pass 3 over chunks [start, end): each chunk's bitstream —
+// retained count, then per survivor its gap code and value — into its
+// payload region.
+func (e *chunkEncoder) write(start, end int) {
+	b := e.b
+	bitDepth, k := b.bitDepth, uint(b.gapK)
+	for ci := start; ci < end; ci++ {
+		lo, hi, first := e.survivors(ci)
+		off := int(e.rows[ci*e.stride+1]) //stlint:ignore trunccast payload offsets are bounded by the payload length
+		w := wordWriter{dst: b.payload[off : off+int(b.chunkLen[ci])]}
+		w.write(expGolomb(uint64(hi-lo), 0)) //stlint:ignore trunccast a survivor count is non-negative
+		prev := first - 1
+		for j := lo; j < hi; j++ {
+			i := e.idx[j]
+			g, gl := expGolomb(uint64(i-prev-1), k) //stlint:ignore trunccast gap between ascending indices is non-negative
+			prev = i
+			if b.lossless {
+				w.write(g<<32|uint64(math.Float32bits(float32(e.val[j]))), gl+32) //stlint:ignore trunccast the raw-float32 lossless mode stores 32-bit samples by contract
+				continue
+			}
+			level := int64(e.levels[j]) //stlint:ignore trunccast the bits pass 2 stored from an int64
+			mag := levelMag(level)
+			neg := uint64(0)
+			if level < 0 {
+				neg = 1
+			}
+			c := magClass(mag)
+			if c > bitDepth {
+				w.write(g, gl)
+				w.write(e.escCode, e.escLen)
+				ep, el := expGolomb(mag-1<<uint(bitDepth), 0)
+				w.write(0, el/2)
+				w.write(ep, el-el/2)
+				w.write(neg, 1)
+				continue
+			}
+			// Huffman code, the c-1 bits below mag's leading one, sign.
+			v := e.valCode[c] | (mag<<1)&^(1<<uint(c)) | neg
+			if vl := e.valLen[c]; gl+vl <= 64 {
+				w.write(g<<vl|v, gl+vl)
+			} else {
+				w.write(g, gl)
+				w.write(v, vl)
+			}
+		}
+		if !w.finish() {
+			e.mu.Lock()
+			if e.bad < 0 || ci < e.bad {
+				e.bad = ci
+			}
+			e.mu.Unlock()
+		}
+	}
 }
 
 // gapOrder picks the exp-Golomb order for index gaps from the mean gap
@@ -263,53 +435,6 @@ func levelMag(level int64) uint64 {
 		return uint64(-level) //stlint:ignore trunccast negated only on the negative branch; the quantizer clamps to ±2^62
 	}
 	return uint64(level)
-}
-
-// encodeChunk produces one chunk's bitstream from its survivors (idx
-// ascending, all >= lo, the chunk's first coefficient): retained count,
-// then (gap, value) pairs.
-func encodeChunk(idx []int, val []float64, lo int, b *Block, q Quantizer, codes []uint64) []byte {
-	kc := len(idx)
-	if kc == 0 {
-		// An empty chunk still writes its zero count so the decoder can
-		// process chunks independently.
-		var w BitWriter
-		w.WriteExpGolomb(0, 0)
-		return w.Bytes()
-	}
-	w := BitWriter{buf: make([]byte, 0, 16+kc*6)}
-	w.WriteExpGolomb(uint64(kc), 0) //stlint:ignore trunccast kc is a non-negative survivor count
-	prev := lo - 1
-	esc := len(codes) - 1 // the escape symbol is the table's last entry (b.bitDepth+1)
-	for j, i := range idx {
-		v := val[j]
-		w.WriteExpGolomb(uint64(i-prev-1), uint(b.gapK)) //stlint:ignore trunccast gap between ascending indices is non-negative
-		prev = i
-		if b.lossless {
-			w.WriteBits(uint64(math.Float32bits(float32(v))), 32) //stlint:ignore trunccast the raw-float32 lossless mode stores 32-bit samples by contract
-			continue
-		}
-		level := q.Quantize(v)
-		mag := levelMag(level)
-		c := magClass(mag)
-		if c > b.bitDepth {
-			w.WriteBits(codes[esc], uint(b.lengths[esc]))
-			w.WriteExpGolomb(mag-1<<uint(b.bitDepth), 0)
-		} else {
-			w.WriteBits(codes[c], uint(b.lengths[c]))
-			if c > 0 {
-				w.WriteBits(mag-1<<uint(c-1), uint(c-1)) //stlint:ignore trunccast c > 0 on this branch
-			}
-		}
-		if c > 0 {
-			if level < 0 {
-				w.WriteBit(1)
-			} else {
-				w.WriteBit(0)
-			}
-		}
-	}
-	return w.Bytes()
 }
 
 // DecodeInto expands the block into out (which must have length Total)

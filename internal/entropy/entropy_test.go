@@ -107,7 +107,8 @@ func TestHuffmanRoundtrip(t *testing.T) {
 	}
 	for ci, freqs := range cases {
 		lengths := huffBuildLengths(freqs)
-		codes := huffCodes(lengths)
+		codes := make([]uint64, len(lengths))
+		huffCodes(lengths, codes)
 		dec, err := newHuffDecoder(lengths)
 		if err != nil {
 			t.Fatalf("case %d: %v", ci, err)

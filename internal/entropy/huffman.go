@@ -2,7 +2,6 @@ package entropy
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Canonical Huffman over a small alphabet (magnitude classes plus an
@@ -96,37 +95,26 @@ func huffBuildLengths(freqs []int64) []uint8 {
 	return lengths
 }
 
-// huffCodes derives the canonical codes for a set of code lengths: symbols
-// sorted by (length, symbol) receive consecutive code values, shifted left
-// at each length increase. Returns one code per symbol (valid only where
-// lengths[sym] > 0).
-func huffCodes(lengths []uint8) []uint64 {
-	type sl struct {
-		sym int
-		ln  uint8
-	}
-	order := make([]sl, 0, len(lengths))
-	for s, ln := range lengths {
-		if ln > 0 {
-			order = append(order, sl{s, ln})
-		}
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].ln != order[j].ln {
-			return order[i].ln < order[j].ln
-		}
-		return order[i].sym < order[j].sym
-	})
-	codes := make([]uint64, len(lengths))
+// huffCodes writes into codes (one entry per symbol) the canonical codes
+// for a set of code lengths: symbols in (length, symbol) order receive
+// consecutive code values, shifted left at each length increase. Entries
+// are valid only where lengths[sym] > 0.
+func huffCodes(lengths []uint8, codes []uint64) {
 	var code uint64
-	var prev uint8
-	for _, e := range order {
-		code <<= uint(e.ln - prev)
-		codes[e.sym] = code
-		code++
-		prev = e.ln
+	var prev, maxLen uint8
+	for _, l := range lengths {
+		maxLen = max(maxLen, l)
 	}
-	return codes
+	for ln := uint8(1); ln <= maxLen; ln++ {
+		for s, l := range lengths {
+			if l == ln {
+				code <<= ln - prev
+				codes[s] = code
+				code++
+				prev = ln
+			}
+		}
+	}
 }
 
 // huffDecoder decodes canonical Huffman symbols bit by bit using the

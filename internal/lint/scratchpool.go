@@ -8,8 +8,8 @@ import (
 )
 
 // ScratchPool is the dataflow analyzer for scratch-arena discipline:
-// every buffer taken from internal/scratch (Floats, Uint64s) must be
-// returned (PutFloats, PutUint64s) on every path that reaches the
+// every buffer taken from internal/scratch (Floats, Uint64s, Ints) must be
+// returned (PutFloats, PutUint64s, PutInts) on every path that reaches the
 // function's exit — including early error returns — or have its
 // ownership visibly handed off (stored into a struct, returned, sent on
 // a channel, passed straight into a constructor). It also flags uses of
@@ -305,11 +305,11 @@ func viewKey(info *types.Info, e ast.Expr) string {
 }
 
 func (f *poolFlow) isGet(call *ast.CallExpr) bool {
-	return scratchCallee(f.pass.TypesInfo, call, "Floats", "Uint64s")
+	return scratchCallee(f.pass.TypesInfo, call, "Floats", "Uint64s", "Ints")
 }
 
 func (f *poolFlow) isPut(call *ast.CallExpr) bool {
-	return scratchCallee(f.pass.TypesInfo, call, "PutFloats", "PutUint64s")
+	return scratchCallee(f.pass.TypesInfo, call, "PutFloats", "PutUint64s", "PutInts")
 }
 
 func scratchCallee(info *types.Info, call *ast.CallExpr, names ...string) bool {

@@ -140,6 +140,17 @@ func RunPipeline(ctx context.Context, cfg Config, progress io.Writer) ([]Result,
 	if err != nil {
 		return nil, err
 	}
+	// The shipped compress tail: the window-joint selection over the 4D
+	// coefficients, and the survivor lists it hands the encoder.
+	transformedDatas := make([][]float64, len(transformed.Slices))
+	for i, s := range transformed.Slices {
+		transformedDatas[i] = s.Data
+	}
+	keep, err := compress.KeepCount(transformed.TotalSamples(), benchRatio)
+	if err != nil {
+		return nil, err
+	}
+	survs := compress.SelectSurvivors(transformedDatas, keep, benchWorkers)
 	decodeScratch := make([]float64, len(datas[0]))
 	entOpts := opts
 	entOpts.Codec = entCodec
@@ -446,6 +457,18 @@ func RunPipeline(ctx context.Context, cfg Config, progress io.Writer) ([]Result,
 		}},
 		pipelineBenchmark{"sim.synth_sample_f32", simSamples * 4, func(context.Context) error {
 			return simField.SampleScalarInto32(sim32, 2.5)
+		}})
+
+	// Stage rows for the compress tail as core runs it: selection reads
+	// the dense coefficients once, and the encoder sees survivors only.
+	suite = append(suite,
+		pipelineBenchmark{"compress.select_survivors", rawBytes, func(context.Context) error {
+			compress.SelectSurvivors(transformedDatas, keep, benchWorkers)
+			return nil
+		}},
+		pipelineBenchmark{"codec.entropy_encode_survivors", rawBytes, func(context.Context) error {
+			_, err := entCodec.EncodeSurvivors(survs, benchWorkers)
+			return err
 		}})
 
 	// Warm the server cache so slice_hot measures the steady state.

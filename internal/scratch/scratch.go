@@ -1,7 +1,7 @@
 // Package scratch is the pipeline's shared scratch-buffer arena: a set of
-// size-classed sync.Pools for the temporary float64, float32, and uint64 slices the
-// compression hot path burns through (transform tile slabs, threshold
-// candidate buffers, cloned work windows). Reusing them drives the
+// size-classed sync.Pools for the temporary float64, float32, uint64, and int
+// slices the compression hot path burns through (transform tile slabs,
+// threshold candidate buffers, cloned work windows, survivor lists). Reusing them drives the
 // steady-state allocation count of core.Compress toward zero.
 //
 // Buffers are pooled by power-of-two capacity class. Get functions return
@@ -33,6 +33,7 @@ var (
 	floatPools   [maxClass + 1]sync.Pool
 	float32Pools [maxClass + 1]sync.Pool
 	uint64Pools  [maxClass + 1]sync.Pool
+	intPools     [maxClass + 1]sync.Pool
 	// Box pools recycle the *[]T header boxes between Get and Put: a
 	// pointer round-trips through a sync.Pool without allocating, but
 	// boxing a fresh slice header on every Put would cost one small heap
@@ -41,6 +42,7 @@ var (
 	floatBoxes   sync.Pool
 	float32Boxes sync.Pool
 	uint64Boxes  sync.Pool
+	intBoxes     sync.Pool
 )
 
 // class returns the pool class for a request of n elements: the smallest
@@ -165,5 +167,31 @@ func PutUint64s(s []uint64) {
 		}
 		*p = s[:cap(s)]
 		uint64Pools[c].Put(p)
+	}
+}
+
+// Ints returns an int slice of length n with arbitrary contents.
+func Ints(n int) []int {
+	if c, ok := class(n); ok {
+		if p, _ := intPools[c].Get().(*[]int); p != nil {
+			s := *p
+			*p = nil
+			intBoxes.Put(p)
+			return s[:n]
+		}
+		return make([]int, n, 1<<c)
+	}
+	return make([]int, n)
+}
+
+// PutInts returns a buffer to the arena for reuse.
+func PutInts(s []int) {
+	if c, ok := putClass(cap(s)); ok {
+		p, _ := intBoxes.Get().(*[]int)
+		if p == nil {
+			p = new([]int)
+		}
+		*p = s[:cap(s)]
+		intPools[c].Put(p)
 	}
 }

@@ -56,3 +56,15 @@ func TestClassBoundaries(t *testing.T) {
 		t.Error("putClass(3000) should reject non-power-of-two capacity")
 	}
 }
+
+func TestIntsLengthAndReuse(t *testing.T) {
+	s := Ints(300)
+	if len(s) != 300 || cap(s) != 512 {
+		t.Fatalf("Ints(300) len=%d cap=%d, want 300/512", len(s), cap(s))
+	}
+	PutInts(s)
+	if s2 := Ints(400); len(s2) != 400 || cap(s2) != 512 {
+		t.Fatalf("Ints(400) after Put len=%d cap=%d, want 400/512", len(s2), cap(s2))
+	}
+	PutInts(make([]int, 300)) // a foreign capacity is dropped, not pooled
+}
