@@ -25,6 +25,7 @@ all: build vet test check
 # 1D wavelet round-trip at both precisions, the window deserializer
 # with a reconstruction query, the record-frame codec, the gap-marker codec,
 # the level-offset table parser of the progressive (v4) layout, the
+# error-bounded mode's bound at both precisions, the
 # entropy coder round-trip, the entropy encoder's bytes against its
 # byte-at-a-time reference, the coefficient codec block decoders,
 # survivor selection against the serial threshold, and every codec's
@@ -39,6 +40,7 @@ check: vet fmt-check lint docscheck bench-smoke
 	$(GO) test -run=NONE -fuzz=FuzzRecordFrame -fuzztime=5s ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzGapMarker -fuzztime=5s ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzLevelTable -fuzztime=5s ./internal/core
+	$(GO) test -run=NONE -fuzz=FuzzMaxErrBound -fuzztime=5s ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzEntropyRoundtrip -fuzztime=5s ./internal/entropy
 	$(GO) test -run=NONE -fuzz=FuzzEncodeMatchesReference -fuzztime=5s ./internal/entropy
 	$(GO) test -run=NONE -fuzz=FuzzCodecDecode -fuzztime=5s ./internal/codec

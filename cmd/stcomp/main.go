@@ -220,7 +220,6 @@ func runCompress(args []string) error {
 	if err != nil {
 		return err
 	}
-	cw.Deflate = *deflate
 	cw.Sync = syncPol
 
 	ctx := context.Background()

@@ -2,6 +2,8 @@ package main
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -280,8 +282,8 @@ func TestRunIngestFloat32(t *testing.T) {
 	}
 }
 
-// TestRunCompressFloat32RejectsOracleModes: the rate-control modes that
-// run on the float64 oracle must refuse -precision f32 loudly.
+// TestRunCompressFloat32RejectsOracleModes: -target-nrmse, whose search
+// runs on the float64 oracle, must refuse -precision f32 loudly.
 func TestRunCompressFloat32RejectsOracleModes(t *testing.T) {
 	dir := t.TempDir()
 	d := grid.Dims{Nx: 8, Ny: 8, Nz: 8}
@@ -295,8 +297,61 @@ func TestRunCompressFloat32RejectsOracleModes(t *testing.T) {
 		"-target-nrmse", "0.01", "-out", out, in}); err == nil {
 		t.Error("-target-nrmse with -precision f32 accepted")
 	}
-	if err := runCompress([]string{"-dims", "8x8x8", "-precision", "f32",
-		"-max-err", "0.01", "-out", out, in}); err == nil {
-		t.Error("-max-err with -precision f32 accepted")
+}
+
+// TestRunCompressFloat32MaxErr: -max-err runs at -precision f32, and the
+// decompressed slices are within the bound of the float32 inputs.
+func TestRunCompressFloat32MaxErr(t *testing.T) {
+	const bound = 1e-3
+	dir := t.TempDir()
+	d := grid.Dims{Nx: 8, Ny: 8, Nz: 8}
+	ins := make([]*grid.Field3D32, 6)
+	paths := make([]string, len(ins))
+	for i := range ins {
+		ins[i] = grid.NewField3D32(d.Nx, d.Ny, d.Nz)
+		for j := range ins[i].Data {
+			ins[i].Data[j] = float32(math.Sin(0.05*float64(j) + 0.3*float64(i)))
+		}
+		paths[i] = filepath.Join(dir, "in"+strconv.Itoa(i)+".raw")
+		if err := ins[i].SaveRawFile(paths[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := filepath.Join(dir, "f32.stw")
+	args := append([]string{"-dims", "8x8x8", "-window", "3", "-precision", "f32",
+		"-max-err", strconv.FormatFloat(bound, 'g', -1, 64), "-out", out}, paths...)
+	if err := runCompress(args); err != nil {
+		t.Fatal(err)
+	}
+	prefix := filepath.Join(dir, "recon")
+	if err := runDecompress([]string{"-in", out, "-prefix", prefix}); err != nil {
+		t.Fatal(err)
+	}
+	for i, in := range ins {
+		got, err := grid.LoadRawFileOf[float32](fmt.Sprintf("%s%04d.raw", prefix, i), d.Nx, d.Ny, d.Nz)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, v := range in.Data {
+			if e := math.Abs(float64(got.Data[j]) - float64(v)); e > bound {
+				t.Fatalf("slice %d sample %d: error %g exceeds -max-err %g", i, j, e, bound)
+			}
+		}
+	}
+}
+
+// TestRunCompressRejectsNonFiniteMaxErr: flag.Float64 parses "NaN", which
+// every ordered range check accepts, so the bound is rejected explicitly.
+func TestRunCompressRejectsNonFiniteMaxErr(t *testing.T) {
+	dir := t.TempDir()
+	in := filepath.Join(dir, "in.raw")
+	if err := grid.NewField3D(4, 4, 4).SaveRawFile(in); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []string{"NaN", "Inf"} {
+		out := filepath.Join(dir, b+".stw")
+		if err := runCompress([]string{"-dims", "4x4x4", "-window", "2", "-max-err", b, "-out", out, in, in}); err == nil {
+			t.Errorf("-max-err %s accepted", b)
+		}
 	}
 }

@@ -1,20 +1,19 @@
 // Progressive: two access patterns beyond the paper's core pipeline —
-// quality-progressive decoding with the embedded bitplane coder (decode any
-// prefix of the stream) and multiresolution spatial previews (decode a
-// 1/8^L-size approximation), plus fast single-slice random access from a 4D
-// window.
+// quality-progressive decoding of a level-major (v4) window, where each
+// byte prefix reconstructs the whole window at a coarser detail level,
+// and multiresolution spatial previews (decode a 1/8^L-size
+// approximation), plus fast single-slice random access from a 4D window.
 //
 //	go run ./examples/progressive
 package main
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"log"
 
-	"stwave/internal/coder"
 	"stwave/internal/core"
-	"stwave/internal/grid"
 	"stwave/internal/metrics"
 	"stwave/internal/sim/synth"
 	"stwave/internal/transform"
@@ -26,51 +25,43 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	window := field.ScalarWindow(32, 32, 32, 18, 0, 1.0)
-	orig := window.Clone()
+	orig := field.ScalarWindow(32, 32, 32, 18, 0, 1.0)
+	ctx := context.Background()
 
-	// --- Progressive quality: transform, then embedded-encode all
-	// coefficients. Any prefix of the stream decodes to a valid field.
-	spec := transform.Spec{
-		SpatialKernel:  wavelet.CDF97,
-		SpatialLevels:  -1,
-		TemporalKernel: wavelet.CDF97,
-		TemporalLevels: -1,
-	}
-	if err := transform.Forward4D(window, spec); err != nil {
-		log.Fatal(err)
-	}
-	coeffs := make([]float64, 0, window.TotalSamples())
-	for _, s := range window.Slices {
-		coeffs = append(coeffs, s.Data...)
-	}
-	stream, err := coder.Encode(coeffs, 20)
+	// --- Progressive quality: compress level-major, then read back byte
+	// prefixes. The prefix holding level groups 0..K decodes on its own;
+	// the finer groups it lacks reconstruct as zero detail.
+	opts := core.DefaultOptions()
+	opts.WindowSize = 18
+	opts.Ratio = 32
+	opts.Progressive = true
+	comp, err := core.New(opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rawBytes := window.TotalSamples() * 8
-	fmt.Printf("embedded stream: %d bytes for %d raw bytes\n", len(stream), rawBytes)
-	fmt.Printf("%-14s %12s\n", "prefix", "NRMSE")
-	for _, frac := range []int{5, 10, 25, 50, 100} {
-		cut := len(stream) * frac / 100
-		if cut < 16 {
-			cut = 16
-		}
-		dec, err := coder.Decode(stream[:cut])
+	cw, err := core.Compress(ctx, comp, orig, core.Copy)
+	if err != nil {
+		log.Fatal(err)
+	}
+	var stored bytes.Buffer
+	if _, err := cw.WriteTo(&stored); err != nil {
+		log.Fatal(err)
+	}
+	_, table, payload, err := core.ReadWindowLevelTable(bytes.NewReader(stored.Bytes()))
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("progressive window: %d bytes for %d raw bytes, %d level groups\n",
+		stored.Len(), orig.TotalSamples()*8, len(table.Extents))
+	fmt.Printf("%-7s %13s %12s\n", "levels", "prefix bytes", "NRMSE")
+	for k := range table.Extents {
+		prefix := stored.Bytes()[:payload+table.PrefixBytes(k)]
+		part, err := core.ReadCompressedWindowLevels(bytes.NewReader(prefix), k)
 		if err != nil {
 			log.Fatal(err)
 		}
-		recon := grid.NewWindow(window.Dims)
-		off := 0
-		for i := range window.Slices {
-			g := grid.NewField3D(window.Dims.Nx, window.Dims.Ny, window.Dims.Nz)
-			copy(g.Data, dec[off:off+len(g.Data)])
-			off += len(g.Data)
-			if err := recon.Append(g, float64(i)); err != nil {
-				log.Fatal(err)
-			}
-		}
-		if err := transform.Inverse4D(recon, spec); err != nil {
+		recon, err := core.Reconstruct[float64](ctx, part, core.Query{MaxLevel: core.All, Slice: core.All})
+		if err != nil {
 			log.Fatal(err)
 		}
 		ac := metrics.NewAccumulator()
@@ -79,7 +70,7 @@ func main() {
 				log.Fatal(err)
 			}
 		}
-		fmt.Printf("%3d%% (%6d B) %12.4e\n", frac, cut, ac.NRMSE())
+		fmt.Printf("0..%-4d %13d %12.4e\n", k, len(prefix), ac.NRMSE())
 	}
 
 	// --- Multiresolution preview: extract coarse approximations of one
@@ -94,20 +85,9 @@ func main() {
 			levels, c.Dims, c.Dims.Len(), orig.Dims.Len()/c.Dims.Len())
 	}
 
-	// --- Random access: decode one slice from a compressed 4D window
+	// --- Random access: decode one slice of the compressed 4D window
 	// without paying the other slices' spatial inverse.
-	opts := core.DefaultOptions()
-	opts.WindowSize = 18
-	opts.Ratio = 32
-	comp, err := core.New(opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cw, err := core.Compress(context.Background(), comp, orig, core.Copy)
-	if err != nil {
-		log.Fatal(err)
-	}
-	slice9, err := core.Reconstruct[float64](context.Background(), cw, core.Query{MaxLevel: core.All, Slice: 9})
+	slice9, err := core.Reconstruct[float64](ctx, cw, core.Query{MaxLevel: core.All, Slice: 9})
 	if err != nil {
 		log.Fatal(err)
 	}

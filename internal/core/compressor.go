@@ -181,18 +181,20 @@ type Input int
 
 const (
 	// Copy: w holds samples and is left untouched; a pooled working copy
-	// is transformed. The only input the error-bounded mode (MaxErr)
-	// accepts, because its bound is verified against the raw samples.
+	// is transformed.
 	Copy Input = iota
 	// InPlace: w holds samples, and on return — error or not — it holds
 	// the window's wavelet coefficients. Selection never writes, so the
-	// coefficients stay intact for a later Coefficients call.
+	// coefficients stay intact for a later Coefficients call. Under
+	// MaxErr the samples are first cloned into a pooled slab, because
+	// the bound is verified against them.
 	InPlace
 	// Coefficients: w already holds the coefficients of a window that a
 	// compressor with the same transform configuration (kernels, levels,
 	// mode) transformed; no transform runs and w is only read. Because
 	// Forward4D is deterministic, the bytes equal compressing the raw
-	// window at c's ratio.
+	// window at c's ratio. The error-bounded mode (MaxErr) rejects it:
+	// there are no samples to verify against.
 	Coefficients
 )
 
@@ -201,28 +203,34 @@ const (
 // equal Options.WindowSize, but any length >= 1 is accepted: temporal
 // levels adapt to the actual length (shorter final windows at end of
 // simulation). At F = float32 the transform, threshold, and encode all
-// move 4-byte samples; MaxErr is defined on the float64 oracle only.
+// move 4-byte samples, and MaxErr is verified on the float32
+// reconstruction against the float32 samples.
 //
 // When ctx carries a trace, the transform, threshold, and encode stages
 // each record a span under "core.compress_window", and stage throughputs
 // land in the process-wide metrics registry either way. The output bytes
 // depend only on c's options and the window's samples, never on in.
 func Compress[F num.Float](ctx context.Context, c *Compressor, w *grid.WindowOf[F], in Input) (*CompressedWindow, error) {
+	maxErr := c.opts.MaxErr > 0
 	switch {
 	case w.Len() == 0:
 		return nil, fmt.Errorf("core: cannot compress an empty window")
 	case in < Copy || in > Coefficients:
 		return nil, fmt.Errorf("core: unknown compress input %d", int(in))
-	case c.opts.MaxErr > 0 && in != Copy:
-		return nil, fmt.Errorf("core: error-bounded mode (MaxErr) verifies against the raw window and needs Copy input")
+	case maxErr && in == Coefficients:
+		return nil, fmt.Errorf("core: error-bounded mode (MaxErr) verifies against the raw samples, which Coefficients input lacks")
 	}
 	ctx, sp := obs.Start(ctx, "core.compress_window")
 	defer sp.End()
-	work := w
-	if in == Copy {
+	raw, work := w, w
+	if in == Copy || maxErr { // maxErr rules out Coefficients above
 		slab := scratch.FloatsOf[F](w.TotalSamples())
 		defer scratch.PutFloatsOf(slab)
-		work = cloneInto(w, slab)
+		if in == Copy {
+			work = cloneInto(w, slab)
+		} else {
+			raw = cloneInto(w, slab)
+		}
 	}
 	spec := c.opts.spec(w.Dims, w.Len())
 	if in != Coefficients {
@@ -231,29 +239,10 @@ func Compress[F num.Float](ctx context.Context, c *Compressor, w *grid.WindowOf[
 		}
 	}
 	workers := par.Workers(c.opts.Workers)
-	if c.opts.MaxErr <= 0 {
-		return encodeCoefficients(ctx, c, work, spec, workers)
+	if maxErr {
+		return maxErrOf(ctx, c, raw, work, spec, workers)
 	}
-	// Error-bounded mode: threshold and encode fuse into one verified
-	// loop, because the bound is checked on the exact encoded stream
-	// (codec quantization included).
-	orig, okW := any(w).(*grid.Window)
-	coeffs, okC := any(work).(*grid.Window)
-	if !okW || !okC {
-		return nil, fmt.Errorf("core: error-bounded mode (MaxErr) requires the float64 pipeline")
-	}
-	cw := newCompressedWindow(c, work, spec)
-	rawBytes := int64(work.TotalSamples()) * int64(num.SampleBytes[F]())
-	_, spTh := obs.Start(ctx, "core.threshold_maxerr")
-	start := time.Now()
-	err := c.thresholdMaxErr(orig, coeffs, spec, workers, cw)
-	spTh.End()
-	if err != nil {
-		return nil, err
-	}
-	observeThroughput("compress.threshold_mb_per_s", rawBytes, time.Since(start))
-	finishWindow(cw, rawBytes)
-	return cw, nil
+	return encodeCoefficients(ctx, c, work, spec, workers)
 }
 
 // CompressWindowOf is Compress with Copy input, kept for the benchmark
@@ -265,17 +254,24 @@ func CompressWindowOf[F num.Float](ctx context.Context, c *Compressor, w *grid.W
 // cloneInto copies w's samples into slab, carved into per-slice fields,
 // so the working copy costs O(1) allocations regardless of window size.
 func cloneInto[F num.Float](w *grid.WindowOf[F], slab []F) *grid.WindowOf[F] {
-	t, s := w.Len(), w.Dims.Len()
+	c := carveWindow(w.Dims, w.Len(), slab, w.Times)
+	for i, f := range c.Slices {
+		copy(f.Data, w.Slices[i].Data)
+	}
+	obs.Default().Counter("core.window_clone_bytes_total").Add(int64(c.TotalSamples()) * int64(num.SampleBytes[F]()))
+	return c
+}
+
+// carveWindow lays t slices of dims over slab, in order, without copying.
+func carveWindow[F num.Float](dims grid.Dims, t int, slab []F, times []float64) *grid.WindowOf[F] {
+	s := dims.Len()
 	fields := make([]grid.Field3DOf[F], t)
 	slices := make([]*grid.Field3DOf[F], t)
 	for i := range fields {
-		d := slab[i*s : (i+1)*s : (i+1)*s]
-		copy(d, w.Slices[i].Data)
-		fields[i] = grid.Field3DOf[F]{Dims: w.Dims, Data: d}
+		fields[i] = grid.Field3DOf[F]{Dims: dims, Data: slab[i*s : (i+1)*s : (i+1)*s]}
 		slices[i] = &fields[i]
 	}
-	obs.Default().Counter("core.window_clone_bytes_total").Add(int64(t*s) * int64(num.SampleBytes[F]()))
-	return &grid.WindowOf[F]{Dims: w.Dims, Slices: slices, Times: w.Times}
+	return &grid.WindowOf[F]{Dims: dims, Slices: slices, Times: times}
 }
 
 // newCompressedWindow starts the compressed form of a window transformed

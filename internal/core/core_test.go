@@ -3,10 +3,13 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"stwave/internal/codec"
 	"stwave/internal/grid"
 	"stwave/internal/metrics"
 	"stwave/internal/wavelet"
@@ -488,35 +491,46 @@ func TestP2StorageHalving(t *testing.T) {
 	}
 }
 
+// TestDeflatedSerializationRoundTrip: Options.Codec = codec.Deflate()
+// writes the sparse blocks through the DEFLATE stage. The bytes are
+// pinned by a SHA-256 recorded from the removed WriteToDeflated, which
+// framed a sparse-codec window the same way.
 func TestDeflatedSerializationRoundTrip(t *testing.T) {
+	const wantSHA = "5e481f9905380c4f7d6b9649aca99d5ed9163dd53bace3e1c46b1e7567d3108f"
 	d := grid.Dims{Nx: 10, Ny: 8, Nz: 6}
 	w := coherentWindow(d, 12, 0.4)
-	opts := DefaultOptions()
-	opts.WindowSize = 12
-	opts.Ratio = 64
-	c, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
+	encode := func(cdc codec.Codec) (*CompressedWindow, []byte) {
+		opts := DefaultOptions()
+		opts.WindowSize = 12
+		opts.Ratio = 64
+		opts.Codec = cdc
+		c, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cw, err := Compress(context.Background(), c, w, Copy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		n, err := cw.WriteTo(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(buf.Len()) != n {
+			t.Errorf("%s: WriteTo returned %d, wrote %d", cdc.Name(), n, buf.Len())
+		}
+		return cw, buf.Bytes()
 	}
-	cw, err := Compress(context.Background(), c, w, Copy)
-	if err != nil {
-		t.Fatal(err)
+	cw, raw := encode(codec.Sparse())
+	_, defl := encode(codec.Deflate())
+	if got := fmt.Sprintf("%x", sha256.Sum256(defl)); got != wantSHA {
+		t.Errorf("deflated window SHA-256 %s, want %s", got, wantSHA)
 	}
-	var raw, defl bytes.Buffer
-	if _, err := cw.WriteTo(&raw); err != nil {
-		t.Fatal(err)
+	if len(defl) >= len(raw) {
+		t.Errorf("deflated %d bytes not below raw %d at 64:1", len(defl), len(raw))
 	}
-	n, err := cw.WriteToDeflated(&defl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(defl.Len()) != n {
-		t.Errorf("WriteToDeflated returned %d, wrote %d", n, defl.Len())
-	}
-	if defl.Len() >= raw.Len() {
-		t.Errorf("deflated %d bytes not below raw %d at 64:1", defl.Len(), raw.Len())
-	}
-	cw2, err := ReadCompressedWindow(&defl)
+	cw2, err := ReadCompressedWindow(bytes.NewReader(defl))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,14 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
+	"math"
+	"math/rand"
 	"testing"
 
+	"stwave/internal/codec"
 	"stwave/internal/grid"
+	"stwave/internal/num"
 	"stwave/internal/transform"
 )
 
@@ -185,4 +190,82 @@ func FuzzLevelTable(f *testing.F) {
 			return
 		}
 	})
+}
+
+// FuzzMaxErrBound drives the error-bounded mode at either precision and
+// codec with a random bound and ROI box on a window of at most 12³×4
+// samples. Every case ends one of two ways: the serialized window
+// reconstructs within both bounds, or Compress returns
+// ErrBoundUnreachable.
+func FuzzMaxErrBound(f *testing.F) {
+	f.Add(int64(1), false, false, uint8(11), uint8(11), uint8(11), uint8(3), uint8(2), uint8(0), uint32(0), uint8(0))
+	f.Add(int64(2), true, false, uint8(11), uint8(9), uint8(7), uint8(3), uint8(3), uint8(128), uint32(0x04030201), uint8(3))
+	f.Add(int64(3), false, true, uint8(7), uint8(11), uint8(5), uint8(1), uint8(4), uint8(64), uint32(0x00ffffff), uint8(1))
+	f.Add(int64(4), true, true, uint8(0), uint8(0), uint8(0), uint8(0), uint8(8), uint8(0), uint32(0), uint8(0))
+	f.Add(int64(5), true, false, uint8(11), uint8(11), uint8(11), uint8(3), uint8(9), uint8(0), uint32(0), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, f32, entropy bool, nx, ny, nz, nt, boundExp, boundMant uint8, box uint32, roiDiv uint8) {
+		d := grid.Dims{Nx: 1 + int(nx)%12, Ny: 1 + int(ny)%12, Nz: 1 + int(nz)%12}
+		o := DefaultOptions()
+		o.WindowSize = 4
+		o.Workers = 2
+		o.MaxErr = (1 + float64(boundMant)/256) * math.Pow(10, -float64(boundExp%10))
+		if entropy {
+			o.Codec = codec.Entropy()
+		}
+		if roiDiv > 0 {
+			axis := func(n int, code uint32) (lo, hi int) {
+				lo = int(code&0xff) % n
+				return lo, lo + 1 + int(code>>8&0xff)%(n-lo)
+			}
+			roi := &ROIBounds{MaxErr: o.MaxErr / float64(1+roiDiv%16)}
+			roi.X0, roi.X1 = axis(d.Nx, box)
+			roi.Y0, roi.Y1 = axis(d.Ny, box>>8)
+			roi.Z0, roi.Z1 = axis(d.Nz, box>>16)
+			o.ROI = roi
+		}
+		slices := 1 + int(nt)%4
+		if f32 {
+			o.Precision = Float32
+			checkMaxErrBound(t, o, fuzzWindow[float32](d, slices, seed))
+		} else {
+			checkMaxErrBound(t, o, fuzzWindow[float64](d, slices, seed))
+		}
+	})
+}
+
+// fuzzWindow fills a window with a smooth field plus seeded noise.
+func fuzzWindow[F num.Float](d grid.Dims, slices int, seed int64) *grid.WindowOf[F] {
+	rng := rand.New(rand.NewSource(seed))
+	w := grid.NewWindowOf[F](d)
+	for i := 0; i < slices; i++ {
+		f := grid.NewField3DOf[F](d.Nx, d.Ny, d.Nz)
+		for j := range f.Data {
+			f.Data[j] = F(math.Sin(0.3*float64(j)+0.2*float64(i)) + 0.1*rng.NormFloat64())
+		}
+		if err := w.Append(f, float64(i)); err != nil {
+			panic(err)
+		}
+	}
+	return w
+}
+
+func checkMaxErrBound[F num.Float](t *testing.T, o Options, raw *grid.WindowOf[F]) {
+	c, err := New(o)
+	if err != nil {
+		t.Fatalf("options %+v: %v", o, err)
+	}
+	cw, err := Compress(context.Background(), c, raw, Copy)
+	if errors.Is(err, ErrBoundUnreachable) {
+		return
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	bg, in := maxErrSerialized(t, cw, raw, o.ROI)
+	if bg > o.MaxErr {
+		t.Fatalf("background error %g exceeds bound %g", bg, o.MaxErr)
+	}
+	if o.ROI != nil && in > o.ROI.MaxErr {
+		t.Fatalf("ROI error %g exceeds bound %g", in, o.ROI.MaxErr)
+	}
 }

@@ -1,11 +1,17 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"time"
 
 	"stwave/internal/compress"
 	"stwave/internal/grid"
+	"stwave/internal/num"
+	"stwave/internal/obs"
 	"stwave/internal/par"
 	"stwave/internal/scratch"
 	"stwave/internal/transform"
@@ -36,10 +42,8 @@ const maxErrIters = 24
 // ROI box is held to the ROI bound.
 const supportMargin = 4
 
-const (
-	depthMask   = 0x7f
-	roiClassBit = 0x80
-)
+// roiClassBit marks an ROI coefficient class; the low bits hold its depth.
+const roiClassBit = 0x80
 
 // axisBands returns, for one axis of length n under a levels-deep
 // transform, the per-coordinate band depth (deepest approximation cube
@@ -146,14 +150,18 @@ func temporalDepths(t, levels int) []int {
 	return ed
 }
 
-// thresholdMaxErr runs the error-bounded threshold-encode-verify loop
-// over the transformed coefficients in coeffs, filling cw's block layout
-// (progressive or slice-major per Options) with the verified encoding
-// and recording the achieved error maxima. orig is the untransformed
-// window the bound is measured against; coeffs is consumed as scratch.
-func (c *Compressor) thresholdMaxErr(orig, coeffs *grid.Window, spec transform.Spec, workers int, cw *CompressedWindow) error {
-	dims := orig.Dims
-	datas := make([][]float64, coeffs.Len())
+// ErrBoundUnreachable reports an error-bounded compress whose bound the
+// tighten-and-verify loop could not meet, typically because it lies
+// under the codec's quantization floor.
+var ErrBoundUnreachable = errors.New("core: error bound unreachable")
+
+// maxErrOf is Compress's error-bounded tail: the threshold-encode-verify
+// loop over the transformed coefficients in coeffs (only read), each
+// iteration encoding exactly as the window will be stored. raw holds the
+// samples the bound is measured against, at the window's own precision.
+func maxErrOf[F num.Float](ctx context.Context, c *Compressor, raw, coeffs *grid.WindowOf[F], spec transform.Spec, workers int) (*CompressedWindow, error) {
+	dims := raw.Dims
+	datas := make([][]F, coeffs.Len())
 	for i, f := range coeffs.Slices {
 		datas[i] = f.Data
 	}
@@ -161,7 +169,7 @@ func (c *Compressor) thresholdMaxErr(orig, coeffs *grid.Window, spec transform.S
 	levels := spec.SpatialLevels
 	roi := c.opts.ROI
 	if roi != nil && (roi.X1 > dims.Nx || roi.Y1 > dims.Ny || roi.Z1 > dims.Nz) {
-		return fmt.Errorf("core: ROI box [%d,%d)x[%d,%d)x[%d,%d) exceeds grid %v",
+		return nil, fmt.Errorf("core: ROI box [%d,%d)x[%d,%d)x[%d,%d) exceeds grid %v",
 			roi.X0, roi.X1, roi.Y0, roi.Y1, roi.Z0, roi.Z1, dims)
 	}
 	class := classifySpatial(dims, levels, roi)
@@ -178,21 +186,14 @@ func (c *Compressor) thresholdMaxErr(orig, coeffs *grid.Window, spec transform.S
 		gain[e] = math.Pow(math.Sqrt2, float64(e))
 	}
 
-	saved := scratch.Floats(t * s)
-	defer scratch.PutFloats(saved)
-	for i, d := range datas {
-		copy(saved[i*s:(i+1)*s], d)
-	}
-	vslab := scratch.Floats(t * s)
-	defer scratch.PutFloats(vslab)
-	vfields := make([]grid.Field3D, t)
-	vslices := make([]*grid.Field3D, t)
-	for i := range vfields {
-		vfields[i] = grid.Field3D{Dims: dims, Data: vslab[i*s : (i+1)*s : (i+1)*s]}
-		vslices[i] = &vfields[i]
-	}
-	vw := &grid.Window{Dims: dims, Slices: vslices, Times: orig.Times}
+	vslab := scratch.FloatsOf[F](t * s)
+	defer scratch.PutFloatsOf(vslab)
+	vw := carveWindow(dims, t, vslab, raw.Times)
 
+	_, sp := obs.Start(ctx, "core.threshold_maxerr")
+	defer sp.End()
+	start := time.Now()
+	cw := newCompressedWindow(c, coeffs, spec)
 	cdc := c.opts.codec()
 	tauBG := c.opts.MaxErr / 2
 	tauROI := 0.0
@@ -202,49 +203,34 @@ func (c *Compressor) thresholdMaxErr(orig, coeffs *grid.Window, spec transform.S
 	var bgMax, roiMax float64
 	roiTightenings := 0
 	for iter := 0; iter < maxErrIters; iter++ {
-		// Restore the full coefficient set and drop everything under the
-		// current per-class thresholds.
-		par.For(t, workers, 1, func(start, end int) {
-			for i := start; i < end; i++ {
-				d := datas[i]
-				copy(d, saved[i*s:(i+1)*s])
-				te := et[i]
-				for j, v := range d {
-					cl := class[j]
-					tau := tauBG
-					if cl&roiClassBit != 0 {
-						tau = tauROI
-					}
-					if math.Abs(v) <= tau*gain[3*int(cl&depthMask)+te] {
-						d[j] = 0
-					}
-				}
-			}
-		})
-
-		// Encode exactly as the window will be stored, then decode the
-		// encoded blocks back: the verified stream is the written stream.
-		blocks, levelBlocks, err := encodeSurvivors(cdc, compress.Nonzeros(datas, workers), dims, levels, c.opts.Progressive, workers)
+		// Keep everything over the current per-class thresholds, then
+		// decode the encoded blocks back: the verified stream is the
+		// written stream.
+		survs, idx, val := bandSurvivors(datas, class, et, gain, tauBG, tauROI, workers)
+		blocks, levelBlocks, err := encodeSurvivors(cdc, survs, dims, levels, c.opts.Progressive, workers)
+		scratch.PutInts(idx)
+		scratch.PutFloats(val)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		tmp := &CompressedWindow{Dims: dims, Opts: c.opts, SpatialLevels: levels, Blocks: blocks, LevelBlocks: levelBlocks}
-		if err := decodeInto(tmp, vslices, levels, workers); err != nil {
-			return err
+		cw.Blocks, cw.LevelBlocks = blocks, levelBlocks
+		if err := decodeInto(cw, vw.Slices, levels, workers); err != nil {
+			return nil, err
 		}
 		if err := transform.Inverse4D(vw, spec); err != nil {
-			return fmt.Errorf("core: verification inverse transform: %w", err)
+			return nil, fmt.Errorf("core: verification inverse transform: %w", err)
 		}
 
-		bgMax, roiMax = measureMaxErr(orig, vw, roi, workers)
+		bgMax, roiMax = measureMaxErr(raw, vw, roi, workers)
 		bgOK := bgMax <= c.opts.MaxErr
 		roiOK := roi == nil || roiMax <= roi.MaxErr
 		if bgOK && roiOK {
-			cw.Blocks = blocks
-			cw.LevelBlocks = levelBlocks
 			cw.MaxErrAchieved = bgMax
 			cw.ROIMaxErrAchieved = roiMax
-			return nil
+			rawBytes := int64(t*s) * int64(num.SampleBytes[F]())
+			observeThroughput("compress.threshold_mb_per_s", rawBytes, time.Since(start))
+			finishWindow(cw, rawBytes)
+			return cw, nil
 		}
 		if !bgOK {
 			tauBG /= 2
@@ -265,13 +251,61 @@ func (c *Compressor) thresholdMaxErr(orig, coeffs *grid.Window, spec transform.S
 			break
 		}
 	}
-	return fmt.Errorf("core: error bound unreachable for codec %s (achieved background %g > %g or ROI %g): "+
-		"the codec's quantization floor may exceed the requested bound", cdc.Name(), bgMax, c.opts.MaxErr, roiMax)
+	return nil, fmt.Errorf("%w for codec %s (achieved background %g > %g or ROI %g): "+
+		"the codec's quantization floor may exceed the requested bound", ErrBoundUnreachable, cdc.Name(), bgMax, c.opts.MaxErr, roiMax)
+}
+
+// bandSurvivors collects, per slice, every coefficient that fails its
+// class threshold |v| <= tau·gain[3·depth+te] (NaN fails every
+// comparison and is kept) as ascending survivor lists carved from pooled
+// slabs, which the caller returns once the lists are encoded. Like
+// compress.Nonzeros it makes two read-only passes, on up to workers
+// goroutines: count each slice's survivors, then fill its region.
+func bandSurvivors[F num.Float](datas [][]F, class []uint8, et []int, gain []float64, tauBG, tauROI float64, workers int) ([]compress.Survivors, []int, []float64) {
+	t := len(datas)
+	limits := make([][1 << 8]float64, t) // per slice, indexed by class
+	offs := make([]int, t+1)
+	par.For(t, workers, 1, func(start, end int) {
+		for i := start; i < end; i++ {
+			lim := &limits[i]
+			for d := 0; 3*d+et[i] < len(gain); d++ {
+				lim[d] = tauBG * gain[3*d+et[i]]
+				lim[d|roiClassBit] = tauROI * gain[3*d+et[i]]
+			}
+			n := 0
+			for j, v := range datas[i] {
+				if !(math.Abs(float64(v)) <= lim[class[j]]) {
+					n++
+				}
+			}
+			offs[i+1] = n
+		}
+	})
+	for i := 0; i < t; i++ {
+		offs[i+1] += offs[i]
+	}
+	idx, val := scratch.Ints(offs[t]), scratch.Floats(offs[t])
+	survs := make([]compress.Survivors, t)
+	par.For(t, workers, 1, func(start, end int) {
+		for i := start; i < end; i++ {
+			lim := &limits[i]
+			lo, o := offs[i], offs[i]
+			for j, v := range datas[i] {
+				if !(math.Abs(float64(v)) <= lim[class[j]]) {
+					idx[o], val[o] = j, float64(v)
+					o++
+				}
+			}
+			survs[i] = compress.Survivors{Total: len(datas[i]), Idx: idx[lo:o:o], Val: val[lo:o:o]}
+		}
+	})
+	return survs, idx, val
 }
 
 // measureMaxErr returns the maximum absolute sample error outside and
-// inside the ROI box (roiMax is zero when roi is nil).
-func measureMaxErr(orig, recon *grid.Window, roi *ROIBounds, workers int) (bgMax, roiMax float64) {
+// inside the ROI box (roiMax is zero when roi is nil), taking each
+// difference after widening both samples to float64.
+func measureMaxErr[F num.Float](orig, recon *grid.WindowOf[F], roi *ROIBounds, workers int) (bgMax, roiMax float64) {
 	t := len(orig.Slices)
 	d := orig.Dims
 	bg := make([]float64, t)
@@ -285,7 +319,7 @@ func measureMaxErr(orig, recon *grid.Window, roi *ROIBounds, workers int) (bgMax
 				for y := 0; y < d.Ny; y++ {
 					inRow := roi != nil && z >= roi.Z0 && z < roi.Z1 && y >= roi.Y0 && y < roi.Y1
 					for x := 0; x < d.Nx; x++ {
-						e := math.Abs(a[idx] - b[idx])
+						e := math.Abs(float64(a[idx]) - float64(b[idx]))
 						if inRow && x >= roi.X0 && x < roi.X1 {
 							if e > mroi {
 								mroi = e
@@ -300,13 +334,5 @@ func measureMaxErr(orig, recon *grid.Window, roi *ROIBounds, workers int) (bgMax
 			bg[i], ri[i] = mbg, mroi
 		}
 	})
-	for i := 0; i < t; i++ {
-		if bg[i] > bgMax {
-			bgMax = bg[i]
-		}
-		if ri[i] > roiMax {
-			roiMax = ri[i]
-		}
-	}
-	return bgMax, roiMax
+	return slices.Max(bg), slices.Max(ri) // per-slice maxima are never NaN
 }

@@ -142,14 +142,14 @@ type Options struct {
 	// Precision selects the pipeline's sample width (Float64 unless set).
 	// It declares which sample type a configuration is meant for —
 	// Compress[float64] at Float64, Compress[float32] at Float32 — and is
-	// what the CLIs switch on. The error-bounded mode
-	// (MaxErr) is defined on the float64 oracle only.
+	// what the CLIs switch on.
 	Precision Precision
 	// MaxErr, when > 0, replaces the Ratio budget with an error-bounded
 	// mode: coefficients are thresholded adaptively per band and the
 	// bound is verified on the exact encoded stream (inverse transform
 	// of the codec roundtrip), tightening until the maximum absolute
-	// reconstruction error is <= MaxErr everywhere. Ratio is ignored.
+	// reconstruction error is <= MaxErr everywhere. The error is that of
+	// the reconstruction at the window's own precision. Ratio is ignored.
 	MaxErr float64
 	// ROI optionally designates a region of interest that must meet a
 	// tighter error bound than the MaxErr background. Requires MaxErr
@@ -219,14 +219,11 @@ func (o Options) Validate() error {
 	if o.TemporalLevels < -1 {
 		return fmt.Errorf("core: invalid temporal levels %d", o.TemporalLevels)
 	}
-	if o.MaxErr < 0 {
-		return fmt.Errorf("core: negative max error bound %g", o.MaxErr)
+	if math.IsNaN(o.MaxErr) || math.IsInf(o.MaxErr, 0) || o.MaxErr < 0 {
+		return fmt.Errorf("core: max error bound must be finite and >= 0, got %g", o.MaxErr)
 	}
 	if !o.Precision.Valid() {
 		return fmt.Errorf("core: invalid precision %d", int(o.Precision))
-	}
-	if o.Precision == Float32 && o.MaxErr > 0 {
-		return fmt.Errorf("core: error-bounded mode (MaxErr) requires the float64 pipeline; drop MaxErr or use f64 precision")
 	}
 	if o.ROI != nil {
 		if o.MaxErr <= 0 {
@@ -236,7 +233,7 @@ func (o Options) Validate() error {
 			return fmt.Errorf("core: invalid ROI box [%d,%d)x[%d,%d)x[%d,%d)",
 				o.ROI.X0, o.ROI.X1, o.ROI.Y0, o.ROI.Y1, o.ROI.Z0, o.ROI.Z1)
 		}
-		if o.ROI.MaxErr <= 0 || o.ROI.MaxErr > o.MaxErr {
+		if math.IsNaN(o.ROI.MaxErr) || o.ROI.MaxErr <= 0 || o.ROI.MaxErr > o.MaxErr {
 			return fmt.Errorf("core: ROI max error %g must be in (0, %g] (no looser than background)",
 				o.ROI.MaxErr, o.MaxErr)
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -287,17 +288,64 @@ func TestFloat32ProgressiveLevels(t *testing.T) {
 	windows32BitIdentical(t, full, again, "f32 progressive serialize roundtrip")
 }
 
-func TestFloat32MaxErrRejected(t *testing.T) {
-	o := DefaultOptions()
-	o.MaxErr = 1e-3
-	o.Precision = Float32
-	if err := o.Validate(); err == nil {
-		t.Fatal("Validate accepted MaxErr at Float32")
-	}
-	o.Precision = Float64
-	d := grid.Dims{Nx: 8, Ny: 8, Nz: 8}
-	if _, err := NewWriterOf[float32](o, d, func(*CompressedWindow) error { return nil }); err == nil {
-		t.Fatal("NewWriterOf[float32] accepted MaxErr options")
+// TestFloat32MaxErrBound: the error-bounded mode runs at float32. The
+// errors it records are exactly the brute-force errors of the serialized
+// window reconstructed at float32, both meet their bounds, and a float32
+// stream writer under MaxErr writes the same bytes as Compress.
+func TestFloat32MaxErrBound(t *testing.T) {
+	dims := grid.Dims{Nx: 16, Ny: 16, Nz: 16}
+	raw := coherentWindow32(dims, 8, 0.3)
+	box := &ROIBounds{X0: 4, Y0: 4, Z0: 4, X1: 12, Y1: 12, Z1: 12, MaxErr: 2e-3}
+	for _, cdc := range []codec.Codec{codec.Sparse(), codec.Entropy()} {
+		for _, roi := range []*ROIBounds{nil, box} {
+			name := fmt.Sprintf("%s/roi=%v", cdc.Name(), roi != nil)
+			o := maxErrOpts(1e-2)
+			o.Precision = Float32
+			o.Codec = cdc
+			o.ROI = roi
+			c, err := New(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cw, err := Compress(context.Background(), c, raw, Copy)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if cw.Precision != Float32 {
+				t.Fatalf("%s: window precision %v", name, cw.Precision)
+			}
+			bg, in := maxErrSerialized(t, cw, raw, roi)
+			if bg != cw.MaxErrAchieved || in != cw.ROIMaxErrAchieved {
+				t.Errorf("%s: recorded errors (%g, %g), serialized window measures (%g, %g)",
+					name, cw.MaxErrAchieved, cw.ROIMaxErrAchieved, bg, in)
+			}
+			if bg > o.MaxErr || (roi != nil && in > roi.MaxErr) {
+				t.Errorf("%s: errors (%g, %g) exceed bounds", name, bg, in)
+			}
+			if kept, total := cw.RetainedCoefficients(), dims.Len()*raw.Len(); kept >= total/2 {
+				t.Errorf("%s: kept %d of %d coefficients", name, kept, total)
+			}
+
+			var want, got bytes.Buffer
+			if _, err := cw.WriteTo(&want); err != nil {
+				t.Fatal(err)
+			}
+			wr, err := NewWriterOf[float32](o, dims, func(w *CompressedWindow) error {
+				_, err := w.WriteTo(&got)
+				return err
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for i, f := range raw.Slices {
+				if err := wr.WriteSlice(f, raw.Times[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(want.Bytes(), got.Bytes()) {
+				t.Errorf("%s: float32 writer bytes differ from Compress", name)
+			}
+		}
 	}
 }
 

@@ -82,15 +82,12 @@ func Reconstruct[F num.Float](ctx context.Context, cw *CompressedWindow, q Query
 		defer scratch.PutFloatsOf(slab)
 		clear(slab) // the scatter writes only the level groups present
 	}
-	fields := make([]grid.Field3DOf[F], t)
-	slices := make([]*grid.Field3DOf[F], t)
 	times := make([]float64, t)
-	for i := range fields {
-		fields[i] = grid.Field3DOf[F]{Dims: sub, Data: slab[i*s : (i+1)*s : (i+1)*s]}
-		slices[i] = &fields[i]
+	for i := range times {
 		times[i] = cw.timeAt(i)
 	}
-	w := &grid.WindowOf[F]{Dims: sub, Slices: slices, Times: times}
+	w := carveWindow(sub, t, slab, times)
+	slices := w.Slices
 
 	_, spDec := obs.Start(ctx, "core.decode_blocks")
 	start := time.Now()

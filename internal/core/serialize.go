@@ -48,20 +48,6 @@ const precisionFlag = 0x40
 // headerFlags masks the layout/precision bits out of the codec-ID byte.
 const headerFlags = progressiveFlag | precisionFlag
 
-// WriteTo serializes the compressed window through its codec (Opts.Codec;
-// sparse when unset). It implements io.WriterTo.
-func (cw *CompressedWindow) WriteTo(w io.Writer) (int64, error) {
-	return cw.writeTo(w, cw.Codec())
-}
-
-// WriteToDeflated serializes the window with each block passed through the
-// DEFLATE entropy stage — the significance bitmap compresses to almost
-// nothing at high ratios. It only applies to sparse-family blocks; windows
-// encoded by other backends (which are already entropy-coded) refuse it.
-func (cw *CompressedWindow) WriteToDeflated(w io.Writer) (int64, error) {
-	return cw.writeTo(w, codec.Deflate())
-}
-
 // Header field ranges shared by the encoder guard and the decoder's
 // forged-header validation: a value outside these bounds cannot be
 // represented in the fixed-width header without silent truncation.
@@ -120,7 +106,10 @@ func (cw *CompressedWindow) buildHeader(cdc codec.Codec, numSlices int) ([]byte,
 	return hdr, nil
 }
 
-func (cw *CompressedWindow) writeTo(w io.Writer, cdc codec.Codec) (int64, error) {
+// WriteTo serializes the compressed window through its codec (Opts.Codec;
+// sparse when unset). It implements io.WriterTo.
+func (cw *CompressedWindow) WriteTo(w io.Writer) (int64, error) {
+	cdc := cw.Codec()
 	if cw.Progressive() {
 		return cw.writeToProgressive(w, cdc)
 	}

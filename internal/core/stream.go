@@ -19,8 +19,7 @@ type Sink func(*CompressedWindow) error
 // per sample from the caller's slice to the encoded bytes.
 //
 // The writer owns its pending window: each slice is copied once, in
-// WriteSlice, and the window is compressed InPlace. Under MaxErr it is
-// compressed Copy, because the bound is verified against the raw samples.
+// WriteSlice, and the window is compressed InPlace.
 //
 // WriterOf is not safe for concurrent use; simulations emit slices in
 // order.
@@ -28,7 +27,6 @@ type WriterOf[F num.Float] struct {
 	comp    *Compressor
 	sink    Sink
 	dims    grid.Dims
-	in      Input
 	target  int // slices per window: WindowSize, or 1 in 3D mode
 	pending *grid.WindowOf[F]
 	ctx     context.Context
@@ -42,12 +40,8 @@ type WriterOf[F num.Float] struct {
 }
 
 // NewWriterOf creates a streaming writer feeding compressed windows to
-// sink. Options with MaxErr set are rejected at F = float32 (the
-// error-bounded mode runs on the float64 oracle).
+// sink.
 func NewWriterOf[F num.Float](opts Options, dims grid.Dims, sink Sink) (*WriterOf[F], error) {
-	if num.Is32[F]() && opts.MaxErr > 0 {
-		return nil, fmt.Errorf("core: error-bounded mode (MaxErr) requires the float64 pipeline")
-	}
 	comp, err := New(opts)
 	if err != nil {
 		return nil, err
@@ -58,10 +52,7 @@ func NewWriterOf[F num.Float](opts Options, dims grid.Dims, sink Sink) (*WriterO
 	if sink == nil {
 		return nil, fmt.Errorf("core: nil sink")
 	}
-	w := &WriterOf[F]{comp: comp, sink: sink, dims: dims, in: InPlace, target: opts.WindowSize, ctx: context.Background()}
-	if opts.MaxErr > 0 {
-		w.in = Copy
-	}
+	w := &WriterOf[F]{comp: comp, sink: sink, dims: dims, target: opts.WindowSize, ctx: context.Background()}
 	if opts.Mode == Spatial3D {
 		w.target = 1
 	}
@@ -110,7 +101,7 @@ func (w *WriterOf[F]) Flush() error {
 	}
 	win := w.pending
 	w.pending = nil
-	cw, err := Compress(w.ctx, w.comp, win, w.in)
+	cw, err := Compress(w.ctx, w.comp, win, InPlace)
 	if err != nil {
 		return err
 	}

@@ -130,9 +130,9 @@ type Stats struct {
 }
 
 // windowJobOf is the per-window bookkeeping the delivery side needs: the
-// retained window (its coefficients after compression, or its raw
-// samples under MaxErr, for degrade recompression and buffer recycling),
-// its ledger charge, which rung compressed it, and any staged slice ids.
+// retained window (its coefficients after compression, for degrade
+// recompression and buffer recycling), its ledger charge, which rung
+// compressed it, and any staged slice ids.
 type windowJobOf[F num.Float] struct {
 	win      *grid.WindowOf[F]
 	gap      *core.GapMarker // non-nil: journal a gap instead of a window
@@ -173,8 +173,9 @@ func NewEngine32(cfg Config, dims grid.Dims, w *storage.ContainerWriter) (*Engin
 }
 
 // NewEngineOf builds an engine appending to w at sample precision F,
-// which overrides cfg.Opts.Precision. At F = float32 the error-bounded
-// mode (MaxErr), defined on the float64 oracle, is rejected. The writer
+// which overrides cfg.Opts.Precision. PolicyDegrade is rejected under
+// MaxErr: its rungs step the ratio, which the error-bounded mode ignores,
+// so every rung would re-append the same payload. The writer
 // stays owned by the caller: on success close it to finalize the footer;
 // after a failed run the file is still a valid journal for
 // RecoverContainer — that is the crash-consistent drain.
@@ -206,6 +207,9 @@ func NewEngineOf[F num.Float](cfg Config, dims grid.Dims, w *storage.ContainerWr
 	}
 	if cfg.Policy == PolicyDegrade && len(cfg.Ladder) == 0 {
 		return nil, fmt.Errorf("ingest: degrade policy needs a ratio ladder")
+	}
+	if cfg.Policy == PolicyDegrade && cfg.Opts.MaxErr > 0 {
+		return nil, fmt.Errorf("ingest: degrade policy steps the ratio, which error-bounded mode (MaxErr) ignores; use stall or shed")
 	}
 	comps := make([]*core.Compressor, len(ratios))
 	for i, r := range ratios {
@@ -428,11 +432,7 @@ func (e *EngineOf[F]) produceWindow(pipe *core.Pipeline, nextID *int, src Source
 	*nextID++
 	_, err := pipe.Submit(func() (*core.CompressedWindow, error) {
 		cstart := time.Now()
-		in := core.InPlace
-		if e.cfg.Opts.MaxErr > 0 {
-			in = core.Copy // verifies against the raw samples, so keeps them
-		}
-		cw, err := core.Compress(context.Background(), comp, win, in)
+		cw, err := core.Compress(context.Background(), comp, win, core.InPlace)
 		if err == nil {
 			obs.Default().Histogram("ingest.compress_seconds").ObserveSince(cstart)
 		}
@@ -569,11 +569,7 @@ func (e *EngineOf[F]) appendWindow(job *windowJobOf[F], cw *core.CompressedWindo
 			e.stats.DegradeSteps++
 			e.mu.Unlock()
 			obs.Default().Counter("ingest.degrade_steps_total").Add(1)
-			in := core.Coefficients
-			if e.cfg.Opts.MaxErr > 0 {
-				in = core.Copy
-			}
-			recompressed, rerr := core.Compress(context.Background(), e.comps[rung], job.win, in)
+			recompressed, rerr := core.Compress(context.Background(), e.comps[rung], job.win, core.Coefficients)
 			if rerr != nil {
 				return rerr
 			}

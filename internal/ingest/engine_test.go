@@ -423,6 +423,65 @@ func TestEngineValidation(t *testing.T) {
 	}
 }
 
+// TestIngestMaxErr: under MaxErr the engine compresses its own buffers
+// InPlace, and every durable window equals the offline Copy compress of
+// the same samples. PolicyDegrade is refused, because its rungs step a
+// ratio that the error-bounded mode ignores.
+func TestIngestMaxErr(t *testing.T) {
+	opts := testOpts()
+	opts.MaxErr = 5e-3
+	path := filepath.Join(t.TempDir(), "maxerr.stw")
+	w, err := storage.CreateContainer(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewEngineOf[float64](Config{Opts: opts, Policy: PolicyDegrade, Ladder: []float64{8}}, testDims(), w); err == nil {
+		t.Error("degrade policy accepted under MaxErr")
+	}
+	eng, err := NewEngineOf[float64](Config{Opts: opts, Workers: 2}, testDims(), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(newTestSource(t), 8); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := storage.OpenContainer(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	comp, err := core.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.NumWindows() != 2 {
+		t.Fatalf("%d windows, want 2", r.NumWindows())
+	}
+	for i := 0; i < r.NumWindows(); i++ {
+		cw, err := r.ReadWindow(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := core.Compress(context.Background(), comp, refWindow(t, cw.Times), core.Copy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got, want bytes.Buffer
+		if _, err := cw.WriteTo(&got); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ref.WriteTo(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("window %d: ingest bytes differ from the offline compress", i)
+		}
+	}
+}
+
 func TestParsePolicy(t *testing.T) {
 	for s, want := range map[string]Policy{"stall": PolicyStall, "degrade": PolicyDegrade, "shed": PolicyShed} {
 		got, err := ParsePolicy(s)

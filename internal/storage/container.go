@@ -108,10 +108,6 @@ type WritableFile interface {
 // ContainerWriter appends compressed windows to a file as framed journal
 // records. Configure the exported fields before the first Append.
 type ContainerWriter struct {
-	// Deflate, when set before the first Append, writes windows in the
-	// DEFLATE-framed format (core format version 2): dramatically smaller
-	// files at high ratios, at some CPU cost on write and read.
-	Deflate bool
 	// Sync is the fsync policy (default SyncNever).
 	Sync SyncPolicy
 	// Retry governs transient write-error retries (default
@@ -216,13 +212,7 @@ func (w *ContainerWriter) AppendCtx(ctx context.Context, cw *core.CompressedWind
 	}
 	w.buf.Reset()
 	w.buf.Write(make([]byte, core.RecordHeaderSize)) // frame placeholder
-	var err error
-	if w.Deflate {
-		_, err = cw.WriteToDeflated(&w.buf)
-	} else {
-		_, err = cw.WriteTo(&w.buf)
-	}
-	if err != nil {
+	if _, err := cw.WriteTo(&w.buf); err != nil {
 		return 0, fmt.Errorf("storage: encoding window: %w", err)
 	}
 	rec := w.buf.Bytes()

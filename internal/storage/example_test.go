@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"stwave/internal/codec"
 	"stwave/internal/core"
 	"stwave/internal/grid"
 	"stwave/internal/storage"
@@ -37,6 +38,7 @@ func Example() {
 	opts := core.DefaultOptions()
 	opts.WindowSize = 10
 	opts.Ratio = 16
+	opts.Codec = codec.Deflate() // format v2: DEFLATE entropy stage + CRC32
 	comp, err := core.New(opts)
 	if err != nil {
 		panic(err)
@@ -50,7 +52,6 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	writer.Deflate = true // format v2: DEFLATE entropy stage + CRC32
 	if _, err := writer.Append(cw); err != nil {
 		panic(err)
 	}

@@ -2,12 +2,15 @@ package storage
 
 import (
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"stwave/internal/codec"
 	"stwave/internal/core"
 	"stwave/internal/grid"
 )
@@ -342,28 +345,28 @@ func TestContainerDeflateOption(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.WindowSize = 8
 	opts.Ratio = 64
-	comp, err := core.New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cw, err := core.Compress(context.Background(), comp, testWindow(d, 8), core.Copy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	write := func(name string, deflate bool) int64 {
+	write := func(name string, cdc codec.Codec) (int64, []byte) {
+		opts.Codec = cdc
+		comp, err := core.New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cw, err := core.Compress(context.Background(), comp, testWindow(d, 8), core.Copy)
+		if err != nil {
+			t.Fatal(err)
+		}
 		path := filepath.Join(dir, name)
 		w, err := CreateContainer(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		w.Deflate = deflate
 		if _, err := w.Append(cw); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		st, err := os.Stat(path)
+		file, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -380,10 +383,16 @@ func TestContainerDeflateOption(t *testing.T) {
 		if _, err := core.Decompress(got); err != nil {
 			t.Fatal(err)
 		}
-		return st.Size()
+		return int64(len(file)), file
 	}
-	rawSize := write("raw.stw", false)
-	deflSize := write("defl.stw", true)
+	rawSize, _ := write("raw.stw", codec.Sparse())
+	deflSize, defl := write("defl.stw", codec.Deflate())
+	// Recorded from the container's former Deflate flag, which wrote the
+	// same sparse window through the DEFLATE framing.
+	const wantSHA = "02c75c197404be9f10fb034678cf565b2bb0b056c444ab0a80331730d7f32cf7"
+	if got := fmt.Sprintf("%x", sha256.Sum256(defl)); got != wantSHA {
+		t.Errorf("deflated container SHA-256 %s, want %s", got, wantSHA)
+	}
 	if deflSize >= rawSize {
 		t.Errorf("deflated container %d bytes not below raw %d", deflSize, rawSize)
 	}
