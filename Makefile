@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-go bench-smoke bench-diff reproduce examples check fmt-check lint docscheck clean
+.PHONY: all build vet test race bench bench-go bench-smoke bench-diff reproduce examples check fmt-check lint docscheck count clean
 
 all: build vet test check
 
@@ -61,6 +61,17 @@ lint:
 # flags are listed as warnings, not failures.
 docscheck:
 	$(GO) run ./cmd/docscheck
+
+# Size figures a simplification reports, one definition for all of them:
+# non-test Go lines (internal/lint/testdata excluded), //stlint:ignore
+# sites outside internal/lint (tests included), and non-test Go lines
+# per package directory under internal/ and cmd/. Not part of check.
+count:
+	@files=$$(git ls-files -co --exclude-standard '*.go' | grep -v -e '_test\.go$$' -e '^internal/lint/testdata/'); \
+	echo "non-test Go lines: $$(cat $$files | wc -l)"; \
+	echo "stlint:ignore sites outside internal/lint: $$(git ls-files -co --exclude-standard '*.go' | grep -v '^internal/lint/' | xargs grep -h '//stlint:ignore' | wc -l)"; \
+	wc -l $$files | awk '$$2 ~ /^(internal|cmd)\// { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1 } \
+		END { for (d in n) printf "%7d  %s\n", n[d], d }' | sort -k2
 
 fmt-check:
 	@unformatted=$$(gofmt -l .); \

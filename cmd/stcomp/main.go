@@ -701,7 +701,7 @@ func runInfo(args []string) error {
 		}
 		layout := ""
 		if cwin.Progressive() {
-			layout = fmt.Sprintf(", progressive (%d level groups)", len(cwin.LevelBlocks))
+			layout = fmt.Sprintf(", progressive (%d level groups)", len(cwin.Groups))
 		}
 		fmt.Printf("  window %d: %v x %d slices, %v, %s, ratio %g:1, codec %s, kernels %v/%v, levels %d/%d%s, %s\n",
 			i, cwin.Dims, cwin.NumSlices(), cwin.Opts.Mode, cwin.Precision, cwin.Opts.Ratio,

@@ -56,16 +56,14 @@ type CompressedWindow struct {
 	// SpatialLevels / TemporalLevels are the resolved transform depths.
 	SpatialLevels  int
 	TemporalLevels int
-	// Blocks holds one encoded coefficient block per time slice, produced
-	// by the window's codec (Opts.Codec; sparse when unset). Empty for
-	// progressive windows, which carry LevelBlocks instead.
-	Blocks []codec.Block
-	// LevelBlocks holds the level-major progressive encoding: one row
-	// per level group (coarsest first, see LevelGroups), one block per
-	// time slice within each row. Rows may stop short of
-	// SpatialLevels+1 when finer levels were shed. Exactly one of
-	// Blocks / LevelBlocks is populated.
-	LevelBlocks [][]codec.Block
+	// Groups holds the encoded coefficients, produced by the window's
+	// codec (Opts.Codec; sparse when unset): one row per level group
+	// (coarsest first, see LevelGroups), one block per time slice within
+	// each row. A slice-major window is the layout with no spatial level
+	// split off: one row whose group is the whole grid in canonical
+	// order. A level-major (Opts.Progressive) window's rows may stop
+	// short of SpatialLevels+1 when finer levels were shed.
+	Groups [][]codec.Block
 	// Precision records which pipeline produced the window: Float32
 	// windows were transformed, thresholded, and encoded entirely at
 	// single precision and decode natively through Reconstruct[float32].
@@ -82,11 +80,19 @@ type CompressedWindow struct {
 
 // NumSlices returns the number of time slices in the window.
 func (cw *CompressedWindow) NumSlices() int {
-	if len(cw.Blocks) > 0 {
-		return len(cw.Blocks)
+	if len(cw.Groups) == 0 {
+		return 0
 	}
-	if len(cw.LevelBlocks) > 0 {
-		return len(cw.LevelBlocks[0])
+	return len(cw.Groups[0])
+}
+
+// groupLevels returns the number of spatial levels split off as level
+// groups: every one in the level-major layout, none in the slice-major
+// layout. LevelGroups(cw.Dims, cw.groupLevels()) is the geometry of
+// cw.Groups.
+func (cw *CompressedWindow) groupLevels() int {
+	if cw.Opts.Progressive {
+		return cw.SpatialLevels
 	}
 	return 0
 }
@@ -100,12 +106,9 @@ func (cw *CompressedWindow) timeAt(i int) float64 {
 	return float64(i)
 }
 
-// eachBlock visits every encoded block of the window in either layout.
+// eachBlock visits every encoded block of the window.
 func (cw *CompressedWindow) eachBlock(fn func(codec.Block)) {
-	for _, b := range cw.Blocks {
-		fn(b)
-	}
-	for _, row := range cw.LevelBlocks {
+	for _, row := range cw.Groups {
 		for _, b := range row {
 			fn(b)
 		}
@@ -316,7 +319,7 @@ func encodeCoefficients[F num.Float](ctx context.Context, c *Compressor, coeffs 
 
 	_, spEnc := obs.Start(ctx, "core.encode")
 	start = time.Now()
-	cw.Blocks, cw.LevelBlocks, err = encodeSurvivors(cdc, survs, cw.Dims, cw.SpatialLevels, c.opts.Progressive, workers)
+	cw.Groups, err = encodeSurvivors(cdc, survs, cw.Dims, cw.groupLevels(), workers)
 	spEnc.End()
 	if err != nil {
 		return nil, err
@@ -328,35 +331,32 @@ func encodeCoefficients[F num.Float](ctx context.Context, c *Compressor, coeffs 
 	return cw, nil
 }
 
-// encodeSurvivors encodes per-slice survivors in the window's layout: one
-// block per slice, or, progressive, one row of blocks per level group
-// (coarsest first) split by the level index into pooled slabs. Only
+// encodeSurvivors encodes per-slice survivors as one row of blocks per
+// level group of LevelGroups(dims, groupLevels), coarsest first. With
+// more than one group the level index splits the survivors into pooled
+// slabs; the one-group layout hands them to the codec as they are. Only
 // survivors are touched.
-func encodeSurvivors(cdc codec.Codec, survs []compress.Survivors, dims grid.Dims, spatialLevels int, progressive bool, workers int) ([]codec.Block, [][]codec.Block, error) {
-	if !progressive {
-		blocks, err := cdc.EncodeSurvivors(survs, workers)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: %s encode: %w", cdc.Name(), err)
+func encodeSurvivors(cdc codec.Codec, survs []compress.Survivors, dims grid.Dims, groupLevels, workers int) ([][]codec.Block, error) {
+	rows := [][]compress.Survivors{survs}
+	if groupLevels > 0 {
+		n := 0
+		for _, s := range survs {
+			n += len(s.Idx)
 		}
-		return blocks, nil, nil
+		idx, val := scratch.Ints(n), scratch.Floats(n)
+		defer scratch.PutInts(idx)
+		defer scratch.PutFloats(val)
+		rows = newLevelIndex(dims, groupLevels).split(survs, workers, idx, val)
 	}
-	n := 0
-	for _, s := range survs {
-		n += len(s.Idx)
-	}
-	idx, val := scratch.Ints(n), scratch.Floats(n)
-	defer scratch.PutInts(idx)
-	defer scratch.PutFloats(val)
-	rows := newLevelIndex(dims, spatialLevels).split(survs, workers, idx, val)
-	levelBlocks := make([][]codec.Block, len(rows))
+	groups := make([][]codec.Block, len(rows))
 	for g, row := range rows {
 		blocks, err := cdc.EncodeSurvivors(row, workers)
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: %s encode of level group %d: %w", cdc.Name(), g, err)
+			return nil, fmt.Errorf("core: %s encode of level group %d: %w", cdc.Name(), g, err)
 		}
-		levelBlocks[g] = blocks
+		groups[g] = blocks
 	}
-	return nil, levelBlocks, nil
+	return groups, nil
 }
 
 // finishWindow records the window-level compress metrics.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -278,7 +279,7 @@ func TestPerSliceBudgetAblation(t *testing.T) {
 	}
 	// Budget must still match in total, distributed evenly per slice.
 	perSlice := d.Len() / 32
-	for i, b := range cw.Blocks {
+	for i, b := range cw.Groups[0] {
 		if b.Retained() != perSlice {
 			t.Errorf("slice %d retained %d, want %d with per-slice budget", i, b.Retained(), perSlice)
 		}
@@ -366,6 +367,52 @@ func TestReadCompressedWindowRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadCompressedWindow(bytes.NewReader(nil)); err == nil {
 		t.Error("expected error for empty input")
+	}
+
+	// Forged headers: every row must be refused by both header views, so
+	// a server that mounts windows from ReadWindowInfo alone never mounts
+	// one the full reader refuses.
+	opts := DefaultOptions()
+	opts.WindowSize = 4
+	opts.Ratio = 4
+	c, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cw, err := Compress(context.Background(), c, coherentWindow(grid.Dims{Nx: 6, Ny: 5, Nz: 4}, 4, 0), Copy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := cw.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	le := binary.LittleEndian
+	forged := []struct {
+		name  string
+		forge func(h []byte)
+	}{
+		{"magic", func(h []byte) { copy(h, "STWX") }},
+		{"codec", func(h []byte) { h[4] = 0x3f }},
+		{"mode", func(h []byte) { h[5] = 2 }},
+		{"spatial kernel", func(h []byte) { h[6] = 0xff }},
+		{"temporal kernel", func(h []byte) { h[7] = 0xff }},
+		{"spatial levels", func(h []byte) { le.PutUint32(h[8:12], maxHeaderLevels+1) }},
+		{"temporal levels", func(h []byte) { le.PutUint32(h[12:16], maxHeaderLevels+1) }},
+		{"zero dims", func(h []byte) { le.PutUint32(h[24:28], 0) }},
+		{"axis cap", func(h []byte) { le.PutUint32(h[32:36], maxHeaderAxis+1) }},
+		{"zero slices", func(h []byte) { le.PutUint32(h[36:40], 0) }},
+		{"slice cap", func(h []byte) { le.PutUint32(h[36:40], maxHeaderSlices+1) }},
+	}
+	for _, f := range forged {
+		data := bytes.Clone(buf.Bytes())
+		f.forge(data[:40])
+		if wi, err := ReadWindowInfo(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: ReadWindowInfo accepted a forged header: %+v", f.name, wi)
+		}
+		if _, err := ReadCompressedWindow(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: ReadCompressedWindow accepted a forged header", f.name)
+		}
 	}
 }
 

@@ -75,24 +75,27 @@ func FuzzGapMarker(f *testing.F) {
 // window it accepts must decompress without panicking and answer a query
 // derived from the input with the queried shape.
 func FuzzReadCompressedWindow(f *testing.F) {
-	// Seed with a real serialized window.
+	// Seed with a real serialized window in each layout.
 	w := coherentWindow(grid.Dims{Nx: 6, Ny: 5, Nz: 4}, 6, 0.2)
-	opts := DefaultOptions()
-	opts.WindowSize = 6
-	opts.Ratio = 4
-	comp, err := New(opts)
-	if err != nil {
-		f.Fatal(err)
+	for _, progressive := range []bool{false, true} {
+		opts := DefaultOptions()
+		opts.WindowSize = 6
+		opts.Ratio = 4
+		opts.Progressive = progressive
+		comp, err := New(opts)
+		if err != nil {
+			f.Fatal(err)
+		}
+		cw, err := Compress(context.Background(), comp, w, Copy)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := cw.WriteTo(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
 	}
-	cw, err := Compress(context.Background(), comp, w, Copy)
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := cw.WriteTo(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
 	f.Add([]byte("STWV"))
 	f.Add([]byte{})
 
@@ -100,6 +103,25 @@ func FuzzReadCompressedWindow(f *testing.F) {
 		cw, err := ReadCompressedWindow(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		// Accepted: the header-only views must accept the same bytes and
+		// agree with the full read.
+		wi, err := ReadWindowInfo(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("ReadCompressedWindow accepted what ReadWindowInfo refuses: %v", err)
+		}
+		if wi.Dims != cw.Dims || wi.NumSlices != cw.NumSlices() || wi.Mode != cw.Opts.Mode ||
+			wi.SpatialKernel != cw.Opts.SpatialKernel || wi.TemporalKernel != cw.Opts.TemporalKernel ||
+			wi.Codec != cw.Codec().ID() || wi.SpatialLevels != cw.SpatialLevels ||
+			wi.Progressive != cw.Progressive() || wi.Precision != cw.Precision {
+			t.Fatalf("header views disagree: info %+v, window %v/%d slices/%v/%v/%v/%v/L%d/progressive %v/%v",
+				wi, cw.Dims, cw.NumSlices(), cw.Opts.Mode, cw.Opts.SpatialKernel, cw.Opts.TemporalKernel,
+				cw.Codec().ID(), cw.SpatialLevels, cw.Progressive(), cw.Precision)
+		}
+		if cw.Progressive() {
+			if _, _, _, err := ReadWindowLevelTable(bytes.NewReader(data)); err != nil {
+				t.Fatalf("ReadWindowLevelTable refuses an accepted progressive window: %v", err)
+			}
 		}
 		// Accepted: decompression may fail but must not panic, and a
 		// success must produce the declared shape.

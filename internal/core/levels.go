@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"stwave/internal/compress"
 	"stwave/internal/grid"
 	"stwave/internal/num"
@@ -83,7 +81,9 @@ func groupRows(g LevelGroup, rowDims grid.Dims, fn func(rowBase, x0, n int)) {
 type levelIndex struct {
 	nx      int
 	groups  []LevelGroup
-	lx      []int   // group of each x coordinate
+	lx      []int   // group of each x coordinate; a coordinate's band depth is L minus its group
+	ly      []int   // group of each y coordinate
+	lz      []int   // group of each z coordinate
 	lrow    []int   // larger of the y and z groups of each row z*Ny+y
 	rowBase [][]int // per group and row: local index of x = 0 (rows outside the group unused)
 }
@@ -101,18 +101,18 @@ func newLevelIndex(d grid.Dims, spatialLevels int) *levelIndex {
 		}
 		return t
 	}
-	ly := axis(d.Ny, func(o grid.Dims) int { return o.Ny })
-	lz := axis(d.Nz, func(o grid.Dims) int { return o.Nz })
 	li := &levelIndex{
 		nx:      d.Nx,
 		groups:  groups,
 		lx:      axis(d.Nx, func(o grid.Dims) int { return o.Nx }),
+		ly:      axis(d.Ny, func(o grid.Dims) int { return o.Ny }),
+		lz:      axis(d.Nz, func(o grid.Dims) int { return o.Nz }),
 		lrow:    make([]int, d.Ny*d.Nz),
 		rowBase: make([][]int, len(groups)),
 	}
 	for z := 0; z < d.Nz; z++ {
 		for y := 0; y < d.Ny; y++ {
-			li.lrow[z*d.Ny+y] = max(ly[y], lz[z])
+			li.lrow[z*d.Ny+y] = max(li.ly[y], li.lz[z])
 		}
 	}
 	for g, lg := range groups {
@@ -192,18 +192,4 @@ func scatterGroup[F num.Float](dst []F, sub grid.Dims, src []F, g LevelGroup) in
 		n += runLen
 	})
 	return n
-}
-
-// validateLevelGeometry checks that a group partition is consistent with
-// the grid it claims to cover — the guard both serialization paths run
-// before trusting group counts.
-func validateLevelGeometry(d grid.Dims, spatialLevels int, numGroups int) error {
-	if numGroups < 1 || numGroups > spatialLevels+1 {
-		return fmt.Errorf("core: %d level groups outside [1, %d] for %d spatial levels",
-			numGroups, spatialLevels+1, spatialLevels)
-	}
-	if !d.Valid() {
-		return fmt.Errorf("core: invalid dims %v", d)
-	}
-	return nil
 }

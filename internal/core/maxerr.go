@@ -15,6 +15,7 @@ import (
 	"stwave/internal/par"
 	"stwave/internal/scratch"
 	"stwave/internal/transform"
+	"stwave/internal/wavelet"
 )
 
 // Error-bounded thresholding (Options.MaxErr): instead of ranking
@@ -45,21 +46,17 @@ const supportMargin = 4
 // roiClassBit marks an ROI coefficient class; the low bits hold its depth.
 const roiClassBit = 0x80
 
-// axisBands returns, for one axis of length n under a levels-deep
-// transform, the per-coordinate band depth (deepest approximation cube
-// containing the coordinate) and the fine-coordinate support interval
-// [lo, hi) of the coefficient along that axis. A Mallat coordinate in
-// the level-(m+1) detail band at band offset xb sits over spatial
-// position (2*xb+1)*2^m; an approximation coordinate x sits over
-// x*2^levels. The margin widens the interval by the lifting filter's
-// reach so ROI classification errs toward the tighter bound.
-func axisBands(n, levels int) (depth []int, lo, hi []int) {
-	cube := make([]int, levels+1)
-	cube[0] = n
-	for m := 1; m <= levels; m++ {
-		cube[m] = (cube[m-1] + 1) / 2
-	}
-	depth = make([]int, n)
+// axisSupport returns, for one axis of a levels-deep transform whose
+// coordinates lie in the level groups group (levelIndex's per-axis
+// table, so a coordinate's band depth is levels-group), the
+// fine-coordinate support interval [lo, hi) of the coefficient along
+// that axis. A Mallat coordinate in the level-(m+1) detail band at band
+// offset xb sits over spatial position (2*xb+1)*2^m; an approximation
+// coordinate x sits over x*2^levels. The margin widens the interval by
+// the lifting filter's reach so ROI classification errs toward the
+// tighter bound.
+func axisSupport(group []int, levels int) (lo, hi []int) {
+	n := len(group)
 	lo = make([]int, n)
 	hi = make([]int, n)
 	shift := func(v, s int) int {
@@ -71,35 +68,32 @@ func axisBands(n, levels int) (depth []int, lo, hi []int) {
 		}
 		return v << s
 	}
-	for x := 0; x < n; x++ {
-		m := 0
-		for m < levels && x < cube[m+1] {
-			m++
-		}
-		depth[x] = m
-		var center, reach int
-		if m == levels {
-			center = shift(x, levels)
-			reach = shift(supportMargin+1, levels)
-		} else {
-			xb := x - cube[m+1]
-			center = shift(2*xb+1, m)
-			reach = shift(supportMargin+1, m+1)
+	for x, g := range group {
+		m := levels - g
+		center, reach := shift(x, levels), shift(supportMargin+1, levels)
+		if m < levels {
+			xb := x - wavelet.ApproxLenAfter(n, m+1)
+			center, reach = shift(2*xb+1, m), shift(supportMargin+1, m+1)
 		}
 		lo[x] = center - reach
 		hi[x] = center + reach + 1
 	}
-	return depth, lo, hi
+	return lo, hi
 }
 
 // classifySpatial labels every grid point of the Mallat layout with its
-// band depth (the deepest approximation cube containing it; the
-// approximation band itself gets depth L) in the low bits, and the ROI
-// class bit when the coefficient's spatial support intersects roi.
+// band depth (levels minus its level group, so the approximation band
+// gets depth L) in the low bits, and the ROI class bit when the
+// coefficient's spatial support intersects roi.
 func classifySpatial(d grid.Dims, levels int, roi *ROIBounds) []uint8 {
-	dx, lox, hix := axisBands(d.Nx, levels)
-	dy, loy, hiy := axisBands(d.Ny, levels)
-	dz, loz, hiz := axisBands(d.Nz, levels)
+	li := newLevelIndex(d, levels)
+	depth := make([]uint8, levels+1) // band depth of each level group
+	for m := 0; m <= levels; m++ {
+		depth[levels-m] = uint8(m)
+	}
+	lox, hix := axisSupport(li.lx, levels)
+	loy, hiy := axisSupport(li.ly, levels)
+	loz, hiz := axisSupport(li.lz, levels)
 
 	class := make([]uint8, d.Len())
 	idx := 0
@@ -107,15 +101,9 @@ func classifySpatial(d grid.Dims, levels int, roi *ROIBounds) []uint8 {
 		zHit := roi != nil && hiz[z] > roi.Z0 && loz[z] < roi.Z1
 		for y := 0; y < d.Ny; y++ {
 			yHit := zHit && hiy[y] > roi.Y0 && loy[y] < roi.Y1
+			row := li.lrow[z*d.Ny+y]
 			for x := 0; x < d.Nx; x++ {
-				m := dx[x]
-				if dy[y] < m {
-					m = dy[y]
-				}
-				if dz[z] < m {
-					m = dz[z]
-				}
-				cl := uint8(m)
+				cl := depth[max(li.lx[x], row)]
 				if yHit && hix[x] > roi.X0 && lox[x] < roi.X1 {
 					cl |= roiClassBit
 				}
@@ -130,22 +118,14 @@ func classifySpatial(d grid.Dims, levels int, roi *ROIBounds) []uint8 {
 // temporalDepths returns the temporal band depth of each slice index
 // after a levels-deep in-place 1D pyramid over t slices: detail indices
 // created at level l get depth l, the final approximation prefix gets
-// the full depth. The pyramid lengths mirror the temporal transform's
-// ((n+1)/2 halving).
+// the full depth. Each level overwrites the prefix it transforms, so the
+// deepest level touching an index names its band.
 func temporalDepths(t, levels int) []int {
 	ed := make([]int, t)
-	n := t
-	depth := 0
-	for l := 0; l < levels && n >= 2; l++ {
-		h := (n + 1) / 2
-		for i := h; i < n; i++ {
+	for l, n := range wavelet.BandLengths(t, levels) {
+		for i := range ed[:n] {
 			ed[i] = l + 1
 		}
-		n = h
-		depth = l + 1
-	}
-	for i := 0; i < n && depth > 0; i++ {
-		ed[i] = depth
 	}
 	return ed
 }
@@ -207,13 +187,13 @@ func maxErrOf[F num.Float](ctx context.Context, c *Compressor, raw, coeffs *grid
 		// decode the encoded blocks back: the verified stream is the
 		// written stream.
 		survs, idx, val := bandSurvivors(datas, class, et, gain, tauBG, tauROI, workers)
-		blocks, levelBlocks, err := encodeSurvivors(cdc, survs, dims, levels, c.opts.Progressive, workers)
+		groups, err := encodeSurvivors(cdc, survs, dims, cw.groupLevels(), workers)
 		scratch.PutInts(idx)
 		scratch.PutFloats(val)
 		if err != nil {
 			return nil, err
 		}
-		cw.Blocks, cw.LevelBlocks = blocks, levelBlocks
+		cw.Groups = groups
 		if err := decodeInto(cw, vw.Slices, levels, workers); err != nil {
 			return nil, err
 		}

@@ -1,15 +1,12 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 
-	"stwave/internal/codec"
 	"stwave/internal/grid"
 	"stwave/internal/num"
 	"stwave/internal/par"
@@ -87,98 +84,23 @@ func (t LevelTable) EncodedSize() int64 {
 }
 
 // Progressive reports whether the window is stored level-major (the v4
-// layout with an addressable byte range per detail level).
-func (cw *CompressedWindow) Progressive() bool { return len(cw.LevelBlocks) > 0 }
+// layout with an addressable byte range per detail level). The layout is
+// Opts.Progressive, which a read window takes from its header.
+func (cw *CompressedWindow) Progressive() bool { return cw.Opts.Progressive }
 
-// DropFinestLevel returns a shallow copy of a progressive window without
-// its finest retained detail level — the free degrade step the ingest
-// ladder takes before paying for a recompression rung. The blocks are
-// shared with the receiver. It reports false (returning the receiver
-// unchanged) for legacy windows and for windows already reduced to the
-// approximation group alone.
+// DropFinestLevel returns a shallow copy of the window without its finest
+// retained level group — the free degrade step the ingest ladder takes
+// before paying for a recompression rung. The blocks are shared with the
+// receiver. It reports false (returning the receiver unchanged) for a
+// window holding one group: a slice-major window, or a level-major window
+// already reduced to its approximation group.
 func (cw *CompressedWindow) DropFinestLevel() (*CompressedWindow, bool) {
-	if !cw.Progressive() || len(cw.LevelBlocks) <= 1 {
+	if len(cw.Groups) <= 1 {
 		return cw, false
 	}
 	out := *cw
-	out.LevelBlocks = cw.LevelBlocks[:len(cw.LevelBlocks)-1]
+	out.Groups = cw.Groups[:len(cw.Groups)-1]
 	return &out, true
-}
-
-// writeToProgressive serializes the level-major layout: common header
-// (with the progressive bit), times, level-offset table, then one
-// contiguous payload region per level group.
-func (cw *CompressedWindow) writeToProgressive(w io.Writer, cdc codec.Codec) (int64, error) {
-	numSlices := cw.NumSlices()
-	hdr, err := cw.buildHeader(cdc, numSlices)
-	if err != nil {
-		return 0, err
-	}
-	hdr[4] |= progressiveFlag
-	if err := validateLevelGeometry(cw.Dims, cw.SpatialLevels, len(cw.LevelBlocks)); err != nil {
-		return 0, err
-	}
-	for g, row := range cw.LevelBlocks {
-		if len(row) != numSlices {
-			return 0, fmt.Errorf("core: level group %d has %d blocks, window has %d slices", g, len(row), numSlices)
-		}
-	}
-
-	// The table precedes the payload, so group lengths and checksums are
-	// computed into a buffer first. Windows are encoded-size objects that
-	// already live in memory as blocks; buffering the payload once costs
-	// roughly the window's encoded size.
-	var payload bytes.Buffer
-	extents := make([]LevelExtent, len(cw.LevelBlocks))
-	for g, row := range cw.LevelBlocks {
-		start := int64(payload.Len())
-		h := crc32.NewIEEE()
-		mw := io.MultiWriter(&payload, h)
-		for i, b := range row {
-			if _, err := cdc.WriteBlock(mw, b); err != nil {
-				return 0, fmt.Errorf("core: writing level %d block %d: %w", g, i, err)
-			}
-		}
-		extents[g] = LevelExtent{Length: int64(payload.Len()) - start, CRC: h.Sum32()}
-	}
-
-	var written int64
-	n, err := w.Write(hdr)
-	written += int64(n)
-	if err != nil {
-		return written, err
-	}
-	times := make([]byte, 8*numSlices)
-	for i := 0; i < numSlices; i++ {
-		binary.LittleEndian.PutUint64(times[i*8:], math.Float64bits(cw.timeAt(i)))
-	}
-	n, err = w.Write(times)
-	written += int64(n)
-	if err != nil {
-		return written, err
-	}
-	if len(extents) > math.MaxUint8 {
-		return written, fmt.Errorf("core: %d level groups overflow the table's count byte", len(extents))
-	}
-	table := make([]byte, levelTableHeaderSize+levelExtentSize*len(extents))
-	copy(table[0:4], levelTableMagic[:])
-	table[4] = byte(len(extents))
-	for g, ext := range extents {
-		if ext.Length < 0 {
-			return written, fmt.Errorf("core: negative level group %d length %d", g, ext.Length)
-		}
-		off := levelTableHeaderSize + g*levelExtentSize
-		binary.LittleEndian.PutUint64(table[off:off+8], uint64(ext.Length))
-		binary.LittleEndian.PutUint32(table[off+8:off+12], ext.CRC)
-	}
-	n, err = w.Write(table)
-	written += int64(n)
-	if err != nil {
-		return written, err
-	}
-	pn, err := io.Copy(w, &payload)
-	written += pn
-	return written, err
 }
 
 // parseLevelTable reads and validates a level-offset table. spatialLevels
@@ -248,55 +170,6 @@ func ReadWindowLevelTable(r io.Reader) (WindowInfo, LevelTable, int64, error) {
 	return wi, table, payloadStart, nil
 }
 
-// readProgressiveBody parses the level table and group payloads of a
-// progressive window whose header and times have been consumed.
-// maxLevel < 0 reads every group; otherwise reading stops after group
-// maxLevel (clamped to the groups present), which is what makes a
-// partial container read decode without ever touching finer bytes. Each
-// group region is length-bounded and CRC-verified independently, so a
-// truncated or forged stream fails typed at the first bad group.
-func readProgressiveBody(r io.Reader, cdc codec.Codec, cw *CompressedWindow, numSlices, maxLevel int) (*CompressedWindow, error) {
-	table, err := parseLevelTable(r, cw.SpatialLevels)
-	if err != nil {
-		return nil, err
-	}
-	groups := LevelGroups(cw.Dims, cw.SpatialLevels)
-	readGroups := len(table.Extents)
-	if maxLevel >= 0 && maxLevel+1 < readGroups {
-		readGroups = maxLevel + 1
-	}
-	cw.LevelBlocks = make([][]codec.Block, readGroups)
-	for g := 0; g < readGroups; g++ {
-		ext := table.Extents[g]
-		if ext.Length < 0 || ext.Length > maxGroupBytes {
-			return nil, fmt.Errorf("core: level group %d length %d out of range", g, ext.Length)
-		}
-		lr := &io.LimitedReader{R: r, N: ext.Length}
-		h := crc32.NewIEEE()
-		tr := io.TeeReader(lr, h)
-		row := make([]codec.Block, numSlices)
-		for i := range row {
-			b, err := cdc.ReadBlock(tr)
-			if err != nil {
-				return nil, fmt.Errorf("core: reading level %d block %d: %w", g, i, err)
-			}
-			if b.Total() != groups[g].Count {
-				return nil, fmt.Errorf("core: level %d block %d has %d coefficients, group needs %d",
-					g, i, b.Total(), groups[g].Count)
-			}
-			row[i] = b
-		}
-		if lr.N != 0 {
-			return nil, fmt.Errorf("core: level group %d payload has %d undeclared trailing bytes", g, lr.N)
-		}
-		if sum := h.Sum32(); sum != ext.CRC {
-			return nil, fmt.Errorf("core: level group %d checksum mismatch: got %08x, table says %08x", g, sum, ext.CRC)
-		}
-		cw.LevelBlocks[g] = row
-	}
-	return cw, nil
-}
-
 // ReadCompressedWindowLevels deserializes only level groups 0..maxLevel
 // of a progressive window — the partial-decode read path. The returned
 // window reconstructs at any Query.MaxLevel up to maxLevel; finer groups
@@ -311,63 +184,45 @@ func ReadCompressedWindowLevels(r io.Reader, maxLevel int) (*CompressedWindow, e
 	return readCompressedWindow(r, maxLevel, true)
 }
 
-// validateLevelBlocks checks the shape of every present level group —
-// row length and per-block coefficient counts against the header's
-// geometry — BEFORE any dims-derived buffer is sized. Block totals are
-// bounded by the bytes actually parsed, so running this first keeps a
-// forged header from driving allocations (the PR 6 hardening
-// discipline).
-func validateLevelBlocks(cw *CompressedWindow) error {
-	if err := validateLevelGeometry(cw.Dims, cw.SpatialLevels, len(cw.LevelBlocks)); err != nil {
-		return err
-	}
-	groups := LevelGroups(cw.Dims, cw.SpatialLevels)
-	t := cw.NumSlices()
-	for g, row := range cw.LevelBlocks {
-		if len(row) != t {
-			return fmt.Errorf("core: level group %d has %d blocks, window has %d slices", g, len(row), t)
-		}
-		for i, b := range row {
-			if b.Total() != groups[g].Count {
-				return fmt.Errorf("core: level %d block %d has %d coefficients, group needs %d",
-					g, i, b.Total(), groups[g].Count)
-			}
-		}
-	}
-	return nil
-}
-
-// decodeInto decodes the window's coefficients into the zero-filled
-// slice fields, slices in parallel. Legacy blocks decode in place.
-// Progressive level groups 0..maxLevel decode through a pooled buffer and
-// scatter into the fields' layout, which must be CoarseDims(cw.Dims,
-// L-maxLevel) or any larger approximation cube; groups the window does
-// not carry stay zero.
+// decodeInto decodes level groups 0..maxLevel of the window (those it
+// carries) into the zero-filled slice fields, slices in parallel. The
+// fields' layout must be CoarseDims(cw.Dims, L-maxLevel) or any larger
+// approximation cube. A group that fills a field — a slice-major
+// window's one group, or the approximation group of a level-0 decode —
+// decodes straight into it; every other group decodes through a pooled
+// buffer and scatters into place. Groups the window does not carry stay
+// zero.
 func decodeInto[F num.Float](cw *CompressedWindow, slices []*grid.Field3DOf[F], maxLevel, workers int) error {
-	groups := LevelGroups(cw.Dims, cw.SpatialLevels)
-	last := min(maxLevel, len(cw.LevelBlocks)-1)
-	maxCount := 0
-	for g := 0; g <= last; g++ {
-		maxCount = max(maxCount, groups[g].Count)
-	}
 	t := len(slices)
+	if t == 0 {
+		return nil
+	}
+	groups := LevelGroups(cw.Dims, cw.groupLevels())[:min(maxLevel, len(cw.Groups)-1)+1]
+	fill := slices[0].Dims.Len()
+	maxCount := 0
+	for _, lg := range groups {
+		if lg.Count != fill {
+			maxCount = max(maxCount, lg.Count)
+		}
+	}
 	errs := make([]error, t)
 	outer, inner := par.Split(workers, t)
 	par.For(t, outer, 1, func(start, end int) {
 		buf := scratch.FloatsOf[F](maxCount)
 		defer scratch.PutFloatsOf(buf)
 		for i := start; i < end; i++ {
-			if !cw.Progressive() {
-				errs[i] = decodeBlockIntoOf(cw.Blocks[i], slices[i].Data, inner)
-				continue
-			}
-			for g := 0; g <= last; g++ {
-				lg := groups[g]
-				if err := decodeBlockIntoOf(cw.LevelBlocks[g][i], buf[:lg.Count], inner); err != nil {
+			for g, lg := range groups {
+				dst := slices[i].Data
+				if lg.Count != fill {
+					dst = buf[:lg.Count]
+				}
+				if err := decodeBlockIntoOf(cw.Groups[g][i], dst, inner); err != nil {
 					errs[i] = err
 					return
 				}
-				scatterGroup(slices[i].Data, slices[i].Dims, buf[:lg.Count], lg)
+				if lg.Count != fill {
+					scatterGroup(slices[i].Data, slices[i].Dims, dst, lg)
+				}
 			}
 		}
 	})

@@ -351,8 +351,8 @@ func TestDropFinestLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.LevelBlocks) != len(shed.LevelBlocks) {
-		t.Fatalf("shed window round-tripped with %d groups, want %d", len(back.LevelBlocks), len(shed.LevelBlocks))
+	if len(back.Groups) != len(shed.Groups) {
+		t.Fatalf("shed window round-tripped with %d groups, want %d", len(back.Groups), len(shed.Groups))
 	}
 	recon, err := Decompress(back)
 	if err != nil {
@@ -369,9 +369,40 @@ func TestDropFinestLevel(t *testing.T) {
 		}
 		shed = next
 	}
-	if len(shed.LevelBlocks) != 1 {
-		t.Fatalf("drop chain stopped at %d groups, want 1", len(shed.LevelBlocks))
+	if len(shed.Groups) != 1 {
+		t.Fatalf("drop chain stopped at %d groups, want 1", len(shed.Groups))
 	}
+
+	// Shed to one group, the window holds one row like a slice-major
+	// window, but it must still serialize, read and decode level-major.
+	buf.Reset()
+	if _, err := shed.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Bytes()[4]&progressiveFlag == 0 {
+		t.Fatalf("one-group shed window header byte 4 = %#x lacks the progressive flag", buf.Bytes()[4])
+	}
+	_, table, _, err := ReadWindowLevelTable(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(table.Extents) != 1 {
+		t.Fatalf("one-group shed window table has %d extents, want 1", len(table.Extents))
+	}
+	back, err = ReadCompressedWindow(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coarse := Query{MaxLevel: 0, Slice: All}
+	want, err := Reconstruct[float64](context.Background(), cw, coarse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Reconstruct[float64](context.Background(), back, coarse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	windowsBitIdentical(t, want, got, "one-group shed window at level 0")
 }
 
 // TestProgressiveLegacyInterop: legacy windows refuse level-addressed

@@ -126,15 +126,30 @@ func Reconstruct[F num.Float](ctx context.Context, cw *CompressedWindow, q Query
 	return &grid.WindowOf[F]{Dims: sub, Slices: []*grid.Field3DOf[F]{out[0].Clone()}, Times: times[q.Slice : q.Slice+1]}, nil
 }
 
-// validateBlocks checks every block's coefficient count against the
-// window's geometry in either layout.
+// validateBlocks checks the shape of every level group the window
+// carries — the group count, each row's length and each block's
+// coefficient count against LevelGroups — BEFORE any dims-derived buffer
+// is sized. Block totals are bounded by the bytes actually parsed, so
+// running this first keeps a forged header from driving allocations.
 func validateBlocks(cw *CompressedWindow) error {
-	if cw.Progressive() {
-		return validateLevelBlocks(cw)
+	levels := cw.groupLevels()
+	if n := len(cw.Groups); n < 1 || n > levels+1 {
+		return fmt.Errorf("core: %d level groups outside [1, %d] for %d spatial levels", n, levels+1, levels)
 	}
-	for i, b := range cw.Blocks {
-		if b.Total() != cw.Dims.Len() {
-			return fmt.Errorf("core: block %d has %d coefficients, grid needs %d", i, b.Total(), cw.Dims.Len())
+	if !cw.Dims.Valid() {
+		return fmt.Errorf("core: invalid dims %v", cw.Dims)
+	}
+	groups := LevelGroups(cw.Dims, levels)
+	t := cw.NumSlices()
+	for g, row := range cw.Groups {
+		if len(row) != t {
+			return fmt.Errorf("core: level group %d has %d blocks, window has %d slices", g, len(row), t)
+		}
+		for i, b := range row {
+			if b.Total() != groups[g].Count {
+				return fmt.Errorf("core: level %d block %d has %d coefficients, group needs %d",
+					g, i, b.Total(), groups[g].Count)
+			}
 		}
 	}
 	return nil

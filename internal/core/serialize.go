@@ -1,9 +1,10 @@
 package core
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 
@@ -36,8 +37,11 @@ import (
 //	[16:24] ratio (float64 LE)
 //	[24:36] dims nx, ny, nz (uint32 LE each)
 //	[36:40] number of slices (uint32 LE)
-//	then numSlices float64 times, then numSlices blocks in the codec's
-//	own framing.
+//	then numSlices float64 times. Both layouts share this header and the
+//	times; only what follows differs. The slice-major layout, the one
+//	level group of the whole grid, follows with numSlices blocks in the
+//	codec's own framing; the level-major layout follows with its
+//	level-offset table and one payload region per level group.
 var magic = [4]byte{'S', 'T', 'W', 'V'}
 
 // precisionFlag marks the header codec-ID byte of a float32-pipeline (v5)
@@ -57,13 +61,13 @@ const (
 	maxHeaderSlices = 1 << 20 // time slices per window
 )
 
-// buildHeader validates and assembles the 40-byte common header. The
-// caller ORs progressiveFlag into byte 4 for the level-major layout.
-// Rejecting unrepresentable fields before any bytes are written matters:
-// a truncated mode, level count, or dimension would pass every
-// downstream checksum (computed over the wrong bytes) and only fail at
+// appendHeader validates and assembles the 40-byte header followed by
+// the slice times — the prologue both layouts share. Rejecting
+// unrepresentable fields before any bytes are written matters: a
+// truncated mode, level count, or dimension would pass every downstream
+// checksum (computed over the wrong bytes) and only fail at
 // reconstruction.
-func (cw *CompressedWindow) buildHeader(cdc codec.Codec, numSlices int) ([]byte, error) {
+func (cw *CompressedWindow) appendHeader(cdc codec.Codec, numSlices int) ([]byte, error) {
 	if cw.Opts.Mode < 0 || cw.Opts.Mode > 0xff ||
 		cw.Opts.SpatialKernel < 0 || cw.Opts.SpatialKernel > 0xff ||
 		cw.Opts.TemporalKernel < 0 || cw.Opts.TemporalKernel > 0xff {
@@ -87,9 +91,12 @@ func (cw *CompressedWindow) buildHeader(cdc codec.Codec, numSlices int) ([]byte,
 	if !cw.Precision.Valid() {
 		return nil, fmt.Errorf("core: invalid precision %d", int(cw.Precision))
 	}
-	hdr := make([]byte, 40)
+	hdr := make([]byte, 40, 40+8*numSlices)
 	copy(hdr[0:4], magic[:])
 	hdr[4] = byte(cdc.ID())
+	if cw.Opts.Progressive {
+		hdr[4] |= progressiveFlag
+	}
 	if cw.Precision == Float32 {
 		hdr[4] |= precisionFlag
 	}
@@ -103,44 +110,76 @@ func (cw *CompressedWindow) buildHeader(cdc codec.Codec, numSlices int) ([]byte,
 	binary.LittleEndian.PutUint32(hdr[28:32], uint32(cw.Dims.Ny))
 	binary.LittleEndian.PutUint32(hdr[32:36], uint32(cw.Dims.Nz))
 	binary.LittleEndian.PutUint32(hdr[36:40], uint32(numSlices))
+	for i := 0; i < numSlices; i++ {
+		hdr = binary.LittleEndian.AppendUint64(hdr, math.Float64bits(cw.timeAt(i)))
+	}
 	return hdr, nil
 }
 
 // WriteTo serializes the compressed window through its codec (Opts.Codec;
-// sparse when unset). It implements io.WriterTo.
+// sparse when unset). It implements io.WriterTo. Both layouts write the
+// header and times, then their level groups' blocks; the level-major
+// layout puts a level-offset table, with each group's length and CRC,
+// between the two.
 func (cw *CompressedWindow) WriteTo(w io.Writer) (int64, error) {
-	cdc := cw.Codec()
-	if cw.Progressive() {
-		return cw.writeToProgressive(w, cdc)
+	if err := validateBlocks(cw); err != nil {
+		return 0, err
 	}
-	hdr, err := cw.buildHeader(cdc, len(cw.Blocks))
+	cdc := cw.Codec()
+	head, err := cw.appendHeader(cdc, cw.NumSlices())
 	if err != nil {
 		return 0, err
 	}
-	bw := bufio.NewWriterSize(w, 1<<16)
-	var written int64
-	n, err := bw.Write(hdr)
-	written += int64(n)
-	if err != nil {
-		return written, err
-	}
-	var tb [8]byte
-	for i := 0; i < len(cw.Blocks); i++ {
-		binary.LittleEndian.PutUint64(tb[:], math.Float64bits(cw.timeAt(i)))
-		n, err = bw.Write(tb[:])
-		written += int64(n)
+	if !cw.Opts.Progressive {
+		n, err := w.Write(head)
 		if err != nil {
-			return written, err
+			return int64(n), err
 		}
+		bn, err := writeRow(w, cdc, 0, cw.Groups[0])
+		return int64(n) + bn, err
 	}
-	if err := bw.Flush(); err != nil {
-		return written, err
-	}
-	for i, b := range cw.Blocks {
-		bn, err := cdc.WriteBlock(w, b)
-		written += bn
+	// The table precedes the payload, so group lengths and checksums are
+	// computed into a buffer first. Windows are encoded-size objects that
+	// already live in memory as blocks; buffering the payload once costs
+	// roughly the window's encoded size.
+	var payload bytes.Buffer
+	extents := make([]LevelExtent, len(cw.Groups))
+	for g, row := range cw.Groups {
+		h := crc32.NewIEEE()
+		n, err := writeRow(io.MultiWriter(&payload, h), cdc, g, row)
 		if err != nil {
-			return written, fmt.Errorf("core: writing block %d: %w", i, err)
+			return 0, err
+		}
+		extents[g] = LevelExtent{Length: n, CRC: h.Sum32()}
+	}
+	if len(extents) > math.MaxUint8 {
+		return 0, fmt.Errorf("core: %d level groups overflow the table's count byte", len(extents))
+	}
+	head = append(head, levelTableMagic[:]...)
+	head = append(head, byte(len(extents)), 0, 0, 0)
+	for g, ext := range extents {
+		if ext.Length < 0 {
+			return 0, fmt.Errorf("core: negative level group %d length %d", g, ext.Length)
+		}
+		head = binary.LittleEndian.AppendUint64(head, uint64(ext.Length))
+		head = binary.LittleEndian.AppendUint32(head, ext.CRC)
+	}
+	n, err := w.Write(head)
+	if err != nil {
+		return int64(n), err
+	}
+	pn, err := io.Copy(w, &payload)
+	return int64(n) + pn, err
+}
+
+// writeRow writes the blocks of level group g in the codec's framing.
+func writeRow(w io.Writer, cdc codec.Codec, g int, row []codec.Block) (int64, error) {
+	var written int64
+	for i, b := range row {
+		n, err := cdc.WriteBlock(w, b)
+		written += n
+		if err != nil {
+			return written, fmt.Errorf("core: writing level %d block %d: %w", g, i, err)
 		}
 	}
 	return written, nil
@@ -184,11 +223,11 @@ func (wi WindowInfo) RawSizeBytes() int64 {
 }
 
 // ReadWindowInfo parses only the 40-byte header of a serialized window. It
-// validates the same invariants as ReadCompressedWindow's header path but
-// reads nothing beyond the header, so it is cheap enough to run over every
-// window of a large container at startup. Gap marker entries (shed
-// windows) are recognized and returned with Gap set instead of erroring,
-// so timeline scans account for them without decoding heuristics.
+// runs the same header parser as ReadCompressedWindow but reads nothing
+// beyond the header, so it is cheap enough to run over every window of a
+// large container at startup. Gap marker entries (shed windows) are
+// recognized and returned with Gap set instead of erroring, so timeline
+// scans account for them without decoding heuristics.
 func ReadWindowInfo(r io.Reader) (WindowInfo, error) {
 	hdr := make([]byte, 40)
 	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
@@ -209,84 +248,34 @@ func ReadWindowInfo(r io.Reader) (WindowInfo, error) {
 	if _, err := io.ReadFull(r, hdr[4:]); err != nil {
 		return WindowInfo{}, fmt.Errorf("core: reading header: %w", err)
 	}
-	if [4]byte(hdr[0:4]) != magic {
-		return WindowInfo{}, fmt.Errorf("core: bad magic %q", hdr[0:4])
+	cw, numSlices, err := parseHeader(hdr)
+	if err != nil {
+		return WindowInfo{}, err
 	}
-	wi := WindowInfo{
-		Mode:           Mode(hdr[5]),
-		SpatialKernel:  wavelet.Kernel(hdr[6]),
-		TemporalKernel: wavelet.Kernel(hdr[7]),
-		Codec:          codec.ID(hdr[4] &^ headerFlags),
-		Progressive:    hdr[4]&progressiveFlag != 0,
-		Precision:      Float64,
-	}
-	if hdr[4]&precisionFlag != 0 {
-		wi.Precision = Float32
-	}
-	if _, err := codec.ByID(wi.Codec); err != nil {
-		return WindowInfo{}, fmt.Errorf("core: unsupported format version %d: %w", hdr[4], err)
-	}
-	spatialLevels := binary.LittleEndian.Uint32(hdr[8:12])
-	if spatialLevels > maxHeaderLevels {
-		return WindowInfo{}, fmt.Errorf("core: implausible spatial levels %d in header", spatialLevels)
-	}
-	wi.SpatialLevels = int(spatialLevels)
-	wi.Dims = grid.Dims{
-		Nx: int(binary.LittleEndian.Uint32(hdr[24:28])),
-		Ny: int(binary.LittleEndian.Uint32(hdr[28:32])),
-		Nz: int(binary.LittleEndian.Uint32(hdr[32:36])),
-	}
-	wi.NumSlices = int(binary.LittleEndian.Uint32(hdr[36:40]))
-	if !wi.Dims.Valid() {
-		return WindowInfo{}, fmt.Errorf("core: invalid dims %v in header", wi.Dims)
-	}
-	if wi.Dims.Nx > maxHeaderAxis || wi.Dims.Ny > maxHeaderAxis || wi.Dims.Nz > maxHeaderAxis {
-		return WindowInfo{}, fmt.Errorf("core: implausible dims %v in header", wi.Dims)
-	}
-	if wi.NumSlices < 1 || wi.NumSlices > maxHeaderSlices {
-		return WindowInfo{}, fmt.Errorf("core: implausible slice count %d", wi.NumSlices)
-	}
-	if wi.Mode != Spatial3D && wi.Mode != Spatiotemporal4D {
-		return WindowInfo{}, fmt.Errorf("core: invalid mode %d in header", int(wi.Mode))
-	}
-	if !wi.SpatialKernel.Valid() || !wi.TemporalKernel.Valid() {
-		return WindowInfo{}, fmt.Errorf("core: invalid kernel in header")
-	}
-	return wi, nil
+	return WindowInfo{
+		Dims:           cw.Dims,
+		NumSlices:      numSlices,
+		Mode:           cw.Opts.Mode,
+		SpatialKernel:  cw.Opts.SpatialKernel,
+		TemporalKernel: cw.Opts.TemporalKernel,
+		Codec:          cw.Codec().ID(),
+		SpatialLevels:  cw.SpatialLevels,
+		Progressive:    cw.Opts.Progressive,
+		Precision:      cw.Precision,
+	}, nil
 }
 
-// ReadCompressedWindow deserializes a window written by WriteTo. The codec
-// is resolved from the header's format ID, so windows decode transparently
-// whatever backend wrote them; the resolved codec lands in Opts.Codec and
-// is reused on re-serialization. Progressive (v4) windows are recognized
-// by the header's progressive bit and parsed through their level-offset
-// table; legacy v2/v3 windows take the slice-major path below, unchanged.
-func ReadCompressedWindow(r io.Reader) (*CompressedWindow, error) {
-	return readCompressedWindow(r, -1, false)
-}
-
-// readCompressedWindow parses either layout. maxLevel >= 0 stops reading
-// after that level group (progressive windows only); requireProgressive
-// rejects legacy windows with ErrNotProgressive instead of reading them
-// fully.
-func readCompressedWindow(r io.Reader, maxLevel int, requireProgressive bool) (*CompressedWindow, error) {
-	hdr := make([]byte, 40)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, fmt.Errorf("core: reading header: %w", err)
-	}
-	if [4]byte(hdr[0:4]) == GapMagic {
-		return nil, ErrGapWindow
-	}
+// parseHeader decodes and validates the 40-byte window header: the one
+// parser behind ReadWindowInfo and ReadCompressedWindow. It returns the
+// window's geometry and options, with no times or blocks yet, and its
+// slice count.
+func parseHeader(hdr []byte) (*CompressedWindow, int, error) {
 	if [4]byte(hdr[0:4]) != magic {
-		return nil, fmt.Errorf("core: bad magic %q", hdr[0:4])
-	}
-	progressive := hdr[4]&progressiveFlag != 0
-	if requireProgressive && !progressive {
-		return nil, ErrNotProgressive
+		return nil, 0, fmt.Errorf("core: bad magic %q", hdr[0:4])
 	}
 	cdc, err := codec.ByID(codec.ID(hdr[4] &^ headerFlags))
 	if err != nil {
-		return nil, fmt.Errorf("core: unsupported format version %d: %w", hdr[4], err)
+		return nil, 0, fmt.Errorf("core: unsupported format version %d: %w", hdr[4], err)
 	}
 	cw := &CompressedWindow{}
 	if hdr[4]&precisionFlag != 0 {
@@ -294,13 +283,14 @@ func readCompressedWindow(r io.Reader, maxLevel int, requireProgressive bool) (*
 	}
 	cw.Opts.Precision = cw.Precision
 	cw.Opts.Codec = cdc
+	cw.Opts.Progressive = hdr[4]&progressiveFlag != 0
 	cw.Opts.Mode = Mode(hdr[5])
 	cw.Opts.SpatialKernel = wavelet.Kernel(hdr[6])
 	cw.Opts.TemporalKernel = wavelet.Kernel(hdr[7])
 	spatialLevels := binary.LittleEndian.Uint32(hdr[8:12])
 	temporalLevels := binary.LittleEndian.Uint32(hdr[12:16])
 	if spatialLevels > maxHeaderLevels || temporalLevels > maxHeaderLevels {
-		return nil, fmt.Errorf("core: implausible decomposition levels %d/%d in header", spatialLevels, temporalLevels)
+		return nil, 0, fmt.Errorf("core: implausible decomposition levels %d/%d in header", spatialLevels, temporalLevels)
 	}
 	cw.SpatialLevels = int(spatialLevels)
 	cw.TemporalLevels = int(temporalLevels)
@@ -312,22 +302,58 @@ func readCompressedWindow(r io.Reader, maxLevel int, requireProgressive bool) (*
 	}
 	numSlices := int(binary.LittleEndian.Uint32(hdr[36:40]))
 	if !cw.Dims.Valid() {
-		return nil, fmt.Errorf("core: invalid dims %v in header", cw.Dims)
+		return nil, 0, fmt.Errorf("core: invalid dims %v in header", cw.Dims)
 	}
 	// Per-axis cap prevents integer overflow in Dims.Len() and bounds
 	// allocations against forged headers (2^20 per axis is far beyond any
 	// real grid).
 	if cw.Dims.Nx > maxHeaderAxis || cw.Dims.Ny > maxHeaderAxis || cw.Dims.Nz > maxHeaderAxis {
-		return nil, fmt.Errorf("core: implausible dims %v in header", cw.Dims)
+		return nil, 0, fmt.Errorf("core: implausible dims %v in header", cw.Dims)
 	}
 	if numSlices < 1 || numSlices > maxHeaderSlices {
-		return nil, fmt.Errorf("core: implausible slice count %d", numSlices)
+		return nil, 0, fmt.Errorf("core: implausible slice count %d", numSlices)
 	}
 	if cw.Opts.Mode != Spatial3D && cw.Opts.Mode != Spatiotemporal4D {
-		return nil, fmt.Errorf("core: invalid mode %d in header", int(cw.Opts.Mode))
+		return nil, 0, fmt.Errorf("core: invalid mode %d in header", int(cw.Opts.Mode))
 	}
 	if !cw.Opts.SpatialKernel.Valid() || !cw.Opts.TemporalKernel.Valid() {
-		return nil, fmt.Errorf("core: invalid kernel in header")
+		return nil, 0, fmt.Errorf("core: invalid kernel in header")
+	}
+	return cw, numSlices, nil
+}
+
+// ReadCompressedWindow deserializes a window written by WriteTo. The codec
+// is resolved from the header's format ID, so windows decode transparently
+// whatever backend wrote them; the resolved codec lands in Opts.Codec and
+// is reused on re-serialization. The header's progressive bit selects the
+// layout and lands in Opts.Progressive.
+func ReadCompressedWindow(r io.Reader) (*CompressedWindow, error) {
+	return readCompressedWindow(r, -1, false)
+}
+
+// readCompressedWindow parses either layout: the header and times, then
+// the slice-major layout's one group, or the level table and the groups
+// it lists. maxLevel >= 0 stops reading after that level group
+// (progressive windows only); requireProgressive rejects legacy windows
+// with ErrNotProgressive instead of reading them fully. Each level group
+// is length-bounded and CRC-verified independently, so a truncated or
+// forged stream fails typed at the first bad group, and a partial
+// container read decodes without ever touching finer bytes. The blocks
+// read must pass validateBlocks.
+func readCompressedWindow(r io.Reader, maxLevel int, requireProgressive bool) (*CompressedWindow, error) {
+	hdr := make([]byte, 40)
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return nil, fmt.Errorf("core: reading header: %w", err)
+	}
+	if [4]byte(hdr[0:4]) == GapMagic {
+		return nil, ErrGapWindow
+	}
+	cw, numSlices, err := parseHeader(hdr)
+	if err != nil {
+		return nil, err
+	}
+	if requireProgressive && !cw.Opts.Progressive {
+		return nil, ErrNotProgressive
 	}
 	cw.Times = make([]float64, numSlices)
 	var tb [8]byte
@@ -337,19 +363,53 @@ func readCompressedWindow(r io.Reader, maxLevel int, requireProgressive bool) (*
 		}
 		cw.Times[i] = math.Float64frombits(binary.LittleEndian.Uint64(tb[:]))
 	}
-	if progressive {
-		return readProgressiveBody(r, cdc, cw, numSlices, maxLevel)
-	}
-	cw.Blocks = make([]codec.Block, numSlices)
-	for i := range cw.Blocks {
-		b, err := cdc.ReadBlock(r)
+	cdc := cw.Codec()
+	if !cw.Opts.Progressive {
+		row, err := readRow(r, cdc, numSlices, 0)
 		if err != nil {
-			return nil, fmt.Errorf("core: reading block %d: %w", i, err)
+			return nil, err
 		}
-		if b.Total() != cw.Dims.Len() {
-			return nil, fmt.Errorf("core: block %d size %d != grid size %d", i, b.Total(), cw.Dims.Len())
+		cw.Groups = [][]codec.Block{row}
+	} else {
+		table, err := parseLevelTable(r, cw.SpatialLevels)
+		if err != nil {
+			return nil, err
 		}
-		cw.Blocks[i] = b
+		readGroups := len(table.Extents)
+		if maxLevel >= 0 && maxLevel+1 < readGroups {
+			readGroups = maxLevel + 1
+		}
+		cw.Groups = make([][]codec.Block, readGroups)
+		for g := range cw.Groups {
+			ext := table.Extents[g]
+			lr := &io.LimitedReader{R: r, N: ext.Length}
+			h := crc32.NewIEEE()
+			if cw.Groups[g], err = readRow(io.TeeReader(lr, h), cdc, numSlices, g); err != nil {
+				return nil, err
+			}
+			if lr.N != 0 {
+				return nil, fmt.Errorf("core: level group %d payload has %d undeclared trailing bytes", g, lr.N)
+			}
+			if sum := h.Sum32(); sum != ext.CRC {
+				return nil, fmt.Errorf("core: level group %d checksum mismatch: got %08x, table says %08x", g, sum, ext.CRC)
+			}
+		}
+	}
+	if err := validateBlocks(cw); err != nil {
+		return nil, err
 	}
 	return cw, nil
+}
+
+// readRow reads one block per slice of level group g.
+func readRow(r io.Reader, cdc codec.Codec, numSlices, g int) ([]codec.Block, error) {
+	row := make([]codec.Block, numSlices)
+	for i := range row {
+		b, err := cdc.ReadBlock(r)
+		if err != nil {
+			return nil, fmt.Errorf("core: reading level %d block %d: %w", g, i, err)
+		}
+		row[i] = b
+	}
+	return row, nil
 }

@@ -325,8 +325,8 @@ func TestIngestENOSPCDegradeShedsLevels(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !cw.Progressive() || len(cw.LevelBlocks) != len(full.LevelBlocks)-1 {
-		t.Fatalf("durable window has %d level groups, want %d", len(cw.LevelBlocks), len(full.LevelBlocks)-1)
+	if !cw.Progressive() || len(cw.Groups) != len(full.Groups)-1 {
+		t.Fatalf("durable window has %d level groups, want %d", len(cw.Groups), len(full.Groups)-1)
 	}
 	if cw.Opts.Ratio != 4 {
 		t.Fatalf("recorded ratio %g, want the fine ratio 4 (level shed must not change rung)", cw.Opts.Ratio)

@@ -28,6 +28,10 @@ func refForward3D(f *grid.Field3D, k wavelet.Kernel, levels int) {
 	}
 }
 
+// half is the reference's own dyadic halving, kept independent of the
+// wavelet package's band partition that the code under test uses.
+func half(n int) int { return (n + 1) / 2 }
+
 func refInverse3D(f *grid.Field3D, k wavelet.Kernel, levels int) {
 	type cube struct{ x, y, z int }
 	dims := make([]cube, levels)
@@ -119,7 +123,7 @@ func refTemporalPass(w *grid.Window, k wavelet.Kernel, levels int, inverse bool)
 	if levels == 0 || t < 2 {
 		return
 	}
-	lens := temporalLens(t, levels)
+	lens := wavelet.BandLengths(t, levels)
 	series := make([]float64, t)
 	scr := make([]float64, t)
 	for p := 0; p < w.Dims.Len(); p++ {

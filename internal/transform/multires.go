@@ -12,10 +12,11 @@ import (
 // CoarseDims returns the grid extents of the approximation cube after
 // `levels` levels of the non-standard decomposition.
 func CoarseDims(d grid.Dims, levels int) grid.Dims {
-	for l := 0; l < levels; l++ {
-		d = grid.Dims{Nx: half(d.Nx), Ny: half(d.Ny), Nz: half(d.Nz)}
+	return grid.Dims{
+		Nx: wavelet.ApproxLenAfter(d.Nx, levels),
+		Ny: wavelet.ApproxLenAfter(d.Ny, levels),
+		Nz: wavelet.ApproxLenAfter(d.Nz, levels),
 	}
-	return d
 }
 
 // CoarseApproximation computes a reduced-resolution version of the field by

@@ -50,13 +50,11 @@ func Forward3D[F num.Float](f *grid.Field3DOf[F], k wavelet.Kernel, levels, work
 	if max := Levels3D(k, f.Dims); levels > max {
 		return fmt.Errorf("transform: %d levels exceeds maximum %d for kernel %v on grid %v", levels, max, k, f.Dims)
 	}
-	nx, ny, nz := f.Dims.Nx, f.Dims.Ny, f.Dims.Nz
-	cnx, cny, cnz := nx, ny, nz
 	for l := 0; l < levels; l++ {
-		passX(f, k, cnx, cny, cnz, workers, false)
-		passY(f, k, cnx, cny, cnz, workers, false)
-		passZ(f, k, cnx, cny, cnz, workers, false)
-		cnx, cny, cnz = half(cnx), half(cny), half(cnz)
+		c := CoarseDims(f.Dims, l)
+		passX(f, k, c.Nx, c.Ny, c.Nz, workers, false)
+		passY(f, k, c.Nx, c.Ny, c.Nz, workers, false)
+		passZ(f, k, c.Nx, c.Ny, c.Nz, workers, false)
 	}
 	return nil
 }
@@ -69,25 +67,16 @@ func Inverse3D[F num.Float](f *grid.Field3DOf[F], k wavelet.Kernel, levels, work
 	if max := Levels3D(k, f.Dims); levels > max {
 		return fmt.Errorf("transform: %d levels exceeds maximum %d for kernel %v on grid %v", levels, max, k, f.Dims)
 	}
-	// Rebuild the dims pyramid, then invert from the coarsest level out,
-	// reversing the per-level axis order: Z, Y, X.
-	type cube struct{ x, y, z int }
-	dims := make([]cube, levels)
-	cnx, cny, cnz := f.Dims.Nx, f.Dims.Ny, f.Dims.Nz
-	for l := 0; l < levels; l++ {
-		dims[l] = cube{cnx, cny, cnz}
-		cnx, cny, cnz = half(cnx), half(cny), half(cnz)
-	}
+	// Invert from the coarsest level out, reversing the per-level axis
+	// order: Z, Y, X.
 	for l := levels - 1; l >= 0; l-- {
-		c := dims[l]
-		passZ(f, k, c.x, c.y, c.z, workers, true)
-		passY(f, k, c.x, c.y, c.z, workers, true)
-		passX(f, k, c.x, c.y, c.z, workers, true)
+		c := CoarseDims(f.Dims, l)
+		passZ(f, k, c.Nx, c.Ny, c.Nz, workers, true)
+		passY(f, k, c.Nx, c.Ny, c.Nz, workers, true)
+		passX(f, k, c.Nx, c.Ny, c.Nz, workers, true)
 	}
 	return nil
 }
-
-func half(n int) int { return (n + 1) / 2 }
 
 // passX transforms the first cnx samples of every X row inside the
 // (cnx, cny, cnz) approximation cube. Rows are contiguous in memory, so

@@ -39,18 +39,6 @@ func InverseTemporal[F num.Float](w *grid.WindowOf[F], k wavelet.Kernel, levels,
 	return temporalPass(w, k, levels, workers, true)
 }
 
-// temporalLens returns the per-point pyramid lengths (identical for all
-// grid points) of a levels-deep temporal transform over t slices.
-func temporalLens(t, levels int) []int {
-	lens := make([]int, 0, levels)
-	n := t
-	for l := 0; l < levels && n >= 2; l++ {
-		lens = append(lens, n)
-		n = (n + 1) / 2
-	}
-	return lens
-}
-
 func temporalPass[F num.Float](w *grid.WindowOf[F], k wavelet.Kernel, levels, workers int, inverse bool) error {
 	t := w.Len()
 	if levels < 0 {
@@ -63,7 +51,7 @@ func temporalPass[F num.Float](w *grid.WindowOf[F], k wavelet.Kernel, levels, wo
 		return nil
 	}
 	points := w.Dims.Len()
-	lens := temporalLens(t, levels)
+	lens := wavelet.BandLengths(t, levels) // identical for every grid point
 	tiles := (points + temporalLanes - 1) / temporalLanes
 	if workers <= 1 {
 		temporalRange(w, k, lens, t, points, 0, tiles, inverse)

@@ -42,7 +42,7 @@ func Inverse1D[F num.Float](k Kernel, data []F, levels int, scratch []F) error {
 		scratch = make([]F, len(data))
 	}
 	// Reconstruct from the coarsest level outward. Compute band lengths.
-	lens := bandLengths(len(data), levels)
+	lens := BandLengths(len(data), levels)
 	for l := len(lens) - 1; l >= 0; l-- {
 		n := lens[l]
 		if n < 2 {
@@ -54,9 +54,10 @@ func Inverse1D[F num.Float](k Kernel, data []F, levels int, scratch []F) error {
 	return nil
 }
 
-// bandLengths returns the signal lengths at each applied level (the length
-// the forward transform saw at level l), outermost first.
-func bandLengths(n, levels int) []int {
+// BandLengths returns the signal lengths at each applied level (the length
+// the forward transform saw at level l), outermost first. Level l's detail
+// band is [ApproxLenAfter(n, l+1), BandLengths(n, levels)[l]).
+func BandLengths(n, levels int) []int {
 	lens := make([]int, 0, levels)
 	for l := 0; l < levels && n >= 2; l++ {
 		lens = append(lens, n)

@@ -288,14 +288,14 @@ func TestTinySignals(t *testing.T) {
 }
 
 func TestBandLengths(t *testing.T) {
-	lens := bandLengths(20, 3)
+	lens := BandLengths(20, 3)
 	want := []int{20, 10, 5}
 	if len(lens) != len(want) {
-		t.Fatalf("bandLengths(20,3) = %v, want %v", lens, want)
+		t.Fatalf("BandLengths(20,3) = %v, want %v", lens, want)
 	}
 	for i := range want {
 		if lens[i] != want[i] {
-			t.Fatalf("bandLengths(20,3) = %v, want %v", lens, want)
+			t.Fatalf("BandLengths(20,3) = %v, want %v", lens, want)
 		}
 	}
 }
