@@ -21,7 +21,10 @@ all: build vet test check
 # and the survivor encoders included — ingest engine, sampler and
 # server decode path (worker budgets must degrade to clean sequential
 # execution; -count=1 because the test cache does not key on
-# GOMAXPROCS), and short fuzz smokes of the container index parser, the
+# GOMAXPROCS), ten race-detector repetitions of the ingest engine's
+# ordered compress stage tests (its drain-on-error and in-order delivery
+# interleavings are where a concurrency bug would hide, and one run
+# samples few of them), and short fuzz smokes of the container index parser, the
 # 1D wavelet round-trip at both precisions, the window deserializer
 # with a reconstruction query, the record-frame codec, the gap-marker codec,
 # the level-offset table parser of the progressive (v4) layout, the
@@ -32,6 +35,7 @@ all: build vet test check
 # survivor encoder against its dense encode.
 check: vet fmt-check lint docscheck bench-smoke
 	$(GO) test -race ./internal/server ./cmd/stserve ./internal/storage ./internal/compress ./internal/faultio ./internal/transform ./internal/core ./internal/par ./internal/codec ./internal/entropy ./internal/ingest ./internal/lint ./internal/sim/synth ./internal/sim/tornado
+	$(GO) test -race -count=10 -run '^(TestPipelineSinkErrorDrains|TestPipelineJobErrorDrains|TestPipelineOrdered|TestPipelineCloseInFlightNoLeak|TestAsyncWriterMatchesSyncWriter|TestAsyncWriter32MatchesSync)$$' ./internal/ingest
 	GOMAXPROCS=1 $(GO) test -count=1 ./internal/par ./internal/transform ./internal/compress ./internal/core ./internal/codec ./internal/entropy ./internal/ingest ./internal/server ./internal/sim/synth ./internal/sim/tornado
 	$(GO) test -run=NONE -fuzz=FuzzOpenContainer -fuzztime=10s ./internal/storage
 	$(GO) test -run=NONE -fuzz='FuzzWaveletRoundtrip$$' -fuzztime=5s ./internal/wavelet

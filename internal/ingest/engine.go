@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"stwave/internal/core"
@@ -17,7 +18,7 @@ import (
 
 // Backpressure design. The engine keeps a byte ledger of every window it
 // holds in memory: the one being filled from the solver plus every one
-// submitted to the compression pipeline whose append has not completed.
+// submitted to the ordered compress stage whose append has not completed.
 // Compression transforms the window's own buffers in place (no working
 // copy), and since selection only reads them they keep the window's
 // coefficients until it is durably appended — that is what lets the
@@ -37,10 +38,11 @@ import (
 //     journaled gap marker holds the window's place so the timeline of
 //     every later window is unshifted.
 //
-// All container writes (windows and gap markers) flow through the
-// pipeline's single delivery goroutine in submission order, so the
-// journal is always a prefix of the true timeline — the crash matrix
-// asserts exactly that.
+// The ordered compress stage overlaps compression with the solve: workers
+// compress window jobs concurrently, and every container write (windows
+// and gap markers) flows through the stage's single delivery goroutine in
+// submission order, so the journal is always a prefix of the true
+// timeline — the crash matrix asserts exactly that.
 
 // ErrDeadline reports that a stall (or degrade wait) exceeded
 // Config.Deadline without the backlog draining.
@@ -93,7 +95,7 @@ type Config struct {
 	// Opts is the compression configuration; Opts.Ratio is the base
 	// (finest) target ratio, Opts.WindowSize the slices per window.
 	Opts core.Options
-	// Workers is the compression pipeline width (<= 0 means 1).
+	// Workers is the compress stage's worker count (<= 0 means 1).
 	Workers int
 	// MemBudget caps the raw bytes of windows held in memory — filling,
 	// compressing, and awaiting append. <= 0 disables the gate.
@@ -129,16 +131,77 @@ type Stats struct {
 	PeakInFlightBytes int64   // high-water mark of the raw-byte ledger
 }
 
-// windowJobOf is the per-window bookkeeping the delivery side needs: the
-// retained window (its coefficients after compression, for degrade
-// recompression and buffer recycling), its ledger charge, which rung
-// compressed it, and any staged slice ids.
+// windowJobOf is one entry of the ordered compress stage, carrying
+// everything its delivery needs: the retained window (its coefficients
+// after compression, for degrade recompression and buffer recycling), the
+// rung whose compressor compresses it, its ledger charge, any staged slice
+// ids, and its result, published by closing done.
 type windowJobOf[F num.Float] struct {
 	win      *grid.WindowOf[F]
 	gap      *core.GapMarker // non-nil: journal a gap instead of a window
 	rung     int
 	rawBytes int64
 	stageIDs []int
+	cw       *core.CompressedWindow
+	err      error
+	done     chan struct{}
+}
+
+// stageOf is the ordered compress stage of one Run. Workers compress the
+// jobs taken from work; one delivery goroutine takes the same jobs from
+// order in submission order, waits on each job's done, and journals it.
+// A gap job enters order already done and never reaches work. The first
+// error, which only delivery records, sticks: the producer sees it at its
+// next submit, workers stop compressing, and delivery keeps draining but
+// journals nothing, so the journal never runs past a hole.
+type stageOf[F num.Float] struct {
+	work, order chan *windowJobOf[F]
+	err         atomic.Pointer[error]
+	running     sync.WaitGroup
+	mu          sync.Mutex
+	queued      int // submitted, not yet delivered
+}
+
+// track adds d to the count of submitted, undelivered jobs and sets the
+// queue-depth gauge from it under one lock, so a late Set from the
+// producer can never overwrite a newer count from delivery.
+func (s *stageOf[F]) track(d int) {
+	s.mu.Lock()
+	s.queued += d
+	obs.Default().Gauge("ingest.queue_depth_windows").Set(float64(s.queued))
+	s.mu.Unlock()
+}
+
+// Err returns the sticky first error, or nil while the stage is healthy.
+func (s *stageOf[F]) Err() error {
+	if p := s.err.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// submit queues job for delivery and, unless it is already done, for a
+// worker. It blocks while either queue is full; workers never wait on
+// delivery, so the wait is bounded by in-flight work.
+func (s *stageOf[F]) submit(job *windowJobOf[F]) error {
+	if err := s.Err(); err != nil {
+		return err
+	}
+	s.track(1)
+	s.order <- job
+	if job.gap == nil {
+		s.work <- job
+	}
+	return nil
+}
+
+// finish stops accepting jobs, waits for every worker and the delivery
+// goroutine to exit, and returns the sticky error.
+func (s *stageOf[F]) finish() error {
+	close(s.work)
+	close(s.order)
+	s.running.Wait()
+	return s.Err()
 }
 
 // EngineOf drives one streaming ingest run at sample precision F. Create
@@ -157,7 +220,6 @@ type EngineOf[F num.Float] struct {
 	mu       sync.Mutex
 	rung     int
 	inFlight int64
-	jobs     map[int]*windowJobOf[F]
 	stats    Stats
 	notify   chan struct{}
 }
@@ -235,7 +297,6 @@ func NewEngineOf[F num.Float](cfg Config, dims grid.Dims, w *storage.ContainerWr
 		ratios:  ratios,
 		winSize: winSize,
 		dims:    dims,
-		jobs:    make(map[int]*windowJobOf[F]),
 		notify:  make(chan struct{}, 1),
 	}, nil
 }
@@ -262,7 +323,7 @@ func (e *EngineOf[F]) countBackpressure(p Policy) {
 	e.mu.Unlock()
 }
 
-// charge adds bytes to the in-flight ledger and updates the gauges.
+// charge adds bytes to the in-flight ledger and updates its gauge.
 func (e *EngineOf[F]) charge(n int64) {
 	e.mu.Lock()
 	e.inFlight += n
@@ -270,10 +331,8 @@ func (e *EngineOf[F]) charge(n int64) {
 		e.stats.PeakInFlightBytes = e.inFlight
 	}
 	cur := e.inFlight
-	depth := len(e.jobs)
 	e.mu.Unlock()
 	obs.Default().Gauge("ingest.inflight_bytes").Set(float64(cur))
-	obs.Default().Gauge("ingest.queue_depth_windows").Set(float64(depth))
 }
 
 // Run streams totalSlices slices from src through compression into the
@@ -288,46 +347,102 @@ func (e *EngineOf[F]) Run(src SourceOf[F], totalSlices int) (Stats, error) {
 	if totalSlices <= 0 {
 		return e.snapshot(), fmt.Errorf("ingest: total slices %d must be positive", totalSlices)
 	}
-	pipe, err := core.NewPipeline(e.cfg.Workers, e.deliver)
-	if err != nil {
-		return e.snapshot(), err
-	}
-	nextID := 0
+	s := e.newStage()
 	runErr := func() error {
 		for remaining := totalSlices; remaining > 0; {
 			n := min(e.winSize, remaining)
-			admitted, err := e.admit(int64(n)*e.sliceBytes(), pipe)
+			remaining -= n
+			admitted, err := e.admit(int64(n)*e.sliceBytes(), s)
 			if err != nil {
 				return err
 			}
 			if !admitted {
 				// Shed the window before it is ever sampled: the solver
 				// steps past it and a gap marker holds its place.
-				if err := e.shedWindow(pipe, &nextID, src, n); err != nil {
-					return err
-				}
-				remaining -= n
-				continue
+				err = e.shedWindow(s, src, n)
+			} else {
+				err = e.produceWindow(s, src, n)
 			}
-			if err := e.produceWindow(pipe, &nextID, src, n); err != nil {
+			if err != nil {
 				return err
 			}
-			remaining -= n
 		}
 		return nil
 	}()
-	closeErr := pipe.Close()
-	e.releaseLeftovers()
-	if runErr == nil {
-		runErr = closeErr
+	if err := s.finish(); runErr == nil {
+		runErr = err
 	}
 	return e.snapshot(), runErr
+}
+
+// newStage builds the ordered compress stage and starts its workers and
+// its delivery goroutine. work holds one queued job per worker so no
+// worker idles between windows; order holds twice that, which bounds how
+// many windows the producer runs ahead of delivery when no MemBudget is
+// set.
+func (e *EngineOf[F]) newStage() *stageOf[F] {
+	s := &stageOf[F]{
+		work:  make(chan *windowJobOf[F], e.cfg.Workers),
+		order: make(chan *windowJobOf[F], 2*e.cfg.Workers),
+	}
+	s.running.Add(e.cfg.Workers + 1)
+	for range e.cfg.Workers {
+		go func() {
+			defer s.running.Done()
+			for job := range s.work {
+				e.compressJob(s, job)
+			}
+		}()
+	}
+	go func() {
+		defer s.running.Done()
+		e.deliverJobs(s)
+	}()
+	return s
+}
+
+// compressJob compresses one window job in place and publishes the
+// result. Once the stage has failed the job is only marked done.
+func (e *EngineOf[F]) compressJob(s *stageOf[F], job *windowJobOf[F]) {
+	if s.Err() == nil {
+		start := time.Now()
+		job.cw, job.err = core.Compress(context.Background(), e.comps[job.rung], job.win, core.InPlace)
+		if job.err == nil {
+			obs.Default().Histogram("ingest.compress_seconds").ObserveSince(start)
+		}
+	}
+	close(job.done)
+}
+
+// deliverJobs journals every job (window or gap) in submission order,
+// applying the backpressure policy to append failures, then releases the
+// job's memory and wakes the producer.
+func (e *EngineOf[F]) deliverJobs(s *stageOf[F]) {
+	for job := range s.order {
+		<-job.done
+		err := s.Err()
+		if err == nil {
+			switch {
+			case job.err != nil:
+				err = job.err
+			case job.gap != nil:
+				err = e.appendGap(*job.gap)
+			default:
+				err = e.appendWindow(job)
+			}
+			if err != nil {
+				s.err.Store(&err)
+			}
+		}
+		e.release(job, err == nil)
+		s.track(-1)
+	}
 }
 
 // admit blocks until charging need bytes fits the budget, applying the
 // backpressure policy. Returns admitted=false when the policy decided to
 // shed the window instead.
-func (e *EngineOf[F]) admit(need int64, pipe *core.Pipeline) (bool, error) {
+func (e *EngineOf[F]) admit(need int64, s *stageOf[F]) (bool, error) {
 	if e.cfg.MemBudget <= 0 {
 		e.charge(need)
 		return true, nil
@@ -335,7 +450,7 @@ func (e *EngineOf[F]) admit(need int64, pipe *core.Pipeline) (bool, error) {
 	deadline := time.Now().Add(e.cfg.Deadline)
 	blocked := false
 	for {
-		if err := pipe.Err(); err != nil {
+		if err := s.Err(); err != nil {
 			return false, err
 		}
 		e.mu.Lock()
@@ -389,30 +504,46 @@ func (e *EngineOf[F]) stepRung() {
 }
 
 // produceWindow fills one window from the source (recycled buffers),
-// optionally stages its slices, and submits it for compression.
-func (e *EngineOf[F]) produceWindow(pipe *core.Pipeline, nextID *int, src SourceOf[F], n int) error {
+// optionally stages its slices, and submits it for compression. A window
+// that never reaches the stage is released here.
+func (e *EngineOf[F]) produceWindow(s *stageOf[F], src SourceOf[F], n int) error {
+	job := &windowJobOf[F]{
+		win:      grid.NewWindowOf[F](e.dims),
+		rawBytes: int64(n) * e.sliceBytes(),
+		done:     make(chan struct{}),
+	}
+	err := e.fillWindow(job, src, n)
+	if err == nil {
+		e.mu.Lock()
+		job.rung = e.rung
+		e.mu.Unlock()
+		err = s.submit(job)
+	}
+	if err != nil {
+		e.release(job, false)
+	}
+	return err
+}
+
+// fillWindow samples n slices from the source into job's window, staging
+// each one when a staging tier is configured.
+func (e *EngineOf[F]) fillWindow(job *windowJobOf[F], src SourceOf[F], n int) error {
 	start := time.Now()
-	win := grid.NewWindowOf[F](e.dims)
-	job := &windowJobOf[F]{win: win, rawBytes: int64(n) * e.sliceBytes()}
 	for i := 0; i < n; i++ {
 		f, err := grid.FromDataOf(e.dims.Nx, e.dims.Ny, e.dims.Nz, scratch.FloatsOf[F](e.dims.Len()))
 		if err != nil {
-			e.releaseJob(job)
 			return err
 		}
 		t, err := src.Next(f)
 		if err != nil {
-			e.releaseJob(job)
 			return fmt.Errorf("ingest: source: %w", err)
 		}
-		if err := win.Append(f, t); err != nil {
-			e.releaseJob(job)
+		if err := job.win.Append(f, t); err != nil {
 			return err
 		}
 		if e.cfg.Stage != nil {
 			id, err := storage.PutSliceOf(e.cfg.Stage, f)
 			if err != nil {
-				e.releaseJob(job)
 				return fmt.Errorf("ingest: staging slice: %w", err)
 			}
 			job.stageIDs = append(job.stageIDs, id)
@@ -423,27 +554,13 @@ func (e *EngineOf[F]) produceWindow(pipe *core.Pipeline, nextID *int, src Source
 		obs.Default().Counter("ingest.slices_in_total").Add(1)
 	}
 	obs.Default().Histogram("ingest.solve_seconds").ObserveSince(start)
-
-	e.mu.Lock()
-	job.rung = e.rung
-	comp := e.comps[job.rung]
-	e.jobs[*nextID] = job
-	e.mu.Unlock()
-	*nextID++
-	_, err := pipe.Submit(func() (*core.CompressedWindow, error) {
-		cstart := time.Now()
-		cw, err := core.Compress(context.Background(), comp, win, core.InPlace)
-		if err == nil {
-			obs.Default().Histogram("ingest.compress_seconds").ObserveSince(cstart)
-		}
-		return cw, err
-	})
-	return err
+	return nil
 }
 
 // shedWindow steps the solver past n slices and journals a gap marker in
-// their place, routed through the pipeline so it lands in timeline order.
-func (e *EngineOf[F]) shedWindow(pipe *core.Pipeline, nextID *int, src SourceOf[F], n int) error {
+// their place, routed through the stage as an already-done job so it
+// lands in timeline order.
+func (e *EngineOf[F]) shedWindow(s *stageOf[F], src SourceOf[F], n int) error {
 	var t0, t1 float64
 	for i := 0; i < n; i++ {
 		t, err := src.Skip()
@@ -459,49 +576,21 @@ func (e *EngineOf[F]) shedWindow(pipe *core.Pipeline, nextID *int, src SourceOf[
 	e.stats.SlicesIn += n
 	e.mu.Unlock()
 	obs.Default().Counter("ingest.slices_in_total").Add(int64(n))
-	g := core.GapMarker{Slices: n, T0: t0, T1: t1, Reason: core.GapShed}
-	e.mu.Lock()
-	e.jobs[*nextID] = &windowJobOf[F]{gap: &g}
-	e.mu.Unlock()
-	*nextID++
-	_, err := pipe.Submit(func() (*core.CompressedWindow, error) { return nil, nil })
-	return err
+	done := make(chan struct{})
+	close(done)
+	return s.submit(&windowJobOf[F]{
+		gap:  &core.GapMarker{Slices: n, T0: t0, T1: t1, Reason: core.GapShed},
+		done: done,
+	})
 }
 
-// deliver is the pipeline sink: it journals one entry (window or gap) in
-// submission order, applying the backpressure policy to append failures,
-// then releases the window's memory and wakes the producer.
-func (e *EngineOf[F]) deliver(id int, cw *core.CompressedWindow) error {
-	e.mu.Lock()
-	job := e.jobs[id]
-	e.mu.Unlock()
-	if job == nil {
-		return fmt.Errorf("ingest: no bookkeeping for window %d", id)
-	}
-	var err error
-	if job.gap != nil {
-		err = e.appendGap(*job.gap)
-	} else {
-		err = e.appendWindow(job, cw)
-	}
-	if err != nil {
-		return err
-	}
-	e.mu.Lock()
-	delete(e.jobs, id)
-	e.mu.Unlock()
-	e.releaseJob(job)
-	e.charge(-job.rawBytes)
-	e.wake()
-	return nil
-}
-
-// appendWindow appends cw, driving the policy through append failures:
-// stall retries the same bytes until the deadline, degrade re-encodes the
-// retained window at coarser rungs, shed gives the window up and journals
-// a write-failed gap in its place.
-func (e *EngineOf[F]) appendWindow(job *windowJobOf[F], cw *core.CompressedWindow) error {
+// appendWindow appends the job's compressed window, driving the policy
+// through append failures: stall retries the same bytes until the
+// deadline, degrade re-encodes the retained window at coarser rungs, shed
+// gives the window up and journals a write-failed gap in its place.
+func (e *EngineOf[F]) appendWindow(job *windowJobOf[F]) error {
 	start := time.Now()
+	cw := job.cw
 	deadline := time.Now().Add(e.cfg.Deadline)
 	rung := job.rung
 	counted := false
@@ -611,8 +700,11 @@ func (e *EngineOf[F]) appendGap(g core.GapMarker) error {
 	}
 }
 
-// releaseJob recycles a window's raw buffers and drops its staged slices.
-func (e *EngineOf[F]) releaseJob(job *windowJobOf[F]) {
+// release recycles a job's window buffers, returns its bytes to the
+// ledger, and wakes the producer. Its staged slices are dropped only once
+// its journal entry is durable, so a failed run leaves the slices of every
+// window it never journaled in the staging tier.
+func (e *EngineOf[F]) release(job *windowJobOf[F], durable bool) {
 	if job.win != nil {
 		for _, s := range job.win.Slices {
 			scratch.PutFloatsOf(s.Data)
@@ -620,29 +712,13 @@ func (e *EngineOf[F]) releaseJob(job *windowJobOf[F]) {
 		}
 		job.win = nil
 	}
-	if e.cfg.Stage != nil {
+	if durable {
 		for _, id := range job.stageIDs {
 			e.cfg.Stage.Drop(id) //stlint:ignore uncheckederr staged slices are a cache; a failed drop only leaves litter for the next orphan GC
 		}
-		job.stageIDs = nil
 	}
-}
-
-// releaseLeftovers recycles every job the pipeline abandoned on error.
-func (e *EngineOf[F]) releaseLeftovers() {
-	e.mu.Lock()
-	left := make([]*windowJobOf[F], 0, len(e.jobs))
-	for id, job := range e.jobs {
-		left = append(left, job)
-		delete(e.jobs, id)
-	}
-	e.inFlight = 0
-	e.mu.Unlock()
-	for _, job := range left {
-		e.releaseJob(job)
-	}
-	obs.Default().Gauge("ingest.inflight_bytes").Set(0)
-	obs.Default().Gauge("ingest.queue_depth_windows").Set(0)
+	e.charge(-job.rawBytes)
+	e.wake()
 }
 
 // snapshot copies the stats under the lock and stamps the final ratio.

@@ -221,7 +221,10 @@ func TestIngestStallAdmission(t *testing.T) {
 	}
 	start := obs.Default().Counter("ingest.backpressure_events_total.stall").Load()
 	var released sync.Once
+	var depth float64
 	wg := onCounterRise(t, "ingest.backpressure_events_total.stall", start, func() {
+		// Window 0 is queued, wedged in its append, while window 1 stalls.
+		depth = obs.Default().Gauge("ingest.queue_depth_windows").Load()
 		released.Do(func() { close(release) })
 	})
 	cloned := obs.Default().Counter("core.window_clone_bytes_total").Load()
@@ -239,6 +242,9 @@ func TestIngestStallAdmission(t *testing.T) {
 	}
 	if stats.Backpressure < 1 {
 		t.Fatalf("stats = %+v, want at least one stall event", stats)
+	}
+	if depth != 1 {
+		t.Fatalf("queue depth gauge read %g during the stall, want the 1 queued window", depth)
 	}
 	if stats.PeakInFlightBytes > budget {
 		t.Fatalf("peak in-flight %d exceeded budget %d", stats.PeakInFlightBytes, budget)

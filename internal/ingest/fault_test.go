@@ -69,6 +69,7 @@ const gapRecordSize = core.RecordHeaderSize + core.GapMarkerSize
 // TestIngestTransientWriteErrors: EIO that clears within the retry
 // policy's attempts is absorbed below the backpressure layer entirely.
 func TestIngestTransientWriteErrors(t *testing.T) {
+	defer leakCheck(t)()
 	path := filepath.Join(t.TempDir(), "eio.stw")
 	w, ff := faultWriter(t, path)
 	eng, err := NewEngineOf[float64](Config{Opts: testOpts(), Workers: 2, Policy: PolicyStall}, testDims(), w)
@@ -94,6 +95,7 @@ func TestIngestTransientWriteErrors(t *testing.T) {
 // TestIngestENOSPCStall: a full disk stalls the drain; when space frees,
 // every window lands with nothing lost.
 func TestIngestENOSPCStall(t *testing.T) {
+	defer leakCheck(t)()
 	path := filepath.Join(t.TempDir(), "stall.stw")
 	w, ff := faultWriter(t, path)
 	eng, err := NewEngineOf[float64](Config{
@@ -130,6 +132,7 @@ func TestIngestENOSPCStall(t *testing.T) {
 // degrade policy re-encodes the retained coefficients at the next rung
 // and the journal records the coarser ratio in the window's own header.
 func TestIngestENOSPCDegrade(t *testing.T) {
+	defer leakCheck(t)()
 	path := filepath.Join(t.TempDir(), "degrade.stw")
 	w, ff := faultWriter(t, path)
 	eng, err := NewEngineOf[float64](Config{
@@ -185,6 +188,7 @@ func TestIngestENOSPCDegrade(t *testing.T) {
 // policy converts every window into a write-failed gap — data is lost
 // but the loss itself is journaled, slice for slice.
 func TestIngestENOSPCShed(t *testing.T) {
+	defer leakCheck(t)()
 	path := filepath.Join(t.TempDir(), "shed.stw")
 	w, ff := faultWriter(t, path)
 	eng, err := NewEngineOf[float64](Config{
@@ -229,6 +233,7 @@ func TestIngestENOSPCShed(t *testing.T) {
 // append (the record is trimmed back out); the stall policy rewrites the
 // same bytes once fsync recovers.
 func TestIngestFsyncFailure(t *testing.T) {
+	defer leakCheck(t)()
 	path := filepath.Join(t.TempDir(), "fsync.stw")
 	w, ff := faultWriter(t, path)
 	w.Sync = storage.SyncPerWindow
@@ -274,6 +279,7 @@ func windowRecordSize(t *testing.T, cw *core.CompressedWindow) int64 {
 // recompression rung is paid for, and the durable bytes are exactly the
 // deterministic encoding of the reduced window.
 func TestIngestENOSPCDegradeShedsLevels(t *testing.T) {
+	defer leakCheck(t)()
 	path := filepath.Join(t.TempDir(), "shedlevels.stw")
 	w, ff := faultWriter(t, path)
 	opts := testOpts()
@@ -347,6 +353,7 @@ func TestIngestENOSPCDegradeShedsLevels(t *testing.T) {
 // writer trims the torn tail and the stall policy rewrites the record
 // whole. The journal never exposes the torn bytes.
 func TestIngestTornWrite(t *testing.T) {
+	defer leakCheck(t)()
 	path := filepath.Join(t.TempDir(), "torn.stw")
 	w, ff := faultWriter(t, path)
 	eng, err := NewEngineOf[float64](Config{
@@ -380,11 +387,18 @@ func TestIngestTornWrite(t *testing.T) {
 // entry is bit-identical to offline compression of the same slices: the
 // durable prefix, nothing more, nothing corrupt.
 func TestIngestCrashConsistentDrain(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "crash.stw")
+	defer leakCheck(t)()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "crash.stw")
 	w, ff := faultWriter(t, path)
+	stage, err := storage.NewBurstBuffer(dir, storage.DefaultModel(), testDims())
+	if err != nil {
+		t.Fatal(err)
+	}
 	eng, err := NewEngineOf[float64](Config{
 		Opts: testOpts(), Workers: 2, Policy: PolicyStall,
 		Deadline: 300 * time.Millisecond, RetryEvery: 5 * time.Millisecond,
+		Stage: stage,
 	}, testDims(), w)
 	if err != nil {
 		t.Fatal(err)
@@ -393,6 +407,11 @@ func TestIngestCrashConsistentDrain(t *testing.T) {
 	_, err = eng.Run(newTestSource(t), 12)
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("Run error = %v, want ErrDeadline", err)
+	}
+	// Only window 0 became durable, so only its slices leave the staging
+	// tier; the 8 slices of windows 1 and 2 survive the failed run.
+	if n := stage.Len(); n != 8 {
+		t.Fatalf("%d slices left staged, want the 8 never journaled", n)
 	}
 	// Crash: no Close, no footer. Recover from the journal alone.
 	rep, err := storage.RecoverContainer(path)

@@ -3,12 +3,12 @@
 // loop over a container journal, the workflow the paper's Figure 1 sketch
 // assumes but never has to operate — a solver that produces slices
 // whether or not the storage tier can keep up. The engine accumulates
-// slices into windows built from recycled scratch buffers, pipelines
-// compression across windows (core.Pipeline), gates admission on a byte
-// budget, and when storage falls behind applies a configured backpressure
-// policy: stall the solver, degrade to a coarser target ratio, or shed
-// whole windows behind a journaled gap marker so the timeline never
-// shifts.
+// slices into windows built from recycled scratch buffers, overlaps their
+// compression in an ordered stage (workers compress, one goroutine
+// journals in submission order), gates admission on a byte budget, and
+// when storage falls behind applies a configured backpressure policy:
+// stall the solver, degrade to a coarser target ratio, or shed whole
+// windows behind a journaled gap marker so the timeline never shifts.
 //
 // Both sample precisions stream through the same engine: the float64 path
 // is the reference pipeline, and the float32 path (SourceOf[float32],

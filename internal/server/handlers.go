@@ -221,20 +221,25 @@ func (s *Server) handleSlice(w http.ResponseWriter, r *http.Request, m *mount) e
 		return err
 	}
 	// levels=K bounds the reconstruction to the K+1 coarsest detail
-	// levels — the progressive read path. Absent means full quality.
-	levels, err := intParam(r, "levels", -1)
+	// levels — the progressive read path. Absent means full quality; a
+	// negative K is a client error, not a spelling of "absent".
+	full := r.URL.Query().Get("levels") == ""
+	levels, err := intParam(r, "levels", 0)
 	if err != nil {
 		return err
+	}
+	if levels < 0 {
+		return badRequest("levels must be >= 0, got %d", levels)
 	}
 	var (
 		v     view
 		tv    float64
 		state cacheState
 	)
-	if levels >= 0 {
-		v, tv, state, err = s.sliceLevel(r.Context(), m, t, levels)
-	} else {
+	if full {
 		v, tv, state, err = s.slice(r.Context(), m, t)
+	} else {
+		v, tv, state, err = s.sliceLevel(r.Context(), m, t, levels)
 	}
 	if err != nil {
 		return err

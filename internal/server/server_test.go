@@ -280,6 +280,9 @@ func TestErrorStatuses(t *testing.T) {
 		{"/v1/test/crop?t=0&x0=0&y0=0&z0=0&nx=99&ny=1&nz=1", http.StatusBadRequest},
 		{"/v1/test/crop?t=0", http.StatusBadRequest},
 		{"/v1/test/preview?t=0&levels=99", http.StatusBadRequest},
+		{"/v1/test/slice?t=3&levels=-1", http.StatusBadRequest},
+		{"/v1/test/slice?t=3&levels=-2", http.StatusBadRequest},
+		{"/v1/test/slice?t=3&levels=-100", http.StatusBadRequest},
 		{"/v1/test/render?t=0&kind=volume", http.StatusBadRequest},
 	} {
 		resp, _ := get(t, ts.URL+tc.url)
