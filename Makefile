@@ -15,13 +15,14 @@ all: build vet test check
 # backpressure policies, the parallel
 # transform/threshold stages with their serial-equivalence property
 # tests, the synth/tornado lattice sampler that splits z-planes over
-# goroutines, and the lint suite itself, whose dogfooding test shells
+# goroutines, the cloverleaf solver and the stcomp command that drive
+# the ingest sources, and the lint suite itself, whose dogfooding test shells
 # out to go list and replays every analyzer over the whole module), a
 # GOMAXPROCS=1 smoke of the same parallel stages — survivor selection
-# and the survivor encoders included — ingest engine, sampler and
-# server decode path (worker budgets must degrade to clean sequential
-# execution; -count=1 because the test cache does not key on
-# GOMAXPROCS), ten race-detector repetitions of the ingest engine's
+# and the survivor encoders included — ingest engine, sampler, server
+# decode path, cloverleaf and stcomp (worker budgets must degrade to
+# clean sequential execution; -count=1 because the test cache does not
+# key on GOMAXPROCS), ten race-detector repetitions of the ingest engine's
 # ordered compress stage tests (its drain-on-error and in-order delivery
 # interleavings are where a concurrency bug would hide, and one run
 # samples few of them), and short fuzz smokes of the container index parser, the
@@ -34,9 +35,9 @@ all: build vet test check
 # survivor selection against the serial threshold, and every codec's
 # survivor encoder against its dense encode.
 check: vet fmt-check lint docscheck bench-smoke
-	$(GO) test -race ./internal/server ./cmd/stserve ./internal/storage ./internal/compress ./internal/faultio ./internal/transform ./internal/core ./internal/par ./internal/codec ./internal/entropy ./internal/ingest ./internal/lint ./internal/sim/synth ./internal/sim/tornado
+	$(GO) test -race ./internal/server ./cmd/stserve ./internal/storage ./internal/compress ./internal/faultio ./internal/transform ./internal/core ./internal/par ./internal/codec ./internal/entropy ./internal/ingest ./internal/lint ./internal/sim/synth ./internal/sim/tornado ./internal/sim/cloverleaf ./cmd/stcomp
 	$(GO) test -race -count=10 -run '^(TestPipelineSinkErrorDrains|TestPipelineJobErrorDrains|TestPipelineOrdered|TestPipelineCloseInFlightNoLeak|TestAsyncWriterMatchesSyncWriter|TestAsyncWriter32MatchesSync)$$' ./internal/ingest
-	GOMAXPROCS=1 $(GO) test -count=1 ./internal/par ./internal/transform ./internal/compress ./internal/core ./internal/codec ./internal/entropy ./internal/ingest ./internal/server ./internal/sim/synth ./internal/sim/tornado
+	GOMAXPROCS=1 $(GO) test -count=1 ./internal/par ./internal/transform ./internal/compress ./internal/core ./internal/codec ./internal/entropy ./internal/ingest ./internal/server ./internal/sim/synth ./internal/sim/tornado ./internal/sim/cloverleaf ./cmd/stcomp
 	$(GO) test -run=NONE -fuzz=FuzzOpenContainer -fuzztime=10s ./internal/storage
 	$(GO) test -run=NONE -fuzz='FuzzWaveletRoundtrip$$' -fuzztime=5s ./internal/wavelet
 	$(GO) test -run=NONE -fuzz=FuzzWaveletRoundtrip32 -fuzztime=5s ./internal/wavelet

@@ -29,6 +29,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -207,10 +208,22 @@ func runCompress(args []string) error {
 		return err
 	}
 
+	if err := opts.Validate(); err != nil {
+		return err
+	}
+	if *targetNRMSE > 0 {
+		if *maxErr > 0 {
+			return fmt.Errorf("-target-nrmse and -max-err are different rate-control modes; pick one")
+		}
+		if precision == core.Float32 {
+			return fmt.Errorf("-target-nrmse runs on the float64 oracle; drop -precision f32")
+		}
+	}
 	syncPol, err := storage.ParseSyncPolicy(*fsyncPolicy)
 	if err != nil {
 		return err
 	}
+	// Every option is checked above: a rejected run leaves -out untouched.
 	var cw *storage.ContainerWriter
 	if *atomic {
 		cw, err = storage.CreateContainerAtomic(*out)
@@ -229,12 +242,6 @@ func runCompress(args []string) error {
 	}
 
 	if *targetNRMSE > 0 {
-		if *maxErr > 0 {
-			return fmt.Errorf("-target-nrmse and -max-err are different rate-control modes; pick one")
-		}
-		if precision == core.Float32 {
-			return fmt.Errorf("-target-nrmse runs on the float64 oracle; drop -precision f32")
-		}
 		if err := compressToTarget(cw, opts, dims, fs.Args(), *targetNRMSE); err != nil {
 			return err
 		}
@@ -334,7 +341,7 @@ func compressToTarget(cw *storage.ContainerWriter, opts core.Options, dims grid.
 		return nil
 	}
 	for i, path := range paths {
-		f, err := grid.LoadRawFile(path, dims.Nx, dims.Ny, dims.Nz)
+		f, err := grid.LoadRawFileOf[float64](path, dims.Nx, dims.Ny, dims.Nz)
 		if err != nil {
 			return fmt.Errorf("loading %s: %w", path, err)
 		}
@@ -529,8 +536,7 @@ func runIngest(args []string) error {
 		return fmt.Errorf("mode must be 3d or 4d, got %q", *mode)
 	}
 
-	precision, err := core.ParsePrecision(*precisionName)
-	if err != nil {
+	if opts.Precision, err = core.ParsePrecision(*precisionName); err != nil {
 		return err
 	}
 	cfg := ingest.Config{
@@ -545,32 +551,47 @@ func runIngest(args []string) error {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if *stageDir != "" {
-		if err := os.MkdirAll(*stageDir, 0o755); err != nil {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	run := ingestOf[float64]
+	if opts.Precision == core.Float32 {
+		run = ingestOf[float32]
+	}
+	return run(cfg, dims, strings.ToLower(*source), *dt, *seed, *slices, *stageDir, *out, syncPol)
+}
+
+// ingestOf builds the source at precision F, then the staging tier, and
+// only then creates out and streams the run into it, so a rejected source
+// leaves an existing container untouched.
+func ingestOf[F num.Float](cfg ingest.Config, dims grid.Dims, source string, dt float64, seed int64,
+	slices int, stageDir, out string, syncPol storage.SyncPolicy) error {
+	src, err := makeSourceOf[F](source, dims, dt, seed)
+	if err != nil {
+		return err
+	}
+	if stageDir != "" {
+		if err := os.MkdirAll(stageDir, 0o755); err != nil {
 			return err
 		}
-		cfg.Stage, err = storage.NewBurstBuffer(*stageDir, storage.DefaultModel(), dims)
+		cfg.Stage, err = storage.NewBurstBuffer(stageDir, storage.DefaultModel(), dims)
 		if err != nil {
 			return err
 		}
 	}
-	cw, err := storage.CreateContainer(*out)
+	cw, err := storage.CreateContainer(out)
 	if err != nil {
 		return err
 	}
 	cw.Sync = syncPol
-	var (
-		st     ingest.Stats
-		runErr error
-	)
-	if precision == core.Float32 {
-		st, runErr = ingestRunOf[float32](cfg, dims, cw, strings.ToLower(*source), *dt, *seed, *slices)
-	} else {
-		st, runErr = ingestRunOf[float64](cfg, dims, cw, strings.ToLower(*source), *dt, *seed, *slices)
+	eng, err := ingest.NewEngineOf[F](cfg, dims, cw)
+	if err != nil {
+		return errors.Join(err, cw.Close())
 	}
+	st, runErr := eng.Run(src, slices)
 	closeErr := cw.Close()
 
-	rawBytes := int64(st.SlicesIn) * int64(dims.Len()) * int64(precision.SampleBytes())
+	rawBytes := int64(st.SlicesIn) * int64(dims.Len()) * int64(cfg.Opts.Precision.SampleBytes())
 	fmt.Printf("ingested %d slices (%s raw): %d windows appended, %d shed (%d slices lost, journaled as gaps)\n",
 		st.SlicesIn, fmtBytes(rawBytes), st.WindowsAppended, st.WindowsShed, st.SlicesShed)
 	if st.Backpressure > 0 || st.DegradeSteps > 0 || st.LevelsShed > 0 {
@@ -578,24 +599,9 @@ func runIngest(args []string) error {
 			st.Backpressure, st.AppendRetries, st.LevelsShed, st.DegradeSteps, st.FinalRatio, fmtBytes(st.PeakInFlightBytes))
 	}
 	if runErr != nil {
-		return fmt.Errorf("ingest aborted: %w (the journal at %s keeps every durably appended window; recover with stfsck)", runErr, *out)
+		return fmt.Errorf("ingest aborted: %w (the journal at %s keeps every durably appended window; recover with stfsck)", runErr, out)
 	}
 	return closeErr
-}
-
-// ingestRunOf builds the source and engine at the chosen precision and
-// runs the ingest.
-func ingestRunOf[F num.Float](cfg ingest.Config, dims grid.Dims, cw *storage.ContainerWriter,
-	source string, dt float64, seed int64, slices int) (ingest.Stats, error) {
-	src, err := makeSourceOf[F](source, dims, dt, seed)
-	if err != nil {
-		return ingest.Stats{}, err
-	}
-	eng, err := ingest.NewEngineOf[F](cfg, dims, cw)
-	if err != nil {
-		return ingest.Stats{}, err
-	}
-	return eng.Run(src, slices)
 }
 
 func runDecompress(args []string) error {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -99,16 +100,29 @@ func TestRunIngestRoundTrip(t *testing.T) {
 
 func TestRunIngestValidation(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "x.stw")
+	existing := []byte("an existing container")
 	for name, args := range map[string][]string{
 		"missing dims":   {"-slices", "4", "-out", out},
 		"missing slices": {"-dims", "8x8x8", "-out", out},
 		"bad source":     {"-source", "warp", "-dims", "8x8x8", "-slices", "4", "-out", out},
 		"bad policy":     {"-policy", "panic", "-dims", "8x8x8", "-slices", "4", "-out", out},
 		"bad ladder":     {"-policy", "degrade", "-ladder", "a,b", "-dims", "8x8x8", "-slices", "4", "-out", out},
+		"flat ladder":    {"-policy", "degrade", "-ladder", "32", "-dims", "8x8x8", "-slices", "4", "-out", out},
+		"NaN ladder":     {"-policy", "degrade", "-ladder", "NaN", "-dims", "8x8x8", "-slices", "4", "-out", out},
+		"NaN ratio":      {"-ratio", "NaN", "-dims", "8x8x8", "-slices", "4", "-out", out},
 		"non-cubic sim":  {"-source", "ghost", "-dims", "8x8x4", "-slices", "4", "-out", out},
+		"NaN dt":         {"-dt", "NaN", "-dims", "8x8x8", "-slices", "4", "-window", "2", "-out", out},
+		"+Inf dt":        {"-dt", "+Inf", "-dims", "8x8x8", "-slices", "4", "-window", "2", "-out", out},
+		"-Inf dt":        {"-dt", "-Inf", "-source", "tornado", "-dims", "8x8x8", "-slices", "4", "-window", "2", "-out", out},
 	} {
+		if err := os.WriteFile(out, existing, 0o644); err != nil {
+			t.Fatal(err)
+		}
 		if err := runIngest(args); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+		if got, err := os.ReadFile(out); err != nil || !bytes.Equal(got, existing) {
+			t.Errorf("%s: -out holds %d bytes after the run (%v), want its %d bytes unchanged", name, len(got), err, len(existing))
 		}
 	}
 }
@@ -242,11 +256,18 @@ func TestRunCompressRejectsNonFiniteRatio(t *testing.T) {
 	if err := f.SaveRawFile(in); err != nil {
 		t.Fatal(err)
 	}
+	existing := []byte("an existing container")
 	for _, r := range []string{"NaN", "Inf"} {
 		out := filepath.Join(dir, r+".stw")
+		if err := os.WriteFile(out, existing, 0o644); err != nil {
+			t.Fatal(err)
+		}
 		err := runCompress([]string{"-dims", "4x4x4", "-mode", "3d", "-ratio", r, "-out", out, in})
 		if err == nil {
 			t.Errorf("-ratio %s accepted", r)
+		}
+		if got, err := os.ReadFile(out); err != nil || !bytes.Equal(got, existing) {
+			t.Errorf("-ratio %s: -out holds %d bytes after the run (%v), want its %d bytes unchanged", r, len(got), err, len(existing))
 		}
 	}
 }

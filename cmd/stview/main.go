@@ -126,7 +126,7 @@ func loadField(path, dimsStr string, windowIdx, sliceIdx int) (*grid.Field3D, er
 		}
 		d[i] = v
 	}
-	return grid.LoadRawFile(path, d[0], d[1], d[2])
+	return grid.LoadRawFileOf[float64](path, d[0], d[1], d[2])
 }
 
 func parseAxis(s string) (render.MIPAxis, error) {

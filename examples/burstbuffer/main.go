@@ -69,11 +69,11 @@ func main() {
 	fmt.Printf("simulating %d output steps...\n", slices)
 	for i := 0; i < slices; i++ {
 		f := solver.Enstrophy()
-		id, err := buffer.PutSlice(f)
+		id, err := storage.PutSliceOf(buffer, f)
 		if err != nil {
 			log.Fatal(err)
 		}
-		staged, err := buffer.GetSlice(id)
+		staged, err := storage.GetSliceOf[float64](buffer, id)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -88,13 +88,13 @@ func RunTable1(sc Scale, progress io.Writer) (*Table1Result, error) {
 		}
 		ids := make([]int, win.Len())
 		for i, s := range win.Slices {
-			if ids[i], err = buf.PutSlice(s); err != nil {
+			if ids[i], err = storage.PutSliceOf(buf, s); err != nil {
 				return nil, err
 			}
 		}
 		staged := grid.NewWindow(win.Dims)
 		for i, id := range ids {
-			f, err := buf.GetSlice(id)
+			f, err := storage.GetSliceOf[float64](buf, id)
 			if err != nil {
 				return nil, err
 			}

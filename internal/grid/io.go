@@ -11,14 +11,12 @@ import (
 )
 
 // Raw volume I/O. Simulation outputs and the paper's accounting both use
-// 4-byte (float32) samples; float64 variants are provided for lossless
-// round-tripping of solver state.
+// 4-byte (float32) little-endian samples, the one raw format.
 //
-// All readers and writers move data in fixed-size slabs — one buffered
-// syscall-sized chunk at a time, converted in place — instead of the
-// per-sample 4/8-byte loop the original implementation used. On the
-// float32 pipeline a float32 file fills a Field3D32 with no intermediate
-// float64 widen pass at all.
+// The reader and writer move data in fixed-size slabs — one buffered
+// syscall-sized chunk at a time, converted in place — instead of a
+// per-sample loop. On the float32 pipeline a float32 file fills a
+// Field3D32 with no intermediate float64 widen pass at all.
 
 // ioSlab is the number of samples converted per buffered chunk (256 KiB
 // at float32): large enough to amortize the write syscall, small enough
@@ -46,86 +44,24 @@ func (f *Field3DOf[F]) WriteRawFloat32(w io.Writer) error {
 	return nil
 }
 
-// WriteRawFloat64 streams the field as little-endian float64 samples.
-func (f *Field3DOf[F]) WriteRawFloat64(w io.Writer) error {
-	buf := make([]byte, 8*ioSlab)
-	data := f.Data
-	for len(data) > 0 {
-		n := len(data)
-		if n > ioSlab {
-			n = ioSlab
-		}
-		for i, v := range data[:n] {
-			binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(float64(v)))
-		}
-		if _, err := w.Write(buf[:8*n]); err != nil {
-			return err
-		}
-		data = data[n:]
-	}
-	return nil
-}
-
-// readRaw fills data from r, decoding bytesPer-sized little-endian samples
-// slab by slab via dec.
-func readRaw[F num.Float](r io.Reader, data []F, bytesPer int, dec func(dst []F, src []byte)) error {
-	buf := make([]byte, bytesPer*ioSlab)
-	total := len(data)
-	for off := 0; off < total; {
-		n := total - off
-		if n > ioSlab {
-			n = ioSlab
-		}
-		if _, err := io.ReadFull(r, buf[:bytesPer*n]); err != nil {
-			return fmt.Errorf("grid: reading samples %d..%d/%d: %w", off, off+n, total, err)
-		}
-		dec(data[off:off+n], buf)
-		off += n
-	}
-	return nil
-}
-
 // ReadRawFloat32Of reads nx*ny*nz little-endian float32 samples into a new
 // field at precision F. With F = float32 the samples land in the field
 // bit-for-bit with no widening; with F = float64 each is widened exactly.
 func ReadRawFloat32Of[F num.Float](r io.Reader, nx, ny, nz int) (*Field3DOf[F], error) {
 	f := NewField3DOf[F](nx, ny, nz)
-	err := readRaw(r, f.Data, 4, func(dst []F, src []byte) {
-		for i := range dst {
-			dst[i] = F(math.Float32frombits(binary.LittleEndian.Uint32(src[i*4:])))
+	buf := make([]byte, 4*ioSlab)
+	data := f.Data
+	for off := 0; off < len(data); {
+		n := min(len(data)-off, ioSlab)
+		if _, err := io.ReadFull(r, buf[:4*n]); err != nil {
+			return nil, fmt.Errorf("grid: reading samples %d..%d/%d: %w", off, off+n, len(data), err)
 		}
-	})
-	if err != nil {
-		return nil, err
+		for i := range data[off : off+n] {
+			data[off+i] = F(math.Float32frombits(binary.LittleEndian.Uint32(buf[i*4:])))
+		}
+		off += n
 	}
 	return f, nil
-}
-
-// ReadRawFloat32 reads nx*ny*nz little-endian float32 samples into a new
-// float64 field.
-func ReadRawFloat32(r io.Reader, nx, ny, nz int) (*Field3D, error) {
-	return ReadRawFloat32Of[float64](r, nx, ny, nz)
-}
-
-// ReadRawFloat64Of reads nx*ny*nz little-endian float64 samples into a new
-// field at precision F (rounding once per sample when F is float32).
-func ReadRawFloat64Of[F num.Float](r io.Reader, nx, ny, nz int) (*Field3DOf[F], error) {
-	f := NewField3DOf[F](nx, ny, nz)
-	err := readRaw(r, f.Data, 8, func(dst []F, src []byte) {
-		for i := range dst {
-			dst[i] = F(math.Float64frombits(binary.LittleEndian.Uint64(src[i*8:])))
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// ReadRawFloat64 reads nx*ny*nz little-endian float64 samples into a new
-// float64 field.
-func ReadRawFloat64(r io.Reader, nx, ny, nz int) (*Field3D, error) {
-	return ReadRawFloat64Of[float64](r, nx, ny, nz)
 }
 
 // SaveRawFile writes the field to path as float32 samples.
@@ -149,11 +85,6 @@ func LoadRawFileOf[F num.Float](path string, nx, ny, nz int) (*Field3DOf[F], err
 	}
 	defer file.Close()
 	return ReadRawFloat32Of[F](file, nx, ny, nz)
-}
-
-// LoadRawFile reads a float32 raw volume from path into a float64 field.
-func LoadRawFile(path string, nx, ny, nz int) (*Field3D, error) {
-	return LoadRawFileOf[float64](path, nx, ny, nz)
 }
 
 // RawSizeBytes returns the on-disk size of the field at the given bytes per

@@ -213,7 +213,6 @@ type EngineOf[F num.Float] struct {
 	cfg     Config
 	w       *storage.ContainerWriter
 	comps   []*core.Compressor // rung 0 = base ratio, then the ladder
-	ratios  []float64
 	winSize int
 	dims    grid.Dims
 
@@ -234,10 +233,48 @@ func NewEngine32(cfg Config, dims grid.Dims, w *storage.ContainerWriter) (*Engin
 	return NewEngineOf[float32](cfg, dims, w)
 }
 
+// Validate reports the first reason c cannot drive an engine: a ladder
+// rung that does not coarsen the ratio before it, PolicyDegrade without a
+// ladder or under MaxErr (its rungs step the ratio, which the
+// error-bounded mode ignores, so every rung would re-append the same
+// payload), or a rung whose compression options core rejects. NewEngineOf
+// runs the same checks; a command line runs Validate before it creates
+// its output, so a rejected configuration never truncates a container.
+func (c Config) Validate() error {
+	_, err := c.compressors()
+	return err
+}
+
+// compressors checks c and builds one compressor per rung: the base
+// ratio, then the ladder.
+func (c Config) compressors() ([]*core.Compressor, error) {
+	ratios := append([]float64{c.Opts.Ratio}, c.Ladder...)
+	for i := 1; i < len(ratios); i++ {
+		if ratios[i] <= ratios[i-1] {
+			return nil, fmt.Errorf("ingest: ladder rung %g does not coarsen previous ratio %g", ratios[i], ratios[i-1])
+		}
+	}
+	if c.Policy == PolicyDegrade && len(c.Ladder) == 0 {
+		return nil, fmt.Errorf("ingest: degrade policy needs a ratio ladder")
+	}
+	if c.Policy == PolicyDegrade && c.Opts.MaxErr > 0 {
+		return nil, fmt.Errorf("ingest: degrade policy steps the ratio, which error-bounded mode (MaxErr) ignores; use stall or shed")
+	}
+	comps := make([]*core.Compressor, len(ratios))
+	for i, r := range ratios {
+		opts := c.Opts
+		opts.Ratio = r
+		comp, err := core.New(opts)
+		if err != nil {
+			return nil, fmt.Errorf("ingest: rung %d (ratio %g): %w", i, r, err)
+		}
+		comps[i] = comp
+	}
+	return comps, nil
+}
+
 // NewEngineOf builds an engine appending to w at sample precision F,
-// which overrides cfg.Opts.Precision. PolicyDegrade is rejected under
-// MaxErr: its rungs step the ratio, which the error-bounded mode ignores,
-// so every rung would re-append the same payload. The writer
+// which overrides cfg.Opts.Precision; cfg must pass Validate. The writer
 // stays owned by the caller: on success close it to finalize the footer;
 // after a failed run the file is still a valid journal for
 // RecoverContainer — that is the crash-consistent drain.
@@ -252,6 +289,10 @@ func NewEngineOf[F num.Float](cfg Config, dims grid.Dims, w *storage.ContainerWr
 	if !dims.Valid() {
 		return nil, fmt.Errorf("ingest: invalid dims %v", dims)
 	}
+	comps, err := cfg.compressors()
+	if err != nil {
+		return nil, err
+	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
@@ -261,40 +302,14 @@ func NewEngineOf[F num.Float](cfg Config, dims grid.Dims, w *storage.ContainerWr
 	if cfg.RetryEvery <= 0 {
 		cfg.RetryEvery = 20 * time.Millisecond
 	}
-	ratios := append([]float64{cfg.Opts.Ratio}, cfg.Ladder...)
-	for i := 1; i < len(ratios); i++ {
-		if ratios[i] <= ratios[i-1] {
-			return nil, fmt.Errorf("ingest: ladder rung %g does not coarsen previous ratio %g", ratios[i], ratios[i-1])
-		}
-	}
-	if cfg.Policy == PolicyDegrade && len(cfg.Ladder) == 0 {
-		return nil, fmt.Errorf("ingest: degrade policy needs a ratio ladder")
-	}
-	if cfg.Policy == PolicyDegrade && cfg.Opts.MaxErr > 0 {
-		return nil, fmt.Errorf("ingest: degrade policy steps the ratio, which error-bounded mode (MaxErr) ignores; use stall or shed")
-	}
-	comps := make([]*core.Compressor, len(ratios))
-	for i, r := range ratios {
-		opts := cfg.Opts
-		opts.Ratio = r
-		c, err := core.New(opts)
-		if err != nil {
-			return nil, fmt.Errorf("ingest: rung %d (ratio %g): %w", i, r, err)
-		}
-		comps[i] = c
-	}
 	winSize := cfg.Opts.WindowSize
 	if cfg.Opts.Mode == core.Spatial3D {
 		winSize = 1
-	}
-	if winSize < 1 {
-		return nil, fmt.Errorf("ingest: window size %d must be >= 1", winSize)
 	}
 	return &EngineOf[F]{
 		cfg:     cfg,
 		w:       w,
 		comps:   comps,
-		ratios:  ratios,
 		winSize: winSize,
 		dims:    dims,
 		notify:  make(chan struct{}, 1),
@@ -645,7 +660,7 @@ func (e *EngineOf[F]) appendWindow(job *windowJobOf[F]) error {
 			}
 			if rung >= len(e.comps)-1 {
 				return fmt.Errorf("ingest: append failed at coarsest rung (ratio %g): %v: %w",
-					e.ratios[rung], err, ErrLadderExhausted)
+					e.comps[rung].Options().Ratio, err, ErrLadderExhausted)
 			}
 			rung++
 			job.rung = rung
@@ -726,6 +741,6 @@ func (e *EngineOf[F]) snapshot() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s := e.stats
-	s.FinalRatio = e.ratios[e.rung]
+	s.FinalRatio = e.comps[e.rung].Options().Ratio
 	return s
 }

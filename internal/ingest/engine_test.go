@@ -24,13 +24,13 @@ func testDims() grid.Dims { return grid.Dims{Nx: 8, Ny: 8, Nz: 8} }
 // newTestSource returns a deterministic synthetic source; two calls with
 // the same seed produce identical slice streams, which is what the crash
 // matrix's bit-identical assertions lean on.
-func newTestSource(t *testing.T) Source {
+func newTestSource(t *testing.T) SourceOf[float64] {
 	t.Helper()
 	f, err := synth.NewField(synth.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := NewSynthSource(f, testDims(), testDT)
+	src, err := NewSynthSourceOf[float64](f, testDims(), testDT)
 	if err != nil {
 		t.Fatal(err)
 	}

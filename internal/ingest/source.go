@@ -19,6 +19,7 @@ package ingest
 
 import (
 	"fmt"
+	"math"
 
 	"stwave/internal/grid"
 	"stwave/internal/num"
@@ -43,194 +44,99 @@ type SourceOf[F num.Float] interface {
 	Skip() (float64, error)
 }
 
-// Source is the double-precision source interface — the reference path.
-type Source = SourceOf[float64]
-
-// Source32 is the single-precision source interface: slices are filled as
-// float32 and stay float32 through compression.
-type Source32 = SourceOf[float32]
-
-// fillGhost dispatches a ghost scalar fill to the concrete precision.
-func fillGhost[F num.Float](s *ghost.Solver, dst *grid.Field3DOf[F]) error {
-	switch d := any(dst).(type) {
-	case *grid.Field3D:
-		return s.ScalarInto(d)
-	case *grid.Field3D32:
-		return s.ScalarInto32(d)
-	}
-	return fmt.Errorf("ingest: unsupported precision %T", dst)
+// source is the one SourceOf implementation: a solver or analytic field
+// seen as a clock that advances one step and returns the new slice's
+// simulation time, and a fill that samples the tracked field at that time.
+// Only fill touches dst, so Skip keeps the simulation marching without
+// sampling.
+type source[F num.Float] struct {
+	dims    grid.Dims
+	advance func() float64
+	fill    func(dst *grid.Field3DOf[F], t float64) error
 }
 
-// ghostSourceOf tracks the passive scalar of the pseudo-spectral solver.
-type ghostSourceOf[F num.Float] struct{ s *ghost.Solver }
+func (s *source[F]) Dims() grid.Dims { return s.dims }
+
+func (s *source[F]) Next(dst *grid.Field3DOf[F]) (float64, error) {
+	t := s.advance()
+	return t, s.fill(dst, t)
+}
+
+func (s *source[F]) Skip() (float64, error) { return s.advance(), nil }
+
+// fixedStep is the clock of the analytic sources: slice i is at time
+// i·dt. dt must be finite and positive — a NaN or infinite step would
+// journal non-finite times and samples.
+func fixedStep(dt float64) (func() float64, error) {
+	if math.IsNaN(dt) || math.IsInf(dt, 0) || dt <= 0 {
+		return nil, fmt.Errorf("ingest: step size %g must be finite and positive", dt)
+	}
+	step := 0
+	return func() float64 {
+		t := float64(step) * dt
+		step++
+		return t
+	}, nil
+}
+
+// cube is the geometry of an n³ solver grid.
+func cube(n int) grid.Dims { return grid.Dims{Nx: n, Ny: n, Nz: n} }
 
 // NewGhostSourceOf adapts a ghost solver (which must have a scalar
-// attached) as a streaming source at precision F.
+// attached) as a streaming source of its passive scalar at precision F.
 func NewGhostSourceOf[F num.Float](s *ghost.Solver) (SourceOf[F], error) {
 	if !s.HasScalar() {
 		return nil, fmt.Errorf("ingest: ghost solver has no scalar attached")
 	}
-	return &ghostSourceOf[F]{s: s}, nil
+	return &source[F]{
+		dims:    cube(s.N()),
+		advance: func() float64 { s.Step(); return s.Time() },
+		fill:    func(dst *grid.Field3DOf[F], _ float64) error { return ghost.ScalarInto(s, dst) },
+	}, nil
 }
-
-// NewGhostSource adapts a ghost solver as a double-precision source.
-func NewGhostSource(s *ghost.Solver) (Source, error) {
-	return NewGhostSourceOf[float64](s)
-}
-
-func (g *ghostSourceOf[F]) Dims() grid.Dims {
-	return grid.Dims{Nx: g.s.N(), Ny: g.s.N(), Nz: g.s.N()}
-}
-
-func (g *ghostSourceOf[F]) Next(dst *grid.Field3DOf[F]) (float64, error) {
-	g.s.Step()
-	return g.s.Time(), fillGhost(g.s, dst)
-}
-
-func (g *ghostSourceOf[F]) Skip() (float64, error) {
-	g.s.Step()
-	return g.s.Time(), nil
-}
-
-// fillCloverleaf dispatches a density fill to the concrete precision.
-func fillCloverleaf[F num.Float](s *cloverleaf.Solver, dst *grid.Field3DOf[F]) error {
-	switch d := any(dst).(type) {
-	case *grid.Field3D:
-		return s.DensityInto(d)
-	case *grid.Field3D32:
-		return s.DensityInto32(d)
-	}
-	return fmt.Errorf("ingest: unsupported precision %T", dst)
-}
-
-// cloverleafSourceOf tracks the density field of the Euler solver.
-type cloverleafSourceOf[F num.Float] struct{ s *cloverleaf.Solver }
 
 // NewCloverleafSourceOf adapts a cloverleaf solver as a streaming source
-// at precision F.
+// of its density field at precision F.
 func NewCloverleafSourceOf[F num.Float](s *cloverleaf.Solver) SourceOf[F] {
-	return &cloverleafSourceOf[F]{s: s}
-}
-
-// NewCloverleafSource adapts a cloverleaf solver as a double-precision
-// source.
-func NewCloverleafSource(s *cloverleaf.Solver) Source {
-	return NewCloverleafSourceOf[float64](s)
-}
-
-func (c *cloverleafSourceOf[F]) Dims() grid.Dims {
-	return grid.Dims{Nx: c.s.N(), Ny: c.s.N(), Nz: c.s.N()}
-}
-
-func (c *cloverleafSourceOf[F]) Next(dst *grid.Field3DOf[F]) (float64, error) {
-	c.s.Step()
-	return c.s.Time(), fillCloverleaf(c.s, dst)
-}
-
-func (c *cloverleafSourceOf[F]) Skip() (float64, error) {
-	c.s.Step()
-	return c.s.Time(), nil
-}
-
-// fillTornado dispatches a cloud-water fill to the concrete precision.
-func fillTornado[F num.Float](m *tornado.Model, dst *grid.Field3DOf[F], t float64) error {
-	switch d := any(dst).(type) {
-	case *grid.Field3D:
-		return m.CloudMixingRatioInto(d, t)
-	case *grid.Field3D32:
-		return m.CloudMixingRatioInto32(d, t)
+	return &source[F]{
+		dims:    cube(s.N()),
+		advance: func() float64 { s.Step(); return s.Time() },
+		fill:    func(dst *grid.Field3DOf[F], _ float64) error { return cloverleaf.DensityInto(s, dst) },
 	}
-	return fmt.Errorf("ingest: unsupported precision %T", dst)
-}
-
-// tornadoSourceOf samples the analytic supercell's cloud mixing ratio on a
-// fixed step size.
-type tornadoSourceOf[F num.Float] struct {
-	m    *tornado.Model
-	dt   float64
-	step int
 }
 
 // NewTornadoSourceOf adapts the analytic tornado model as a streaming
-// source stepping dt per slice at precision F.
+// source of its cloud mixing ratio, stepping dt per slice at precision F.
 func NewTornadoSourceOf[F num.Float](m *tornado.Model, dt float64) (SourceOf[F], error) {
-	if dt <= 0 {
-		return nil, fmt.Errorf("ingest: step size %g must be positive", dt)
+	clock, err := fixedStep(dt)
+	if err != nil {
+		return nil, err
 	}
-	return &tornadoSourceOf[F]{m: m, dt: dt}, nil
-}
-
-// NewTornadoSource adapts the analytic tornado model as a
-// double-precision source stepping dt per slice.
-func NewTornadoSource(m *tornado.Model, dt float64) (Source, error) {
-	return NewTornadoSourceOf[float64](m, dt)
-}
-
-func (s *tornadoSourceOf[F]) Dims() grid.Dims {
-	cfg := s.m.Config()
-	return grid.Dims{Nx: cfg.Nx, Ny: cfg.Ny, Nz: cfg.Nz}
-}
-
-func (s *tornadoSourceOf[F]) Next(dst *grid.Field3DOf[F]) (float64, error) {
-	t := float64(s.step) * s.dt
-	s.step++
-	return t, fillTornado(s.m, dst, t)
-}
-
-func (s *tornadoSourceOf[F]) Skip() (float64, error) {
-	t := float64(s.step) * s.dt
-	s.step++
-	return t, nil
-}
-
-// fillSynth dispatches a kinematic scalar fill to the concrete precision.
-func fillSynth[F num.Float](f *synth.Field, dst *grid.Field3DOf[F], t float64) error {
-	switch d := any(dst).(type) {
-	case *grid.Field3D:
-		return f.SampleScalarInto(d, t)
-	case *grid.Field3D32:
-		return f.SampleScalarInto32(d, t)
-	}
-	return fmt.Errorf("ingest: unsupported precision %T", dst)
-}
-
-// synthSourceOf samples the kinematic turbulence field at a chosen grid
-// size and step.
-type synthSourceOf[F num.Float] struct {
-	f    *synth.Field
-	dims grid.Dims
-	dt   float64
-	step int
+	cfg := m.Config()
+	return &source[F]{
+		dims:    grid.Dims{Nx: cfg.Nx, Ny: cfg.Ny, Nz: cfg.Nz},
+		advance: clock,
+		fill: func(dst *grid.Field3DOf[F], t float64) error {
+			return tornado.CloudMixingRatioInto(m, dst, t)
+		},
+	}, nil
 }
 
 // NewSynthSourceOf adapts a synthetic kinematic field as a streaming
-// source sampling dims at interval dt at precision F.
+// source sampling its scalar on dims at interval dt at precision F.
 func NewSynthSourceOf[F num.Float](f *synth.Field, dims grid.Dims, dt float64) (SourceOf[F], error) {
 	if !dims.Valid() {
 		return nil, fmt.Errorf("ingest: invalid dims %v", dims)
 	}
-	if dt <= 0 {
-		return nil, fmt.Errorf("ingest: step size %g must be positive", dt)
+	clock, err := fixedStep(dt)
+	if err != nil {
+		return nil, err
 	}
-	return &synthSourceOf[F]{f: f, dims: dims, dt: dt}, nil
-}
-
-// NewSynthSource adapts a synthetic kinematic field as a double-precision
-// source sampling dims at interval dt.
-func NewSynthSource(f *synth.Field, dims grid.Dims, dt float64) (Source, error) {
-	return NewSynthSourceOf[float64](f, dims, dt)
-}
-
-func (s *synthSourceOf[F]) Dims() grid.Dims { return s.dims }
-
-func (s *synthSourceOf[F]) Next(dst *grid.Field3DOf[F]) (float64, error) {
-	t := float64(s.step) * s.dt
-	s.step++
-	return t, fillSynth(s.f, dst, t)
-}
-
-func (s *synthSourceOf[F]) Skip() (float64, error) {
-	t := float64(s.step) * s.dt
-	s.step++
-	return t, nil
+	return &source[F]{
+		dims:    dims,
+		advance: clock,
+		fill: func(dst *grid.Field3DOf[F], t float64) error {
+			return synth.SampleScalarIntoOf(f, dst, t)
+		},
+	}, nil
 }

@@ -416,7 +416,7 @@ func RunPipeline(ctx context.Context, cfg Config, progress io.Writer) ([]Result,
 		ingestBytes := int64(slices) * int64(ingestDims.Len()) * 8
 		ingestPath := filepath.Join(dir, "ingest.stw")
 		suite = append(suite, pipelineBenchmark{sw.name, ingestBytes, func(ctx context.Context) error {
-			src, err := ingest.NewSynthSource(synthField, ingestDims, 1)
+			src, err := ingest.NewSynthSourceOf[float64](synthField, ingestDims, 1)
 			if err != nil {
 				return err
 			}
@@ -453,10 +453,10 @@ func RunPipeline(ctx context.Context, cfg Config, progress io.Writer) ([]Result,
 	samplesPerOp := map[string]int64{"sim.synth_sample": simSamples, "sim.synth_sample_f32": simSamples}
 	suite = append(suite,
 		pipelineBenchmark{"sim.synth_sample", simSamples * 8, func(context.Context) error {
-			return simField.SampleScalarInto(sim64, 2.5)
+			return synth.SampleScalarIntoOf(simField, sim64, 2.5)
 		}},
 		pipelineBenchmark{"sim.synth_sample_f32", simSamples * 4, func(context.Context) error {
-			return simField.SampleScalarInto32(sim32, 2.5)
+			return synth.SampleScalarIntoOf(simField, sim32, 2.5)
 		}})
 
 	// Stage rows for the compress tail as core runs it: selection reads

@@ -385,24 +385,14 @@ func (s *Solver) VelocityX() *grid.Field3D {
 // Density returns the cell-centered density field.
 func (s *Solver) Density() *grid.Field3D {
 	f := grid.NewField3D(s.n, s.n, s.n)
-	s.DensityInto(f)
+	DensityInto(s, f)
 	return f
 }
 
 // DensityInto fills dst with the cell-centered density field without
-// allocating; dst must be N³.
-func (s *Solver) DensityInto(dst *grid.Field3D) error {
-	if want := (grid.Dims{Nx: s.n, Ny: s.n, Nz: s.n}); dst.Dims != want {
-		return fmt.Errorf("cloverleaf: dst dims %v != solver dims %v", dst.Dims, want)
-	}
-	copy(dst.Data, s.rho)
-	return nil
-}
-
-// DensityInto32 is DensityInto narrowing to float32 at the fill point —
-// the single-precision ingest path. The solver marches in float64; only
-// the sampled field is stored at 4 bytes per sample. dst must be N³.
-func (s *Solver) DensityInto32(dst *grid.Field3D32) error {
+// allocating. The solver marches in float64; the store narrows (or not)
+// at the fill point. dst must be N³.
+func DensityInto[F num.Float](s *Solver, dst *grid.Field3DOf[F]) error {
 	if want := (grid.Dims{Nx: s.n, Ny: s.n, Nz: s.n}); dst.Dims != want {
 		return fmt.Errorf("cloverleaf: dst dims %v != solver dims %v", dst.Dims, want)
 	}

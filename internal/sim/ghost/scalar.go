@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"stwave/internal/grid"
+	"stwave/internal/num"
 )
 
 // Passive scalar transport: GHOST (and most spectral turbulence codes) can
@@ -174,7 +175,7 @@ func (s *Solver) Scalar() *grid.Field3D {
 		return nil
 	}
 	f := grid.NewField3D(s.n, s.n, s.n)
-	if err := s.ScalarInto(f); err != nil {
+	if err := ScalarInto(s, f); err != nil {
 		return nil
 	}
 	return f
@@ -183,8 +184,10 @@ func (s *Solver) Scalar() *grid.Field3D {
 // ScalarInto fills dst with the physical passive-scalar field without
 // allocating — the streaming ingest path samples every solver step into a
 // recycled window buffer, so the per-step allocation of Scalar would defeat
-// its bounded-memory contract. dst must be N³.
-func (s *Solver) ScalarInto(dst *grid.Field3D) error {
+// its bounded-memory contract. The solver state stays float64 (the
+// spectral step needs the headroom); the store narrows (or not) at the
+// fill point. dst must be N³.
+func ScalarInto[F num.Float](s *Solver, dst *grid.Field3DOf[F]) error {
 	if s.scalar == nil {
 		return fmt.Errorf("ghost: no scalar attached")
 	}
@@ -195,27 +198,7 @@ func (s *Solver) ScalarInto(dst *grid.Field3D) error {
 	copy(s.scalar.physT, s.scalar.th)
 	s.plan.Inverse(s.scalar.physT)
 	for i := range dst.Data {
-		dst.Data[i] = real(s.scalar.physT[i])
-	}
-	return nil
-}
-
-// ScalarInto32 is ScalarInto narrowing to float32 at the fill point — the
-// single-precision ingest path's recycled-buffer variant. The solver state
-// stays float64 (the spectral step needs the headroom); only the sampled
-// field is stored at 4 bytes per sample. dst must be N³.
-func (s *Solver) ScalarInto32(dst *grid.Field3D32) error {
-	if s.scalar == nil {
-		return fmt.Errorf("ghost: no scalar attached")
-	}
-	want := grid.Dims{Nx: s.n, Ny: s.n, Nz: s.n}
-	if dst.Dims != want {
-		return fmt.Errorf("ghost: dst dims %v != solver dims %v", dst.Dims, want)
-	}
-	copy(s.scalar.physT, s.scalar.th)
-	s.plan.Inverse(s.scalar.physT)
-	for i := range dst.Data {
-		dst.Data[i] = float32(real(s.scalar.physT[i]))
+		dst.Data[i] = F(real(s.scalar.physT[i]))
 	}
 	return nil
 }

@@ -295,18 +295,18 @@ func (f *Field) SampleScalar(nx, ny, nz int, t float64) (*grid.Field3D, error) {
 	return f.sample(nx, ny, nz, Scalar, t)
 }
 
-// SampleScalarInto fills dst with the scalar field at time t, leaving dst's
-// buffer in place — the recycled-buffer variant the streaming ingest path
-// uses. dst supplies the sampling resolution.
-func (f *Field) SampleScalarInto(dst *grid.Field3D, t float64) error {
+// SampleScalarIntoOf fills dst with the scalar field at time t, leaving
+// dst's buffer in place — the recycled-buffer fill the streaming ingest
+// path uses. dst supplies the sampling resolution. The mode sum stays
+// float64; the store narrows (or not) at the fill point.
+func SampleScalarIntoOf[F num.Float](f *Field, dst *grid.Field3DOf[F], t float64) error {
 	return sampleInto(f, dst, Scalar, t)
 }
 
-// SampleScalarInto32 is SampleScalarInto storing at float32 — the
-// single-precision ingest path. The mode sum stays float64; only the
-// sampled field is 4 bytes per sample.
-func (f *Field) SampleScalarInto32(dst *grid.Field3D32, t float64) error {
-	return sampleInto(f, dst, Scalar, t)
+// SampleScalarInto is SampleScalarIntoOf at float64, kept as a method
+// because the benchmark harness calls it.
+func (f *Field) SampleScalarInto(dst *grid.Field3D, t float64) error {
+	return SampleScalarIntoOf(f, dst, t)
 }
 
 // SampleVelocityX fills a grid with the X component of the synthetic

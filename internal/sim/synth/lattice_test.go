@@ -25,8 +25,8 @@ func TestSampleRejectsInvalidDims(t *testing.T) {
 	if err := f.SampleScalarInto(&grid.Field3D{Dims: grid.Dims{Nx: 4, Ny: 0, Nz: 4}}, 0); err == nil {
 		t.Error("SampleScalarInto accepted a zero extent")
 	}
-	if err := f.SampleScalarInto32(&grid.Field3D32{Dims: grid.Dims{Nx: -1, Ny: 4, Nz: 4}}, 0); err == nil {
-		t.Error("SampleScalarInto32 accepted a negative extent")
+	if err := SampleScalarIntoOf(f, &grid.Field3D32{Dims: grid.Dims{Nx: -1, Ny: 4, Nz: 4}}, 0); err == nil {
+		t.Error("SampleScalarIntoOf[float32] accepted a negative extent")
 	}
 	if _, err := f.SampleScalar(4, 4, 0, 0); err == nil {
 		t.Error("SampleScalar accepted a zero extent")
@@ -129,7 +129,7 @@ func BenchmarkSampleScalarInto(b *testing.B) {
 	b.SetBytes(int64(8 * dst.Dims.Len()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := f.SampleScalarInto(dst, 2.5); err != nil {
+		if err := SampleScalarIntoOf(f, dst, 2.5); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -141,7 +141,7 @@ func BenchmarkSampleScalarInto32(b *testing.B) {
 	b.SetBytes(int64(4 * dst.Dims.Len()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := f.SampleScalarInto32(dst, 2.5); err != nil {
+		if err := SampleScalarIntoOf(f, dst, 2.5); err != nil {
 			b.Fatal(err)
 		}
 	}

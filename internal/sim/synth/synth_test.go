@@ -147,7 +147,7 @@ func TestSampleMatchesPointEvaluation(t *testing.T) {
 			for _, tm := range []float64{0, 2.5, 9999.75} {
 				s64, err := f.SampleScalar(d.Nx, d.Ny, d.Nz, tm)
 				if err == nil {
-					err = f.SampleScalarInto32(s32, tm)
+					err = SampleScalarIntoOf(f, s32, tm)
 				}
 				if err != nil {
 					t.Fatal(err)

@@ -132,16 +132,9 @@ func (m *Model) CloudMixingRatio(t float64) *grid.Field3D {
 
 // CloudMixingRatioInto samples the cloud water field at time t into dst
 // without replacing its buffer — the streaming ingest path's
-// recycled-buffer variant. dst must match the model grid.
-func (m *Model) CloudMixingRatioInto(dst *grid.Field3D, t float64) error {
-	return fillOf(m, dst, t, velocityWaves, synth.VelocityZ, m.cloud(t))
-}
-
-// CloudMixingRatioInto32 is CloudMixingRatioInto storing at float32 — the
-// single-precision ingest path. The analytic evaluation stays float64;
-// only the sampled field is 4 bytes per sample. dst must match the model
-// grid.
-func (m *Model) CloudMixingRatioInto32(dst *grid.Field3D32, t float64) error {
+// recycled-buffer fill. The analytic evaluation stays float64; the store
+// narrows (or not) at the fill point. dst must match the model grid.
+func CloudMixingRatioInto[F num.Float](m *Model, dst *grid.Field3DOf[F], t float64) error {
 	return fillOf(m, dst, t, velocityWaves, synth.VelocityZ, m.cloud(t))
 }
 

@@ -264,7 +264,7 @@ func TestGridSamplersMatchPointEvaluation(t *testing.T) {
 			ux, wz := m.VelocityX(tm), m.VelocityZ(tm)
 			p, q := m.PressurePerturbation(tm), m.CloudMixingRatio(tm)
 			q32 := grid.NewField3D32(dims[0], dims[1], dims[2])
-			if err := m.CloudMixingRatioInto32(q32, tm); err != nil {
+			if err := CloudMixingRatioInto(m, q32, tm); err != nil {
 				t.Fatal(err)
 			}
 			check := func(name string, i, j, k int, got, want, tol float64) {
@@ -289,7 +289,7 @@ func TestGridSamplersMatchPointEvaluation(t *testing.T) {
 						check("CloudMixingRatio", i, j, k, q.At(i, j, k), wq, velTol)
 						if got, want := q32.At(i, j, k), float32(wq); got != want &&
 							got != math.Nextafter32(want, float32(math.Inf(1))) && got != math.Nextafter32(want, float32(math.Inf(-1))) {
-							t.Fatalf("%v t=%g: CloudMixingRatioInto32(%d,%d,%d) = %v, point evaluation %v", dims, tm, i, j, k, got, want)
+							t.Fatalf("%v t=%g: CloudMixingRatioInto[float32](%d,%d,%d) = %v, point evaluation %v", dims, tm, i, j, k, got, want)
 						}
 					}
 				}
@@ -300,7 +300,7 @@ func TestGridSamplersMatchPointEvaluation(t *testing.T) {
 
 func TestCloudMixingRatioIntoRejectsForeignDims(t *testing.T) {
 	m := testModel(t)
-	if err := m.CloudMixingRatioInto(grid.NewField3D(24, 24, 8), 0); err == nil {
+	if err := CloudMixingRatioInto(m, grid.NewField3D(24, 24, 8), 0); err == nil {
 		t.Error("CloudMixingRatioInto accepted a grid that is not the model's")
 	}
 }
@@ -313,7 +313,7 @@ func BenchmarkCloudMixingRatioInto(b *testing.B) {
 	dst := grid.NewField3D(64, 64, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := m.CloudMixingRatioInto(dst, 2.5); err != nil {
+		if err := CloudMixingRatioInto(m, dst, 2.5); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -67,20 +67,9 @@ func NewBurstBuffer(dir string, model *PerfModel, dims grid.Dims) (*BurstBuffer,
 	return &BurstBuffer{dir: dir, model: model, dims: dims, live: make(map[int]string)}, nil
 }
 
-// PutSlice writes a slice to the buffer tier and returns its id.
-func (b *BurstBuffer) PutSlice(f *grid.Field3D) (int, error) {
-	return PutSliceOf(b, f)
-}
-
-// PutSlice32 stages a float32 slice. The on-disk staging format is
-// float32 either way (SaveRawFile), so both precisions share the tier and
-// the perf accounting.
-func (b *BurstBuffer) PutSlice32(f *grid.Field3D32) (int, error) {
-	return PutSliceOf(b, f)
-}
-
-// PutSliceOf is the precision-generic staging write behind PutSlice and
-// PutSlice32.
+// PutSliceOf writes a slice to the buffer tier and returns its id. The
+// on-disk staging format is float32 at either precision (SaveRawFile), so
+// both share the tier and the perf accounting.
 func PutSliceOf[F num.Float](b *BurstBuffer, f *grid.Field3DOf[F]) (int, error) {
 	if f.Dims != b.dims {
 		return 0, fmt.Errorf("storage: slice dims %v != buffer dims %v", f.Dims, b.dims)
@@ -107,18 +96,8 @@ func PutSliceOf[F num.Float](b *BurstBuffer, f *grid.Field3DOf[F]) (int, error) 
 	return id, nil
 }
 
-// GetSlice reads a staged slice back.
-func (b *BurstBuffer) GetSlice(id int) (*grid.Field3D, error) {
-	return GetSliceOf[float64](b, id)
-}
-
-// GetSlice32 reads a staged slice back at float32 without a widen pass.
-func (b *BurstBuffer) GetSlice32(id int) (*grid.Field3D32, error) {
-	return GetSliceOf[float32](b, id)
-}
-
-// GetSliceOf is the precision-generic staging read behind GetSlice and
-// GetSlice32.
+// GetSliceOf reads a staged slice back at precision F; at float32 the
+// samples land without a widen pass.
 func GetSliceOf[F num.Float](b *BurstBuffer, id int) (*grid.Field3DOf[F], error) {
 	b.mu.Lock()
 	path, ok := b.live[id]

@@ -163,7 +163,7 @@ func TestBurstBufferConcurrent(t *testing.T) {
 				for i := range f.Data {
 					f.Data[i] = float64(p)
 				}
-				id, err := b.PutSlice(f)
+				id, err := PutSliceOf(b, f)
 				if err != nil {
 					errs <- err
 					return
@@ -182,7 +182,7 @@ func TestBurstBufferConcurrent(t *testing.T) {
 		go func() {
 			defer cg.Done()
 			for id := range ids {
-				f, err := b.GetSlice(id)
+				f, err := GetSliceOf[float64](b, id)
 				if err != nil {
 					errs <- fmt.Errorf("get %d: %w", id, err)
 					continue

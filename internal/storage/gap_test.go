@@ -205,7 +205,7 @@ func TestClearErrorReArmsWriter(t *testing.T) {
 	}
 }
 
-// TestBurstBufferPutSliceFailureLeavesNoOrphan: a PutSlice that fails
+// TestBurstBufferPutSliceFailureLeavesNoOrphan: a PutSliceOf that fails
 // after the file write must remove the file — nothing in live, nothing on
 // disk.
 func TestBurstBufferPutSliceFailureLeavesNoOrphan(t *testing.T) {
@@ -218,8 +218,8 @@ func TestBurstBufferPutSliceFailureLeavesNoOrphan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.PutSlice(grid.NewField3D(4, 4, 4)); err == nil {
-		t.Fatal("PutSlice with unconfigured tier must fail")
+	if _, err := PutSliceOf(b, grid.NewField3D(4, 4, 4)); err == nil {
+		t.Fatal("PutSliceOf with unconfigured tier must fail")
 	}
 	if b.Len() != 0 {
 		t.Fatalf("Len = %d after failed put", b.Len())
@@ -229,7 +229,7 @@ func TestBurstBufferPutSliceFailureLeavesNoOrphan(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(left) != 0 {
-		t.Fatalf("failed PutSlice left files behind: %v", left)
+		t.Fatalf("failed PutSliceOf left files behind: %v", left)
 	}
 }
 
@@ -256,11 +256,11 @@ func TestBurstBufferOrphanGC(t *testing.T) {
 		t.Fatalf("unrelated file removed: %v", err)
 	}
 	// The fresh buffer numbers slices from zero and works normally.
-	id, err := b.PutSlice(grid.NewField3D(4, 4, 4))
+	id, err := PutSliceOf(b, grid.NewField3D(4, 4, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.GetSlice(id); err != nil {
+	if _, err := GetSliceOf[float64](b, id); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Drop(id); err != nil {

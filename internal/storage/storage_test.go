@@ -237,7 +237,7 @@ func TestBurstBuffer(t *testing.T) {
 	for i := range f.Data {
 		f.Data[i] = float64(i)
 	}
-	id, err := b.PutSlice(f)
+	id, err := PutSliceOf(b, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestBurstBuffer(t *testing.T) {
 	if model.BytesWritten(Buffer) != f.RawSizeBytes(4) {
 		t.Errorf("recorded %d bytes written", model.BytesWritten(Buffer))
 	}
-	g, err := b.GetSlice(id)
+	g, err := GetSliceOf[float64](b, id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,14 +265,14 @@ func TestBurstBuffer(t *testing.T) {
 	if b.Len() != 0 {
 		t.Error("Drop did not remove slice")
 	}
-	if _, err := b.GetSlice(id); err == nil {
+	if _, err := GetSliceOf[float64](b, id); err == nil {
 		t.Error("reading dropped slice must fail")
 	}
 	if err := b.Drop(id); err == nil {
 		t.Error("double drop must fail")
 	}
 	bad := grid.NewField3D(2, 2, 2)
-	if _, err := b.PutSlice(bad); err == nil {
+	if _, err := PutSliceOf(b, bad); err == nil {
 		t.Error("dims mismatch must fail")
 	}
 }
