@@ -26,7 +26,8 @@ all: build vet test check
 # ordered compress stage tests (its drain-on-error and in-order delivery
 # interleavings are where a concurrency bug would hide, and one run
 # samples few of them), and short fuzz smokes of the container index parser, the
-# 1D wavelet round-trip at both precisions, the window deserializer
+# 1D wavelet round-trip at both precisions, the blocked lifting kernels
+# against the line kernels at both precisions, the window deserializer
 # with a reconstruction query, the record-frame codec, the gap-marker codec,
 # the level-offset table parser of the progressive (v4) layout, the
 # error-bounded mode's bound at both precisions, the
@@ -41,6 +42,8 @@ check: vet fmt-check lint docscheck bench-smoke
 	$(GO) test -run=NONE -fuzz=FuzzOpenContainer -fuzztime=10s ./internal/storage
 	$(GO) test -run=NONE -fuzz='FuzzWaveletRoundtrip$$' -fuzztime=5s ./internal/wavelet
 	$(GO) test -run=NONE -fuzz=FuzzWaveletRoundtrip32 -fuzztime=5s ./internal/wavelet
+	$(GO) test -run=NONE -fuzz='FuzzBlockMatchesLine$$' -fuzztime=5s ./internal/wavelet
+	$(GO) test -run=NONE -fuzz=FuzzBlockMatchesLine32 -fuzztime=5s ./internal/wavelet
 	$(GO) test -run=NONE -fuzz=FuzzReadCompressedWindow -fuzztime=5s ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzRecordFrame -fuzztime=5s ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzGapMarker -fuzztime=5s ./internal/core

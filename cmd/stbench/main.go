@@ -211,7 +211,7 @@ func main() {
 	flag.IntVar(&sc.TornadoNy, "tornado-ny", sc.TornadoNy, "Tornado grid Y")
 	flag.IntVar(&sc.TornadoNz, "tornado-nz", sc.TornadoNz, "Tornado grid Z")
 	flag.IntVar(&sc.TornadoSlices, "tornado-slices", sc.TornadoSlices, "Tornado slices at 1s cadence")
-	flag.IntVar(&sc.Workers, "workers", sc.Workers, "worker goroutines (0 = all CPUs)")
+	flag.IntVar(&sc.Workers, "workers", sc.Workers, "worker goroutines (0 = GOMAXPROCS)")
 	flag.Float64Var(&sc.PathlineDt, "pathline-dt", sc.PathlineDt, "RK4 step for Table II (paper: 0.01)")
 	flag.IntVar(&sc.PathlineSeedsPerRake, "seeds-per-rake", sc.PathlineSeedsPerRake, "particles per rake (paper: 48)")
 	quiet := flag.Bool("q", false, "suppress progress output")

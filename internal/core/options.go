@@ -121,7 +121,7 @@ type Options struct {
 	// TemporalLevels bounds the temporal transform depth; -1 means the
 	// Equation 2 maximum for the window size.
 	TemporalLevels int
-	// Workers bounds parallelism; <= 0 uses all CPUs.
+	// Workers bounds parallelism; <= 0 uses GOMAXPROCS.
 	Workers int
 	// PerSliceBudget, when true in 4D mode, thresholds each slice's
 	// coefficients separately instead of ranking the whole window jointly.

@@ -2,8 +2,9 @@ package fft
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
+
+	"stwave/internal/par"
 )
 
 // Plan3 performs 3D FFTs on cubic complex arrays of side n stored in
@@ -15,16 +16,13 @@ type Plan3 struct {
 	workers int
 }
 
-// NewPlan3 creates a 3D plan for an n^3 cube. workers <= 0 uses all CPUs.
+// NewPlan3 creates a 3D plan for an n^3 cube. workers <= 0 uses GOMAXPROCS.
 func NewPlan3(n, workers int) (*Plan3, error) {
 	p, err := NewPlan(n)
 	if err != nil {
 		return nil, err
 	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	return &Plan3{n: n, plan: p, workers: workers}, nil
+	return &Plan3{n: n, plan: p, workers: par.Workers(workers)}, nil
 }
 
 // Len returns the cube side length.

@@ -12,6 +12,7 @@ import (
 	"stwave/internal/grid"
 	"stwave/internal/num"
 	"stwave/internal/obs"
+	"stwave/internal/par"
 	"stwave/internal/scratch"
 	"stwave/internal/storage"
 )
@@ -95,7 +96,9 @@ type Config struct {
 	// Opts is the compression configuration; Opts.Ratio is the base
 	// (finest) target ratio, Opts.WindowSize the slices per window.
 	Opts core.Options
-	// Workers is the compress stage's worker count (<= 0 means 1).
+	// Workers is the compress stage's worker count (<= 0 means 1). The
+	// stage's jobs share Opts.Workers: each compresses with the inner
+	// share of par.Split(Opts.Workers, Workers).
 	Workers int
 	// MemBudget caps the raw bytes of windows held in memory — filling,
 	// compressing, and awaiting append. <= 0 disables the gate.
@@ -289,12 +292,15 @@ func NewEngineOf[F num.Float](cfg Config, dims grid.Dims, w *storage.ContainerWr
 	if !dims.Valid() {
 		return nil, fmt.Errorf("ingest: invalid dims %v", dims)
 	}
+	if cfg.Workers <= 0 {
+		cfg.Workers = 1
+	}
+	// cfg.Workers jobs compress at once, so each rung's compressor gets
+	// the inner share of the budget, never all of it.
+	_, cfg.Opts.Workers = par.Split(cfg.Opts.Workers, cfg.Workers)
 	comps, err := cfg.compressors()
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
 	}
 	if cfg.Deadline <= 0 {
 		cfg.Deadline = 30 * time.Second

@@ -13,6 +13,7 @@ import (
 	"stwave/internal/core"
 	"stwave/internal/grid"
 	"stwave/internal/obs"
+	"stwave/internal/par"
 	"stwave/internal/sim/synth"
 	"stwave/internal/storage"
 )
@@ -426,6 +427,36 @@ func TestEngineValidation(t *testing.T) {
 	}
 	if _, err := eng.Run(newTestSource(t), 0); err == nil {
 		t.Error("zero slices accepted")
+	}
+}
+
+// TestEngineSplitsWorkerBudget: the engine runs cfg.Workers compress jobs
+// at once, so every rung's compressor must get the inner share of
+// Opts.Workers, never the whole budget (0 would let each job resolve all
+// of GOMAXPROCS on its own).
+func TestEngineSplitsWorkerBudget(t *testing.T) {
+	w, err := storage.CreateContainer(filepath.Join(t.TempDir(), "b.stw"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := w.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	for _, budget := range []int{0, 4} {
+		opts := testOpts()
+		opts.Workers = budget
+		eng, err := NewEngineOf[float64](Config{Opts: opts, Workers: 2, Ladder: []float64{8}}, testDims(), w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, inner := par.Split(budget, 2)
+		for i, c := range eng.comps {
+			if got := c.Options().Workers; got != inner {
+				t.Errorf("Opts.Workers %d, 2 jobs: rung %d compressor has %d workers, want the inner share %d", budget, i, got, inner)
+			}
+		}
 	}
 }
 

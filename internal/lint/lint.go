@@ -159,6 +159,10 @@ func DefaultConfig() Config {
 			// levels=K, one slice) at either precision.
 			"internal/core.Reconstruct",
 			"internal/transform.Workers",
+			// The ingest engine runs Config.Workers compress jobs at
+			// once and splits Opts.Workers between them once, at
+			// construction.
+			"internal/ingest.NewEngineOf",
 			// Server construction owns its resource envelope: the
 			// decompress semaphore is sized once, not per request.
 			"internal/server.DefaultConfig",

@@ -19,12 +19,13 @@ import (
 	"sync"
 )
 
-// Workers resolves a requested worker count: values < 1 mean "use all CPUs".
+// Workers resolves a requested worker count: values < 1 mean GOMAXPROCS,
+// the CPUs the Go scheduler will actually run goroutines on.
 func Workers(requested int) int {
 	if requested >= 1 {
 		return requested
 	}
-	return runtime.NumCPU()
+	return runtime.GOMAXPROCS(0)
 }
 
 // Split divides a worker budget between an outer loop of n items and the

@@ -7,15 +7,23 @@ import (
 	"testing"
 )
 
+// TestWorkers pins the resolution rule: a positive request stands, and
+// any other resolves to GOMAXPROCS — not NumCPU — so GOMAXPROCS=1 really
+// runs every default budget sequentially.
 func TestWorkers(t *testing.T) {
 	if got := Workers(3); got != 3 {
 		t.Errorf("Workers(3) = %d", got)
 	}
-	if got := Workers(0); got != runtime.NumCPU() {
-		t.Errorf("Workers(0) = %d, want NumCPU %d", got, runtime.NumCPU())
+	procs := runtime.GOMAXPROCS(0)
+	if got := Workers(0); got != procs {
+		t.Errorf("Workers(0) = %d, want GOMAXPROCS %d", got, procs)
 	}
-	if got := Workers(-5); got != runtime.NumCPU() {
-		t.Errorf("Workers(-5) = %d, want NumCPU %d", got, runtime.NumCPU())
+	if got := Workers(-5); got != procs {
+		t.Errorf("Workers(-5) = %d, want GOMAXPROCS %d", got, procs)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if got := Workers(0); got != 1 {
+		t.Errorf("Workers(0) under GOMAXPROCS(1) = %d, want 1", got)
 	}
 }
 

@@ -36,7 +36,7 @@ type Config struct {
 	ForcingWavenumber int
 	// Seed randomizes the initial condition phase; same seed, same run.
 	Seed int64
-	// Workers bounds FFT parallelism; <= 0 uses all CPUs.
+	// Workers bounds FFT parallelism; <= 0 uses GOMAXPROCS.
 	Workers int
 }
 

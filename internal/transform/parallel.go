@@ -20,7 +20,7 @@ import (
 	"stwave/internal/par"
 )
 
-// Workers resolves a requested worker count: values < 1 mean "use all CPUs".
+// Workers resolves a requested worker count: values < 1 mean GOMAXPROCS.
 func Workers(requested int) int {
 	return par.Workers(requested)
 }

@@ -3,6 +3,7 @@ package transform
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"stwave/internal/grid"
@@ -311,5 +312,42 @@ func TestSpecResolve(t *testing.T) {
 	sp, tm = s.resolve(grid.Dims{Nx: 64, Ny: 64, Nz: 64}, 20)
 	if sp != 2 || tm != 1 {
 		t.Errorf("explicit levels not honored: %d, %d", sp, tm)
+	}
+}
+
+// TestSerialTransformAllocs pins DESIGN §6's promise that a budget of one
+// worker runs allocation-free: Forward3D, Inverse3D, ForwardTemporal and
+// InverseTemporal at workers = 1 take their slabs from the scratch pools
+// and build no closures, so a warm call allocates nothing.
+func TestSerialTransformAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled buffers at random")
+	}
+	const k = wavelet.CDF97
+	rng := rand.New(rand.NewSource(5))
+	for _, d := range []grid.Dims{{Nx: 64, Ny: 64, Nz: 64}, {Nx: 32, Ny: 32, Nz: 32}, {Nx: 17, Ny: 12, Nz: 9}} {
+		w := newTestWindow(rng, d, 10, 0.9)
+		f := w.Slices[0]
+		spatial, temporal := Levels3D(k, d), LevelsTemporal(k, w.Len())
+		for _, c := range []struct {
+			name string
+			run  func() error
+		}{
+			{"Forward3D", func() error { return Forward3D(f, k, spatial, 1) }},
+			{"Inverse3D", func() error { return Inverse3D(f, k, spatial, 1) }},
+			{"ForwardTemporal", func() error { return ForwardTemporal(w, k, temporal, 1) }},
+			{"InverseTemporal", func() error { return InverseTemporal(w, k, temporal, 1) }},
+		} {
+			// Settle the heap first: a collection started by the window's
+			// allocation could otherwise empty the scratch pools mid-count.
+			runtime.GC()
+			if got := testing.AllocsPerRun(3, func() {
+				if err := c.run(); err != nil {
+					t.Fatal(err)
+				}
+			}); got != 0 {
+				t.Errorf("%v %s: %v allocations per call, want 0", d, c.name, got)
+			}
+		}
 	}
 }

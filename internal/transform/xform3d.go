@@ -42,7 +42,7 @@ func Levels3D(k wavelet.Kernel, d grid.Dims) int {
 // Forward3D applies `levels` passes of the non-standard decomposition to the
 // field in place: each pass runs one single-level 1D transform along every X
 // row, then every Y column, then every Z pencil of the current approximation
-// cube, then halves the cube. workers < 1 uses all CPUs.
+// cube, then halves the cube. workers < 1 uses GOMAXPROCS.
 func Forward3D[F num.Float](f *grid.Field3DOf[F], k wavelet.Kernel, levels, workers int) error {
 	if levels < 0 {
 		return fmt.Errorf("transform: negative level count %d", levels)
@@ -120,146 +120,35 @@ func passXRange[F num.Float](f *grid.Field3DOf[F], k wavelet.Kernel, cnx, cny, s
 }
 
 // passY transforms strided Y lines (stride Nx) inside the approximation
-// cube. Tiles of spatialLanes neighbouring X positions are transposed
-// into a contiguous (cny × lanes) slab with one bulk copy per Y level,
-// transformed together by the blocked kernel, and scattered back.
+// cube: tiles of spatialLanes neighbouring X positions at each z.
 func passY[F num.Float](f *grid.Field3DOf[F], k wavelet.Kernel, cnx, cny, cnz, workers int, inverse bool) {
 	if cny < 2 {
 		return
 	}
-	// Contiguous fast path: when the pass covers full X rows (level 0),
-	// the cny×nx plane region at each z is already laid out exactly like
-	// a blocked slab with nx lanes — lift it in place, no gather.
-	if nx := f.Dims.Nx; cnx == nx && cny*nx*num.SampleBytes[F]() <= contigSlabBytes {
-		if workers <= 1 {
-			passYContig(f, k, cny, 0, cnz, inverse)
-			return
-		}
-		par.For(cnz, workers, 1, func(start, end int) {
-			passYContig(f, k, cny, start, end, inverse)
-		})
-		return
-	}
-	ntx := (cnx + spatialLanes - 1) / spatialLanes
-	tiles := ntx * cnz
-	if workers <= 1 {
-		passYRange(f, k, cnx, cny, ntx, 0, tiles, inverse)
-		return
-	}
-	par.For(tiles, workers, 1, func(start, end int) {
-		passYRange(f, k, cnx, cny, ntx, start, end, inverse)
-	})
-}
-
-// passYContig transforms the z range [z0, z1) through the blocked kernel
-// directly on f.Data: each z plane's first cny rows form a contiguous
-// (cny × nx) slab. The forward kernel clobbers its source, which is fine —
-// the result is copied over the same region.
-func passYContig[F num.Float](f *grid.Field3DOf[F], k wavelet.Kernel, cny, z0, z1 int, inverse bool) {
 	nx, ny := f.Dims.Nx, f.Dims.Ny
-	scr := scratch.FloatsOf[F](cny * nx)
-	for z := z0; z < z1; z++ {
-		src := f.Data[z*ny*nx : z*ny*nx+cny*nx]
-		if inverse {
-			wavelet.InverseStepBlockTo(k, src, scr, cny, nx)
-		} else {
-			wavelet.ForwardStepBlockTo(k, src, scr, cny, nx)
-		}
-		copy(src, scr[:cny*nx])
+	ts := tiles[F]{data: f.Data, width: cnx, lanes: spatialLanes, sweeps: cnz, sweep: ny * nx, stride: nx}
+	if cnx == nx && cny*nx*num.SampleBytes[F]() <= contigSlabBytes {
+		// Level 0: each z plane's first cny rows are already a slab of
+		// nx lanes, lifted where they lie.
+		ts.lanes = nx
 	}
-	scratch.PutFloatsOf(scr)
-}
-
-func passYRange[F num.Float](f *grid.Field3DOf[F], k wavelet.Kernel, cnx, cny, ntx, start, end int, inverse bool) {
-	nx, ny := f.Dims.Nx, f.Dims.Ny
-	slab := scratch.FloatsOf[F](cny * spatialLanes)
-	scr := scratch.FloatsOf[F](cny * spatialLanes)
-	for ti := start; ti < end; ti++ {
-		x0 := (ti % ntx) * spatialLanes
-		z := ti / ntx
-		lanes := cnx - x0
-		if lanes > spatialLanes {
-			lanes = spatialLanes
-		}
-		base := z*ny*nx + x0
-		for y := 0; y < cny; y++ {
-			copy(slab[y*lanes:(y+1)*lanes], f.Data[base+y*nx:base+y*nx+lanes])
-		}
-		// Single level: lift straight into the second slab and scatter
-		// from there — no copy-back.
-		if inverse {
-			wavelet.InverseStepBlockTo(k, slab, scr, cny, lanes)
-		} else {
-			wavelet.ForwardStepBlockTo(k, slab, scr, cny, lanes)
-		}
-		for y := 0; y < cny; y++ {
-			copy(f.Data[base+y*nx:base+y*nx+lanes], scr[y*lanes:(y+1)*lanes])
-		}
-	}
-	scratch.PutFloatsOf(scr)
-	scratch.PutFloatsOf(slab)
+	ts.run(k, cny, 1, workers, inverse)
 }
 
 // passZ transforms strided Z pencils (stride Nx*Ny) inside the
-// approximation cube, blocked exactly like passY: lanes are neighbouring
-// X positions at a fixed Y, the series runs along Z.
+// approximation cube: tiles of spatialLanes neighbouring X positions at
+// each y.
 func passZ[F num.Float](f *grid.Field3DOf[F], k wavelet.Kernel, cnx, cny, cnz, workers int, inverse bool) {
 	if cnz < 2 {
 		return
 	}
-	// Contiguous fast path: when the pass covers the full X×Y extent
-	// (level 0), the whole cnz-deep region is one blocked slab with
-	// nx*ny lanes. Serial only — the tiled path below is what splits the
-	// work across goroutines.
-	if nx, ny := f.Dims.Nx, f.Dims.Ny; workers <= 1 && cnx == nx && cny == ny && cnz*ny*nx*num.SampleBytes[F]() <= contigSlabBytes {
-		lanes := ny * nx
-		scr := scratch.FloatsOf[F](cnz * lanes)
-		src := f.Data[:cnz*lanes]
-		if inverse {
-			wavelet.InverseStepBlockTo(k, src, scr, cnz, lanes)
-		} else {
-			wavelet.ForwardStepBlockTo(k, src, scr, cnz, lanes)
-		}
-		copy(src, scr[:cnz*lanes])
-		scratch.PutFloatsOf(scr)
-		return
-	}
-	ntx := (cnx + spatialLanes - 1) / spatialLanes
-	tiles := ntx * cny
-	if workers <= 1 {
-		passZRange(f, k, cnx, cnz, ntx, 0, tiles, inverse)
-		return
-	}
-	par.For(tiles, workers, 1, func(start, end int) {
-		passZRange(f, k, cnx, cnz, ntx, start, end, inverse)
-	})
-}
-
-func passZRange[F num.Float](f *grid.Field3DOf[F], k wavelet.Kernel, cnx, cnz, ntx, start, end int, inverse bool) {
 	nx, ny := f.Dims.Nx, f.Dims.Ny
-	stride := nx * ny
-	slab := scratch.FloatsOf[F](cnz * spatialLanes)
-	scr := scratch.FloatsOf[F](cnz * spatialLanes)
-	for ti := start; ti < end; ti++ {
-		x0 := (ti % ntx) * spatialLanes
-		y := ti / ntx
-		lanes := cnx - x0
-		if lanes > spatialLanes {
-			lanes = spatialLanes
-		}
-		base := y*nx + x0
-		for z := 0; z < cnz; z++ {
-			copy(slab[z*lanes:(z+1)*lanes], f.Data[base+z*stride:base+z*stride+lanes])
-		}
-		if inverse {
-			wavelet.InverseStepBlockTo(k, slab, scr, cnz, lanes)
-		} else {
-			wavelet.ForwardStepBlockTo(k, slab, scr, cnz, lanes)
-		}
-		for z := 0; z < cnz; z++ {
-			copy(f.Data[base+z*stride:base+z*stride+lanes], scr[z*lanes:(z+1)*lanes])
-		}
+	ts := tiles[F]{data: f.Data, width: cnx, lanes: spatialLanes, sweeps: cny, sweep: nx, stride: nx * ny}
+	if workers <= 1 && cnx == nx && cny == ny && cnz*ny*nx*num.SampleBytes[F]() <= contigSlabBytes {
+		// Level 0: the whole cnz-deep region is already one slab of
+		// nx*ny lanes. Serial only: the tiles are what split the work
+		// across goroutines.
+		ts.width, ts.lanes, ts.sweeps = nx*ny, nx*ny, 1
 	}
-	scratch.PutFloatsOf(scr)
-	scratch.PutFloatsOf(slab)
+	ts.run(k, cnz, 1, workers, inverse)
 }

@@ -8,8 +8,6 @@ import (
 	"stwave/internal/grid"
 	"stwave/internal/num"
 	"stwave/internal/obs"
-	"stwave/internal/par"
-	"stwave/internal/scratch"
 	"stwave/internal/wavelet"
 )
 
@@ -50,60 +48,9 @@ func temporalPass[F num.Float](w *grid.WindowOf[F], k wavelet.Kernel, levels, wo
 	if levels == 0 || t < 2 {
 		return nil
 	}
-	points := w.Dims.Len()
-	lens := wavelet.BandLengths(t, levels) // identical for every grid point
-	tiles := (points + temporalLanes - 1) / temporalLanes
-	if workers <= 1 {
-		temporalRange(w, k, lens, t, points, 0, tiles, inverse)
-		return nil
-	}
-	par.For(tiles, workers, 1, func(start, end int) {
-		temporalRange(w, k, lens, t, points, start, end, inverse)
-	})
+	ts := tiles[F]{slices: w.Slices, width: w.Dims.Len(), lanes: temporalLanes, sweeps: 1}
+	ts.run(k, t, levels, workers, inverse)
 	return nil
-}
-
-func temporalRange[F num.Float](w *grid.WindowOf[F], k wavelet.Kernel, lens []int, t, points, start, end int, inverse bool) {
-	slab := scratch.FloatsOf[F](t * temporalLanes)
-	scr := scratch.FloatsOf[F](t * temporalLanes)
-	for tile := start; tile < end; tile++ {
-		p0 := tile * temporalLanes
-		lanes := points - p0
-		if lanes > temporalLanes {
-			lanes = temporalLanes
-		}
-		for ti := 0; ti < t; ti++ {
-			copy(slab[ti*lanes:(ti+1)*lanes], w.Slices[ti].Data[p0:p0+lanes])
-		}
-		// The pyramid ping-pongs between slab and scr so no level pays
-		// a full-size pre-copy. Forward: each level lifts the slab
-		// prefix into scr; deeper levels only overwrite the shrinking
-		// approx prefix, so every level's detail rows survive in scr and
-		// the scatter reads scr alone. Inverse: each level reconstructs
-		// into scr and copies back so the next (longer) level sees
-		// [approx | detail] contiguous in slab; the copy is skipped for
-		// the outermost level, which scatters straight from scr.
-		if inverse {
-			for i := len(lens) - 1; i >= 0; i-- {
-				wavelet.InverseStepBlockTo(k, slab, scr, lens[i], lanes)
-				if i > 0 {
-					copy(slab[:lens[i]*lanes], scr[:lens[i]*lanes])
-				}
-			}
-		} else {
-			for li, ln := range lens {
-				wavelet.ForwardStepBlockTo(k, slab, scr, ln, lanes)
-				if li+1 < len(lens) {
-					copy(slab[:lens[li+1]*lanes], scr[:lens[li+1]*lanes])
-				}
-			}
-		}
-		for ti := 0; ti < t; ti++ {
-			copy(w.Slices[ti].Data[p0:p0+lanes], scr[ti*lanes:(ti+1)*lanes])
-		}
-	}
-	scratch.PutFloatsOf(scr)
-	scratch.PutFloatsOf(slab)
 }
 
 // Spec describes a full spatiotemporal transform configuration.
@@ -117,7 +64,7 @@ type Spec struct {
 	// TemporalLevels == 0 disables the temporal step (pure 3D transform).
 	TemporalKernel wavelet.Kernel
 	TemporalLevels int
-	// Workers bounds parallelism; < 1 uses all CPUs. The 4D entry points
+	// Workers bounds parallelism; < 1 uses GOMAXPROCS. The 4D entry points
 	// own the budget: it is resolved once and split between window-level
 	// slice parallelism and the per-slice passes, never both in full.
 	Workers int

@@ -16,149 +16,158 @@ import (
 // blocked kernel, and scatter back: the strided memory walk happens once
 // per tile as bulk copies rather than once per lifting step per element.
 //
-// Every arithmetic expression here matches lift.go operation for
-// operation, in the same order, so each lane's result is bit-identical to
-// running the scalar kernel on that signal alone. The equivalence is
-// pinned by TestBlockBitIdentical across all kernels, lengths, and lane
-// counts; any change to one file must be mirrored in the other.
-//
-// Inner loops index the slab directly with offsets whose bounds the
-// compiler can prove, rather than materializing per-row subslices — the
-// lifting ladder is the hottest code in the pipeline and bounds checks
-// in it are measurable.
+// The kernels are sequences of row primitives, one per elementwise
+// expression, each applied across the L lanes of one sample row. Every
+// primitive call carries the expression shape of the matching statement
+// in lift.go — the same operations on the same operands in the same
+// order — so each lane's result is bit-identical to running the line
+// kernel on that signal alone. Two shapes differ in value and must never
+// be exchanged: a reflected neighbour c*(m+m) calls a two-neighbour
+// primitive with a == b, while lift.go's c*2*x (sample 0 of an even
+// step) calls a one-neighbour primitive with coefficient c*2; the first
+// overflows to Inf where the second stays finite. A statement changed in
+// lift.go changes the primitive its row calls here, and the reverse.
+// TestBlockBitIdentical and the FuzzBlockMatchesLine targets pin the
+// equivalence at both precisions, at extreme magnitudes included.
 
-// liftStepBlock applies one lifting step to every lane of the slab
-// holding n samples x L lanes. parity and c as in liftStep.
-func liftStepBlock[F num.Float](x []F, n, L int, parity int, c F) {
-	if n < 2 || L < 1 {
-		return
+// row is sample row i of a slab with L lanes.
+func row[F num.Float](x []F, i, L int) []F { return x[i*L : i*L+L] }
+
+// addRow is x += c*a.
+func addRow[F num.Float](x, a []F, c F) {
+	a = a[:len(x)]
+	for j, v := range x {
+		x[j] = v + c*a[j]
 	}
-	x = x[:n*L]
-	start := parity
-	if start == 0 {
-		// Sample 0's neighbours both reflect to sample 1: += c*2*x[1].
-		c2 := c * 2
-		r0 := x[:L]
-		r1 := x[L : 2*L]
-		r1 = r1[:len(r0)]
-		for j, v := range r0 {
-			r0[j] = v + c2*r1[j]
-		}
-		start = 2
+}
+
+// addSumRow is x += c*(a+b). It is one of the three primitives the
+// ladders spend most of their time in, unrolled four lanes wide.
+func addSumRow[F num.Float](x, a, b []F, c F) {
+	a, b = a[:len(x)], b[:len(x)]
+	j := 0
+	for ; j+4 <= len(x); j += 4 {
+		x4, a4, b4 := x[j:j+4:j+4], a[j:j+4:j+4], b[j:j+4:j+4]
+		x4[0] += c * (a4[0] + b4[0])
+		x4[1] += c * (a4[1] + b4[1])
+		x4[2] += c * (a4[2] + b4[2])
+		x4[3] += c * (a4[3] + b4[3])
 	}
-	i := start
+	for ; j < len(x); j++ {
+		x[j] += c * (a[j] + b[j])
+	}
+}
+
+// scaleRow is d = x*s, unrolled four lanes wide.
+func scaleRow[F num.Float](d, x []F, s F) {
+	x = x[:len(d)]
+	j := 0
+	for ; j+4 <= len(d); j += 4 {
+		d4, x4 := d[j:j+4:j+4], x[j:j+4:j+4]
+		d4[0] = x4[0] * s
+		d4[1] = x4[1] * s
+		d4[2] = x4[2] * s
+		d4[3] = x4[3] * s
+	}
+	for ; j < len(d); j++ {
+		d[j] = x[j] * s
+	}
+}
+
+// addScaleRow is d = (x + c*a)*s.
+func addScaleRow[F num.Float](d, x, a []F, c, s F) {
+	x, a = x[:len(d)], a[:len(d)]
+	for j, v := range x {
+		d[j] = (v + c*a[j]) * s
+	}
+}
+
+// addSumScaleRow is d = (x + c*(a+b))*s, unrolled four lanes wide.
+func addSumScaleRow[F num.Float](d, x, a, b []F, c, s F) {
+	x, a, b = x[:len(d)], a[:len(d)], b[:len(d)]
+	j := 0
+	for ; j+4 <= len(d); j += 4 {
+		d4, x4, a4, b4 := d[j:j+4:j+4], x[j:j+4:j+4], a[j:j+4:j+4], b[j:j+4:j+4]
+		d4[0] = (x4[0] + c*(a4[0]+b4[0])) * s
+		d4[1] = (x4[1] + c*(a4[1]+b4[1])) * s
+		d4[2] = (x4[2] + c*(a4[2]+b4[2])) * s
+		d4[3] = (x4[3] + c*(a4[3]+b4[3])) * s
+	}
+	for ; j < len(d); j++ {
+		d[j] = (x[j] + c*(a[j]+b[j])) * s
+	}
+}
+
+// scaleAddRow is d = x*s + c*a.
+func scaleAddRow[F num.Float](d, x, a []F, s, c F) {
+	x, a = x[:len(d)], a[:len(d)]
+	for j, v := range x {
+		d[j] = v*s + c*a[j]
+	}
+}
+
+// scaleAddSumRow is d = x*s + c*(a+b).
+func scaleAddSumRow[F num.Float](d, x, a, b []F, s, c F) {
+	x, a, b = x[:len(d)], a[:len(d)], b[:len(d)]
+	for j, v := range x {
+		d[j] = v*s + c*(a[j]+b[j])
+	}
+}
+
+// haarRow is the Haar butterfly: p = (a+b)*s, m = (a-b)*s.
+func haarRow[F num.Float](p, m, a, b []F, s F) {
+	m, a, b = m[:len(p)], a[:len(p)], b[:len(p)]
+	for j, u := range a {
+		v := b[j]
+		p[j] = (u + v) * s
+		m[j] = (u - v) * s
+	}
+}
+
+// liftStepBlock is liftStep(x, 1, c) per lane: the odd-parity lifting
+// step, the only one the ladders run unfused.
+func liftStepBlock[F num.Float](x []F, n, L int, c F) {
+	i := 1
 	for ; i+1 < n; i += 2 {
-		b := i * L
-		ri := x[b : b+L]
-		rm := x[b-L : b]
-		rp := x[b+L : b+2*L]
-		rm = rm[:len(ri)]
-		rp = rp[:len(ri)]
-		for j, v := range ri {
-			ri[j] = v + c*(rm[j]+rp[j])
-		}
+		addSumRow(row(x, i, L), row(x, i-1, L), row(x, i+1, L), c)
 	}
 	if i == n-1 {
 		// Last sample's right neighbour reflects to sample n-2.
-		b := (n - 1) * L
-		ri := x[b : b+L]
-		rm := x[b-L : b]
-		rm = rm[:len(ri)]
-		for j, v := range ri {
-			m := rm[j]
-			ri[j] = v + c*(m+m)
-		}
+		m := row(x, n-2, L)
+		addSumRow(row(x, n-1, L), m, m, c)
 	}
 }
 
 // liftPairOddEvenBlock is liftPairOddEven per lane: two adjacent lifting
 // steps (odd ca, then even cb) fused into one pass over the slab, each
 // even row updated as soon as both odd neighbour rows are. Requires
-// n >= 2. Bit-identical per lane to liftStepBlock(x, n, L, 1, ca)
-// followed by liftStepBlock(x, n, L, 0, cb).
+// n >= 2.
 func liftPairOddEvenBlock[F num.Float](x []F, n, L int, ca, cb F) {
-	x = x[:n*L]
 	if n == 2 {
-		r0 := x[:L]
-		r1 := x[L : 2*L]
-		r1 = r1[:len(r0)]
-		for j, v := range r1 {
-			m := r0[j]
-			r1[j] = v + ca*(m+m)
-		}
-		cb2 := cb * 2
-		for j, v := range r0 {
-			r0[j] = v + cb2*r1[j]
-		}
+		r0, r1 := row(x, 0, L), row(x, 1, L)
+		addSumRow(r1, r0, r0, ca)
+		addRow(r0, r1, cb*2)
 		return
 	}
-	{
-		// Odd row 1 (interior), then even row 0 against it.
-		r1 := x[L : 2*L]
-		r0 := x[:L]
-		r2 := x[2*L : 3*L]
-		r0 = r0[:len(r1)]
-		r2 = r2[:len(r1)]
-		for j, v := range r1 {
-			r1[j] = v + ca*(r0[j]+r2[j])
-		}
-		cb2 := cb * 2
-		d := x[:L]
-		r1 = r1[:len(d)]
-		for j, v := range d {
-			d[j] = v + cb2*r1[j]
-		}
-	}
+	// Odd row 1 (interior), then even row 0 against it.
+	addSumRow(row(x, 1, L), row(x, 0, L), row(x, 2, L), ca)
+	addRow(row(x, 0, L), row(x, 1, L), cb*2)
 	i := 2
 	for ; i+2 < n; i += 2 {
-		b := i * L
-		// Odd row i+1 reads the still-original even rows i and i+2.
-		ro := x[b+L : b+2*L]
-		re0 := x[b : b+L]
-		re2 := x[b+2*L : b+3*L]
-		re0 = re0[:len(ro)]
-		re2 = re2[:len(ro)]
-		for j, v := range ro {
-			ro[j] = v + ca*(re0[j]+re2[j])
-		}
-		// Even row i reads the updated odd rows i-1 and i+1.
-		ri := x[b : b+L]
-		rm := x[b-L : b]
-		rp := x[b+L : b+2*L]
-		rm = rm[:len(ri)]
-		rp = rp[:len(ri)]
-		for j, v := range ri {
-			ri[j] = v + cb*(rm[j]+rp[j])
-		}
+		// Odd row i+1 reads the still-original even rows i and i+2; even
+		// row i then reads the updated odd rows i-1 and i+1.
+		addSumRow(row(x, i+1, L), row(x, i, L), row(x, i+2, L), ca)
+		addSumRow(row(x, i, L), row(x, i-1, L), row(x, i+1, L), cb)
 	}
 	if i+1 < n {
 		// n even: odd row n-1 reflects right to n-2, then even row n-2.
-		b := i * L
-		ro := x[b+L : b+2*L]
-		re := x[b : b+L]
-		re = re[:len(ro)]
-		for j, v := range ro {
-			m := re[j]
-			ro[j] = v + ca*(m+m)
-		}
-		ri := x[b : b+L]
-		rm := x[b-L : b]
-		rp := x[b+L : b+2*L]
-		rm = rm[:len(ri)]
-		rp = rp[:len(ri)]
-		for j, v := range ri {
-			ri[j] = v + cb*(rm[j]+rp[j])
-		}
+		m := row(x, i, L)
+		addSumRow(row(x, i+1, L), m, m, ca)
+		addSumRow(m, row(x, i-1, L), row(x, i+1, L), cb)
 	} else {
 		// n odd: even row n-1's neighbours both reflect to n-2.
-		b := i * L
-		ri := x[b : b+L]
-		rm := x[b-L : b]
-		rm = rm[:len(ri)]
-		for j, v := range ri {
-			m := rm[j]
-			ri[j] = v + cb*(m+m)
-		}
+		m := row(x, i-1, L)
+		addSumRow(row(x, i, L), m, m, cb)
 	}
 }
 
@@ -166,230 +175,55 @@ func liftPairOddEvenBlock[F num.Float](x []F, n, L int, ca, cb F) {
 // the ladder's last two lifting steps (odd ca, even cb) fused with the
 // deinterleave+scale pass. Odd rows are updated in place in x as lifting
 // neighbours; even results go straight to dst. Requires n >= 2.
-// Bit-identical per lane to liftStepBlock(x, n, L, 1, ca) followed by the
-// final even step + deinterleave+scale.
 func liftPairDeinterleaveScaledBlock[F num.Float](x, dst []F, n, L int, ca, cb, lo, hi F) {
-	x = x[:n*L]
 	na := approxLen(n)
 	if n == 2 {
-		r0 := x[:L]
-		r1 := x[L : 2*L]
-		r1 = r1[:len(r0)]
-		for j, v := range r1 {
-			m := r0[j]
-			r1[j] = v + ca*(m+m)
-		}
-		dd := dst[L : 2*L]
-		dd = dd[:len(r1)]
-		for j, v := range r1 {
-			dd[j] = v * hi
-		}
-		cb2 := cb * 2
-		d := dst[:L]
-		d = d[:len(r0)]
-		for j, v := range r0 {
-			d[j] = (v + cb2*r1[j]) * lo
-		}
+		r0, r1 := row(x, 0, L), row(x, 1, L)
+		addSumRow(r1, r0, r0, ca)
+		scaleRow(row(dst, 1, L), r1, hi)
+		addScaleRow(row(dst, 0, L), r0, r1, cb*2, lo)
 		return
 	}
-	{
-		// Odd row 1 (interior), its detail output, then even row 0.
-		r1 := x[L : 2*L]
-		r0 := x[:L]
-		r2 := x[2*L : 3*L]
-		r0 = r0[:len(r1)]
-		r2 = r2[:len(r1)]
-		for j, v := range r1 {
-			r1[j] = v + ca*(r0[j]+r2[j])
-		}
-		dd := dst[na*L : na*L+L]
-		dd = dd[:len(r1)]
-		for j, v := range r1 {
-			dd[j] = v * hi
-		}
-		cb2 := cb * 2
-		d := dst[:L]
-		d = d[:len(r1)]
-		r0 = x[:L]
-		r0 = r0[:len(d)]
-		for j, v := range r0 {
-			d[j] = (v + cb2*r1[j]) * lo
-		}
-	}
+	// Odd row 1 (interior), its detail output, then even row 0.
+	addSumRow(row(x, 1, L), row(x, 0, L), row(x, 2, L), ca)
+	scaleRow(row(dst, na, L), row(x, 1, L), hi)
+	addScaleRow(row(dst, 0, L), row(x, 0, L), row(x, 1, L), cb*2, lo)
 	i := 2
 	for ; i+2 < n; i += 2 {
-		b := i * L
-		// Odd row i+1 reads the still-original even rows i and i+2 (even
-		// rows are never written here — their results go to dst).
-		ro := x[b+L : b+2*L]
-		re0 := x[b : b+L]
-		re2 := x[b+2*L : b+3*L]
-		re0 = re0[:len(ro)]
-		re2 = re2[:len(ro)]
-		for j, v := range ro {
-			ro[j] = v + ca*(re0[j]+re2[j])
-		}
-		dd := dst[(na+i/2)*L : (na+i/2)*L+L]
-		dd = dd[:len(ro)]
-		for j, v := range ro {
-			dd[j] = v * hi
-		}
-		ri := x[b : b+L]
-		rm := x[b-L : b]
-		rp := x[b+L : b+2*L]
-		d := dst[(i/2)*L : (i/2)*L+L]
-		rm = rm[:len(ri)]
-		rp = rp[:len(ri)]
-		d = d[:len(ri)]
-		for j, v := range ri {
-			d[j] = (v + cb*(rm[j]+rp[j])) * lo
-		}
+		// Even rows of x are never written: their results go to dst.
+		addSumRow(row(x, i+1, L), row(x, i, L), row(x, i+2, L), ca)
+		scaleRow(row(dst, na+i/2, L), row(x, i+1, L), hi)
+		addSumScaleRow(row(dst, i/2, L), row(x, i, L), row(x, i-1, L), row(x, i+1, L), cb, lo)
 	}
 	if i+1 < n {
 		// n even: odd row n-1 reflects right, then even row n-2.
-		b := i * L
-		ro := x[b+L : b+2*L]
-		re := x[b : b+L]
-		re = re[:len(ro)]
-		for j, v := range ro {
-			m := re[j]
-			ro[j] = v + ca*(m+m)
-		}
-		dd := dst[(na+i/2)*L : (na+i/2)*L+L]
-		dd = dd[:len(ro)]
-		for j, v := range ro {
-			dd[j] = v * hi
-		}
-		ri := x[b : b+L]
-		rm := x[b-L : b]
-		rp := x[b+L : b+2*L]
-		d := dst[(i/2)*L : (i/2)*L+L]
-		rm = rm[:len(ri)]
-		rp = rp[:len(ri)]
-		d = d[:len(ri)]
-		for j, v := range ri {
-			d[j] = (v + cb*(rm[j]+rp[j])) * lo
-		}
+		m := row(x, i, L)
+		addSumRow(row(x, i+1, L), m, m, ca)
+		scaleRow(row(dst, na+i/2, L), row(x, i+1, L), hi)
+		addSumScaleRow(row(dst, i/2, L), m, row(x, i-1, L), row(x, i+1, L), cb, lo)
 	} else {
 		// n odd: even row n-1's neighbours both reflect to n-2.
-		b := i * L
-		ri := x[b : b+L]
-		rm := x[b-L : b]
-		d := dst[((n-1)/2)*L : ((n-1)/2)*L+L]
-		rm = rm[:len(ri)]
-		d = d[:len(ri)]
-		for j, v := range ri {
-			m := rm[j]
-			d[j] = (v + cb*(m+m)) * lo
-		}
+		m := row(x, i-1, L)
+		addSumScaleRow(row(dst, i/2, L), row(x, i, L), m, m, cb, lo)
 	}
 }
 
 // interleaveScaledLiftEvenBlock is interleaveScaledLiftEven per lane:
 // the interleave+scale expansion fused with the synthesis ladder's first
 // even-parity lifting step. src is read only. Requires n >= 2.
-// Bit-identical per lane to interleaving each lane as
-// [approx*lo | detail*hi] and then running liftStepBlock(dst, n, L, 0, c).
 func interleaveScaledLiftEvenBlock[F num.Float](src, dst []F, n, L int, lo, hi, c F) {
 	na := approxLen(n)
 	for i := 0; i < n-na; i++ {
-		s := src[(na+i)*L : (na+i)*L+L]
-		d := dst[(2*i+1)*L : (2*i+1)*L+L]
-		s = s[:len(d)]
-		for j, v := range s {
-			d[j] = v * hi
-		}
+		scaleRow(row(dst, 2*i+1, L), row(src, na+i, L), hi)
 	}
-	{
-		c2 := c * 2
-		s := src[:L]
-		r1 := dst[L : 2*L]
-		d := dst[:L]
-		r1 = r1[:len(d)]
-		s = s[:len(d)]
-		for j, v := range s {
-			d[j] = v*lo + c2*r1[j]
-		}
-	}
+	scaleAddRow(row(dst, 0, L), row(src, 0, L), row(dst, 1, L), lo, c*2)
 	i := 2
 	for ; i+1 < n; i += 2 {
-		b := i * L
-		s := src[(i/2)*L : (i/2)*L+L]
-		rm := dst[b-L : b]
-		rp := dst[b+L : b+2*L]
-		d := dst[b : b+L]
-		rm = rm[:len(d)]
-		rp = rp[:len(d)]
-		s = s[:len(d)]
-		for j, v := range s {
-			d[j] = v*lo + c*(rm[j]+rp[j])
-		}
+		scaleAddSumRow(row(dst, i, L), row(src, i/2, L), row(dst, i-1, L), row(dst, i+1, L), lo, c)
 	}
 	if i == n-1 {
-		b := (n - 1) * L
-		s := src[(na-1)*L : (na-1)*L+L]
-		rm := dst[b-L : b]
-		d := dst[b : b+L]
-		rm = rm[:len(d)]
-		s = s[:len(d)]
-		for j, v := range s {
-			m := rm[j]
-			d[j] = v*lo + c*(m+m)
-		}
-	}
-}
-
-// forwardLiftBlock runs the analysis ladder for kernel k on the slab x
-// (n samples x L lanes), writing [approx | detail] per lane into dst.
-// x is clobbered. Mirrors forwardLift exactly.
-func forwardLiftBlock[F num.Float](k Kernel, x, dst []F, n, L int) {
-	if n == 0 {
-		return
-	}
-	if n == 1 {
-		copy(dst[:L], x[:L])
-		return
-	}
-	switch k {
-	case CDF97:
-		liftPairOddEvenBlock(x, n, L, cdf97Alpha, cdf97Beta)
-		liftPairDeinterleaveScaledBlock(x, dst, n, L, cdf97Gamma, cdf97Delta, F(cdf97ScaleLo), F(cdf97ScaleHi))
-	case CDF53:
-		liftPairDeinterleaveScaledBlock(x, dst, n, L, -0.5, 0.25, F(cdf53ScaleLo), F(cdf53ScaleHi))
-	case Haar:
-		forwardHaarBlock(x, dst, n, L)
-	case Daub4:
-		forwardDaub4Block(x, dst, n, L)
-	default:
-		copy(dst[:n*L], x[:n*L])
-	}
-}
-
-// inverseLiftBlock is the exact inverse of forwardLiftBlock: src holds
-// [approx | detail] per lane, dst receives the reconstructed signals.
-// src is not modified; dst is used as scratch. Mirrors inverseLift.
-func inverseLiftBlock[F num.Float](k Kernel, src, dst []F, n, L int) {
-	if n == 0 {
-		return
-	}
-	if n == 1 {
-		copy(dst[:L], src[:L])
-		return
-	}
-	switch k {
-	case CDF97:
-		interleaveScaledLiftEvenBlock(src, dst, n, L, F(1/cdf97ScaleLo), F(1/cdf97ScaleHi), -cdf97Delta)
-		liftPairOddEvenBlock(dst, n, L, -cdf97Gamma, -cdf97Beta)
-		liftStepBlock(dst, n, L, 1, -cdf97Alpha)
-	case CDF53:
-		interleaveScaledLiftEvenBlock(src, dst, n, L, F(1/cdf53ScaleLo), F(1/cdf53ScaleHi), -0.25)
-		liftStepBlock(dst, n, L, 1, 0.5)
-	case Haar:
-		inverseHaarBlock(src, dst, n, L)
-	case Daub4:
-		inverseDaub4Block(src, dst, n, L)
-	default:
-		copy(dst[:n*L], src[:n*L])
+		m := row(dst, n-2, L)
+		scaleAddSumRow(row(dst, n-1, L), row(src, na-1, L), m, m, lo, c)
 	}
 }
 
@@ -398,26 +232,10 @@ func forwardHaarBlock[F num.Float](x, dst []F, n, L int) {
 	na := approxLen(n)
 	const s = 0.7071067811865476 // 1/sqrt(2)
 	for i := 0; 2*i+1 < n; i++ {
-		ra := x[2*i*L : 2*i*L+L]
-		rb := x[(2*i+1)*L : (2*i+1)*L+L]
-		dlo := dst[i*L : i*L+L]
-		dhi := dst[(na+i)*L : (na+i)*L+L]
-		rb = rb[:len(ra)]
-		dlo = dlo[:len(ra)]
-		dhi = dhi[:len(ra)]
-		for j, a := range ra {
-			b := rb[j]
-			dlo[j] = (a + b) * s
-			dhi[j] = (a - b) * s
-		}
+		haarRow(row(dst, i, L), row(dst, na+i, L), row(x, 2*i, L), row(x, 2*i+1, L), s)
 	}
 	if n%2 == 1 {
-		src := x[(n-1)*L : (n-1)*L+L]
-		d := dst[(na-1)*L : (na-1)*L+L]
-		src = src[:len(d)]
-		for j, v := range src {
-			d[j] = v * math.Sqrt2
-		}
+		scaleRow(row(dst, na-1, L), row(x, n-1, L), math.Sqrt2)
 	}
 }
 
@@ -425,26 +243,10 @@ func inverseHaarBlock[F num.Float](src, dst []F, n, L int) {
 	na := approxLen(n)
 	const s = 0.7071067811865476
 	for i := 0; 2*i+1 < n; i++ {
-		ra := src[i*L : i*L+L]
-		rd := src[(na+i)*L : (na+i)*L+L]
-		de := dst[2*i*L : 2*i*L+L]
-		do := dst[(2*i+1)*L : (2*i+1)*L+L]
-		rd = rd[:len(ra)]
-		de = de[:len(ra)]
-		do = do[:len(ra)]
-		for j, a := range ra {
-			d := rd[j]
-			de[j] = (a + d) * s
-			do[j] = (a - d) * s
-		}
+		haarRow(row(dst, 2*i, L), row(dst, 2*i+1, L), row(src, i, L), row(src, na+i, L), s)
 	}
 	if n%2 == 1 {
-		s2 := src[(na-1)*L : (na-1)*L+L]
-		d := dst[(n-1)*L : (n-1)*L+L]
-		s2 = s2[:len(d)]
-		for j, v := range s2 {
-			d[j] = v * s
-		}
+		scaleRow(row(dst, n-1, L), row(src, na-1, L), s)
 	}
 }
 
@@ -459,16 +261,13 @@ func forwardDaub4Block[F num.Float](x, dst []F, n, L int) {
 	h := [4]F{daub4H0, daub4H1, daub4H2, daub4H3}
 	g := [4]F{h[3], -h[2], h[1], -h[0]}
 	for i := 0; i < na; i++ {
-		dlo := dst[i*L : i*L+L]
-		dhi := dst[(na+i)*L : (na+i)*L+L]
+		dlo := row(dst, i, L)
+		dhi := row(dst, na+i, L)
 		dhi = dhi[:len(dlo)]
-		for j := range dlo {
-			dlo[j] = 0
-			dhi[j] = 0
-		}
+		clear(dlo)
+		clear(dhi)
 		for k := 0; k < 4; k++ {
-			r := ((2*i + k) % n) * L
-			v := x[r : r+L]
+			v := row(x, (2*i+k)%n, L)
 			v = v[:len(dlo)]
 			hk, gk := h[k], g[k]
 			for j, vj := range v {
@@ -487,16 +286,13 @@ func inverseDaub4Block[F num.Float](src, dst []F, n, L int) {
 	na := n / 2
 	h := [4]F{daub4H0, daub4H1, daub4H2, daub4H3}
 	g := [4]F{h[3], -h[2], h[1], -h[0]}
-	for i := range dst[:n*L] {
-		dst[i] = 0
-	}
+	clear(dst[:n*L])
 	for i := 0; i < na; i++ {
-		rlo := src[i*L : i*L+L]
-		rhi := src[(na+i)*L : (na+i)*L+L]
+		rlo := row(src, i, L)
+		rhi := row(src, na+i, L)
 		rhi = rhi[:len(rlo)]
 		for k := 0; k < 4; k++ {
-			r := ((2*i + k) % n) * L
-			d := dst[r : r+L]
+			d := row(dst, (2*i+k)%n, L)
 			d = d[:len(rlo)]
 			hk, gk := h[k], g[k]
 			for j := range d {
@@ -512,41 +308,48 @@ func inverseDaub4Block[F num.Float](src, dst []F, n, L int) {
 // bit-identical per lane to ForwardStep on that signal alone. src is
 // clobbered as lifting scratch. dst must hold at least n*L floats and
 // must not alias src. Slabs with n < 2 samples are left unwritten, so
-// callers treat them as pass-through, like the scalar step.
+// callers treat them as pass-through, like the scalar step. Mirrors
+// forwardLift.
 func ForwardStepBlockTo[F num.Float](k Kernel, src, dst []F, n, L int) {
 	if n < 2 || L < 1 {
 		return
 	}
-	forwardLiftBlock(k, src, dst, n, L)
+	switch k {
+	case CDF97:
+		liftPairOddEvenBlock(src, n, L, cdf97Alpha, cdf97Beta)
+		liftPairDeinterleaveScaledBlock(src, dst, n, L, cdf97Gamma, cdf97Delta, F(cdf97ScaleLo), F(cdf97ScaleHi))
+	case CDF53:
+		liftPairDeinterleaveScaledBlock(src, dst, n, L, -0.5, 0.25, F(cdf53ScaleLo), F(cdf53ScaleHi))
+	case Haar:
+		forwardHaarBlock(src, dst, n, L)
+	case Daub4:
+		forwardDaub4Block(src, dst, n, L)
+	default:
+		copy(dst[:n*L], src[:n*L])
+	}
 }
 
 // InverseStepBlockTo undoes exactly one forward level: src holds
 // [approx | detail] per lane and is left unmodified, dst receives the
 // reconstructed signals. Bit-identical per lane to InverseStep. dst must
-// not alias src; n < 2 slabs are left unwritten.
+// not alias src; n < 2 slabs are left unwritten. Mirrors inverseLift.
 func InverseStepBlockTo[F num.Float](k Kernel, src, dst []F, n, L int) {
 	if n < 2 || L < 1 {
 		return
 	}
-	inverseLiftBlock(k, src, dst, n, L)
-}
-
-// ForwardStepBlock is the in-place form of ForwardStepBlockTo: the slab
-// is transformed using scratch (>= n*L floats) as the lifting buffer.
-func ForwardStepBlock[F num.Float](k Kernel, slab []F, n, L int, scratch []F) {
-	if n < 2 || L < 1 {
-		return
+	switch k {
+	case CDF97:
+		interleaveScaledLiftEvenBlock(src, dst, n, L, F(1/cdf97ScaleLo), F(1/cdf97ScaleHi), -cdf97Delta)
+		liftPairOddEvenBlock(dst, n, L, -cdf97Gamma, -cdf97Beta)
+		liftStepBlock(dst, n, L, -cdf97Alpha)
+	case CDF53:
+		interleaveScaledLiftEvenBlock(src, dst, n, L, F(1/cdf53ScaleLo), F(1/cdf53ScaleHi), -0.25)
+		liftStepBlock(dst, n, L, 0.5)
+	case Haar:
+		inverseHaarBlock(src, dst, n, L)
+	case Daub4:
+		inverseDaub4Block(src, dst, n, L)
+	default:
+		copy(dst[:n*L], src[:n*L])
 	}
-	copy(scratch[:n*L], slab[:n*L])
-	forwardLiftBlock(k, scratch, slab, n, L)
-}
-
-// InverseStepBlock undoes exactly one ForwardStepBlock in place, lane
-// for lane bit-identical to InverseStep.
-func InverseStepBlock[F num.Float](k Kernel, slab []F, n, L int, scratch []F) {
-	if n < 2 || L < 1 {
-		return
-	}
-	inverseLiftBlock(k, slab, scratch, n, L)
-	copy(slab[:n*L], scratch[:n*L])
 }
