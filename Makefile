@@ -32,7 +32,8 @@ all: build vet test check
 # the level-offset table parser of the progressive (v4) layout, the
 # error-bounded mode's bound at both precisions, the
 # entropy coder round-trip, the entropy encoder's bytes against its
-# byte-at-a-time reference, the coefficient codec block decoders,
+# byte-at-a-time reference, the on-disk block readers of the entropy,
+# sparse and deflated sparse codecs, the coefficient codec block decoders,
 # survivor selection against the serial threshold, and every codec's
 # survivor encoder against its dense encode.
 check: vet fmt-check lint docscheck bench-smoke
@@ -51,6 +52,9 @@ check: vet fmt-check lint docscheck bench-smoke
 	$(GO) test -run=NONE -fuzz=FuzzMaxErrBound -fuzztime=5s ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzEntropyRoundtrip -fuzztime=5s ./internal/entropy
 	$(GO) test -run=NONE -fuzz=FuzzEncodeMatchesReference -fuzztime=5s ./internal/entropy
+	$(GO) test -run=NONE -fuzz=FuzzBlockRead -fuzztime=5s ./internal/entropy
+	$(GO) test -run=NONE -fuzz=FuzzReadSparseBlock -fuzztime=5s ./internal/compress
+	$(GO) test -run=NONE -fuzz=FuzzReadDeflatedSparseBlock -fuzztime=5s ./internal/compress
 	$(GO) test -run=NONE -fuzz=FuzzCodecDecode -fuzztime=5s ./internal/codec
 	$(GO) test -run=NONE -fuzz=FuzzSelectSurvivors -fuzztime=5s ./internal/compress
 	$(GO) test -run=NONE -fuzz=FuzzEncodeSurvivors -fuzztime=5s ./internal/codec
@@ -66,7 +70,10 @@ lint:
 
 # Docs-drift greplint: every flag the operator docs mention must exist in
 # its binary (parsed from the cmd/* flag registrations). Undocumented
-# flags are listed as warnings, not failures.
+# flags are listed as warnings, not failures. Also the reach check: every
+# non-test function under internal/ and cmd/ must be linked by some
+# binary (go build -gcflags=all=-l, then go tool nm), or be allow-listed
+# with its reason in cmd/docscheck/reach.go.
 docscheck:
 	$(GO) run ./cmd/docscheck
 

@@ -1,6 +1,7 @@
 // Command docscheck is the docs-drift greplint: it cross-checks every
 // command-line flag the operator docs mention against the flags the
-// binaries actually declare.
+// binaries actually declare, and checks that every non-test function
+// under internal/ and cmd/ is linked into some binary of the module.
 //
 // It parses cmd/*/ sources for flag registrations (flag.String,
 // fs.Bool, flag.IntVar, ...) and scans the operator-facing markdown for
@@ -14,7 +15,8 @@
 //
 //	docscheck [-root DIR]
 //
-// Exit status 1 on any stale documented flag.
+// Exit status 1 on any stale documented flag, any unlinked function (by
+// file:line) reachAllow does not excuse, or any stale reachAllow entry.
 package main
 
 import (
@@ -83,9 +85,26 @@ func main() {
 	warnUndocumented(declared, mentioned)
 	if len(stale) > 0 {
 		fmt.Fprintf(os.Stderr, "docscheck: %d documented flag(s) do not exist in their binaries\n", len(stale))
+	} else {
+		n := 0
+		for _, set := range mentioned {
+			n += len(set)
+		}
+		fmt.Printf("docscheck: %d binaries, %d documented flag mentions verified\n", len(declared), n)
+	}
+
+	r, err := checkReach(*root)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "docscheck: reach: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("docscheck: %d binaries, %d documented flag mentions verified\n", len(declared), countMentions(mentioned))
+	for _, f := range r.findings {
+		fmt.Fprintln(os.Stderr, f)
+	}
+	fmt.Printf("docscheck: reach: %d function lines linked, %d unlinked, %d allow-listed\n", r.linked, r.unlinked, r.allowed)
+	if len(stale)+len(r.findings) > 0 {
+		os.Exit(1)
+	}
 }
 
 // declaredFlags parses every Go file under root/cmd and returns, per
@@ -239,12 +258,4 @@ func warnUndocumented(declared, mentioned map[string]map[string]bool) {
 		sort.Strings(missing)
 		fmt.Fprintf(os.Stderr, "docscheck: warning: %s flags not mentioned in docs: %s\n", bin, strings.Join(missing, " "))
 	}
-}
-
-func countMentions(mentioned map[string]map[string]bool) int {
-	n := 0
-	for _, set := range mentioned {
-		n += len(set)
-	}
-	return n
 }

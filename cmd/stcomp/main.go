@@ -97,22 +97,6 @@ func usage() {
          [-dt X] [-seed N] [-fsync never|window|close] -out FILE`)
 }
 
-func parseDims(s string) (grid.Dims, error) {
-	parts := strings.Split(strings.ToLower(s), "x")
-	if len(parts) != 3 {
-		return grid.Dims{}, fmt.Errorf("dims must be NXxNYxNZ, got %q", s)
-	}
-	var vals [3]int
-	for i, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil || v < 1 {
-			return grid.Dims{}, fmt.Errorf("bad dimension %q", p)
-		}
-		vals[i] = v
-	}
-	return grid.Dims{Nx: vals[0], Ny: vals[1], Nz: vals[2]}, nil
-}
-
 func runCompress(args []string) error {
 	fs := flag.NewFlagSet("compress", flag.ExitOnError)
 	dimsStr := fs.String("dims", "", "grid dims NXxNYxNZ (required)")
@@ -131,7 +115,6 @@ func runCompress(args []string) error {
 	entropyBits := fs.Int("entropy-bits", 16, "entropy codec: magnitude bits per quantized value (adaptive per-block step)")
 	entropyBound := fs.Float64("entropy-error-bound", 0, "entropy codec: absolute quantization error bound (overrides -entropy-bits step)")
 	entropyLossless := fs.Bool("entropy-lossless", false, "entropy codec: store exact float32 bits (bit-identical to sparse, still smaller)")
-	deflate := fs.Bool("deflate", false, "apply the DEFLATE entropy stage to stored windows (alias for -codec deflate)")
 	fsyncPolicy := fs.String("fsync", "never", "fsync policy: never, window (after every appended window), or close")
 	atomic := fs.Bool("atomic", false, "stage output at OUT.tmp and rename on Close, so OUT only ever holds a complete container")
 	tracePath := fs.String("trace", "", "write a JSON span tree of the compression run to this file")
@@ -142,7 +125,7 @@ func runCompress(args []string) error {
 	if *dimsStr == "" || *out == "" || fs.NArg() == 0 {
 		return fmt.Errorf("compress requires -dims, -out, and at least one input slice")
 	}
-	dims, err := parseDims(*dimsStr)
+	dims, err := grid.ParseDims(*dimsStr)
 	if err != nil {
 		return err
 	}
@@ -187,14 +170,6 @@ func runCompress(args []string) error {
 		return fmt.Errorf("mode must be 3d or 4d, got %q", *mode)
 	}
 	name := strings.ToLower(*codecName)
-	if *deflate {
-		// Legacy spelling of -codec deflate; an explicit conflicting
-		// -codec wins an error, not a silent override.
-		if name != "sparse" && name != "deflate" {
-			return fmt.Errorf("-deflate conflicts with -codec %s", name)
-		}
-		name = "deflate"
-	}
 	if name == "entropy" {
 		opts.Codec, err = codec.EntropyWith(entropy.Params{
 			BitDepth:   *entropyBits,
@@ -500,7 +475,7 @@ func runIngest(args []string) error {
 	if *slices < 1 {
 		return fmt.Errorf("ingest requires -slices >= 1")
 	}
-	dims, err := parseDims(*dimsStr)
+	dims, err := grid.ParseDims(*dimsStr)
 	if err != nil {
 		return err
 	}

@@ -15,20 +15,29 @@ import (
 	"stwave/internal/storage"
 )
 
+// TestParseDims covers the -dims parser stcomp and stview share.
 func TestParseDims(t *testing.T) {
-	d, err := parseDims("64x32x16")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Nx != 64 || d.Ny != 32 || d.Nz != 16 {
-		t.Errorf("parseDims = %v", d)
-	}
-	if _, err := parseDims("64X32X16"); err != nil {
-		t.Errorf("uppercase separator rejected: %v", err)
-	}
-	for _, bad := range []string{"", "64x32", "64x32x16x8", "ax2x3", "0x2x3", "-1x2x3"} {
-		if _, err := parseDims(bad); err == nil {
-			t.Errorf("parseDims(%q) should fail", bad)
+	for _, c := range []struct {
+		in   string
+		want grid.Dims
+		ok   bool
+	}{
+		{"4x4x4", grid.Dims{Nx: 4, Ny: 4, Nz: 4}, true},
+		{"4X4X4", grid.Dims{Nx: 4, Ny: 4, Nz: 4}, true},
+		{"64x32x16", grid.Dims{Nx: 64, Ny: 32, Nz: 16}, true},
+		{"1048576x1x1", grid.Dims{Nx: grid.MaxAxis, Ny: 1, Nz: 1}, true},
+		{"4x4", grid.Dims{}, false},
+		{"4x4x4x4", grid.Dims{}, false},
+		{"", grid.Dims{}, false},
+		{"0x4x4", grid.Dims{}, false},
+		{"-1x4x4", grid.Dims{}, false},
+		{"axbxc", grid.Dims{}, false},
+		{"2097152x4x4", grid.Dims{}, false},
+		{"3037000500x3037000500x2", grid.Dims{}, false},
+	} {
+		got, err := grid.ParseDims(c.in)
+		if (err == nil) != c.ok || got != c.want {
+			t.Errorf("grid.ParseDims(%q) = %v, %v; want %v, ok=%v", c.in, got, err, c.want, c.ok)
 		}
 	}
 }
@@ -124,6 +133,18 @@ func TestRunIngestValidation(t *testing.T) {
 		if got, err := os.ReadFile(out); err != nil || !bytes.Equal(got, existing) {
 			t.Errorf("%s: -out holds %d bytes after the run (%v), want its %d bytes unchanged", name, len(got), err, len(existing))
 		}
+	}
+}
+
+// TestRunIngestOverCapDims: dims no container header can store are
+// rejected before -out is created.
+func TestRunIngestOverCapDims(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "x.stw")
+	if err := runIngest([]string{"-dims", "2097152x4x4", "-slices", "4", "-out", out}); err == nil {
+		t.Error("over-cap -dims accepted")
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("-out exists after a rejected run (stat: %v)", err)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"stwave/internal/core"
@@ -114,19 +113,11 @@ func loadField(path, dimsStr string, windowIdx, sliceIdx int) (*grid.Field3D, er
 	if dimsStr == "" {
 		return nil, fmt.Errorf("raw input requires -dims")
 	}
-	parts := strings.Split(strings.ToLower(dimsStr), "x")
-	if len(parts) != 3 {
-		return nil, fmt.Errorf("dims must be NXxNYxNZ, got %q", dimsStr)
+	d, err := grid.ParseDims(dimsStr)
+	if err != nil {
+		return nil, err
 	}
-	var d [3]int
-	for i, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad dimension %q", p)
-		}
-		d[i] = v
-	}
-	return grid.LoadRawFileOf[float64](path, d[0], d[1], d[2])
+	return grid.LoadRawFileOf[float64](path, d.Nx, d.Ny, d.Nz)
 }
 
 func parseAxis(s string) (render.MIPAxis, error) {

@@ -180,7 +180,7 @@ func TestEntropyWithValidates(t *testing.T) {
 }
 
 func TestWrapSparseAccessors(t *testing.T) {
-	sb := compress.NewSparseBlock([]float64{0, 1.5, 0, -2})
+	sb := compress.EncodeSurvivorBlocks(compress.Nonzeros([][]float64{{0, 1.5, 0, -2}}, 1), 1)[0]
 	b := WrapSparse(sb)
 	if b.Total() != 4 || b.Retained() != 2 {
 		t.Fatalf("wrapped accessors: total %d retained %d", b.Total(), b.Retained())

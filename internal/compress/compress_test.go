@@ -145,7 +145,7 @@ func TestSparseBlockRoundTrip(t *testing.T) {
 		coeffs[i] = float64(float32(rng.NormFloat64())) // float32-exact values
 	}
 	Threshold(coeffs, 50)
-	b := NewSparseBlock(coeffs)
+	b := sparseBlock(coeffs)
 	if b.Retained() != 50 {
 		t.Fatalf("Retained = %d, want 50", b.Retained())
 	}
@@ -161,7 +161,7 @@ func TestSparseBlockRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := b2.Decode()
+	dec := refDecode(b2)
 	for i := range coeffs {
 		if dec[i] != coeffs[i] {
 			t.Fatalf("decoded[%d] = %g, want %g", i, dec[i], coeffs[i])
@@ -171,7 +171,7 @@ func TestSparseBlockRoundTrip(t *testing.T) {
 
 func TestSparseBlockDecodeInto(t *testing.T) {
 	coeffs := []float64{0, 1, 0, -2, 0}
-	b := NewSparseBlock(coeffs)
+	b := sparseBlock(coeffs)
 	out := make([]float64, 5)
 	// Pre-dirty the output to verify zeros are written.
 	for i := range out {
@@ -194,7 +194,7 @@ func TestSparseBlockSizes(t *testing.T) {
 	coeffs := make([]float64, 800)
 	coeffs[13] = 1
 	coeffs[700] = -1
-	b := NewSparseBlock(coeffs)
+	b := sparseBlock(coeffs)
 	if got := b.IdealSizeBytes(); got != 8 {
 		t.Errorf("IdealSizeBytes = %d, want 8", got)
 	}
@@ -211,7 +211,7 @@ func TestReadSparseBlockCorrupt(t *testing.T) {
 	}
 	// Valid header, bitmap popcount disagreeing with retained count.
 	var buf bytes.Buffer
-	b := NewSparseBlock([]float64{1, 0, 2, 0})
+	b := sparseBlock([]float64{1, 0, 2, 0})
 	if _, err := b.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestQuickSparseRoundTrip(t *testing.T) {
 			coeffs[i] = float64(float32(rng.NormFloat64()))
 		}
 		Threshold(coeffs, int(keepRaw)%(n+1))
-		b := NewSparseBlock(coeffs)
+		b := sparseBlock(coeffs)
 		var buf bytes.Buffer
 		if _, err := b.WriteTo(&buf); err != nil {
 			return false
@@ -289,7 +289,7 @@ func TestQuickSparseRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		dec := b2.Decode()
+		dec := refDecode(b2)
 		for i := range coeffs {
 			if dec[i] != coeffs[i] {
 				return false
@@ -327,7 +327,7 @@ func TestDeflatedRoundTrip(t *testing.T) {
 		coeffs[i] = float64(float32(rng.NormFloat64()))
 	}
 	Threshold(coeffs, 100)
-	b := NewSparseBlock(coeffs)
+	b := sparseBlock(coeffs)
 
 	var buf bytes.Buffer
 	n, err := b.WriteDeflated(&buf)
@@ -340,7 +340,7 @@ func TestDeflatedRoundTrip(t *testing.T) {
 	// Append a second block to verify exact frame consumption.
 	b2src := make([]float64, 500)
 	b2src[7] = 1.25
-	b2 := NewSparseBlock(b2src)
+	b2 := sparseBlock(b2src)
 	if _, err := b2.WriteDeflated(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -353,13 +353,13 @@ func TestDeflatedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := got1.Decode()
+	dec := refDecode(got1)
 	for i := range coeffs {
 		if dec[i] != coeffs[i] {
 			t.Fatalf("block 1 sample %d mismatch", i)
 		}
 	}
-	if got2.Decode()[7] != 1.25 {
+	if refDecode(got2)[7] != 1.25 {
 		t.Error("block 2 corrupted")
 	}
 }
@@ -370,7 +370,7 @@ func TestDeflateShrinksSparseBitmaps(t *testing.T) {
 	coeffs := make([]float64, 1<<16)
 	coeffs[100] = 1
 	coeffs[60000] = -2
-	b := NewSparseBlock(coeffs)
+	b := sparseBlock(coeffs)
 	defl, err := b.DeflatedSizeBytes()
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,7 @@ package compress
 // Property tests pinning the parallel selection and coding paths to the
 // serial reference implementations, bit for bit: ThresholdSlices against
 // thresholdSerial (the original quickselect code, kept below),
-// and NewSparseBlockP/DecodeInto against the obvious append-growth
+// and EncodeSurvivorBlocks/DecodeInto against the obvious append-growth
 // encoder. Each runs at both precisions. Run under -race by `make check`
 // to also prove the chunked passes are data-race free.
 
@@ -46,8 +46,12 @@ func thresholdAt[F num.Float](ref []float64, keep, workers int) ([]float64, int)
 }
 
 func encodeAt[F num.Float](ref []float64, workers int) *SparseBlock {
-	return NewSparseBlockP(convertTo[F](ref), workers)
+	return EncodeSurvivorBlocks(Nonzeros([][]F{convertTo[F](ref)}, workers), workers)[0]
 }
+
+// sparseBlock encodes one dense coefficient slice the way the window
+// encoder does; zero-valued coefficients are discarded.
+func sparseBlock(coeffs []float64) *SparseBlock { return encodeAt[float64](coeffs, 1) }
 
 func decodeAt[F num.Float](b *SparseBlock, workers int) ([]float64, error) {
 	out := make([]F, b.Total)
@@ -69,6 +73,21 @@ func refSparseBlock(coeffs []float64) *SparseBlock {
 		}
 	}
 	return b
+}
+
+// refDecode is the serial decoder DecodeInto is pinned against: it
+// expands b into a dense slice of length Total, discarded coefficients
+// zero.
+func refDecode(b *SparseBlock) []float64 {
+	out := make([]float64, b.Total)
+	vi := 0
+	for i := 0; i < b.Total; i++ {
+		if b.Bitmap[i>>3]&(1<<uint(i&7)) != 0 {
+			out[i] = float64(b.Values[vi])
+			vi++
+		}
+	}
+	return out
 }
 
 // tieHeavy returns a coefficient set dominated by a handful of repeated
@@ -218,7 +237,7 @@ func TestSparseBlockMatchesSerial(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s n=%d: DecodeInto: %v", p.name, n, err)
 				}
-				sliceBitIdentical(t, p.name+" decode", out, want.Decode())
+				sliceBitIdentical(t, p.name+" decode", out, refDecode(want))
 			}
 		}
 	}

@@ -11,7 +11,7 @@ func FuzzReadSparseBlock(f *testing.F) {
 	coeffs := make([]float64, 64)
 	coeffs[3], coeffs[40] = 1.5, -2.25
 	var buf bytes.Buffer
-	if _, err := NewSparseBlock(coeffs).WriteTo(&buf); err != nil {
+	if _, err := sparseBlock(coeffs).WriteTo(&buf); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
@@ -26,9 +26,8 @@ func FuzzReadSparseBlock(f *testing.F) {
 		if b.Retained() > b.Total {
 			t.Fatalf("retained %d > total %d accepted", b.Retained(), b.Total)
 		}
-		dec := b.Decode()
-		if len(dec) != b.Total {
-			t.Fatalf("decoded %d values, total %d", len(dec), b.Total)
+		if err := DecodeInto(b, make([]float64, b.Total), 2); err != nil {
+			t.Fatalf("accepted block does not decode: %v", err)
 		}
 	})
 }
@@ -38,7 +37,7 @@ func FuzzReadDeflatedSparseBlock(f *testing.F) {
 	coeffs := make([]float64, 32)
 	coeffs[5] = 9
 	var buf bytes.Buffer
-	if _, err := NewSparseBlock(coeffs).WriteDeflated(&buf); err != nil {
+	if _, err := sparseBlock(coeffs).WriteDeflated(&buf); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())

@@ -34,28 +34,8 @@ type SparseBlock struct {
 // a multiple of 8 so no two chunks ever share a bitmap byte.
 const sparseChunk = 1 << 15
 
-// NewSparseBlock encodes a (typically thresholded) coefficient slice.
-// Zero-valued coefficients are treated as discarded.
-func NewSparseBlock(coeffs []float64) *SparseBlock {
-	return NewSparseBlockP(coeffs, 1)
-}
-
-// NewSparseBlockP is NewSparseBlock with the nonzero scan on up to workers
-// goroutines. Output is identical for every worker count, and identical at
-// float32 to encoding the widened float64 copy: the block stores 32-bit
-// values either way.
-func NewSparseBlockP[F num.Float](coeffs []F, workers int) *SparseBlock {
-	return EncodeBlocks([][]F{coeffs}, workers)[0]
-}
-
 // Retained returns the number of surviving coefficients.
 func (b *SparseBlock) Retained() int { return len(b.Values) }
-
-// EncodeBlocks encodes one block per dense coefficient slice: the nonzeros
-// are collected (Nonzeros) and encoded by EncodeSurvivorBlocks.
-func EncodeBlocks[F num.Float](datas [][]F, workers int) []*SparseBlock {
-	return EncodeSurvivorBlocks(Nonzeros(datas, workers), workers)
-}
 
 // EncodeSurvivorBlocks encodes one block per survivor list (see
 // CheckSurvivors for the input contract), with all blocks, bitmaps, and
@@ -101,20 +81,6 @@ func EncodeSurvivorBlocks(survs []Survivors, workers int) []*SparseBlock {
 		}
 	})
 	return blocks
-}
-
-// Decode expands the block back into a dense coefficient slice of length
-// Total (discarded coefficients are zero).
-func (b *SparseBlock) Decode() []float64 {
-	out := make([]float64, b.Total)
-	vi := 0
-	for i := 0; i < b.Total; i++ {
-		if b.Bitmap[i>>3]&(1<<uint(i&7)) != 0 {
-			out[i] = float64(b.Values[vi])
-			vi++
-		}
-	}
-	return out
 }
 
 // DecodeInto expands b into out, which must have length b.Total, on up to

@@ -400,7 +400,7 @@ func TestReadCompressedWindowRejectsGarbage(t *testing.T) {
 		{"spatial levels", func(h []byte) { le.PutUint32(h[8:12], maxHeaderLevels+1) }},
 		{"temporal levels", func(h []byte) { le.PutUint32(h[12:16], maxHeaderLevels+1) }},
 		{"zero dims", func(h []byte) { le.PutUint32(h[24:28], 0) }},
-		{"axis cap", func(h []byte) { le.PutUint32(h[32:36], maxHeaderAxis+1) }},
+		{"axis cap", func(h []byte) { le.PutUint32(h[32:36], grid.MaxAxis+1) }},
 		{"zero slices", func(h []byte) { le.PutUint32(h[36:40], 0) }},
 		{"slice cap", func(h []byte) { le.PutUint32(h[36:40], maxHeaderSlices+1) }},
 	}

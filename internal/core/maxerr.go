@@ -60,7 +60,7 @@ func axisSupport(group []int, levels int) (lo, hi []int) {
 	lo = make([]int, n)
 	hi = make([]int, n)
 	shift := func(v, s int) int {
-		// Coordinates are bounded by maxHeaderAxis (2^20); a shift past
+		// Coordinates are bounded by grid.MaxAxis (2^20); a shift past
 		// 21 bits already covers any axis, so cap it to keep the
 		// arithmetic in range for forged 64-level headers.
 		if s > 21 {

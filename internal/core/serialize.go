@@ -57,7 +57,6 @@ const headerFlags = progressiveFlag | precisionFlag
 // represented in the fixed-width header without silent truncation.
 const (
 	maxHeaderLevels = 64      // decomposition levels; MaxLevels caps far below this
-	maxHeaderAxis   = 1 << 20 // per-axis dimension (far beyond any real grid)
 	maxHeaderSlices = 1 << 20 // time slices per window
 )
 
@@ -79,8 +78,8 @@ func (cw *CompressedWindow) appendHeader(cdc codec.Codec, numSlices int) ([]byte
 		return nil, fmt.Errorf("core: decomposition levels %d/%d outside header range [0, %d]",
 			cw.SpatialLevels, cw.TemporalLevels, maxHeaderLevels)
 	}
-	if cw.Dims.Nx > maxHeaderAxis || cw.Dims.Ny > maxHeaderAxis || cw.Dims.Nz > maxHeaderAxis {
-		return nil, fmt.Errorf("core: dims %v exceed header axis cap %d", cw.Dims, maxHeaderAxis)
+	if cw.Dims.Nx > grid.MaxAxis || cw.Dims.Ny > grid.MaxAxis || cw.Dims.Nz > grid.MaxAxis {
+		return nil, fmt.Errorf("core: dims %v exceed header axis cap %d", cw.Dims, grid.MaxAxis)
 	}
 	if numSlices > maxHeaderSlices {
 		return nil, fmt.Errorf("core: %d slices exceed header cap %d", numSlices, maxHeaderSlices)
@@ -307,7 +306,7 @@ func parseHeader(hdr []byte) (*CompressedWindow, int, error) {
 	// Per-axis cap prevents integer overflow in Dims.Len() and bounds
 	// allocations against forged headers (2^20 per axis is far beyond any
 	// real grid).
-	if cw.Dims.Nx > maxHeaderAxis || cw.Dims.Ny > maxHeaderAxis || cw.Dims.Nz > maxHeaderAxis {
+	if cw.Dims.Nx > grid.MaxAxis || cw.Dims.Ny > grid.MaxAxis || cw.Dims.Nz > grid.MaxAxis {
 		return nil, 0, fmt.Errorf("core: implausible dims %v in header", cw.Dims)
 	}
 	if numSlices < 1 || numSlices > maxHeaderSlices {

@@ -167,6 +167,3 @@ func (r *BitReader) ReadExpGolomb(k uint) (uint64, error) {
 	vp := 1<<(n-1) | rest
 	return vp - 1<<k, nil
 }
-
-// Remaining returns the number of unread bits.
-func (r *BitReader) Remaining() int { return len(r.buf)*8 - r.pos }

@@ -87,12 +87,6 @@ func (b *Block) Total() int { return b.total }
 // Retained returns the number of surviving (nonzero) coefficients.
 func (b *Block) Retained() int { return b.retained }
 
-// Lossless reports whether the block stores exact float32 bits.
-func (b *Block) Lossless() bool { return b.lossless }
-
-// Step returns the quantization step (0 for lossless blocks).
-func (b *Block) Step() float64 { return b.step }
-
 // EncodedSizeBytes returns the exact serialized size of the block.
 func (b *Block) EncodedSizeBytes() int64 {
 	return headerSize + int64(len(b.lengths)) + 4*int64(len(b.chunkLen)) + int64(len(b.payload))
@@ -415,17 +409,6 @@ func gapOrder(n, k int) uint8 {
 		o = 30
 	}
 	return uint8(o)
-}
-
-// classSymbol maps a quantized level to its Huffman symbol: the magnitude
-// class for in-range levels, the escape symbol (bitDepth+1) beyond.
-func classSymbol(level int64, bitDepth int) int {
-	mag := levelMag(level)
-	c := magClass(mag)
-	if c > bitDepth {
-		return bitDepth + 1
-	}
-	return c
 }
 
 // levelMag returns |level| as a uint64. Levels are clamped to ±2^62 by

@@ -255,7 +255,7 @@ func TestBlockRoundtripBitDepthMode(t *testing.T) {
 	}
 	// In bit-depth mode the step adapts to the block's own max magnitude,
 	// so the bound is step/2 for every in-range value.
-	bound := b.Step() / 2 * (1 + 1e-9)
+	bound := b.step / 2 * (1 + 1e-9)
 	out := make([]float64, len(coeffs))
 	if err := b.DecodeInto(out, 4); err != nil {
 		t.Fatal(err)

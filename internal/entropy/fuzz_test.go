@@ -45,11 +45,11 @@ func FuzzEntropyRoundtrip(f *testing.F) {
 		}
 		// The adaptive step guarantees |err| <= step/2 for every retained
 		// value; the relative slack absorbs the float64 division rounding.
-		bound := b.Step()/2 + math.Abs(b.Step())*1e-9
+		bound := b.step/2 + math.Abs(b.step)*1e-9
 		for i, v := range coeffs {
 			diff := math.Abs(out[i] - v)
 			if diff > bound+math.Abs(v)*1e-12 {
-				t.Fatalf("i=%d v=%g: err %g > bound %g (step %g)", i, v, diff, bound, b.Step())
+				t.Fatalf("i=%d v=%g: err %g > bound %g (step %g)", i, v, diff, bound, b.step)
 			}
 		}
 	})

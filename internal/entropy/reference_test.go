@@ -301,3 +301,14 @@ func TestEncodeSurvivorsAllocs(t *testing.T) {
 		}
 	}
 }
+
+// classSymbol maps a quantized level to its Huffman symbol: the magnitude
+// class for in-range levels, the escape symbol (bitDepth+1) beyond.
+func classSymbol(level int64, bitDepth int) int {
+	mag := levelMag(level)
+	c := magClass(mag)
+	if c > bitDepth {
+		return bitDepth + 1
+	}
+	return c
+}

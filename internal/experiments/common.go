@@ -167,14 +167,6 @@ func (c *memoCache) get(key string, gen func() (*grid.Window, error)) (*grid.Win
 	return w, nil
 }
 
-// ClearCache drops all memoized datasets (used by benchmarks that want to
-// measure generation cost).
-func ClearCache() {
-	datasets.mu.Lock()
-	datasets.m = make(map[string]*grid.Window)
-	datasets.mu.Unlock()
-}
-
 // fprintf writes formatted output, ignoring nil writers.
 func fprintf(w io.Writer, format string, args ...any) {
 	if w != nil {

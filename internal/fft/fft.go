@@ -41,9 +41,6 @@ func NewPlan(n int) (*Plan, error) {
 	return p, nil
 }
 
-// Len returns the transform length.
-func (p *Plan) Len() int { return p.n }
-
 // Forward transforms x in place. len(x) must equal the plan length.
 func (p *Plan) Forward(x []complex128) {
 	p.transform(x, false)
@@ -88,33 +85,3 @@ func (p *Plan) transform(x []complex128, inverse bool) {
 		}
 	}
 }
-
-// naiveDFT computes the O(n^2) reference transform; exported for tests via
-// DFTReference.
-func naiveDFT(x []complex128, inverse bool) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	for k := 0; k < n; k++ {
-		var sum complex128
-		for j := 0; j < n; j++ {
-			angle := sign * 2 * math.Pi * float64(k) * float64(j) / float64(n)
-			sum += x[j] * complex(math.Cos(angle), math.Sin(angle))
-		}
-		out[k] = sum
-	}
-	if inverse {
-		scale := complex(1/float64(n), 0)
-		for i := range out {
-			out[i] *= scale
-		}
-	}
-	return out
-}
-
-// DFTReference computes the direct O(n^2) DFT (forward, unscaled) for
-// validation.
-func DFTReference(x []complex128) []complex128 { return naiveDFT(x, false) }

@@ -25,9 +25,6 @@ func NewPlan3(n, workers int) (*Plan3, error) {
 	return &Plan3{n: n, plan: p, workers: par.Workers(workers)}, nil
 }
 
-// Len returns the cube side length.
-func (p *Plan3) Len() int { return p.n }
-
 // Forward transforms the cube in place along X, Y, then Z.
 func (p *Plan3) Forward(a []complex128) { p.transform(a, false) }
 

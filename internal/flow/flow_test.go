@@ -1,9 +1,7 @@
 package flow
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 
 	"stwave/internal/grid"
@@ -328,106 +326,6 @@ func TestDeviationMonotoneInThreshold(t *testing.T) {
 			t.Errorf("error %g at D=%g exceeds error %g at smaller D", e, d, prev)
 		}
 		prev = e
-	}
-}
-
-func TestStreamlineMatchesPathlineInSteadyFlow(t *testing.T) {
-	// In a steady field, streamlines and pathlines coincide.
-	vs := rotationSeries(t, 17, 100, 0.3, []float64{0, 1000})
-	opt := AdvectOptions{Dt: 0.05, Steps: 200}
-	seed := Vec3{65, 50, 50}
-	path, err := Advect(vs, seed, 0, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream, err := Streamline(vs, seed, 0, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range path.Points {
-		if d := path.Points[i].Dist(stream.Points[i]); d > 1e-9 {
-			t.Fatalf("steady flow: streamline deviates from pathline by %g at step %d", d, i)
-		}
-	}
-}
-
-func TestStreamlineDiffersInUnsteadyFlow(t *testing.T) {
-	// Velocity that reverses over time: the pathline feels the reversal,
-	// the streamline (frozen at t=0) does not.
-	n := 9
-	mkSlice := func(u0 float64, tt float64) VectorSlice {
-		u := grid.NewField3D(n, n, n)
-		v := grid.NewField3D(n, n, n)
-		w := grid.NewField3D(n, n, n)
-		u.Fill(u0)
-		return VectorSlice{U: u, V: v, W: w, Time: tt}
-	}
-	vs, err := NewVectorSeries(Domain{Spacing: Vec3{1, 1, 1}},
-		[]VectorSlice{mkSlice(1, 0), mkSlice(-1, 10)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := AdvectOptions{Dt: 0.1, Steps: 100} // 10 time units
-	seed := Vec3{4, 4, 4}
-	path, err := Advect(vs, seed, 0, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream, err := Streamline(vs, seed, 0, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Streamline moves +x at speed 1 for 10 units; pathline decelerates and
-	// turns around.
-	if math.Abs(stream.End().X-14) > 1e-9 {
-		t.Errorf("streamline end %g, want 14", stream.End().X)
-	}
-	if path.End().X >= stream.End().X-1 {
-		t.Errorf("pathline (%g) did not feel the reversal vs streamline (%g)", path.End().X, stream.End().X)
-	}
-}
-
-func TestStreamlineValidation(t *testing.T) {
-	vs := uniformSeries(t, 4, 10, 1, 0, 0, []float64{0, 1})
-	if _, err := Streamline(vs, Vec3{}, 0, AdvectOptions{Dt: 0, Steps: 3}); err == nil {
-		t.Error("expected error for zero Dt")
-	}
-	if _, err := Streamline(vs, Vec3{}, 0, AdvectOptions{Dt: 0.1, Steps: 0}); err == nil {
-		t.Error("expected error for zero steps")
-	}
-}
-
-func TestWritePathlinesVTK(t *testing.T) {
-	vs := uniformSeries(t, 4, 10, 1, 0, 0, []float64{0, 10})
-	opt := AdvectOptions{Dt: 1, Steps: 3}
-	pls, err := AdvectAll(vs, []Vec3{{1, 1, 1}, {2, 2, 2}}, 0, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WritePathlinesVTK(&buf, pls, "test pathlines"); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"# vtk DataFile Version 3.0",
-		"DATASET POLYDATA",
-		"POINTS 8 float",
-		"LINES 2 10",
-		"POINT_DATA 8",
-		"SCALARS t float",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("VTK output missing %q", want)
-		}
-	}
-	// First point of first line is the seed.
-	if !strings.Contains(out, "1 1 1\n") {
-		t.Error("seed point missing from POINTS")
-	}
-	// Connectivity of the second polyline references global indices 4-7.
-	if !strings.Contains(out, "4 4 5 6 7") {
-		t.Error("second polyline connectivity wrong")
 	}
 }
 

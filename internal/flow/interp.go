@@ -76,11 +76,6 @@ func NewVectorSeries(dom Domain, slices []VectorSlice) (*VectorSeries, error) {
 // Dims returns the grid extents.
 func (vs *VectorSeries) Dims() grid.Dims { return vs.Slices[0].U.Dims }
 
-// TimeBounds returns the first and last slice times.
-func (vs *VectorSeries) TimeBounds() (t0, t1 float64) {
-	return vs.Slices[0].Time, vs.Slices[len(vs.Slices)-1].Time
-}
-
 // trilinear interpolates field f at fractional grid coordinates (gx, gy,
 // gz), clamping to the grid boundary.
 func trilinear(f *grid.Field3D, gx, gy, gz float64) float64 {

@@ -16,6 +16,8 @@ package grid
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 
 	"stwave/internal/num"
 )
@@ -33,6 +35,28 @@ func (d Dims) Valid() bool { return d.Nx > 0 && d.Ny > 0 && d.Nz > 0 }
 
 // String renders the dims as "NxXNyXNz".
 func (d Dims) String() string { return fmt.Sprintf("%dx%dx%d", d.Nx, d.Ny, d.Nz) }
+
+// MaxAxis is the largest per-axis extent a container header stores (far
+// beyond any real grid). The cap keeps Dims.Len from overflowing.
+const MaxAxis = 1 << 20
+
+// ParseDims parses an operator's NXxNYxNZ extent, such as 64x64x32 (the
+// separator may be upper case). Each axis must lie in [1, MaxAxis].
+func ParseDims(s string) (Dims, error) {
+	parts := strings.Split(strings.ToLower(s), "x")
+	if len(parts) != 3 {
+		return Dims{}, fmt.Errorf("dims must be NXxNYxNZ, got %q", s)
+	}
+	var v [3]int
+	for i, p := range parts {
+		n, err := strconv.Atoi(p)
+		if err != nil || n < 1 || n > MaxAxis {
+			return Dims{}, fmt.Errorf("bad dimension %q in %q: each axis must be an integer in [1, %d]", p, s, MaxAxis)
+		}
+		v[i] = n
+	}
+	return Dims{Nx: v[0], Ny: v[1], Nz: v[2]}, nil
+}
 
 // Field3DOf is a scalar field sampled on a 3D rectilinear grid, with
 // samples stored at precision F.
@@ -79,11 +103,6 @@ func FromDataOf[F num.Float](nx, ny, nz int, data []F) (*Field3DOf[F], error) {
 		return nil, fmt.Errorf("grid: data length %d does not match dims %v (%d)", len(data), d, d.Len())
 	}
 	return &Field3DOf[F]{Dims: d, Data: data}, nil
-}
-
-// FromData wraps an existing float64 sample slice as a field.
-func FromData(nx, ny, nz int, data []float64) (*Field3D, error) {
-	return FromDataOf(nx, ny, nz, data)
 }
 
 // Widen returns a float64 copy of the field (the identity copy when F is
@@ -137,27 +156,9 @@ func (f *Field3DOf[F]) MinMax() (min, max F) {
 	return min, max
 }
 
-// Range returns max-min of the field's samples, used to normalize error
-// metrics ("errors are normalized by the range of the data").
-func (f *Field3DOf[F]) Range() F {
-	min, max := f.MinMax()
-	return max - min
-}
-
 // Fill sets every sample to v.
 func (f *Field3DOf[F]) Fill(v F) {
 	for i := range f.Data {
 		f.Data[i] = v
 	}
-}
-
-// AddScaled accumulates a*g into f point-wise. Dims must match.
-func (f *Field3DOf[F]) AddScaled(a F, g *Field3DOf[F]) error {
-	if f.Dims != g.Dims {
-		return fmt.Errorf("grid: dims mismatch %v vs %v", f.Dims, g.Dims)
-	}
-	for i := range f.Data {
-		f.Data[i] += a * g.Data[i]
-	}
-	return nil
 }

@@ -54,17 +54,17 @@ func TestFieldIndexing(t *testing.T) {
 
 func TestFromData(t *testing.T) {
 	data := make([]float64, 24)
-	f, err := FromData(2, 3, 4, data)
+	f, err := FromDataOf(2, 3, 4, data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.Dims != (Dims{2, 3, 4}) {
 		t.Errorf("dims = %v", f.Dims)
 	}
-	if _, err := FromData(2, 3, 4, make([]float64, 23)); err == nil {
+	if _, err := FromDataOf(2, 3, 4, make([]float64, 23)); err == nil {
 		t.Error("expected length-mismatch error")
 	}
-	if _, err := FromData(0, 3, 4, nil); err == nil {
+	if _, err := FromDataOf[float64](0, 3, 4, nil); err == nil {
 		t.Error("expected invalid-dims error")
 	}
 }
@@ -94,26 +94,6 @@ func TestMinMaxRange(t *testing.T) {
 	min, max := f.MinMax()
 	if min != -1 || max != 7 {
 		t.Errorf("MinMax = (%g, %g), want (-1, 7)", min, max)
-	}
-	if f.Range() != 8 {
-		t.Errorf("Range = %g, want 8", f.Range())
-	}
-}
-
-func TestAddScaled(t *testing.T) {
-	f := NewField3D(2, 1, 1)
-	g := NewField3D(2, 1, 1)
-	f.Data[0], f.Data[1] = 1, 2
-	g.Data[0], g.Data[1] = 10, 20
-	if err := f.AddScaled(0.5, g); err != nil {
-		t.Fatal(err)
-	}
-	if f.Data[0] != 6 || f.Data[1] != 12 {
-		t.Errorf("AddScaled result %v", f.Data)
-	}
-	h := NewField3D(3, 1, 1)
-	if err := f.AddScaled(1, h); err == nil {
-		t.Error("expected dims-mismatch error")
 	}
 }
 
@@ -343,72 +323,5 @@ func TestQuickWindowInvariants(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestResampleIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	f := randField(rng, 5, 6, 7)
-	g, err := f.Resample(5, 6, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range f.Data {
-		if math.Abs(f.Data[i]-g.Data[i]) > 1e-12 {
-			t.Fatalf("identity resample changed sample %d", i)
-		}
-	}
-}
-
-func TestResampleLinearFieldExact(t *testing.T) {
-	// Trilinear resampling reproduces a trilinear function exactly at any
-	// resolution.
-	f := NewField3D(4, 4, 4)
-	fn := func(x, y, z float64) float64 { return 1 + 2*x - y + 0.5*z }
-	for z := 0; z < 4; z++ {
-		for y := 0; y < 4; y++ {
-			for x := 0; x < 4; x++ {
-				f.Set(x, y, z, fn(float64(x), float64(y), float64(z)))
-			}
-		}
-	}
-	up, err := f.Resample(7, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for z := 0; z < 5; z++ {
-		gz := float64(z) * 3.0 / 4.0
-		for y := 0; y < 10; y++ {
-			gy := float64(y) * 3.0 / 9.0
-			for x := 0; x < 7; x++ {
-				gx := float64(x) * 3.0 / 6.0
-				want := fn(gx, gy, gz)
-				if got := up.At(x, y, z); math.Abs(got-want) > 1e-12 {
-					t.Fatalf("resample(%d,%d,%d) = %g, want %g", x, y, z, got, want)
-				}
-			}
-		}
-	}
-}
-
-func TestResampleCornersPreserved(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	f := randField(rng, 6, 6, 6)
-	g, err := f.Resample(13, 9, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(g.At(0, 0, 0)-f.At(0, 0, 0)) > 1e-12 {
-		t.Error("origin corner not preserved")
-	}
-	if math.Abs(g.At(12, 8, 3)-f.At(5, 5, 5)) > 1e-12 {
-		t.Error("far corner not preserved")
-	}
-}
-
-func TestResampleValidation(t *testing.T) {
-	f := NewField3D(4, 4, 4)
-	if _, err := f.Resample(0, 4, 4); err == nil {
-		t.Error("expected error for zero extent")
 	}
 }

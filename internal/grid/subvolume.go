@@ -27,25 +27,6 @@ func (f *Field3DOf[F]) SubVolume(x0, y0, z0, nx, ny, nz int) (*Field3DOf[F], err
 	return out, nil
 }
 
-// SubWindow applies SubVolume to every slice, preserving times.
-func (w *WindowOf[F]) SubWindow(x0, y0, z0, nx, ny, nz int) (*WindowOf[F], error) {
-	out := NewWindowOf[F](Dims{Nx: nx, Ny: ny, Nz: nz})
-	for i, s := range w.Slices {
-		sub, err := s.SubVolume(x0, y0, z0, nx, ny, nz)
-		if err != nil {
-			return nil, fmt.Errorf("grid: slice %d: %w", i, err)
-		}
-		t := float64(i)
-		if w.Times != nil {
-			t = w.Times[i]
-		}
-		if err := out.Append(sub, t); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // SliceXY extracts the 2D plane z = k as a Ny x Nx row-major sample grid
 // (for rendering and quick inspection).
 func (f *Field3DOf[F]) SliceXY(k int) ([][]F, error) {

@@ -280,7 +280,7 @@ func (c Config) compressors() ([]*core.Compressor, error) {
 // which overrides cfg.Opts.Precision; cfg must pass Validate. The writer
 // stays owned by the caller: on success close it to finalize the footer;
 // after a failed run the file is still a valid journal for
-// RecoverContainer — that is the crash-consistent drain.
+// RecoverContainerOpts — that is the crash-consistent drain.
 func NewEngineOf[F num.Float](cfg Config, dims grid.Dims, w *storage.ContainerWriter) (*EngineOf[F], error) {
 	cfg.Opts.Precision = core.Float64
 	if num.Is32[F]() {

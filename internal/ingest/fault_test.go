@@ -149,7 +149,7 @@ func TestIngestENOSPCDegrade(t *testing.T) {
 	}
 	ff.SetFreeSpace(coarse) // ratio-4 record cannot fit, ratio-8 exactly does
 	fwd := obs.Default().Histogram("transform.forward_3d_seconds." + testOpts().SpatialKernel.Slug())
-	fwd0 := fwd.Count()
+	fwd0 := fwd.Snapshot().Count
 	stats, err := eng.Run(newTestSource(t), 4)
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func TestIngestENOSPCDegrade(t *testing.T) {
 		t.Fatalf("stats = %+v, want exactly one degrade step to ratio 8", stats)
 	}
 	// The rung re-selects from the retained coefficients: one transform.
-	if n := fwd.Count() - fwd0; n != 1 {
+	if n := fwd.Snapshot().Count - fwd0; n != 1 {
 		t.Fatalf("degraded window ran %d forward transforms, want 1", n)
 	}
 	r, err := storage.OpenContainer(path)
@@ -414,7 +414,7 @@ func TestIngestCrashConsistentDrain(t *testing.T) {
 		t.Fatalf("%d slices left staged, want the 8 never journaled", n)
 	}
 	// Crash: no Close, no footer. Recover from the journal alone.
-	rep, err := storage.RecoverContainer(path)
+	rep, err := storage.RecoverContainerOpts(path, storage.RecoverOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

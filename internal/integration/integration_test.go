@@ -1,7 +1,6 @@
 // Package integration exercises whole pipelines across modules: simulation
 // output through the streaming compressor into container files and back,
-// the progressive coder on top of real wavelet coefficients, the Lorenzo
-// baseline against the wavelet codec on identical data, and fault
+// the Lorenzo baseline against the wavelet codec on identical data, and fault
 // injection on the on-disk formats.
 package integration
 
@@ -13,15 +12,11 @@ import (
 	"testing"
 
 	"stwave/internal/baseline"
-	"stwave/internal/coder"
 	"stwave/internal/core"
 	"stwave/internal/grid"
 	"stwave/internal/metrics"
 	"stwave/internal/sim/ghost"
-	"stwave/internal/sim/synth"
 	"stwave/internal/storage"
-	"stwave/internal/transform"
-	"stwave/internal/wavelet"
 )
 
 // ghostWindow runs a short solver and collects slices.
@@ -129,76 +124,6 @@ func TestSimulationToContainerAndBack(t *testing.T) {
 		if v != full.Slices[3].Data[i] {
 			t.Fatal("random-access slice differs from full decode")
 		}
-	}
-}
-
-// TestProgressiveCoderOverWaveletCoefficients layers the embedded coder on
-// a real 4D-transformed window: decoding increasing prefixes must yield
-// monotonically improving reconstructions of the actual field.
-func TestProgressiveCoderOverWaveletCoefficients(t *testing.T) {
-	f, err := synth.NewField(synth.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := f.ScalarWindow(16, 16, 16, 10, 0, 1)
-	orig := w.Clone()
-	spec := transform.Spec{
-		SpatialKernel:  wavelet.CDF97,
-		SpatialLevels:  -1,
-		TemporalKernel: wavelet.CDF97,
-		TemporalLevels: -1,
-	}
-	if err := transform.Forward4D(w, spec); err != nil {
-		t.Fatal(err)
-	}
-	// Flatten coefficients, encode progressively.
-	all := make([]float64, 0, w.TotalSamples())
-	for _, s := range w.Slices {
-		all = append(all, s.Data...)
-	}
-	stream, err := coder.Encode(all, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	reconstructAt := func(bytes int) float64 {
-		dec, err := coder.Decode(stream[:bytes])
-		if err != nil {
-			t.Fatal(err)
-		}
-		rw := grid.NewWindow(w.Dims)
-		off := 0
-		for i := range w.Slices {
-			g := grid.NewField3D(w.Dims.Nx, w.Dims.Ny, w.Dims.Nz)
-			copy(g.Data, dec[off:off+len(g.Data)])
-			off += len(g.Data)
-			if err := rw.Append(g, float64(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := transform.Inverse4D(rw, spec); err != nil {
-			t.Fatal(err)
-		}
-		ac := metrics.NewAccumulator()
-		for i := range orig.Slices {
-			if err := ac.Add(orig.Slices[i].Data, rw.Slices[i].Data); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return ac.NRMSE()
-	}
-
-	quarter := reconstructAt(len(stream) / 4)
-	half := reconstructAt(len(stream) / 2)
-	full := reconstructAt(len(stream))
-	if !(full <= half && half <= quarter) {
-		t.Errorf("progressive errors not monotone: 1/4=%.4g 1/2=%.4g full=%.4g", quarter, half, full)
-	}
-	if full > 1e-4 {
-		t.Errorf("full-stream NRMSE %.4g too large", full)
-	}
-	if quarter <= 0 {
-		t.Error("quarter-stream reconstruction suspiciously exact")
 	}
 }
 

@@ -1,7 +1,6 @@
 package isosurface
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -188,123 +187,5 @@ func BenchmarkExtractSphere32(b *testing.B) {
 		if _, err := Extract(f, 0, Options{}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestSurfaceNetsSphereAreaAgreesWithMarchingTetrahedra(t *testing.T) {
-	f := sphereField(32, 11)
-	mt, err := Extract(f, 0, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sn, err := ExtractSurfaceNets(f, 0, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 4 * math.Pi * 11 * 11
-	mtArea, snArea := mt.SurfaceArea(), sn.SurfaceArea()
-	if rel := math.Abs(snArea-want) / want; rel > 0.05 {
-		t.Errorf("surface nets sphere area off by %.3f", rel)
-	}
-	// Two independent algorithms must agree within a few percent.
-	if rel := math.Abs(snArea-mtArea) / mtArea; rel > 0.06 {
-		t.Errorf("surface nets (%.4g) and marching tetrahedra (%.4g) disagree by %.3f", snArea, mtArea, rel)
-	}
-	// Dual meshes are far leaner than simplicial ones.
-	if len(sn.Triangles) >= len(mt.Triangles) {
-		t.Errorf("surface nets has %d triangles vs MT %d — dual should be leaner", len(sn.Triangles), len(mt.Triangles))
-	}
-}
-
-func TestSurfaceNetsPlane(t *testing.T) {
-	n := 10
-	f := grid.NewField3D(n, n, n)
-	for z := 0; z < n; z++ {
-		for y := 0; y < n; y++ {
-			for x := 0; x < n; x++ {
-				f.Set(x, y, z, float64(z)-4.5)
-			}
-		}
-	}
-	m, err := ExtractSurfaceNets(f, 0, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Interior-only stitching drops the boundary quads: the z-edge loop
-	// runs x,y over [1, n-2], giving (n-2)^2 unit quads.
-	want := float64((n - 2) * (n - 2))
-	if got := m.SurfaceArea(); math.Abs(got-want) > 1e-9 {
-		t.Errorf("plane area %g, want %g (interior quads)", got, want)
-	}
-}
-
-func TestSurfaceNetsEmptyAndValidation(t *testing.T) {
-	f := grid.NewField3D(4, 4, 4)
-	f.Fill(1)
-	m, err := ExtractSurfaceNets(f, 5, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Triangles) != 0 {
-		t.Error("isovalue outside range produced triangles")
-	}
-	if _, err := ExtractSurfaceNets(grid.NewField3D(1, 4, 4), 0, Options{}); err == nil {
-		t.Error("expected error for degenerate grid")
-	}
-}
-
-func TestSTLRoundTrip(t *testing.T) {
-	f := sphereField(16, 5)
-	m, err := Extract(f, 0, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := m.WriteSTL(&buf, "sphere"); err != nil {
-		t.Fatal(err)
-	}
-	wantSize := 84 + 50*len(m.Triangles)
-	if buf.Len() != wantSize {
-		t.Errorf("STL size %d, want %d", buf.Len(), wantSize)
-	}
-	back, err := ReadSTL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Triangles) != len(m.Triangles) {
-		t.Fatalf("round trip triangle count %d vs %d", len(back.Triangles), len(m.Triangles))
-	}
-	// Areas agree to float32 precision.
-	if rel := math.Abs(back.SurfaceArea()-m.SurfaceArea()) / m.SurfaceArea(); rel > 1e-5 {
-		t.Errorf("round trip area differs by %.3g", rel)
-	}
-}
-
-func TestReadSTLRejectsGarbage(t *testing.T) {
-	if _, err := ReadSTL(bytes.NewReader([]byte("short"))); err == nil {
-		t.Error("expected error for truncated header")
-	}
-	// Valid header, implausible count.
-	data := make([]byte, 84)
-	data[80], data[81], data[82], data[83] = 0xFF, 0xFF, 0xFF, 0x7F
-	if _, err := ReadSTL(bytes.NewReader(data)); err == nil {
-		t.Error("expected error for implausible count")
-	}
-	// Count says 1 facet but no payload.
-	data = make([]byte, 84)
-	data[80] = 1
-	if _, err := ReadSTL(bytes.NewReader(data)); err == nil {
-		t.Error("expected error for truncated facets")
-	}
-}
-
-func TestFacetNormalDegenerate(t *testing.T) {
-	nx, ny, nz := facetNormal(Triangle{A: Vec3{1, 1, 1}, B: Vec3{1, 1, 1}, C: Vec3{1, 1, 1}})
-	if nx != 0 || ny != 0 || nz != 0 {
-		t.Error("degenerate facet normal not zero")
-	}
-	nx, ny, nz = facetNormal(Triangle{A: Vec3{0, 0, 0}, B: Vec3{1, 0, 0}, C: Vec3{0, 1, 0}})
-	if math.Abs(nz-1) > 1e-15 || nx != 0 || ny != 0 {
-		t.Errorf("xy triangle normal (%g,%g,%g), want (0,0,1)", nx, ny, nz)
 	}
 }

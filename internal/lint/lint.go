@@ -110,7 +110,6 @@ func DefaultConfig() Config {
 	return Config{
 		TruncScope: []string{
 			"internal/core",
-			"internal/coder",
 			"internal/storage",
 			"internal/compress",
 			"internal/faultio",
@@ -158,7 +157,6 @@ func DefaultConfig() Config {
 			// The one decode body: every reconstruction query (full,
 			// levels=K, one slice) at either precision.
 			"internal/core.Reconstruct",
-			"internal/transform.Workers",
 			// The ingest engine runs Config.Workers compress jobs at
 			// once and splits Opts.Workers between them once, at
 			// construction.

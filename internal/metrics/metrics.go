@@ -30,20 +30,6 @@ func RMSE(a, b []float64) (float64, error) {
 	return math.Sqrt(sum / float64(len(a))), nil
 }
 
-// LInf returns max_i |a_i - b_i|.
-func LInf(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, ErrLengthMismatch
-	}
-	var m float64
-	for i := range a {
-		if d := math.Abs(a[i] - b[i]); d > m {
-			m = d
-		}
-	}
-	return m, nil
-}
-
 // Range returns max(a) - min(a); 0 for empty input.
 func Range(a []float64) float64 {
 	if len(a) == 0 {
@@ -76,15 +62,6 @@ func NRMSE(orig, recon []float64) (float64, error) {
 		return 0, err
 	}
 	return normalize(r, Range(orig)), nil
-}
-
-// NLInf returns the L-infinity norm normalized by the range of orig.
-func NLInf(orig, recon []float64) (float64, error) {
-	l, err := LInf(orig, recon)
-	if err != nil {
-		return 0, err
-	}
-	return normalize(l, Range(orig)), nil
 }
 
 func normalize(err, rng float64) float64 {
@@ -154,9 +131,6 @@ func (ac *Accumulator) Add(orig, recon []float64) error {
 	ac.empty = ac.empty && len(orig) == 0
 	return nil
 }
-
-// Count returns the number of samples accumulated.
-func (ac *Accumulator) Count() int64 { return ac.n }
 
 // RMSE returns the aggregate root mean square error.
 func (ac *Accumulator) RMSE() float64 {

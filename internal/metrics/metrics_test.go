@@ -129,8 +129,8 @@ func TestAccumulatorMatchesSinglePass(t *testing.T) {
 	if math.Abs(ac.NLInf()-wantNLInf) > 1e-12 {
 		t.Errorf("accumulator NLInf %g vs single-pass %g", ac.NLInf(), wantNLInf)
 	}
-	if ac.Count() != int64(n) {
-		t.Errorf("Count = %d, want %d", ac.Count(), n)
+	if ac.n != int64(n) {
+		t.Errorf("n = %d, want %d", ac.n, n)
 	}
 }
 
@@ -190,4 +190,29 @@ func TestQuickNormalizedScaleInvariance(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// LInf returns max_i |a_i - b_i|: the single-pass reference for
+// Accumulator.LInf.
+func LInf(a, b []float64) (float64, error) {
+	if len(a) != len(b) {
+		return 0, ErrLengthMismatch
+	}
+	var m float64
+	for i := range a {
+		if d := math.Abs(a[i] - b[i]); d > m {
+			m = d
+		}
+	}
+	return m, nil
+}
+
+// NLInf returns the L-infinity norm normalized by the range of orig: the
+// single-pass reference for Accumulator.NLInf.
+func NLInf(orig, recon []float64) (float64, error) {
+	l, err := LInf(orig, recon)
+	if err != nil {
+		return 0, err
+	}
+	return normalize(l, Range(orig)), nil
 }

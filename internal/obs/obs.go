@@ -43,6 +43,3 @@ func init() { enabled.Store(true) }
 // pipeline; reads (snapshots, handlers) keep working and report whatever
 // was recorded while enabled.
 func SetEnabled(on bool) { enabled.Store(on) }
-
-// Enabled reports whether recording is currently on.
-func Enabled() bool { return enabled.Load() }

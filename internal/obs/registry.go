@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,10 +12,6 @@ import (
 type Counter struct {
 	v atomic.Int64
 }
-
-// NewCounter returns a standalone counter not attached to any registry
-// (attach it later with Registry.RegisterCounter).
-func NewCounter() *Counter { return &Counter{} }
 
 // Add increments the counter by n. No-op when n is counted on a nil
 // counter or recording is disabled.
@@ -82,10 +77,6 @@ type Histogram struct {
 	sum    atomic.Uint64 // float64 bits, CAS-accumulated
 }
 
-// NewHistogram returns a standalone histogram not attached to any
-// registry (attach it later with Registry.RegisterHistogram).
-func NewHistogram() *Histogram { return &Histogram{} }
-
 // bucketIndex maps an observation to its bucket. Non-positive and NaN
 // observations land in bucket 0 (they have no magnitude to resolve).
 func bucketIndex(v float64) int {
@@ -132,14 +123,6 @@ func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 // ObserveSince records the seconds elapsed since start — the idiomatic
 // deferred form: defer h.ObserveSince(time.Now()).
 func (h *Histogram) ObserveSince(start time.Time) { h.ObserveDuration(time.Since(start)) }
-
-// Count returns the number of recorded samples.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.n.Load()
-}
 
 // HistogramBucket is one non-empty bucket of a snapshot: Count samples
 // were observed at values <= UpperBound (and above the previous bucket's
@@ -300,26 +283,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// RegisterCounter attaches an existing counter under name (replacing any
-// previous instrument with that name) and returns it. This lets a
-// component own its counter — e.g. the server's window cache counts its
-// own hits — while still appearing in the registry's snapshot.
-func (r *Registry) RegisterCounter(name string, c *Counter) *Counter {
-	r.mu.Lock()
-	r.counters[name] = c
-	r.mu.Unlock()
-	return c
-}
-
-// RegisterHistogram attaches an existing histogram under name (replacing
-// any previous instrument with that name) and returns it.
-func (r *Registry) RegisterHistogram(name string, h *Histogram) *Histogram {
-	r.mu.Lock()
-	r.hists[name] = h
-	r.mu.Unlock()
-	return h
-}
-
 // Snapshot is the JSON document form of a registry: instrument name to
 // current value, with map iteration order normalized by the encoder.
 type Snapshot struct {
@@ -329,22 +292,6 @@ type Snapshot struct {
 	Gauges map[string]float64 `json:"gauges,omitempty"`
 	// Histograms maps histogram names to their snapshots.
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-}
-
-// Names returns the sorted names of every instrument in the snapshot.
-func (s Snapshot) Names() []string {
-	names := make([]string, 0, len(s.Counters)+len(s.Gauges)+len(s.Histograms))
-	for n := range s.Counters {
-		names = append(names, n)
-	}
-	for n := range s.Gauges {
-		names = append(names, n)
-	}
-	for n := range s.Histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Snapshot captures every instrument's current value. Per-instrument

@@ -166,16 +166,4 @@ func TestSubVolumeAndWindow(t *testing.T) {
 	if _, err := f.SubVolume(0, 0, 0, 0, 1, 1); err == nil {
 		t.Error("expected error for zero extent")
 	}
-
-	w := grid.NewWindow(f.Dims)
-	if err := w.Append(f, 3.5); err != nil {
-		t.Fatal(err)
-	}
-	sw, err := w.SubWindow(1, 2, 1, 3, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sw.Len() != 1 || sw.Times[0] != 3.5 {
-		t.Errorf("subwindow len %d time %g", sw.Len(), sw.Times[0])
-	}
 }

@@ -73,7 +73,7 @@ func TestMetricsExposesPipeline(t *testing.T) {
 	}
 	for _, name := range []string{"storage.read_seconds", "compress.decode_mb_per_s"} {
 		if snap.Pipeline.Histograms[name].Count < 1 {
-			t.Errorf("pipeline histogram %q absent or empty (names: %v)", name, snap.Pipeline.Names())
+			t.Errorf("pipeline histogram %q absent or empty (histograms: %v)", name, snap.Pipeline.Histograms)
 		}
 	}
 }

@@ -310,30 +310,8 @@ func (s *Solver) Run(steps int) {
 // Time returns the simulation time.
 func (s *Solver) Time() float64 { return s.time }
 
-// Steps returns the number of completed steps.
-func (s *Solver) Steps() int { return s.steps }
-
 // N returns the cell count per axis.
 func (s *Solver) N() int { return s.n }
-
-// TotalMass integrates density over the domain — conserved exactly by the
-// scheme with reflective walls.
-func (s *Solver) TotalMass() float64 {
-	var m float64
-	for _, r := range s.rho {
-		m += r
-	}
-	return m * s.dx * s.dx * s.dx
-}
-
-// TotalEnergy integrates total energy over the domain — also conserved.
-func (s *Solver) TotalEnergy() float64 {
-	var e float64
-	for _, v := range s.e {
-		e += v
-	}
-	return e * s.dx * s.dx * s.dx
-}
 
 // Energy returns the cell-centered specific internal energy field (N³) —
 // the paper's CloverLeaf "energy" variable.
@@ -379,13 +357,6 @@ func (s *Solver) VelocityX() *grid.Field3D {
 			}
 		}
 	}
-	return f
-}
-
-// Density returns the cell-centered density field.
-func (s *Solver) Density() *grid.Field3D {
-	f := grid.NewField3D(s.n, s.n, s.n)
-	DensityInto(s, f)
 	return f
 }
 

@@ -3,6 +3,8 @@ package cloverleaf
 import (
 	"math"
 	"testing"
+
+	"stwave/internal/grid"
 )
 
 func TestNewSolverValidation(t *testing.T) {
@@ -194,8 +196,8 @@ func TestDtPositiveAndBounded(t *testing.T) {
 			t.Fatalf("step %d: dt = %g", i, dt)
 		}
 	}
-	if s.Steps() != 20 {
-		t.Errorf("Steps = %d", s.Steps())
+	if s.steps != 20 {
+		t.Errorf("Steps = %d", s.steps)
 	}
 }
 
@@ -286,4 +288,30 @@ func TestMinmod(t *testing.T) {
 			t.Errorf("minmod(%g,%g) = %g, want %g", c.a, c.b, got, c.want)
 		}
 	}
+}
+
+// TotalMass integrates density over the domain — conserved exactly by the
+// scheme with reflective walls.
+func (s *Solver) TotalMass() float64 {
+	var m float64
+	for _, r := range s.rho {
+		m += r
+	}
+	return m * s.dx * s.dx * s.dx
+}
+
+// TotalEnergy integrates total energy over the domain — also conserved.
+func (s *Solver) TotalEnergy() float64 {
+	var e float64
+	for _, v := range s.e {
+		e += v
+	}
+	return e * s.dx * s.dx * s.dx
+}
+
+// Density returns the cell-centered density field.
+func (s *Solver) Density() *grid.Field3D {
+	f := grid.NewField3D(s.n, s.n, s.n)
+	DensityInto(s, f)
+	return f
 }

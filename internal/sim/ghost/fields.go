@@ -1,26 +1,6 @@
 package ghost
 
-import (
-	"math"
-
-	"stwave/internal/fbits"
-	"stwave/internal/grid"
-)
-
-// Velocity returns the physical-space velocity components as fresh fields.
-func (s *Solver) Velocity() (u, v, w *grid.Field3D) {
-	out := [3]*grid.Field3D{}
-	for c := 0; c < 3; c++ {
-		copy(s.phys[c], s.uh[c])
-		s.plan.Inverse(s.phys[c])
-		f := grid.NewField3D(s.n, s.n, s.n)
-		for i := range f.Data {
-			f.Data[i] = real(s.phys[c][i])
-		}
-		out[c] = f
-	}
-	return out[0], out[1], out[2]
-}
+import "stwave/internal/grid"
 
 // VelocityX returns only the X-velocity component — the variable the
 // paper's Figure 2/3 experiments use.
@@ -75,66 +55,4 @@ func (s *Solver) Enstrophy() *grid.Field3D {
 		f.Data[i] = ox*ox + oy*oy + oz*oz
 	}
 	return f
-}
-
-// KineticEnergy returns the volume-averaged kinetic energy (1/2)<|u|²>,
-// computed spectrally via Parseval.
-func (s *Solver) KineticEnergy() float64 {
-	total := float64(s.n * s.n * s.n)
-	var e float64
-	for c := 0; c < 3; c++ {
-		for _, v := range s.uh[c] {
-			e += real(v)*real(v) + imag(v)*imag(v)
-		}
-	}
-	return 0.5 * e / (total * total)
-}
-
-// MaxDivergence returns max_k |k·û(k)| / max_k |û(k)| — a normalized
-// measure of how divergence-free the spectral state is (should be at
-// round-off).
-func (s *Solver) MaxDivergence() float64 {
-	n := s.n
-	var maxDiv, maxU float64
-	for z := 0; z < n; z++ {
-		kz := s.k[z]
-		for y := 0; y < n; y++ {
-			ky := s.k[y]
-			base := (z*n + y) * n
-			for x := 0; x < n; x++ {
-				kx := s.k[x]
-				idx := base + x
-				div := complex(kx, 0)*s.uh[0][idx] + complex(ky, 0)*s.uh[1][idx] + complex(kz, 0)*s.uh[2][idx]
-				if d := math.Hypot(real(div), imag(div)); d > maxDiv {
-					maxDiv = d
-				}
-				for c := 0; c < 3; c++ {
-					if m := math.Hypot(real(s.uh[c][idx]), imag(s.uh[c][idx])); m > maxU {
-						maxU = m
-					}
-				}
-			}
-		}
-	}
-	if fbits.Zero(maxU) {
-		return 0
-	}
-	return maxDiv / maxU
-}
-
-// CFL returns the current convective CFL number u_max * dt / dx; stable
-// runs keep this below ~1.
-func (s *Solver) CFL() float64 {
-	var umax float64
-	for c := 0; c < 3; c++ {
-		copy(s.phys[c], s.uh[c])
-		s.plan.Inverse(s.phys[c])
-		for _, v := range s.phys[c] {
-			if a := math.Abs(real(v)); a > umax {
-				umax = a
-			}
-		}
-	}
-	dx := 2 * math.Pi / float64(s.n)
-	return umax * s.cfg.Dt / dx
 }

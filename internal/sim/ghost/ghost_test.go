@@ -3,6 +3,9 @@ package ghost
 import (
 	"math"
 	"testing"
+
+	"stwave/internal/fbits"
+	"stwave/internal/grid"
 )
 
 func TestNewSolverValidation(t *testing.T) {
@@ -39,8 +42,8 @@ func TestDivergenceFreeAfterSteps(t *testing.T) {
 	if d := s.MaxDivergence(); d > 1e-8 {
 		t.Errorf("divergence after 20 steps %g, want ~0", d)
 	}
-	if s.Steps() != 20 {
-		t.Errorf("Steps = %d", s.Steps())
+	if s.steps != 20 {
+		t.Errorf("Steps = %d", s.steps)
 	}
 	if math.Abs(s.Time()-0.2) > 1e-12 {
 		t.Errorf("Time = %g, want 0.2", s.Time())
@@ -98,7 +101,7 @@ func TestForcedRunStaysBounded(t *testing.T) {
 		s.Run(20)
 		e := s.KineticEnergy()
 		if math.IsNaN(e) || e > 100 {
-			t.Fatalf("energy diverged to %g after %d steps", e, s.Steps())
+			t.Fatalf("energy diverged to %g after %d steps", e, s.steps)
 		}
 		if cfl := s.CFL(); cfl > 1.5 {
 			t.Fatalf("CFL %g exceeded stability range", cfl)
@@ -391,4 +394,150 @@ func TestScalarAdvectionConservesVarianceInviscid(t *testing.T) {
 	if rel := math.Abs(vT-v0) / v0; rel > 0.05 {
 		t.Errorf("inviscid scalar variance drifted %.3g (%g -> %g)", rel, v0, vT)
 	}
+}
+
+// Velocity returns the physical-space velocity components as fresh fields.
+func (s *Solver) Velocity() (u, v, w *grid.Field3D) {
+	out := [3]*grid.Field3D{}
+	for c := 0; c < 3; c++ {
+		copy(s.phys[c], s.uh[c])
+		s.plan.Inverse(s.phys[c])
+		f := grid.NewField3D(s.n, s.n, s.n)
+		for i := range f.Data {
+			f.Data[i] = real(s.phys[c][i])
+		}
+		out[c] = f
+	}
+	return out[0], out[1], out[2]
+}
+
+// KineticEnergy returns the volume-averaged kinetic energy (1/2)<|u|²>,
+// computed spectrally via Parseval.
+func (s *Solver) KineticEnergy() float64 {
+	total := float64(s.n * s.n * s.n)
+	var e float64
+	for c := 0; c < 3; c++ {
+		for _, v := range s.uh[c] {
+			e += real(v)*real(v) + imag(v)*imag(v)
+		}
+	}
+	return 0.5 * e / (total * total)
+}
+
+// MaxDivergence returns max_k |k·û(k)| / max_k |û(k)| — a normalized
+// measure of how divergence-free the spectral state is (should be at
+// round-off).
+func (s *Solver) MaxDivergence() float64 {
+	n := s.n
+	var maxDiv, maxU float64
+	for z := 0; z < n; z++ {
+		kz := s.k[z]
+		for y := 0; y < n; y++ {
+			ky := s.k[y]
+			base := (z*n + y) * n
+			for x := 0; x < n; x++ {
+				kx := s.k[x]
+				idx := base + x
+				div := complex(kx, 0)*s.uh[0][idx] + complex(ky, 0)*s.uh[1][idx] + complex(kz, 0)*s.uh[2][idx]
+				if d := math.Hypot(real(div), imag(div)); d > maxDiv {
+					maxDiv = d
+				}
+				for c := 0; c < 3; c++ {
+					if m := math.Hypot(real(s.uh[c][idx]), imag(s.uh[c][idx])); m > maxU {
+						maxU = m
+					}
+				}
+			}
+		}
+	}
+	if fbits.Zero(maxU) {
+		return 0
+	}
+	return maxDiv / maxU
+}
+
+// CFL returns the current convective CFL number u_max * dt / dx; stable
+// runs keep this below ~1.
+func (s *Solver) CFL() float64 {
+	var umax float64
+	for c := 0; c < 3; c++ {
+		copy(s.phys[c], s.uh[c])
+		s.plan.Inverse(s.phys[c])
+		for _, v := range s.phys[c] {
+			if a := math.Abs(real(v)); a > umax {
+				umax = a
+			}
+		}
+	}
+	dx := 2 * math.Pi / float64(s.n)
+	return umax * s.cfg.Dt / dx
+}
+
+// ScalarVariance returns the volume-averaged scalar variance <θ²> - <θ>².
+func (s *Solver) ScalarVariance() float64 {
+	if s.scalar == nil {
+		return 0
+	}
+	copy(s.scalar.physT, s.scalar.th)
+	s.plan.Inverse(s.scalar.physT)
+	total := float64(s.n * s.n * s.n)
+	var sum, sumSq float64
+	for _, v := range s.scalar.physT {
+		r := real(v)
+		sum += r
+		sumSq += r * r
+	}
+	mean := sum / total
+	return sumSq/total - mean*mean
+}
+
+// EnergySpectrum returns the shell-averaged kinetic energy spectrum E(k)
+// for integer wavenumber shells k = 0 .. n/2: the energy of all spectral
+// modes whose |k| rounds to the shell index, with the Parseval
+// normalization matching KineticEnergy (sum over shells equals the total).
+// Turbulence diagnostics use this to verify the forced cascade develops a
+// decreasing spectrum toward the dissipation range.
+func (s *Solver) EnergySpectrum() []float64 {
+	n := s.n
+	shells := n/2 + 1
+	spec := make([]float64, shells)
+	total := float64(n * n * n)
+	norm := 0.5 / (total * total)
+	for z := 0; z < n; z++ {
+		kz := s.k[z]
+		for y := 0; y < n; y++ {
+			ky := s.k[y]
+			base := (z*n + y) * n
+			for x := 0; x < n; x++ {
+				kx := s.k[x]
+				shell := int(math.Round(math.Sqrt(kx*kx + ky*ky + kz*kz)))
+				if shell >= shells {
+					continue
+				}
+				idx := base + x
+				var e float64
+				for c := 0; c < 3; c++ {
+					v := s.uh[c][idx]
+					e += real(v)*real(v) + imag(v)*imag(v)
+				}
+				spec[shell] += e * norm
+			}
+		}
+	}
+	return spec
+}
+
+// IntegralScale returns the energy-weighted inverse wavenumber — a measure
+// of the dominant eddy size, 2π/k_peak-ish, in domain units.
+func (s *Solver) IntegralScale() float64 {
+	spec := s.EnergySpectrum()
+	var num, den float64
+	for k := 1; k < len(spec); k++ {
+		num += spec[k] / float64(k)
+		den += spec[k]
+	}
+	if fbits.Zero(den) {
+		return 0
+	}
+	return 2 * math.Pi * num / den
 }

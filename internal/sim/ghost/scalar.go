@@ -202,21 +202,3 @@ func ScalarInto[F num.Float](s *Solver, dst *grid.Field3DOf[F]) error {
 	}
 	return nil
 }
-
-// ScalarVariance returns the volume-averaged scalar variance <θ²> - <θ>².
-func (s *Solver) ScalarVariance() float64 {
-	if s.scalar == nil {
-		return 0
-	}
-	copy(s.scalar.physT, s.scalar.th)
-	s.plan.Inverse(s.scalar.physT)
-	total := float64(s.n * s.n * s.n)
-	var sum, sumSq float64
-	for _, v := range s.scalar.physT {
-		r := real(v)
-		sum += r
-		sumSq += r * r
-	}
-	mean := sum / total
-	return sumSq/total - mean*mean
-}

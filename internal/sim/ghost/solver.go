@@ -337,8 +337,5 @@ func (s *Solver) Run(steps int) {
 // Time returns the current simulation time.
 func (s *Solver) Time() float64 { return s.time }
 
-// Steps returns the number of completed time steps.
-func (s *Solver) Steps() int { return s.steps }
-
 // N returns the grid resolution.
 func (s *Solver) N() int { return s.n }

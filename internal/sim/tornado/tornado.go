@@ -171,17 +171,9 @@ func (m *Model) heightProfile(z float64) float64 {
 	return math.Exp(-z / (0.6 * m.cfg.Lz))
 }
 
-// VelocityAt returns the wind vector (m/s) at point (x, y, z) meters and
-// time t seconds: the analytic wind plus broadband turbulence.
-func (m *Model) VelocityAt(x, y, z, t float64) (u, v, w float64) {
-	u, v, w = m.windAt(x, y, z, t)
-	tx, ty, tz := m.turb.VelocityAt(
-		velocityWaves*math.Pi*x/m.cfg.Lx, velocityWaves*math.Pi*y/m.cfg.Ly, velocityWaves*math.Pi*z/m.cfg.Lz, t)
-	return u + m.cfg.TurbulenceAmplitude*tx, v + m.cfg.TurbulenceAmplitude*ty, w + m.cfg.TurbulenceAmplitude*tz
-}
-
-// windAt is the analytic part of VelocityAt: the vortices and the
-// storm-relative environmental flow, without the turbulence.
+// windAt is the analytic wind (m/s) at point (x, y, z) meters and time t
+// seconds: the vortices and the storm-relative environmental flow,
+// without the turbulence.
 func (m *Model) windAt(x, y, z, t float64) (u, v, w float64) {
 	cx, cy := m.center(t)
 	amp := m.intensity(t)
@@ -220,16 +212,9 @@ func (m *Model) windAt(x, y, z, t float64) (u, v, w float64) {
 	return u + m.cfg.TranslationX, v + m.cfg.TranslationY, w
 }
 
-// PressurePerturbationAt returns the cyclostrophic pressure deficit (Pa) at
-// a point: p' ≈ -ρ v_peak² exp(-r²/rc²) scaled by the height profile, the
+// pressureAt is the analytic cyclostrophic pressure deficit (Pa) at a
+// point: p' ≈ -ρ v_peak² exp(-r²/rc²) scaled by the height profile, the
 // closed-form balance for a Gaussian swirl core.
-func (m *Model) PressurePerturbationAt(x, y, z, t float64) float64 {
-	// Small broadband component so the field is not perfectly smooth.
-	return m.pressureAt(x, y, z, t) + pressureTurbulence*m.turb.ScalarAt(
-		pressureWaves*math.Pi*x/m.cfg.Lx, pressureWaves*math.Pi*y/m.cfg.Ly, pressureWaves*math.Pi*z/m.cfg.Lz, t)
-}
-
-// pressureAt is the analytic part of PressurePerturbationAt.
 func (m *Model) pressureAt(x, y, z, t float64) float64 {
 	const rhoAir = 1.1
 	cx, cy := m.center(t)
@@ -241,15 +226,6 @@ func (m *Model) pressureAt(x, y, z, t float64) float64 {
 	rc := m.cfg.CoreRadius
 	vmax := m.cfg.MaxSwirl * amp * hp
 	return -rhoAir * vmax * vmax * math.Exp(-r2/(rc*rc))
-}
-
-// CloudMixingRatioAt returns the cloud water mixing ratio (g/kg) at a
-// point. Cloud forms where the updraft exceeds a condensation threshold at
-// cloud-bearing heights, producing the sharp-edged field the paper
-// describes as "what the clouds look like to human eyes".
-func (m *Model) CloudMixingRatioAt(x, y, z, t float64) float64 {
-	_, _, w := m.VelocityAt(x, y, z, t)
-	return m.cloudOf(w, z)
 }
 
 // cloudOf is the mixing ratio at height z given the updraft w there.

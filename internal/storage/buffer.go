@@ -133,6 +133,3 @@ func (b *BurstBuffer) Len() int {
 	defer b.mu.Unlock()
 	return len(b.live)
 }
-
-// Model returns the buffer's perf model.
-func (b *BurstBuffer) Model() *PerfModel { return b.model }

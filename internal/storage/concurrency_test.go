@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"stwave/internal/core"
 	"stwave/internal/grid"
@@ -210,8 +211,9 @@ func TestBurstBufferConcurrent(t *testing.T) {
 	if b.Len() != 0 {
 		t.Errorf("%d slices left after drain", b.Len())
 	}
-	if got, want := b.Model().BytesWritten(Buffer), int64(producers*slicesEach)*grid.NewField3D(d.Nx, d.Ny, d.Nz).RawSizeBytes(4); got != want {
-		t.Errorf("model recorded %d bytes written, want %d", got, want)
+	one, _ := b.model.WriteCost(Buffer, grid.NewField3D(d.Nx, d.Ny, d.Nz).RawSizeBytes(4))
+	if got, want := b.model.WriteTime(Buffer), time.Duration(producers*slicesEach)*one; got != want {
+		t.Errorf("model recorded %v of writes, want %v", got, want)
 	}
 }
 

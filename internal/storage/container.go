@@ -11,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"sync"
 	"time"
 
 	"stwave/internal/core"
@@ -32,7 +31,7 @@ import (
 // Every record is self-delimiting (magic, length, payload CRC, header
 // CRC — see core/record.go), so the data region is a valid journal at
 // every byte boundary: a crash before Close loses at most the window
-// being written, and RecoverContainer rebuilds the index from the frames
+// being written, and RecoverContainerOpts rebuilds the index from the frames
 // alone. Index entries carry a CRC32 of their window's payload so silent
 // corruption is detected at read time.
 //
@@ -128,7 +127,7 @@ type ContainerWriter struct {
 
 // CreateContainer opens a new container file for writing (truncating any
 // existing file). Windows are journaled directly at path, so a crash
-// leaves a footer-less container that RecoverContainer can rebuild.
+// leaves a footer-less container that RecoverContainerOpts can rebuild.
 func CreateContainer(path string) (*ContainerWriter, error) {
 	f, err := os.Create(path)
 	if err != nil {
@@ -140,7 +139,7 @@ func CreateContainer(path string) (*ContainerWriter, error) {
 // CreateContainerAtomic stages the container at path+".tmp" and renames
 // it over path in Close, so the final path only ever holds a complete,
 // indexed container. A crash leaves the journal at the staging path for
-// RecoverContainer. The rename is fsync-backed when Sync != SyncNever.
+// RecoverContainerOpts. The rename is fsync-backed when Sync != SyncNever.
 func CreateContainerAtomic(path string) (*ContainerWriter, error) {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -407,9 +406,6 @@ type ContainerReader struct {
 	offsets []int64
 	lengths []int64
 	crcs    []uint32
-
-	mu     sync.Mutex
-	winErr map[int]error // windows whose last read or verify failed CRC
 }
 
 // OpenContainer opens a container file and reads its index.
@@ -475,7 +471,6 @@ func NewContainerReader(f ReadableFile, size int64) (*ContainerReader, error) {
 		offsets: make([]int64, num),
 		lengths: make([]int64, num),
 		crcs:    make([]uint32, num),
-		winErr:  make(map[int]error),
 	}
 	var prevEnd uint64
 	for i := 0; i < num; i++ {
@@ -526,49 +521,7 @@ func (r *ContainerReader) readAt(buf []byte, off int64) error {
 	return err
 }
 
-// recordErr tracks window i's corruption state for WindowErr/BadWindows.
-func (r *ContainerReader) recordErr(i int, err error) {
-	r.mu.Lock()
-	if err != nil {
-		r.winErr[i] = err
-	} else {
-		delete(r.winErr, i)
-	}
-	r.mu.Unlock()
-}
-
-// WindowErr returns the corruption error recorded for window i by the
-// last ReadWindow or VerifyWindow touching it, or nil if the window is
-// not known to be corrupt.
-func (r *ContainerReader) WindowErr(i int) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.winErr[i]
-}
-
-// BadWindows returns the indices of windows currently recorded as
-// corrupt, in ascending order.
-func (r *ContainerReader) BadWindows() []int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]int, 0, len(r.winErr))
-	for i := range r.winErr {
-		out = append(out, i)
-	}
-	sortInts(out)
-	return out
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-// loadWindow reads and checksum-verifies window i's payload, recording
-// the result for WindowErr.
+// loadWindow reads and checksum-verifies window i's payload.
 func (r *ContainerReader) loadWindow(i int) ([]byte, error) {
 	if i < 0 || i >= len(r.offsets) {
 		return nil, fmt.Errorf("storage: window %d out of range [0,%d)", i, len(r.offsets))
@@ -578,17 +531,14 @@ func (r *ContainerReader) loadWindow(i int) ([]byte, error) {
 		return nil, fmt.Errorf("storage: reading window %d: %w", i, err)
 	}
 	if crc32.ChecksumIEEE(buf) != r.crcs[i] {
-		err := fmt.Errorf("storage: window %d checksum mismatch: %w", i, ErrCorrupt)
-		r.recordErr(i, err)
-		return nil, err
+		return nil, fmt.Errorf("storage: window %d checksum mismatch: %w", i, ErrCorrupt)
 	}
-	r.recordErr(i, nil)
 	return buf, nil
 }
 
 // VerifyWindow reads window i and checks its checksum without decoding
-// it, recording the result for WindowErr/BadWindows. Degraded mounts run
-// this over every window to map the damage before serving.
+// it. Degraded mounts run this over every window to map the damage
+// before serving.
 func (r *ContainerReader) VerifyWindow(i int) error {
 	_, err := r.loadWindow(i)
 	return err
@@ -597,7 +547,7 @@ func (r *ContainerReader) VerifyWindow(i int) error {
 // ReadWindow loads window i, verifying its checksum before decoding. The
 // window is read from disk exactly once: checksumming and decoding both
 // operate on the same in-memory buffer. Checksum failures wrap
-// ErrCorrupt and are recorded for WindowErr.
+// ErrCorrupt.
 func (r *ContainerReader) ReadWindow(i int) (*core.CompressedWindow, error) {
 	return r.ReadWindowCtx(context.Background(), i)
 }

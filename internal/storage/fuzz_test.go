@@ -2,8 +2,6 @@ package storage
 
 import (
 	"bytes"
-	"errors"
-	"io"
 	"os"
 	"testing"
 
@@ -39,15 +37,10 @@ func FuzzOpenContainer(f *testing.F) {
 		r, err := NewContainerReader(bytesReaderCloser{bytes.NewReader(data)}, size)
 		if err == nil {
 			// Accepted: every window must be readable or fail cleanly.
+			// Any error is fine; the assertion is no panic.
 			for i := 0; i < r.NumWindows(); i++ {
-				if _, err := r.ReadWindow(i); err != nil &&
-					!errors.Is(err, ErrCorrupt) && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
-					// Any error is fine — the assertion is no panic — but
-					// verify the recorded state is consistent.
-					_ = r.WindowErr(i)
-				}
+				_, _ = r.ReadWindow(i)
 			}
-			r.BadWindows()
 		}
 		// The journal scanner must handle the same image without error:
 		// in-memory reads cannot fail, so a scan always produces a report.

@@ -76,11 +76,8 @@ func TestContainerGapEntries(t *testing.T) {
 	}
 	// ReadWindow refuses gaps with the typed error, and the refusal is
 	// not misfiled as corruption.
-	if _, err := r.ReadWindow(1); !errors.Is(err, core.ErrGapWindow) {
-		t.Fatalf("ReadWindow(1) = %v, want ErrGapWindow", err)
-	}
-	if err := r.WindowErr(1); err != nil {
-		t.Fatalf("gap recorded as corrupt: %v", err)
+	if _, err := r.ReadWindow(1); !errors.Is(err, core.ErrGapWindow) || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("ReadWindow(1) = %v, want ErrGapWindow and not ErrCorrupt", err)
 	}
 	got, err := r.GapMarker(1)
 	if err != nil {
@@ -125,7 +122,7 @@ func TestGapSurvivesCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, err := RecoverContainer(path)
+	rep, err := RecoverContainerOpts(path, RecoverOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

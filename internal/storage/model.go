@@ -56,8 +56,6 @@ type PerfModel struct {
 	mu        sync.Mutex
 	writeTime map[Tier]time.Duration
 	readTime  map[Tier]time.Duration
-	written   map[Tier]int64
-	read      map[Tier]int64
 }
 
 // DefaultModel returns a model calibrated to the paper's test system: the
@@ -84,19 +82,11 @@ func NewModel(specs map[Tier]TierSpec) *PerfModel {
 		specs:     make(map[Tier]TierSpec, len(specs)),
 		writeTime: make(map[Tier]time.Duration),
 		readTime:  make(map[Tier]time.Duration),
-		written:   make(map[Tier]int64),
-		read:      make(map[Tier]int64),
 	}
 	for t, s := range specs {
 		m.specs[t] = s
 	}
 	return m
-}
-
-// Spec returns the tier's configuration.
-func (m *PerfModel) Spec(t Tier) (TierSpec, bool) {
-	s, ok := m.specs[t]
-	return s, ok
 }
 
 // WriteCost returns the simulated time to write n bytes to the tier,
@@ -132,7 +122,6 @@ func (m *PerfModel) RecordWrite(t Tier, n int64) (time.Duration, error) {
 	}
 	m.mu.Lock()
 	m.writeTime[t] += d
-	m.written[t] += n
 	m.mu.Unlock()
 	return d, nil
 }
@@ -145,7 +134,6 @@ func (m *PerfModel) RecordRead(t Tier, n int64) (time.Duration, error) {
 	}
 	m.mu.Lock()
 	m.readTime[t] += d
-	m.read[t] += n
 	m.mu.Unlock()
 	return d, nil
 }
@@ -162,20 +150,6 @@ func (m *PerfModel) ReadTime(t Tier) time.Duration {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.readTime[t]
-}
-
-// BytesWritten returns the accumulated bytes written to the tier.
-func (m *PerfModel) BytesWritten(t Tier) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.written[t]
-}
-
-// BytesRead returns the accumulated bytes read from the tier.
-func (m *PerfModel) BytesRead(t Tier) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.read[t]
 }
 
 // TotalIO returns total simulated I/O time across all tiers — the paper's
@@ -202,11 +176,5 @@ func (m *PerfModel) Reset() {
 	}
 	for t := range m.readTime {
 		delete(m.readTime, t)
-	}
-	for t := range m.written {
-		delete(m.written, t)
-	}
-	for t := range m.read {
-		delete(m.read, t)
 	}
 }

@@ -24,23 +24,17 @@ import (
 // Integrity: the footer index CRC covers the whole payload and cannot
 // verify a prefix, so partial reads rely on the format's own per-group
 // CRCs instead — every group that is read is verified, and the header
-// and level table fail typed on any structural damage. A partial read
-// therefore never updates WindowErr (it has not proven the whole window
-// good or bad), except when the level table itself is unreadable.
+// and level table fail typed on any structural damage.
 
-// ReadWindowLevels reads the minimal byte prefix of window i needed to
+// ReadWindowLevelsCtx reads the minimal byte prefix of window i needed to
 // reconstruct detail levels 0..maxLevel and parses it into a
 // CompressedWindow holding only those level groups (decode it with
 // core.Reconstruct at Query.MaxLevel <= maxLevel). The second return is the number of payload
 // bytes actually read — callers surface it so the bytes-saved accounting
 // in /metrics is honest. Windows written in the legacy slice-major
 // layout return core.ErrNotProgressive; callers fall back to ReadWindow.
-func (r *ContainerReader) ReadWindowLevels(i, maxLevel int) (*core.CompressedWindow, int64, error) {
-	return r.ReadWindowLevelsCtx(context.Background(), i, maxLevel)
-}
-
-// ReadWindowLevelsCtx is ReadWindowLevels with context propagation: the
-// read+parse is captured as a "storage.read_window_levels" span carrying
+//
+// The read+parse is captured as a "storage.read_window_levels" span carrying
 // the window index, requested level, and bytes read vs. total.
 func (r *ContainerReader) ReadWindowLevelsCtx(ctx context.Context, i, maxLevel int) (*core.CompressedWindow, int64, error) {
 	_, sp := obs.Start(ctx, "storage.read_window_levels")
@@ -56,10 +50,8 @@ func (r *ContainerReader) ReadWindowLevelsCtx(ctx context.Context, i, maxLevel i
 	}
 	prefix := payloadStart + table.PrefixBytes(maxLevel)
 	if prefix > r.lengths[i] {
-		err := fmt.Errorf("storage: window %d: level table claims %d bytes for levels 0..%d, payload is %d: %w",
+		return nil, 0, fmt.Errorf("storage: window %d: level table claims %d bytes for levels 0..%d, payload is %d: %w",
 			i, prefix, maxLevel, r.lengths[i], ErrCorrupt)
-		r.recordErr(i, err)
-		return nil, 0, err
 	}
 	buf := make([]byte, prefix)
 	if err := r.readAt(buf, r.offsets[i]); err != nil {
@@ -94,10 +86,8 @@ func (r *ContainerReader) WindowLevelTable(i int) (core.WindowInfo, core.LevelTa
 		return core.WindowInfo{}, core.LevelTable{}, 0, fmt.Errorf("storage: window %d level table: %w", i, err)
 	}
 	if total := payloadStart + table.PrefixBytes(len(table.Extents)-1); total != r.lengths[i] {
-		err := fmt.Errorf("storage: window %d: level table covers %d bytes, index says %d: %w",
+		return core.WindowInfo{}, core.LevelTable{}, 0, fmt.Errorf("storage: window %d: level table covers %d bytes, index says %d: %w",
 			i, total, r.lengths[i], ErrCorrupt)
-		r.recordErr(i, err)
-		return core.WindowInfo{}, core.LevelTable{}, 0, err
 	}
 	return wi, table, payloadStart, nil
 }

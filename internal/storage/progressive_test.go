@@ -77,7 +77,7 @@ func TestReadWindowLevels(t *testing.T) {
 	}
 	ctx := context.Background()
 	for k := 0; k <= full.SpatialLevels; k++ {
-		cw, bytesRead, err := r.ReadWindowLevels(0, k)
+		cw, bytesRead, err := r.ReadWindowLevelsCtx(context.Background(), 0, k)
 		if err != nil {
 			t.Fatalf("level %d: %v", k, err)
 		}
@@ -105,7 +105,7 @@ func TestReadWindowLevels(t *testing.T) {
 	}
 	// Level 0 must be a large saving, not a token one: the approximation
 	// cube is 1/8^levels of the grid.
-	_, preview, err := r.ReadWindowLevels(0, 0)
+	_, preview, err := r.ReadWindowLevelsCtx(context.Background(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,16 +119,16 @@ func TestReadWindowLevels(t *testing.T) {
 func TestReadWindowLevelsLegacyFallback(t *testing.T) {
 	d := grid.Dims{Nx: 8, Ny: 8, Nz: 8}
 	r := progressiveContainer(t, d, 4)
-	if _, _, err := r.ReadWindowLevels(1, 0); !errors.Is(err, core.ErrNotProgressive) {
+	if _, _, err := r.ReadWindowLevelsCtx(context.Background(), 1, 0); !errors.Is(err, core.ErrNotProgressive) {
 		t.Fatalf("legacy window: got %v, want ErrNotProgressive", err)
 	}
 	if _, _, _, err := r.WindowLevelTable(1); !errors.Is(err, core.ErrNotProgressive) {
 		t.Fatalf("legacy window table: got %v, want ErrNotProgressive", err)
 	}
-	if _, _, err := r.ReadWindowLevels(0, 99); err == nil {
+	if _, _, err := r.ReadWindowLevelsCtx(context.Background(), 0, 99); err == nil {
 		t.Fatal("out-of-range level accepted")
 	}
-	if _, _, err := r.ReadWindowLevels(-1, 0); err == nil {
+	if _, _, err := r.ReadWindowLevelsCtx(context.Background(), -1, 0); err == nil {
 		t.Fatal("out-of-range window accepted")
 	}
 }

@@ -14,7 +14,7 @@ import (
 // Recovery: a v3 container's data region is a journal of self-delimiting
 // record frames, so the index can always be rebuilt by scanning frames
 // from offset zero — the footer is an optimization, not the source of
-// truth. ScanContainer walks the journal; RecoverContainer repairs a
+// truth. ScanContainer walks the journal; RecoverContainerOpts repairs a
 // truncated or footer-less file in place by truncating the torn tail and
 // writing a fresh index over exactly the frames that are fully on disk.
 //
@@ -108,7 +108,7 @@ type ScanReport struct {
 	FooterWindows int  `json:"footer_windows"`
 }
 
-// NeedsRepair reports whether RecoverContainer would change the file.
+// NeedsRepair reports whether RecoverContainerOpts would change the file.
 func (rep *ScanReport) NeedsRepair() bool {
 	return !rep.Legacy && (!rep.FooterOK || len(rep.BadHeaders) > 0)
 }
@@ -427,7 +427,7 @@ type RecoverOptions struct {
 	Force bool
 }
 
-// RecoverContainer scans the container at path and, if its footer index
+// RecoverContainerOpts scans the container at path and, if its footer index
 // is missing, torn, or inconsistent with the journal, repairs the file
 // in place. When the damage is a corrupt frame header with the footer
 // still valid, repair rewrites the header and nothing is lost. Otherwise
@@ -441,11 +441,6 @@ type RecoverOptions struct {
 //
 // Truncation that would discard windows an unvalidatable footer claims
 // to index is refused; see RecoverOptions.Force.
-func RecoverContainer(path string) (*ScanReport, error) {
-	return RecoverContainerOpts(path, RecoverOptions{})
-}
-
-// RecoverContainerOpts is RecoverContainer with explicit options.
 func RecoverContainerOpts(path string, opt RecoverOptions) (*ScanReport, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {

@@ -114,12 +114,12 @@ func truncatedCopy(t *testing.T, src string, size int64, name string) string {
 func checkRecovered(t *testing.T, path string, payloads [][]byte, want int) {
 	t.Helper()
 	if want == 0 {
-		if _, err := RecoverContainer(path); err == nil {
+		if _, err := RecoverContainerOpts(path, RecoverOptions{}); err == nil {
 			t.Fatalf("recovering a container with zero durable frames should fail")
 		}
 		return
 	}
-	rep, err := RecoverContainer(path)
+	rep, err := RecoverContainerOpts(path, RecoverOptions{})
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -275,7 +275,7 @@ func TestRecoverySectionCorruption(t *testing.T) {
 		// the window without needing a repair, and degraded readers can
 		// still reach the other five windows.
 		flip(t, path, bounds[2]+core.RecordHeaderSize+int64(len(payloads[2]))/2)
-		rep, err := RecoverContainer(path)
+		rep, err := RecoverContainerOpts(path, RecoverOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,12 +292,6 @@ func TestRecoverySectionCorruption(t *testing.T) {
 		defer r.Close()
 		if _, err := r.ReadWindow(2); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("ReadWindow(2) = %v, want ErrCorrupt", err)
-		}
-		if err := r.WindowErr(2); err == nil {
-			t.Error("WindowErr(2) not recorded")
-		}
-		if bad := r.BadWindows(); len(bad) != 1 || bad[0] != 2 {
-			t.Errorf("BadWindows = %v", bad)
 		}
 		for _, i := range []int{0, 1, 3, 4, 5} {
 			if _, err := r.ReadWindow(i); err != nil {
@@ -346,7 +340,7 @@ func TestRecoverySectionCorruption(t *testing.T) {
 		bounds := recordBoundaries(payloads)
 		p := truncatedCopy(t, path, bounds[4]+11, "t.stw")
 		checkRecovered(t, p, payloads, 4)
-		rep, err := RecoverContainer(p)
+		rep, err := RecoverContainerOpts(p, RecoverOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -443,7 +437,7 @@ func TestRecoverRefusesDestructiveTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := RecoverContainer(path); err == nil {
+	if _, err := RecoverContainerOpts(path, RecoverOptions{}); err == nil {
 		t.Fatal("repair must refuse to truncate data an unvalidatable footer still claims")
 	}
 	st, err := os.Stat(path)
@@ -562,7 +556,7 @@ func TestScanLegacyContainer(t *testing.T) {
 	if !rep.Legacy || rep.Good != 3 || rep.NeedsRepair() {
 		t.Errorf("legacy scan: legacy=%v good=%d needsRepair=%v", rep.Legacy, rep.Good, rep.NeedsRepair())
 	}
-	if _, err := RecoverContainer(path); err == nil {
+	if _, err := RecoverContainerOpts(path, RecoverOptions{}); err == nil {
 		t.Error("repairing a legacy container must be refused")
 	}
 }
@@ -743,7 +737,7 @@ func TestFaultInjectionWritePath(t *testing.T) {
 // checkRecoveredCount recovers path and asserts the window count.
 func checkRecoveredCount(t *testing.T, path string, want int) {
 	t.Helper()
-	if _, err := RecoverContainer(path); err != nil {
+	if _, err := RecoverContainerOpts(path, RecoverOptions{}); err != nil {
 		t.Fatalf("recover: %v", err)
 	}
 	r, err := OpenContainer(path)
@@ -798,12 +792,13 @@ func TestFaultInjectionReadPath(t *testing.T) {
 		r, ff := open(t)
 		defer r.Close()
 		ff.FailReads(10)
-		if _, err := r.ReadWindow(0); err == nil {
+		_, err := r.ReadWindow(0)
+		if err == nil {
 			t.Fatal("read should fail after retry exhaustion")
 		}
 		// Not a corruption: the bytes were never seen.
-		if err := r.WindowErr(0); err != nil {
-			t.Errorf("transient failure recorded as corruption: %v", err)
+		if errors.Is(err, ErrCorrupt) {
+			t.Errorf("transient failure reported as corruption: %v", err)
 		}
 	})
 
@@ -813,9 +808,6 @@ func TestFaultInjectionReadPath(t *testing.T) {
 		ff.FlipBitAt(r.offsets[1] + 50)
 		if _, err := r.ReadWindow(1); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("flipped read = %v, want ErrCorrupt", err)
-		}
-		if r.WindowErr(1) == nil {
-			t.Error("corruption not recorded")
 		}
 		// Window 0 is untouched.
 		if _, err := r.ReadWindow(0); err != nil {

@@ -66,14 +66,17 @@ func TestModelAccumulates(t *testing.T) {
 	if _, err := m.RecordWrite(Permanent, 1e8); err != nil {
 		t.Fatal(err)
 	}
-	if m.BytesWritten(Buffer) != 2e9 || m.BytesRead(Buffer) != 5e8 || m.BytesWritten(Permanent) != 1e8 {
-		t.Errorf("byte counters wrong: %d %d %d", m.BytesWritten(Buffer), m.BytesRead(Buffer), m.BytesWritten(Permanent))
+	w1, _ := m.WriteCost(Buffer, 1e9)
+	r1, _ := m.ReadCost(Buffer, 5e8)
+	w2, _ := m.WriteCost(Permanent, 1e8)
+	if m.WriteTime(Buffer) != 2*w1 || m.ReadTime(Buffer) != r1 || m.WriteTime(Permanent) != w2 {
+		t.Errorf("tier times wrong: %v %v %v", m.WriteTime(Buffer), m.ReadTime(Buffer), m.WriteTime(Permanent))
 	}
 	if m.TotalIO() != m.WriteTime(Buffer)+m.ReadTime(Buffer)+m.WriteTime(Permanent) {
 		t.Error("TotalIO does not sum tier components")
 	}
 	m.Reset()
-	if m.TotalIO() != 0 || m.BytesWritten(Buffer) != 0 {
+	if m.TotalIO() != 0 || m.WriteTime(Buffer) != 0 {
 		t.Error("Reset did not clear counters")
 	}
 }
@@ -244,8 +247,8 @@ func TestBurstBuffer(t *testing.T) {
 	if b.Len() != 1 {
 		t.Errorf("Len = %d", b.Len())
 	}
-	if model.BytesWritten(Buffer) != f.RawSizeBytes(4) {
-		t.Errorf("recorded %d bytes written", model.BytesWritten(Buffer))
+	if want, _ := model.WriteCost(Buffer, f.RawSizeBytes(4)); model.WriteTime(Buffer) != want {
+		t.Errorf("recorded write time %v, want %v", model.WriteTime(Buffer), want)
 	}
 	g, err := GetSliceOf[float64](b, id)
 	if err != nil {
@@ -256,8 +259,8 @@ func TestBurstBuffer(t *testing.T) {
 			t.Fatalf("sample %d: %g vs %g", i, f.Data[i], g.Data[i])
 		}
 	}
-	if model.BytesRead(Buffer) != f.RawSizeBytes(4) {
-		t.Errorf("recorded %d bytes read", model.BytesRead(Buffer))
+	if want, _ := model.ReadCost(Buffer, f.RawSizeBytes(4)); model.ReadTime(Buffer) != want {
+		t.Errorf("recorded read time %v, want %v", model.ReadTime(Buffer), want)
 	}
 	if err := b.Drop(id); err != nil {
 		t.Fatal(err)

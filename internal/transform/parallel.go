@@ -20,11 +20,6 @@ import (
 	"stwave/internal/par"
 )
 
-// Workers resolves a requested worker count: values < 1 mean GOMAXPROCS.
-func Workers(requested int) int {
-	return par.Workers(requested)
-}
-
 // forEachSlice runs fn over every slice of the window, splitting the
 // worker budget once: outer workers cooperate on slices and each call
 // receives the inner per-slice budget. With a single outer worker the

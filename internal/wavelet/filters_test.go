@@ -81,3 +81,123 @@ func TestConvolveStepTinyInput(t *testing.T) {
 		t.Error("Haar should report no convolution form")
 	}
 }
+
+// The direct convolution implementation of the CDF analysis filter banks
+// below exists for two reasons: the explicit filter taps document exactly
+// which wavelets these are, and the tests assert that the (faster) lifting
+// implementation in lift.go computes the same transform, which guards both
+// against regressions.
+
+// CDF97AnalysisLowpass holds the 9 analysis lowpass taps of the CDF 9/7
+// kernel, centered (index 4 is the center tap), normalized to DC gain
+// sqrt(2).
+var CDF97AnalysisLowpass = [9]float64{
+	0.037828455506995,
+	-0.023849465019380,
+	-0.110624404418423,
+	0.377402855612654,
+	0.852698679009403,
+	0.377402855612654,
+	-0.110624404418423,
+	-0.023849465019380,
+	0.037828455506995,
+}
+
+// CDF97AnalysisHighpass holds the 7 analysis highpass taps (center index
+// 3), normalized so the synthesis pair reconstructs exactly with the
+// lowpass above.
+var CDF97AnalysisHighpass = [7]float64{
+	0.064538882628938,
+	-0.040689417609558,
+	-0.418092273222212,
+	0.788485616405664,
+	-0.418092273222212,
+	-0.040689417609558,
+	0.064538882628938,
+}
+
+// CDF53AnalysisLowpass holds the 5 analysis lowpass taps of the CDF 5/3
+// (LeGall) kernel, normalized to DC gain sqrt(2).
+var CDF53AnalysisLowpass = [5]float64{
+	-0.176776695296637,
+	0.353553390593274,
+	1.060660171779821,
+	0.353553390593274,
+	-0.176776695296637,
+}
+
+// CDF53AnalysisHighpass holds the 3 analysis highpass taps.
+var CDF53AnalysisHighpass = [3]float64{
+	-0.353553390593274,
+	0.707106781186547,
+	-0.353553390593274,
+}
+
+// AnalysisFilters returns the analysis lowpass and highpass taps for a CDF
+// kernel, centered at len/2. It returns nil slices for kernels without a
+// published convolution form here (Haar, Daub4 — those are trivially their
+// own documentation).
+func AnalysisFilters(k Kernel) (lo, hi []float64) {
+	switch k {
+	case CDF97:
+		return CDF97AnalysisLowpass[:], CDF97AnalysisHighpass[:]
+	case CDF53:
+		return CDF53AnalysisLowpass[:], CDF53AnalysisHighpass[:]
+	}
+	return nil, nil
+}
+
+// ConvolveStep computes one analysis level by direct convolution with
+// whole-sample symmetric extension, writing [approx | detail] into dst.
+// It is the reference implementation; production code uses the lifting
+// path (ForwardStep), which the tests verify against this.
+//
+// Approximation coefficients a[i] come from filtering at even sample
+// positions 2i; detail coefficients d[i] from odd positions 2i+1, matching
+// the lifting layout for both even and odd lengths.
+func ConvolveStep(k Kernel, src, dst []float64) bool {
+	lo, hi := AnalysisFilters(k)
+	if lo == nil {
+		return false
+	}
+	n := len(src)
+	if n < 2 {
+		copy(dst, src)
+		return true
+	}
+	na := approxLen(n)
+	loC := len(lo) / 2
+	hiC := len(hi) / 2
+	for i := 0; i < na; i++ {
+		center := 2 * i
+		var sum float64
+		for t, c := range lo {
+			sum += c * src[reflect(center+t-loC, n)]
+		}
+		dst[i] = sum
+	}
+	for i := 0; i < n-na; i++ {
+		center := 2*i + 1
+		var sum float64
+		for t, c := range hi {
+			sum += c * src[reflect(center+t-hiC, n)]
+		}
+		dst[na+i] = sum
+	}
+	return true
+}
+
+// reflect maps an out-of-range index into [0, n-1] using whole-sample
+// symmetric extension. n must be >= 2. Indices more than n-1 outside the
+// range are folded repeatedly (only needed for pathological n).
+func reflect(i, n int) int {
+	for i < 0 || i >= n {
+		if i < 0 {
+			i = -i
+		}
+		if i >= n {
+			i = 2*(n-1) - i
+		}
+	}
+	return i
+}

@@ -23,21 +23,6 @@ import "stwave/internal/num"
 // single precision with the same operand ordering, so each precision is
 // bit-stable on its own.
 
-// reflect maps an out-of-range index into [0, n-1] using whole-sample
-// symmetric extension. n must be >= 2. Indices more than n-1 outside the
-// range are folded repeatedly (only needed for pathological n).
-func reflect(i, n int) int {
-	for i < 0 || i >= n {
-		if i < 0 {
-			i = -i
-		}
-		if i >= n {
-			i = 2*(n-1) - i
-		}
-	}
-	return i
-}
-
 // liftStep applies one lifting step in place to the interleaved signal.
 // parity selects which samples are updated (0 = even, 1 = odd); c is the
 // lifting coefficient.

@@ -1,9 +1,12 @@
 package wavelet
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+
+	"stwave/internal/num"
 )
 
 func maxAbsDiff(a, b []float64) float64 {
@@ -413,4 +416,66 @@ func BenchmarkTransform1D_CDF97_1024(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// Transform1D applies a multi-level forward DWT in place to data using the
+// standard pyramid: each level transforms the approximation band left by the
+// previous level. levels may be 0 (identity). scratch must have
+// len(scratch) >= len(data); pass nil to allocate internally.
+//
+// The coefficient layout after L levels over a signal of length n is the
+// usual Mallat ordering: [A_L | D_L | D_{L-1} | ... | D_1] where
+// len(A_L)=ceil^L(n/2) and each detail band follows its approximation.
+func Transform1D[F num.Float](k Kernel, data []F, levels int, scratch []F) error {
+	if err := checkLevels(k, len(data), levels); err != nil {
+		return err
+	}
+	if scratch == nil {
+		scratch = make([]F, len(data))
+	}
+	n := len(data)
+	for l := 0; l < levels; l++ {
+		if n < 2 {
+			break
+		}
+		copy(scratch[:n], data[:n])
+		forwardLift(k, scratch[:n], data[:n])
+		n = approxLen(n)
+	}
+	return nil
+}
+
+// Inverse1D undoes Transform1D with the same kernel and level count.
+func Inverse1D[F num.Float](k Kernel, data []F, levels int, scratch []F) error {
+	if err := checkLevels(k, len(data), levels); err != nil {
+		return err
+	}
+	if scratch == nil {
+		scratch = make([]F, len(data))
+	}
+	// Reconstruct from the coarsest level outward. Compute band lengths.
+	lens := BandLengths(len(data), levels)
+	for l := len(lens) - 1; l >= 0; l-- {
+		n := lens[l]
+		if n < 2 {
+			continue
+		}
+		inverseLift(k, data[:n], scratch[:n])
+		copy(data[:n], scratch[:n])
+	}
+	return nil
+}
+
+// checkLevels validates the level count against signal length and kernel.
+func checkLevels(k Kernel, n, levels int) error {
+	if !k.Valid() {
+		return fmt.Errorf("wavelet: invalid kernel %d", int(k))
+	}
+	if levels < 0 {
+		return fmt.Errorf("wavelet: negative level count %d", levels)
+	}
+	if max := MaxLevels(k, n); levels > max {
+		return fmt.Errorf("wavelet: %d levels exceeds maximum %d for kernel %v and length %d", levels, max, k, n)
+	}
+	return nil
 }
