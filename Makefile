@@ -36,9 +36,15 @@ all: build vet test check
 # sparse and deflated sparse codecs, the coefficient codec block decoders,
 # survivor selection against the serial threshold, and every codec's
 # survivor encoder against its dense encode.
+# The ingest stage tests repeated under -race. go test passes with only a
+# warning when -run matches nothing, so check counts the matches first.
+STAGE_TESTS = ^(TestPipelineSinkErrorDrains|TestPipelineJobErrorDrains|TestPipelineOrdered|TestPipelineCloseInFlightNoLeak|TestAsyncWriterMatchesSyncWriter|TestAsyncWriter32MatchesSync)$$
+
 check: vet fmt-check lint docscheck bench-smoke
 	$(GO) test -race ./internal/server ./cmd/stserve ./internal/storage ./internal/compress ./internal/faultio ./internal/transform ./internal/core ./internal/par ./internal/codec ./internal/entropy ./internal/ingest ./internal/lint ./internal/sim/synth ./internal/sim/tornado ./internal/sim/cloverleaf ./cmd/stcomp
-	$(GO) test -race -count=10 -run '^(TestPipelineSinkErrorDrains|TestPipelineJobErrorDrains|TestPipelineOrdered|TestPipelineCloseInFlightNoLeak|TestAsyncWriterMatchesSyncWriter|TestAsyncWriter32MatchesSync)$$' ./internal/ingest
+	@n=$$($(GO) test -list '$(STAGE_TESTS)' ./internal/ingest | grep -c '^Test'); \
+	if [ "$$n" -ne 6 ]; then echo "STAGE_TESTS matches $$n of the 6 ingest stage tests it names"; exit 1; fi
+	$(GO) test -race -count=10 -run '$(STAGE_TESTS)' ./internal/ingest
 	GOMAXPROCS=1 $(GO) test -count=1 ./internal/par ./internal/transform ./internal/compress ./internal/core ./internal/codec ./internal/entropy ./internal/ingest ./internal/server ./internal/sim/synth ./internal/sim/tornado ./internal/sim/cloverleaf ./cmd/stcomp
 	$(GO) test -run=NONE -fuzz=FuzzOpenContainer -fuzztime=10s ./internal/storage
 	$(GO) test -run=NONE -fuzz='FuzzWaveletRoundtrip$$' -fuzztime=5s ./internal/wavelet

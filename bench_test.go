@@ -18,6 +18,7 @@ import (
 	"stwave/internal/core"
 	"stwave/internal/experiments"
 	"stwave/internal/grid"
+	"stwave/internal/ingest"
 	"stwave/internal/server"
 	"stwave/internal/storage"
 	"stwave/internal/transform"
@@ -284,19 +285,11 @@ func BenchmarkServeSlice(b *testing.B) {
 	}
 	opts := core.DefaultOptions()
 	opts.WindowSize = windowSize
-	writer, err := core.NewWriterOf[float64](opts, d, func(w *core.CompressedWindow) error {
-		_, err := cont.Append(w)
-		return err
-	})
+	eng, err := ingest.NewEngineOf[float64](ingest.Config{Opts: opts}, d, cont)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i, s := range coherentBenchWindow(d, slices).Slices {
-		if err := writer.WriteSlice(s, float64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := writer.Flush(); err != nil {
+	if _, err := eng.Run(ingest.NewWindowSourceOf(coherentBenchWindow(d, slices)), slices); err != nil {
 		b.Fatal(err)
 	}
 	if err := cont.Close(); err != nil {

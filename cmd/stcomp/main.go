@@ -161,13 +161,8 @@ func runCompress(args []string) error {
 	} else if *roiMaxErr > 0 {
 		return fmt.Errorf("-roi-max-err requires -roi")
 	}
-	switch strings.ToLower(*mode) {
-	case "3d":
-		opts.Mode = core.Spatial3D
-	case "4d":
-		opts.Mode = core.Spatiotemporal4D
-	default:
-		return fmt.Errorf("mode must be 3d or 4d, got %q", *mode)
+	if opts.Mode, err = core.ParseMode(*mode); err != nil {
+		return err
 	}
 	name := strings.ToLower(*codecName)
 	if name == "entropy" {
@@ -198,35 +193,18 @@ func runCompress(args []string) error {
 	if err != nil {
 		return err
 	}
-	// Every option is checked above: a rejected run leaves -out untouched.
-	var cw *storage.ContainerWriter
-	if *atomic {
-		cw, err = storage.CreateContainerAtomic(*out)
-	} else {
-		cw, err = storage.CreateContainer(*out)
-	}
-	if err != nil {
-		return err
-	}
-	cw.Sync = syncPol
-
+	dst := container{path: *out, atomic: *atomic, sync: syncPol}
 	ctx := context.Background()
 	var root *obs.Span
 	if *tracePath != "" {
 		ctx, root = obs.StartRoot(ctx, "stcomp.compress")
 	}
-
 	if *targetNRMSE > 0 {
-		if err := compressToTarget(cw, opts, dims, fs.Args(), *targetNRMSE); err != nil {
-			return err
-		}
-		return dumpTrace(root, *tracePath)
-	}
-
-	if precision == core.Float32 {
-		err = compressFilesOf[float32](ctx, cw, opts, dims, fs.Args())
+		err = compressToTarget(opts, dims, fs.Args(), *targetNRMSE, dst)
+	} else if precision == core.Float32 {
+		err = compressFilesOf[float32](ctx, opts, dims, fs.Args(), dst)
 	} else {
-		err = compressFilesOf[float64](ctx, cw, opts, dims, fs.Args())
+		err = compressFilesOf[float64](ctx, opts, dims, fs.Args(), dst)
 	}
 	if err != nil {
 		return err
@@ -234,39 +212,71 @@ func runCompress(args []string) error {
 	return dumpTrace(root, *tracePath)
 }
 
-// compressFilesOf streams the input raw volumes through the writer at the
-// chosen precision. Raw inputs are float32 on disk either way; with
-// -precision f32 they stay float32 from load to durable bytes.
-func compressFilesOf[F num.Float](ctx context.Context, cw *storage.ContainerWriter, opts core.Options, dims grid.Dims, paths []string) error {
-	writer, err := core.NewWriterOf[F](opts, dims, func(w *core.CompressedWindow) error {
-		_, err := cw.AppendCtx(ctx, w)
-		return err
-	})
+// container names the output container of a run: its path, whether it
+// is staged at path.tmp and renamed into place on Close, and its fsync
+// policy.
+type container struct {
+	path   string
+	atomic bool
+	sync   storage.SyncPolicy
+}
+
+// create creates the container for writing.
+func (c container) create() (*storage.ContainerWriter, error) {
+	create := storage.CreateContainer
+	if c.atomic {
+		create = storage.CreateContainerAtomic
+	}
+	cw, err := create(c.path)
+	if err != nil {
+		return nil, err
+	}
+	cw.Sync = c.sync
+	return cw, nil
+}
+
+// compressFilesOf streams the input raw volumes through the ingest engine
+// at precision F into out, one window compressing at a time on every
+// core. Raw inputs are float32 on disk either way; with -precision f32
+// they stay float32 from load to durable bytes.
+func compressFilesOf[F num.Float](ctx context.Context, opts core.Options, dims grid.Dims, paths []string, out container) error {
+	// Every input is checked before out is created: a rejected run leaves
+	// -out untouched.
+	src, err := ingest.NewRawFileSourceOf[F](paths, dims)
 	if err != nil {
 		return err
 	}
-	writer.SetContext(ctx)
-	for i, path := range paths {
-		f, err := grid.LoadRawFileOf[F](path, dims.Nx, dims.Ny, dims.Nz)
-		if err != nil {
-			return fmt.Errorf("loading %s: %w", path, err)
-		}
-		if err := writer.WriteSlice(f, float64(i)); err != nil {
-			return err
-		}
-	}
-	if err := writer.Flush(); err != nil {
+	cw, err := out.create()
+	if err != nil {
 		return err
 	}
-	if err := cw.Close(); err != nil {
+	st, err := streamOf(ctx, ingest.Config{Opts: opts, Workers: 1}, src, len(paths), cw, out.atomic)
+	if err != nil {
 		return err
 	}
-	st := writer.Stats()
 	rawBytes := int64(st.SlicesIn) * int64(dims.Len()) * 4
 	fmt.Printf("compressed %d slices (%s raw) into %d windows, %s encoded (%.1f:1 effective)\n",
-		st.SlicesIn, fmtBytes(rawBytes), st.WindowsOut, fmtBytes(st.BytesEncoded),
+		st.SlicesIn, fmtBytes(rawBytes), st.WindowsAppended, fmtBytes(st.BytesEncoded),
 		float64(rawBytes)/float64(st.BytesEncoded))
 	return nil
+}
+
+// streamOf streams slices slices from src through an engine built from
+// cfg under ctx into cw, and closes it. A failed run still closes a plain
+// container, so the journal ends in a footer over every durably appended
+// window; an atomic one is left at its staging path, so its final path
+// only ever holds a complete container.
+func streamOf[F num.Float](ctx context.Context, cfg ingest.Config, src ingest.SourceOf[F], slices int,
+	cw *storage.ContainerWriter, atomic bool) (ingest.Stats, error) {
+	var st ingest.Stats
+	eng, err := ingest.NewEngineOf[F](cfg, src.Dims(), cw)
+	if err == nil {
+		st, err = eng.RunCtx(ctx, src, slices)
+	}
+	if err != nil && atomic {
+		return st, err
+	}
+	return st, errors.Join(err, cw.Close())
 }
 
 // dumpTrace ends root and writes its span tree as indented JSON. A nil
@@ -289,17 +299,29 @@ func dumpTrace(root *obs.Span, path string) error {
 
 // compressToTarget buffers whole windows and chooses each window's ratio by
 // bisection so the reconstruction meets the NRMSE target.
-func compressToTarget(cw *storage.ContainerWriter, opts core.Options, dims grid.Dims, paths []string, target float64) error {
-	windowSize := opts.WindowSize
-	if opts.Mode == core.Spatial3D {
-		windowSize = 1
+func compressToTarget(opts core.Options, dims grid.Dims, paths []string, target float64, out container) error {
+	src, err := ingest.NewRawFileSourceOf[float64](paths, dims)
+	if err != nil {
+		return err
+	}
+	cw, err := out.create()
+	if err != nil {
+		return err
 	}
 	var encoded int64
 	windows := 0
-	pending := grid.NewWindow(dims)
-	flush := func() error {
-		if pending.Len() == 0 {
-			return nil
+	for left := len(paths); left > 0; {
+		pending := grid.NewWindow(dims)
+		for range min(opts.SlicesPerWindow(), left) {
+			f := grid.NewField3D(dims.Nx, dims.Ny, dims.Nz)
+			t, err := src.Next(f)
+			if err != nil {
+				return err
+			}
+			if err := pending.Append(f, t); err != nil {
+				return err
+			}
+			left--
 		}
 		win, achieved, err := core.CompressToTarget(opts, pending, target, 1, 1024)
 		if err != nil {
@@ -312,25 +334,6 @@ func compressToTarget(cw *storage.ContainerWriter, opts core.Options, dims grid.
 			windows, win.Opts.Ratio, achieved, target)
 		encoded += win.EncodedSizeBytes()
 		windows++
-		pending = grid.NewWindow(dims)
-		return nil
-	}
-	for i, path := range paths {
-		f, err := grid.LoadRawFileOf[float64](path, dims.Nx, dims.Ny, dims.Nz)
-		if err != nil {
-			return fmt.Errorf("loading %s: %w", path, err)
-		}
-		if err := pending.Append(f, float64(i)); err != nil {
-			return err
-		}
-		if pending.Len() >= windowSize {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		return err
 	}
 	if err := cw.Close(); err != nil {
 		return err
@@ -502,15 +505,9 @@ func runIngest(args []string) error {
 	opts.WindowSize = *window
 	opts.Ratio = *ratio
 	opts.Progressive = *progressive
-	switch strings.ToLower(*mode) {
-	case "3d":
-		opts.Mode = core.Spatial3D
-	case "4d":
-		opts.Mode = core.Spatiotemporal4D
-	default:
-		return fmt.Errorf("mode must be 3d or 4d, got %q", *mode)
+	if opts.Mode, err = core.ParseMode(*mode); err != nil {
+		return err
 	}
-
 	if opts.Precision, err = core.ParsePrecision(*precisionName); err != nil {
 		return err
 	}
@@ -554,18 +551,11 @@ func ingestOf[F num.Float](cfg ingest.Config, dims grid.Dims, source string, dt 
 			return err
 		}
 	}
-	cw, err := storage.CreateContainer(out)
+	cw, err := container{path: out, sync: syncPol}.create()
 	if err != nil {
 		return err
 	}
-	cw.Sync = syncPol
-	eng, err := ingest.NewEngineOf[F](cfg, dims, cw)
-	if err != nil {
-		return errors.Join(err, cw.Close())
-	}
-	st, runErr := eng.Run(src, slices)
-	closeErr := cw.Close()
-
+	st, err := streamOf(context.Background(), cfg, src, slices, cw, false)
 	rawBytes := int64(st.SlicesIn) * int64(dims.Len()) * int64(cfg.Opts.Precision.SampleBytes())
 	fmt.Printf("ingested %d slices (%s raw): %d windows appended, %d shed (%d slices lost, journaled as gaps)\n",
 		st.SlicesIn, fmtBytes(rawBytes), st.WindowsAppended, st.WindowsShed, st.SlicesShed)
@@ -573,10 +563,10 @@ func ingestOf[F num.Float](cfg ingest.Config, dims grid.Dims, source string, dt 
 		fmt.Printf("  backpressure: %d events, %d append retries, %d detail levels shed, %d degrade steps (final ratio %g:1), peak %s raw in flight\n",
 			st.Backpressure, st.AppendRetries, st.LevelsShed, st.DegradeSteps, st.FinalRatio, fmtBytes(st.PeakInFlightBytes))
 	}
-	if runErr != nil {
-		return fmt.Errorf("ingest aborted: %w (the journal at %s keeps every durably appended window; recover with stfsck)", runErr, out)
+	if err != nil {
+		return fmt.Errorf("ingest aborted: %w (the journal at %s keeps every durably appended window; recover with stfsck)", err, out)
 	}
-	return closeErr
+	return nil
 }
 
 func runDecompress(args []string) error {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -12,6 +13,7 @@ import (
 
 	"stwave/internal/core"
 	"stwave/internal/grid"
+	"stwave/internal/obs"
 	"stwave/internal/storage"
 )
 
@@ -394,6 +396,78 @@ func TestRunCompressRejectsNonFiniteMaxErr(t *testing.T) {
 		out := filepath.Join(dir, b+".stw")
 		if err := runCompress([]string{"-dims", "4x4x4", "-window", "2", "-max-err", b, "-out", out, in, in}); err == nil {
 			t.Errorf("-max-err %s accepted", b)
+		}
+	}
+}
+
+// writeRawSlices saves n float32 raw volumes of dims in dir and returns
+// their paths.
+func writeRawSlices(t *testing.T, dir string, d grid.Dims, n int) []string {
+	t.Helper()
+	paths := make([]string, n)
+	for i := range paths {
+		f := grid.NewField3D32(d.Nx, d.Ny, d.Nz)
+		for j := range f.Data {
+			f.Data[j] = float32(math.Sin(0.1*float64(j) + 0.2*float64(i)))
+		}
+		paths[i] = filepath.Join(dir, fmt.Sprintf("in%04d.raw", i))
+		if err := f.SaveRawFile(paths[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return paths
+}
+
+// TestRunCompressTrace: -trace writes a span tree holding one
+// core.compress_window span and one storage.append_window span per
+// window, the short trailing window included.
+func TestRunCompressTrace(t *testing.T) {
+	dir := t.TempDir()
+	paths := writeRawSlices(t, dir, grid.Dims{Nx: 8, Ny: 8, Nz: 8}, 7)
+	trace := filepath.Join(dir, "trace.json")
+	args := append([]string{"-dims", "8x8x8", "-window", "3", "-trace", trace,
+		"-out", filepath.Join(dir, "t.stw")}, paths...)
+	if err := runCompress(args); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var root obs.SpanTree
+	if err := json.Unmarshal(data, &root); err != nil {
+		t.Fatal(err)
+	}
+	if root.Name != "stcomp.compress" {
+		t.Fatalf("root span %q, want stcomp.compress", root.Name)
+	}
+	counts := map[string]int{}
+	root.Walk(func(n obs.SpanTree, _ int) { counts[n.Name]++ })
+	for _, name := range []string{"core.compress_window", "storage.append_window"} {
+		if counts[name] != 3 {
+			t.Errorf("%d %s spans for 7 slices in windows of 3, want 3", counts[name], name)
+		}
+	}
+}
+
+// TestRunCompressWrongSizeInput: an input that is not exactly one volume
+// of -dims is rejected before -out is touched — a smaller -dims would
+// otherwise compress the prefix of each file, and a huge one would ask
+// for a window the host cannot hold.
+func TestRunCompressWrongSizeInput(t *testing.T) {
+	dir := t.TempDir()
+	paths := writeRawSlices(t, dir, grid.Dims{Nx: 8, Ny: 8, Nz: 8}, 2)
+	out := filepath.Join(dir, "x.stw")
+	existing := []byte("an existing container")
+	for _, dims := range []string{"4x4x4", "1048576x1048576x2"} {
+		if err := os.WriteFile(out, existing, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := runCompress(append([]string{"-dims", dims, "-out", out}, paths...)); err == nil {
+			t.Fatalf("-dims %s accepted for 8x8x8 inputs", dims)
+		}
+		if got, err := os.ReadFile(out); err != nil || !bytes.Equal(got, existing) {
+			t.Errorf("-dims %s: -out holds %d bytes after the run (%v), want its %d bytes unchanged", dims, len(got), err, len(existing))
 		}
 	}
 }

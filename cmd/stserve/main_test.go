@@ -18,6 +18,7 @@ import (
 
 	"stwave/internal/core"
 	"stwave/internal/grid"
+	"stwave/internal/ingest"
 	"stwave/internal/storage"
 )
 
@@ -40,7 +41,7 @@ func (b *syncBuffer) String() string {
 }
 
 // writeContainer compresses a smooth 36x36x24 field of 20 slices into a
-// progressive container through the streaming writer, as stcomp compress
+// progressive container through the ingest engine, as stcomp compress
 // does, then journals a 10-slice gap as a shedding ingest would.
 func writeContainer(t *testing.T) string {
 	t.Helper()
@@ -53,23 +54,21 @@ func writeContainer(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	writer, err := core.NewWriterOf[float64](opts, d, func(cw *core.CompressedWindow) error {
-		_, err := cont.Append(cw)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	series := grid.NewWindow(d)
 	for ts := 0; ts < 20; ts++ {
 		f := grid.NewField3D(d.Nx, d.Ny, d.Nz)
 		for i := range f.Data {
 			f.Data[i] = math.Sin(float64(i)*0.01 + float64(ts)*0.2)
 		}
-		if err := writer.WriteSlice(f, float64(ts)); err != nil {
+		if err := series.Append(f, float64(ts)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := writer.Flush(); err != nil {
+	eng, err := ingest.NewEngineOf[float64](ingest.Config{Opts: opts}, d, cont)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(ingest.NewWindowSourceOf(series), series.Len()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cont.AppendGap(core.GapMarker{Slices: 10, T0: 20, T1: 29, Reason: core.GapShed}); err != nil {

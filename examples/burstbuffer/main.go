@@ -14,9 +14,44 @@ import (
 
 	"stwave/internal/core"
 	"stwave/internal/grid"
+	"stwave/internal/ingest"
 	"stwave/internal/sim/ghost"
 	"stwave/internal/storage"
 )
+
+// stagedSource is the simulation as the ingest engine sees it: every
+// slice goes through the buffer tier (real files on disk, modeled timing)
+// before it is compressed, and the solver advances two steps per slice.
+type stagedSource struct {
+	solver *ghost.Solver
+	buffer *storage.BurstBuffer
+}
+
+func (s stagedSource) Dims() grid.Dims {
+	n := s.solver.N()
+	return grid.Dims{Nx: n, Ny: n, Nz: n}
+}
+
+func (s stagedSource) Next(dst *grid.Field3D) (float64, error) {
+	t := s.solver.Time()
+	id, err := storage.PutSliceOf(s.buffer, s.solver.Enstrophy())
+	if err != nil {
+		return 0, err
+	}
+	staged, err := storage.GetSliceOf[float64](s.buffer, id)
+	if err != nil {
+		return 0, err
+	}
+	copy(dst.Data, staged.Data)
+	s.solver.Run(2)
+	return t, s.buffer.Drop(id)
+}
+
+func (s stagedSource) Skip() (float64, error) {
+	t := s.solver.Time()
+	s.solver.Run(2)
+	return t, nil
+}
 
 func main() {
 	// A small forced-turbulence run as the "simulation code".
@@ -47,54 +82,42 @@ func main() {
 
 	opts := core.DefaultOptions() // 4D, CDF 9/7, window 20, 32:1
 	opts.Ratio = 16
-	writer, err := core.NewWriterOf[float64](opts, d, func(cw *core.CompressedWindow) error {
-		idx, err := container.Append(cw)
-		if err != nil {
-			return err
-		}
-		if _, err := model.RecordWrite(storage.Permanent, cw.EncodedSizeBytes()); err != nil {
-			return err
-		}
-		fmt.Printf("  flushed window %d: %d slices -> %d bytes on permanent storage\n",
-			idx, cw.NumSlices(), cw.EncodedSizeBytes())
-		return nil
-	})
+	eng, err := ingest.NewEngineOf[float64](ingest.Config{Opts: opts}, d, container)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// The simulation loop: every few steps a slice goes through the buffer
-	// tier (real files on disk, modeled timing) and into the stream writer.
 	const slices = 40
 	fmt.Printf("simulating %d output steps...\n", slices)
-	for i := 0; i < slices; i++ {
-		f := solver.Enstrophy()
-		id, err := storage.PutSliceOf(buffer, f)
-		if err != nil {
-			log.Fatal(err)
-		}
-		staged, err := storage.GetSliceOf[float64](buffer, id)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := writer.WriteSlice(staged, solver.Time()); err != nil {
-			log.Fatal(err)
-		}
-		if err := buffer.Drop(id); err != nil {
-			log.Fatal(err)
-		}
-		solver.Run(2)
-	}
-	if err := writer.Flush(); err != nil {
+	st, err := eng.Run(stagedSource{solver: solver, buffer: buffer}, slices)
+	if err != nil {
 		log.Fatal(err)
 	}
 	if err := container.Close(); err != nil {
 		log.Fatal(err)
 	}
 
-	st := writer.Stats()
+	reader, err := storage.OpenContainer(containerPath)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer reader.Close()
+	for i := 0; i < reader.NumWindows(); i++ {
+		wi, err := reader.WindowInfo(i)
+		if err != nil {
+			log.Fatal(err)
+		}
+		n, err := reader.WindowSizeBytes(i)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if _, err := model.RecordWrite(storage.Permanent, n); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("  window %d: %d slices -> %d bytes on permanent storage\n", i, wi.NumSlices, n)
+	}
+
 	rawBytes := int64(st.SlicesIn) * int64(d.Len()) * 4
-	fmt.Printf("\nstream: %d slices in, %d windows out\n", st.SlicesIn, st.WindowsOut)
+	fmt.Printf("\nstream: %d slices in, %d windows out\n", st.SlicesIn, st.WindowsAppended)
 	fmt.Printf("raw data: %d bytes; encoded: %d bytes (%.1f:1 effective)\n",
 		rawBytes, st.BytesEncoded, float64(rawBytes)/float64(st.BytesEncoded))
 	fmt.Printf("modeled I/O — buffer W+R: %.3fs + %.3fs, permanent write: %.3fs, total: %.3fs\n",
@@ -104,11 +127,6 @@ func main() {
 		model.TotalIO().Seconds())
 
 	// Random access: decode just the second window from the container.
-	reader, err := storage.OpenContainer(containerPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer reader.Close()
 	cw, err := reader.ReadWindow(1)
 	if err != nil {
 		log.Fatal(err)

@@ -79,11 +79,7 @@ func main() {
 			log.Fatal(err)
 		}
 		roundTrip := func(seq *grid.Window) *grid.Window {
-			size := opts.WindowSize
-			if mode == core.Spatial3D {
-				size = 1
-			}
-			chunks, err := seq.Partition(size)
+			chunks, err := seq.Partition(opts.SlicesPerWindow())
 			if err != nil {
 				log.Fatal(err)
 			}

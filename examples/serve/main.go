@@ -19,6 +19,8 @@ import (
 	"time"
 
 	"stwave/internal/core"
+	"stwave/internal/grid"
+	"stwave/internal/ingest"
 	"stwave/internal/server"
 	"stwave/internal/sim/tornado"
 	"stwave/internal/storage"
@@ -39,36 +41,33 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	opts := core.DefaultOptions()
+	opts.WindowSize = 6
+	opts.Ratio = 16
+	series := grid.NewWindow(grid.Dims{Nx: 24, Ny: 24, Nz: 16})
+	for i := 0; i < 12; i++ {
+		t := 8502 + float64(i)
+		if err := series.Append(model.CloudMixingRatio(t), t); err != nil {
+			log.Fatal(err)
+		}
+	}
 	cont, err := storage.CreateContainer(path)
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts := core.DefaultOptions()
-	opts.WindowSize = 6
-	opts.Ratio = 16
-	first := model.CloudMixingRatio(8502)
-	writer, err := core.NewWriterOf[float64](opts, first.Dims, func(w *core.CompressedWindow) error {
-		_, err := cont.Append(w)
-		return err
-	})
+	eng, err := ingest.NewEngineOf[float64](ingest.Config{Opts: opts}, series.Dims, cont)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for i := 0; i < 12; i++ {
-		t := 8502 + float64(i)
-		if err := writer.WriteSlice(model.CloudMixingRatio(t), t); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if err := writer.Flush(); err != nil {
+	st, err := eng.Run(ingest.NewWindowSourceOf(series), series.Len())
+	if err != nil {
 		log.Fatal(err)
 	}
 	if err := cont.Close(); err != nil {
 		log.Fatal(err)
 	}
-	st := writer.Stats()
 	fmt.Printf("compressed %d slices of %v into %d windows (%d bytes)\n",
-		st.SlicesIn, first.Dims, st.WindowsOut, st.BytesEncoded)
+		st.SlicesIn, series.Dims, st.WindowsAppended, st.BytesEncoded)
 
 	// 2. Mount it and serve over HTTP on a random local port.
 	srv := server.New(server.DefaultConfig())

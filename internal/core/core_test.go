@@ -416,98 +416,28 @@ func TestReadCompressedWindowRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestStreamWriter4D(t *testing.T) {
-	d := grid.Dims{Nx: 8, Ny: 8, Nz: 8}
-	var got []*CompressedWindow
-	opts := DefaultOptions()
-	opts.WindowSize = 10
-	opts.Ratio = 8
-	wr, err := NewWriterOf[float64](opts, d, func(cw *CompressedWindow) error {
-		got = append(got, cw)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestSlicesPerWindow: a 4D window holds WindowSize slices and a 3D one a
+// single slice, whatever WindowSize says; ParseMode reads the -mode
+// spellings in any case and rejects the rest.
+func TestSlicesPerWindow(t *testing.T) {
+	o := DefaultOptions()
+	o.WindowSize = 7
+	if got := o.SlicesPerWindow(); got != 7 {
+		t.Errorf("4D SlicesPerWindow = %d, want 7", got)
 	}
-	src := coherentWindow(d, 25, 0)
-	for i, s := range src.Slices {
-		if err := wr.WriteSlice(s, float64(i)); err != nil {
-			t.Fatal(err)
+	o.Mode = Spatial3D
+	if got := o.SlicesPerWindow(); got != 1 {
+		t.Errorf("3D SlicesPerWindow = %d, want 1", got)
+	}
+	for in, want := range map[string]Mode{"3d": Spatial3D, "3D": Spatial3D, "4d": Spatiotemporal4D, "4D": Spatiotemporal4D} {
+		if got, err := ParseMode(in); err != nil || got != want {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	if len(got) != 2 {
-		t.Fatalf("before flush: %d windows, want 2", len(got))
-	}
-	if err := wr.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("after flush: %d windows, want 3", len(got))
-	}
-	wantLens := []int{10, 10, 5}
-	for i, cw := range got {
-		if cw.NumSlices() != wantLens[i] {
-			t.Errorf("window %d has %d slices, want %d", i, cw.NumSlices(), wantLens[i])
+	for _, in := range []string{"", "2d", "4", "spatial"} {
+		if _, err := ParseMode(in); err == nil {
+			t.Errorf("ParseMode(%q) accepted", in)
 		}
-	}
-	st := wr.Stats()
-	if st.SlicesIn != 25 || st.WindowsOut != 3 || st.PendingSlices != 0 {
-		t.Errorf("stats = %+v", st)
-	}
-	if st.PeakBufferSize != int64(10*d.Len())*8 {
-		t.Errorf("peak buffer = %d, want %d", st.PeakBufferSize, 10*d.Len()*8)
-	}
-	// Times must be preserved through windows.
-	if got[2].Times[0] != 20 {
-		t.Errorf("third window starts at t=%g, want 20", got[2].Times[0])
-	}
-}
-
-func TestStreamWriter3DFlushesImmediately(t *testing.T) {
-	d := grid.Dims{Nx: 6, Ny: 6, Nz: 6}
-	count := 0
-	opts := Options{Mode: Spatial3D, SpatialKernel: wavelet.CDF97, Ratio: 8, SpatialLevels: -1}
-	wr, err := NewWriterOf[float64](opts, d, func(cw *CompressedWindow) error {
-		count++
-		if cw.NumSlices() != 1 {
-			t.Errorf("3D window has %d slices", cw.NumSlices())
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := coherentWindow(d, 5, 0)
-	for i, s := range src.Slices {
-		if err := wr.WriteSlice(s, float64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if count != 5 {
-		t.Errorf("3D mode flushed %d windows for 5 slices", count)
-	}
-	if err := wr.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if count != 5 {
-		t.Error("3D flush emitted extra windows")
-	}
-}
-
-func TestStreamWriterValidation(t *testing.T) {
-	d := grid.Dims{Nx: 4, Ny: 4, Nz: 4}
-	if _, err := NewWriterOf[float64](DefaultOptions(), d, nil); err == nil {
-		t.Error("expected error for nil sink")
-	}
-	if _, err := NewWriterOf[float64](DefaultOptions(), grid.Dims{}, func(*CompressedWindow) error { return nil }); err == nil {
-		t.Error("expected error for invalid dims")
-	}
-	wr, err := NewWriterOf[float64](DefaultOptions(), d, func(*CompressedWindow) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wr.WriteSlice(grid.NewField3D(5, 4, 4), 0); err == nil {
-		t.Error("expected error for mismatched slice dims")
 	}
 }
 

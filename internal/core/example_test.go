@@ -56,31 +56,6 @@ func Example() {
 	// kept 2560 of 81920 coefficients
 }
 
-// ExampleNewWriterOf shows the streaming interface a simulation would use.
-func ExampleNewWriterOf() {
-	window := buildWindow()
-	flushed := 0
-	writer, err := core.NewWriterOf[float64](core.DefaultOptions(), window.Dims,
-		func(cw *core.CompressedWindow) error {
-			flushed++
-			return nil
-		})
-	if err != nil {
-		panic(err)
-	}
-	for i, s := range window.Slices {
-		if err := writer.WriteSlice(s, float64(i)); err != nil {
-			panic(err)
-		}
-	}
-	if err := writer.Flush(); err != nil {
-		panic(err)
-	}
-	fmt.Printf("windows flushed: %d\n", flushed)
-	// Output:
-	// windows flushed: 1
-}
-
 // ExampleReconstruct shows single-slice random access from a 4D window.
 func ExampleReconstruct() {
 	window := buildWindow()

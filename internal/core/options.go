@@ -20,6 +20,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"stwave/internal/codec"
 	"stwave/internal/grid"
@@ -47,6 +48,17 @@ func (m Mode) String() string {
 		return "4D"
 	}
 	return fmt.Sprintf("Mode(%d)", int(m))
+}
+
+// ParseMode resolves the -mode flag spellings "3d" and "4d", in any case.
+func ParseMode(s string) (Mode, error) {
+	switch strings.ToLower(s) {
+	case "3d":
+		return Spatial3D, nil
+	case "4d":
+		return Spatiotemporal4D, nil
+	}
+	return 0, fmt.Errorf("mode must be 3d or 4d, got %q", s)
 }
 
 // Precision selects the sample precision the pipeline runs at end to end:
@@ -192,6 +204,16 @@ func DefaultOptions() Options {
 		SpatialLevels:  -1,
 		TemporalLevels: -1,
 	}
+}
+
+// SlicesPerWindow is the number of slices one compressed window holds:
+// WindowSize in 4D mode, 1 in 3D mode, where every slice is compressed on
+// its own. A stream's last window may hold fewer.
+func (o Options) SlicesPerWindow() int {
+	if o.Mode == Spatial3D {
+		return 1
+	}
+	return o.WindowSize
 }
 
 // Validate reports the first configuration problem found.

@@ -290,8 +290,9 @@ func TestFloat32ProgressiveLevels(t *testing.T) {
 
 // TestFloat32MaxErrBound: the error-bounded mode runs at float32. The
 // errors it records are exactly the brute-force errors of the serialized
-// window reconstructed at float32, both meet their bounds, and a float32
-// stream writer under MaxErr writes the same bytes as Compress.
+// window reconstructed at float32, both meet their bounds, and an InPlace
+// compress under MaxErr (the ingest engine's input mode) writes the same
+// bytes as a Copy compress.
 func TestFloat32MaxErrBound(t *testing.T) {
 	dims := grid.Dims{Nx: 16, Ny: 16, Nz: 16}
 	raw := coherentWindow32(dims, 8, 0.3)
@@ -330,20 +331,15 @@ func TestFloat32MaxErrBound(t *testing.T) {
 			if _, err := cw.WriteTo(&want); err != nil {
 				t.Fatal(err)
 			}
-			wr, err := NewWriterOf[float32](o, dims, func(w *CompressedWindow) error {
-				_, err := w.WriteTo(&got)
-				return err
-			})
+			inPlace, err := Compress(context.Background(), c, raw.Clone(), InPlace)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			for i, f := range raw.Slices {
-				if err := wr.WriteSlice(f, raw.Times[i]); err != nil {
-					t.Fatal(err)
-				}
+			if _, err := inPlace.WriteTo(&got); err != nil {
+				t.Fatal(err)
 			}
 			if !bytes.Equal(want.Bytes(), got.Bytes()) {
-				t.Errorf("%s: float32 writer bytes differ from Compress", name)
+				t.Errorf("%s: float32 in-place bytes differ from Compress(Copy)", name)
 			}
 		}
 	}
@@ -410,44 +406,6 @@ func TestDecompressSlice32MatchesFull(t *testing.T) {
 				t.Fatalf("slice %d sample %d differs from full decode", slice, j)
 			}
 		}
-	}
-}
-
-func TestWriter32Stream(t *testing.T) {
-	d := grid.Dims{Nx: 10, Ny: 8, Nz: 6}
-	o := DefaultOptions()
-	o.WindowSize = 4
-	var got []*CompressedWindow
-	w, err := NewWriterOf[float32](o, d, func(cw *CompressedWindow) error {
-		got = append(got, cw)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := coherentWindow32(d, 10, 0.2)
-	for i, f := range src.Slices {
-		if err := w.WriteSlice(f, float64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("got %d windows, want 3 (4+4+2 slices)", len(got))
-	}
-	for i, cw := range got {
-		if cw.Precision != Float32 {
-			t.Fatalf("window %d precision %v, want Float32", i, cw.Precision)
-		}
-	}
-	st := w.Stats()
-	if st.SlicesIn != 10 || st.WindowsOut != 3 || st.PendingSlices != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if want := int64(d.Len()) * 4 * 4; st.PeakBufferSize != want {
-		t.Fatalf("peak buffer %d bytes, want %d (float32 samples)", st.PeakBufferSize, want)
 	}
 }
 

@@ -93,31 +93,45 @@ func ResLabel(stride int) string {
 // EvalWindowed compresses a slice sequence in windows and accumulates
 // NRMSE / normalized L-inf against the originals over the whole sequence.
 func EvalWindowed(seq *grid.Window, opts core.Options) (nrmse, nlinf float64, err error) {
-	comp, err := core.New(opts)
-	if err != nil {
-		return 0, 0, err
-	}
-	windowSize := opts.WindowSize
-	if opts.Mode == core.Spatial3D {
-		windowSize = 1
-	}
-	chunks, err := seq.Partition(windowSize)
+	recon, _, err := roundTripSeq(seq, opts)
 	if err != nil {
 		return 0, 0, err
 	}
 	ac := metrics.NewAccumulator()
-	for _, chunk := range chunks {
-		recon, _, err := comp.RoundTrip(chunk)
-		if err != nil {
+	for i := range seq.Slices {
+		if err := ac.Add(seq.Slices[i].Data, recon.Slices[i].Data); err != nil {
 			return 0, 0, err
-		}
-		for i := range chunk.Slices {
-			if err := ac.Add(chunk.Slices[i].Data, recon.Slices[i].Data); err != nil {
-				return 0, 0, err
-			}
 		}
 	}
 	return ac.NRMSE(), ac.NLInf(), nil
+}
+
+// roundTripSeq compresses a sequence in windows of opts.SlicesPerWindow
+// slices and returns the reconstruction plus the ideal stored bytes.
+func roundTripSeq(seq *grid.Window, opts core.Options) (*grid.Window, int64, error) {
+	comp, err := core.New(opts)
+	if err != nil {
+		return nil, 0, err
+	}
+	chunks, err := seq.Partition(opts.SlicesPerWindow())
+	if err != nil {
+		return nil, 0, err
+	}
+	out := grid.NewWindow(seq.Dims)
+	var bytes int64
+	for _, ch := range chunks {
+		recon, cw, err := comp.RoundTrip(ch)
+		if err != nil {
+			return nil, 0, err
+		}
+		bytes += cw.IdealSizeBytes()
+		for i := range recon.Slices {
+			if err := out.Append(recon.Slices[i], recon.Times[i]); err != nil {
+				return nil, 0, err
+			}
+		}
+	}
+	return out, bytes, nil
 }
 
 // BaseOptions4D returns the paper's sweet-spot 4D configuration at a given

@@ -51,56 +51,26 @@ func RunFig4(sc Scale, dir string, progress io.Writer) (path string, gap3D, gap4
 		}
 		return flow.NewVectorSeries(dom, sl)
 	}
-	compress := func(seq *grid.Window, mode core.Mode) (*grid.Window, error) {
-		var opts core.Options
-		if mode == core.Spatial3D {
-			opts = BaseOptions3D(128, sc.Workers)
-		} else {
-			opts = BaseOptions4D(128, 18, sc.Workers)
-			opts.TemporalKernel = wavelet.CDF97
-		}
-		comp, err := core.New(opts)
-		if err != nil {
-			return nil, err
-		}
-		ws := opts.WindowSize
-		if mode == core.Spatial3D {
-			ws = 1
-		}
-		chunks, err := seq.Partition(ws)
-		if err != nil {
-			return nil, err
-		}
-		out := grid.NewWindow(seq.Dims)
-		for _, ch := range chunks {
-			recon, _, err := comp.RoundTrip(ch)
-			if err != nil {
-				return nil, err
-			}
-			for i := range recon.Slices {
-				if err := out.Append(recon.Slices[i], recon.Times[i]); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return out, nil
-	}
-
 	baseline, err := mkSeries(uSeq, vSeq, wSeq)
 	if err != nil {
 		return "", 0, 0, err
 	}
 	versions := map[string]*flow.VectorSeries{"orig": baseline}
 	for _, mode := range []core.Mode{core.Spatial3D, core.Spatiotemporal4D} {
-		cu, err := compress(uSeq, mode)
+		opts := BaseOptions3D(128, sc.Workers)
+		if mode == core.Spatiotemporal4D {
+			opts = BaseOptions4D(128, 18, sc.Workers)
+			opts.TemporalKernel = wavelet.CDF97
+		}
+		cu, _, err := roundTripSeq(uSeq, opts)
 		if err != nil {
 			return "", 0, 0, err
 		}
-		cv, err := compress(vSeq, mode)
+		cv, _, err := roundTripSeq(vSeq, opts)
 		if err != nil {
 			return "", 0, 0, err
 		}
-		cw, err := compress(wSeq, mode)
+		cw, _, err := roundTripSeq(wSeq, opts)
 		if err != nil {
 			return "", 0, 0, err
 		}

@@ -84,34 +84,6 @@ func RunFTLE(sc Scale, progress io.Writer) (*FTLEResult, error) {
 	}
 	res := &FTLEResult{BaselineMax: basePlane.Max()}
 
-	compressSeq := func(seq *grid.Window, opts core.Options) (*grid.Window, error) {
-		comp, err := core.New(opts)
-		if err != nil {
-			return nil, err
-		}
-		ws := opts.WindowSize
-		if opts.Mode == core.Spatial3D {
-			ws = 1
-		}
-		chunks, err := seq.Partition(ws)
-		if err != nil {
-			return nil, err
-		}
-		out := grid.NewWindow(seq.Dims)
-		for _, ch := range chunks {
-			recon, _, err := comp.RoundTrip(ch)
-			if err != nil {
-				return nil, err
-			}
-			for i := range recon.Slices {
-				if err := out.Append(recon.Slices[i], recon.Times[i]); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return out, nil
-	}
-
 	for _, ratio := range []float64{32, 128} {
 		for _, mode := range []core.Mode{core.Spatial3D, core.Spatiotemporal4D} {
 			var opts core.Options
@@ -122,15 +94,15 @@ func RunFTLE(sc Scale, progress io.Writer) (*FTLEResult, error) {
 				opts.TemporalKernel = wavelet.CDF97
 			}
 			fprintf(progress, "ftle: %g:1 %v\n", ratio, mode)
-			cu, err := compressSeq(uSeq, opts)
+			cu, _, err := roundTripSeq(uSeq, opts)
 			if err != nil {
 				return nil, err
 			}
-			cv, err := compressSeq(vSeq, opts)
+			cv, _, err := roundTripSeq(vSeq, opts)
 			if err != nil {
 				return nil, err
 			}
-			cw, err := compressSeq(wSeq, opts)
+			cw, _, err := roundTripSeq(wSeq, opts)
 			if err != nil {
 				return nil, err
 			}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"stwave/internal/core"
 	"stwave/internal/grid"
 	"stwave/internal/metrics"
 )
@@ -115,38 +114,6 @@ func RunP3(sc Scale, progress io.Writer) (*P3Result, error) {
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
-}
-
-// roundTripSeq compresses a sequence in windows and returns the
-// reconstruction plus the ideal stored bytes.
-func roundTripSeq(seq *grid.Window, opts core.Options) (*grid.Window, int64, error) {
-	comp, err := core.New(opts)
-	if err != nil {
-		return nil, 0, err
-	}
-	ws := opts.WindowSize
-	if opts.Mode == core.Spatial3D {
-		ws = 1
-	}
-	chunks, err := seq.Partition(ws)
-	if err != nil {
-		return nil, 0, err
-	}
-	out := grid.NewWindow(seq.Dims)
-	var bytes int64
-	for _, ch := range chunks {
-		recon, cw, err := comp.RoundTrip(ch)
-		if err != nil {
-			return nil, 0, err
-		}
-		bytes += cw.IdealSizeBytes()
-		for i := range recon.Slices {
-			if err := out.Append(recon.Slices[i], recon.Times[i]); err != nil {
-				return nil, 0, err
-			}
-		}
-	}
-	return out, bytes, nil
 }
 
 // Write renders the P3 table.

@@ -95,34 +95,6 @@ func RunTable2(sc Scale, progress io.Writer) (*Table2Result, error) {
 		return nil, err
 	}
 
-	compressSeq := func(seq *grid.Window, opts core.Options) (*grid.Window, error) {
-		comp, err := core.New(opts)
-		if err != nil {
-			return nil, err
-		}
-		windowSize := opts.WindowSize
-		if opts.Mode == core.Spatial3D {
-			windowSize = 1
-		}
-		chunks, err := seq.Partition(windowSize)
-		if err != nil {
-			return nil, err
-		}
-		out := grid.NewWindow(seq.Dims)
-		for _, ch := range chunks {
-			recon, _, err := comp.RoundTrip(ch)
-			if err != nil {
-				return nil, err
-			}
-			for i := range recon.Slices {
-				if err := out.Append(recon.Slices[i], recon.Times[i]); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return out, nil
-	}
-
 	res := &Table2Result{Seeds: len(seeds)}
 	for _, ratio := range Table2Ratios {
 		for _, mode := range []core.Mode{core.Spatial3D, core.Spatiotemporal4D} {
@@ -135,15 +107,15 @@ func RunTable2(sc Scale, progress io.Writer) (*Table2Result, error) {
 				opts.TemporalKernel = wavelet.CDF97
 			}
 			fprintf(progress, "table2: %g:1 %v\n", ratio, mode)
-			cu, err := compressSeq(uSeq, opts)
+			cu, _, err := roundTripSeq(uSeq, opts)
 			if err != nil {
 				return nil, err
 			}
-			cv, err := compressSeq(vSeq, opts)
+			cv, _, err := roundTripSeq(vSeq, opts)
 			if err != nil {
 				return nil, err
 			}
-			cw, err := compressSeq(wSeq, opts)
+			cw, _, err := roundTripSeq(wSeq, opts)
 			if err != nil {
 				return nil, err
 			}

@@ -239,8 +239,8 @@ func TestRawFloat32RoundTrip(t *testing.T) {
 	if buf.Len() != 4*3*2*4 {
 		t.Errorf("serialized size = %d, want %d", buf.Len(), 4*3*2*4)
 	}
-	g, err := ReadRawFloat32Of[float64](&buf, 4, 3, 2)
-	if err != nil {
+	g := NewField3D(4, 3, 2)
+	if err := ReadRawFloat32Into(&buf, g); err != nil {
 		t.Fatal(err)
 	}
 	for i := range f.Data {
@@ -253,7 +253,7 @@ func TestRawFloat32RoundTrip(t *testing.T) {
 func TestReadRawTruncated(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write(make([]byte, 10)) // not enough for 2x2x2 float32
-	if _, err := ReadRawFloat32Of[float64](&buf, 2, 2, 2); err == nil {
+	if err := ReadRawFloat32Into(&buf, NewField3D(2, 2, 2)); err == nil {
 		t.Error("expected error on truncated input")
 	}
 }
@@ -281,6 +281,28 @@ func TestSaveLoadRawFile(t *testing.T) {
 		if math.Abs(f.Data[i]-g.Data[i]) > 1e-6 {
 			t.Fatalf("sample %d mismatch", i)
 		}
+	}
+}
+
+// TestLoadRawFileRejectsWrongSize: a raw file is one volume of exactly
+// the requested dims; a larger or a smaller file is an error, never the
+// prefix of another volume, and dims of 2^41 samples fail before their
+// field is allocated.
+func TestLoadRawFileRejectsWrongSize(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "vol.raw")
+	if err := NewField3D(8, 8, 8).SaveRawFile(path); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{4, 9} {
+		if f, err := LoadRawFileOf[float64](path, n, n, n); err == nil {
+			t.Fatalf("an 8³ file loaded as %d³ (%d samples)", n, len(f.Data))
+		}
+	}
+	if _, err := LoadRawFileOf[float32](path, MaxAxis, MaxAxis, 2); err == nil {
+		t.Errorf("an 8³ file loaded as %dx%dx2", MaxAxis, MaxAxis)
+	}
+	if _, err := LoadRawFileOf[float32](path, 8, 8, 8); err != nil {
+		t.Errorf("an 8³ file loaded as 8³: %v", err)
 	}
 }
 

@@ -124,6 +124,7 @@ type Config struct {
 type Stats struct {
 	SlicesIn          int     // slices produced by the source (incl. shed)
 	WindowsAppended   int     // compressed windows durably appended
+	BytesEncoded      int64   // encoded payload bytes of the appended windows
 	WindowsShed       int     // gap markers appended
 	SlicesShed        int     // slices covered by gap markers
 	DegradeSteps      int     // ladder rungs stepped down
@@ -158,6 +159,7 @@ type windowJobOf[F num.Float] struct {
 // next submit, workers stop compressing, and delivery keeps draining but
 // journals nothing, so the journal never runs past a hole.
 type stageOf[F num.Float] struct {
+	ctx         context.Context // compressions and appends run under it
 	work, order chan *windowJobOf[F]
 	err         atomic.Pointer[error]
 	running     sync.WaitGroup
@@ -213,11 +215,10 @@ func (s *stageOf[F]) finish() error {
 // MemBudget admits twice the slices) and compression runs the native
 // float32 pipeline down to the container bytes.
 type EngineOf[F num.Float] struct {
-	cfg     Config
-	w       *storage.ContainerWriter
-	comps   []*core.Compressor // rung 0 = base ratio, then the ladder
-	winSize int
-	dims    grid.Dims
+	cfg   Config
+	w     *storage.ContainerWriter
+	comps []*core.Compressor // rung 0 = base ratio, then the ladder
+	dims  grid.Dims
 
 	mu       sync.Mutex
 	rung     int
@@ -308,17 +309,12 @@ func NewEngineOf[F num.Float](cfg Config, dims grid.Dims, w *storage.ContainerWr
 	if cfg.RetryEvery <= 0 {
 		cfg.RetryEvery = 20 * time.Millisecond
 	}
-	winSize := cfg.Opts.WindowSize
-	if cfg.Opts.Mode == core.Spatial3D {
-		winSize = 1
-	}
 	return &EngineOf[F]{
-		cfg:     cfg,
-		w:       w,
-		comps:   comps,
-		winSize: winSize,
-		dims:    dims,
-		notify:  make(chan struct{}, 1),
+		cfg:    cfg,
+		w:      w,
+		comps:  comps,
+		dims:   dims,
+		notify: make(chan struct{}, 1),
 	}, nil
 }
 
@@ -356,22 +352,31 @@ func (e *EngineOf[F]) charge(n int64) {
 	obs.Default().Gauge("ingest.inflight_bytes").Set(float64(cur))
 }
 
-// Run streams totalSlices slices from src through compression into the
-// container. It returns once every produced window is durably appended
-// (or shed behind a gap marker), or on the first unrecoverable error — in
-// which case the journal still ends at a record boundary with everything
-// previously acknowledged intact.
+// Run is RunCtx under a background context, kept for the benchmark
+// harness.
 func (e *EngineOf[F]) Run(src SourceOf[F], totalSlices int) (Stats, error) {
+	return e.RunCtx(context.Background(), src, totalSlices)
+}
+
+// RunCtx streams totalSlices slices from src through compression into the
+// container, in windows of Opts.SlicesPerWindow slices. It returns once
+// every produced window is durably appended (or shed behind a gap
+// marker), or on the first unrecoverable error — in which case the
+// journal still ends at a record boundary with everything previously
+// acknowledged intact. Window compression and appends run under ctx, so a
+// trace it carries records their spans.
+func (e *EngineOf[F]) RunCtx(ctx context.Context, src SourceOf[F], totalSlices int) (Stats, error) {
 	if src.Dims() != e.dims {
 		return e.snapshot(), fmt.Errorf("ingest: source dims %v != engine dims %v", src.Dims(), e.dims)
 	}
 	if totalSlices <= 0 {
 		return e.snapshot(), fmt.Errorf("ingest: total slices %d must be positive", totalSlices)
 	}
-	s := e.newStage()
+	s := e.newStage(ctx)
+	winSize := e.cfg.Opts.SlicesPerWindow()
 	runErr := func() error {
 		for remaining := totalSlices; remaining > 0; {
-			n := min(e.winSize, remaining)
+			n := min(winSize, remaining)
 			remaining -= n
 			admitted, err := e.admit(int64(n)*e.sliceBytes(), s)
 			if err != nil {
@@ -401,8 +406,9 @@ func (e *EngineOf[F]) Run(src SourceOf[F], totalSlices int) (Stats, error) {
 // worker idles between windows; order holds twice that, which bounds how
 // many windows the producer runs ahead of delivery when no MemBudget is
 // set.
-func (e *EngineOf[F]) newStage() *stageOf[F] {
+func (e *EngineOf[F]) newStage(ctx context.Context) *stageOf[F] {
 	s := &stageOf[F]{
+		ctx:   ctx,
 		work:  make(chan *windowJobOf[F], e.cfg.Workers),
 		order: make(chan *windowJobOf[F], 2*e.cfg.Workers),
 	}
@@ -427,7 +433,7 @@ func (e *EngineOf[F]) newStage() *stageOf[F] {
 func (e *EngineOf[F]) compressJob(s *stageOf[F], job *windowJobOf[F]) {
 	if s.Err() == nil {
 		start := time.Now()
-		job.cw, job.err = core.Compress(context.Background(), e.comps[job.rung], job.win, core.InPlace)
+		job.cw, job.err = core.Compress(s.ctx, e.comps[job.rung], job.win, core.InPlace)
 		if job.err == nil {
 			obs.Default().Histogram("ingest.compress_seconds").ObserveSince(start)
 		}
@@ -449,7 +455,7 @@ func (e *EngineOf[F]) deliverJobs(s *stageOf[F]) {
 			case job.gap != nil:
 				err = e.appendGap(*job.gap)
 			default:
-				err = e.appendWindow(job)
+				err = e.appendWindow(s.ctx, job)
 			}
 			if err != nil {
 				s.err.Store(&err)
@@ -609,19 +615,20 @@ func (e *EngineOf[F]) shedWindow(s *stageOf[F], src SourceOf[F], n int) error {
 // through append failures: stall retries the same bytes until the
 // deadline, degrade re-encodes the retained window at coarser rungs, shed
 // gives the window up and journals a write-failed gap in its place.
-func (e *EngineOf[F]) appendWindow(job *windowJobOf[F]) error {
+func (e *EngineOf[F]) appendWindow(ctx context.Context, job *windowJobOf[F]) error {
 	start := time.Now()
 	cw := job.cw
 	deadline := time.Now().Add(e.cfg.Deadline)
 	rung := job.rung
 	counted := false
 	for {
-		_, err := e.w.Append(cw)
+		_, err := e.w.AppendCtx(ctx, cw)
 		if err == nil {
 			obs.Default().Histogram("ingest.append_seconds").ObserveSince(start)
 			obs.Default().Counter("ingest.windows_appended_total").Add(1)
 			e.mu.Lock()
 			e.stats.WindowsAppended++
+			e.stats.BytesEncoded += cw.EncodedSizeBytes()
 			e.mu.Unlock()
 			return nil
 		}
@@ -679,7 +686,7 @@ func (e *EngineOf[F]) appendWindow(job *windowJobOf[F]) error {
 			e.stats.DegradeSteps++
 			e.mu.Unlock()
 			obs.Default().Counter("ingest.degrade_steps_total").Add(1)
-			recompressed, rerr := core.Compress(context.Background(), e.comps[rung], job.win, core.Coefficients)
+			recompressed, rerr := core.Compress(ctx, e.comps[rung], job.win, core.Coefficients)
 			if rerr != nil {
 				return rerr
 			}

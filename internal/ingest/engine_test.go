@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -130,6 +131,10 @@ func verifyTimeline(t *testing.T, path string) (windows, gapSlices, total int) {
 	return windows, gapSlices, slice
 }
 
+// TestIngestMatchesOfflineCompression: every durable window equals the
+// offline compression of the same slices, a short trailing window
+// included, and the engine compresses its own buffers in place, never
+// cloning a window.
 func TestIngestMatchesOfflineCompression(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ingest.stw")
 	w, err := storage.CreateContainer(path)
@@ -140,10 +145,15 @@ func TestIngestMatchesOfflineCompression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	clones := obs.Default().Counter("core.window_clone_bytes_total")
+	before := clones.Load()
 	// 10 slices at window 4: two full windows plus a partial flush.
 	stats, err := eng.Run(newTestSource(t), 10)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := clones.Load() - before; got != 0 {
+		t.Errorf("engine cloned %d window bytes, want 0", got)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -154,6 +164,88 @@ func TestIngestMatchesOfflineCompression(t *testing.T) {
 	windows, gaps, total := verifyTimeline(t, path)
 	if windows != 3 || gaps != 0 || total != 10 {
 		t.Fatalf("timeline: %d windows, %d gap slices, %d total; want 3/0/10", windows, gaps, total)
+	}
+	r, err := storage.OpenContainer(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var encoded int64
+	for i, want := range []int{4, 4, 2} {
+		cw, err := r.ReadWindow(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cw.NumSlices() != want {
+			t.Errorf("window %d holds %d slices, want %d", i, cw.NumSlices(), want)
+		}
+		encoded += cw.EncodedSizeBytes()
+	}
+	if stats.BytesEncoded != encoded {
+		t.Errorf("stats count %d encoded bytes, the windows hold %d", stats.BytesEncoded, encoded)
+	}
+}
+
+// TestIngestWindowSource: an in-memory window replays at its own times
+// into one-slice windows in 3D mode, the window itself is only read, and
+// asking for more slices than it holds fails the run.
+func TestIngestWindowSource(t *testing.T) {
+	d := testDims()
+	series := refWindow(t, []float64{8502, 8503, 8504})
+	orig := series.Clone()
+	opts := testOpts()
+	opts.Mode = core.Spatial3D
+	path := filepath.Join(t.TempDir(), "3d.stw")
+	w, err := storage.CreateContainer(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngineOf[float64](Config{Opts: opts}, d, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(NewWindowSourceOf(series), series.Len()); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range series.Slices {
+		if series.Times[i] != orig.Times[i] || !slices.Equal(series.Slices[i].Data, orig.Slices[i].Data) {
+			t.Fatalf("slice %d of the source window changed during the run", i)
+		}
+	}
+	r, err := storage.OpenContainer(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if r.NumWindows() != 3 {
+		t.Fatalf("3D run of 3 slices journaled %d windows, want 3", r.NumWindows())
+	}
+	for i := 0; i < 3; i++ {
+		cw, err := r.ReadWindow(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cw.NumSlices() != 1 || cw.Times[0] != series.Times[i] {
+			t.Errorf("window %d: %d slices at t=%v, want 1 at t=%g", i, cw.NumSlices(), cw.Times, series.Times[i])
+		}
+	}
+
+	w2, err := storage.CreateContainer(filepath.Join(t.TempDir(), "short.stw"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err = NewEngineOf[float64](Config{Opts: opts}, d, w2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(NewWindowSourceOf(series), series.Len()+1); err == nil {
+		t.Error("a run past the end of the window succeeded")
+	}
+	if err := w2.Close(); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -427,6 +519,13 @@ func TestEngineValidation(t *testing.T) {
 	}
 	if _, err := eng.Run(newTestSource(t), 0); err == nil {
 		t.Error("zero slices accepted")
+	}
+	other := grid.NewWindow(grid.Dims{Nx: 4, Ny: 8, Nz: 8})
+	if err := other.Append(grid.NewField3D(4, 8, 8), 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(NewWindowSourceOf(other), 1); err == nil {
+		t.Error("source dims that differ from the engine's accepted")
 	}
 }
 

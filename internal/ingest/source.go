@@ -1,5 +1,6 @@
-// Package ingest is the in-situ streaming path: it wires a live
-// simulation (internal/sim) into a bounded-memory compress-and-append
+// Package ingest is the one path from a stream of time slices to a
+// container: it wires a live simulation (internal/sim), a series of raw
+// files or an in-memory window into a bounded-memory compress-and-append
 // loop over a container journal, the workflow the paper's Figure 1 sketch
 // assumes but never has to operate — a solver that produces slices
 // whether or not the storage tier can keep up. The engine accumulates
@@ -44,39 +45,92 @@ type SourceOf[F num.Float] interface {
 	Skip() (float64, error)
 }
 
-// source is the one SourceOf implementation: a solver or analytic field
-// seen as a clock that advances one step and returns the new slice's
-// simulation time, and a fill that samples the tracked field at that time.
-// Only fill touches dst, so Skip keeps the simulation marching without
-// sampling.
+// source is the one SourceOf implementation: a solver, an analytic field
+// or a recorded series seen as a clock that advances one step and returns
+// the new slice's simulation time, and a fill that samples the tracked
+// field at that step. Only fill touches dst, so Skip keeps the simulation
+// marching without sampling.
 type source[F num.Float] struct {
 	dims    grid.Dims
-	advance func() float64
+	advance func() (float64, error)
 	fill    func(dst *grid.Field3DOf[F], t float64) error
 }
 
 func (s *source[F]) Dims() grid.Dims { return s.dims }
 
 func (s *source[F]) Next(dst *grid.Field3DOf[F]) (float64, error) {
-	t := s.advance()
+	t, err := s.advance()
+	if err != nil {
+		return t, err
+	}
 	return t, s.fill(dst, t)
 }
 
-func (s *source[F]) Skip() (float64, error) { return s.advance(), nil }
+func (s *source[F]) Skip() (float64, error) { return s.advance() }
 
 // fixedStep is the clock of the analytic sources: slice i is at time
 // i·dt. dt must be finite and positive — a NaN or infinite step would
 // journal non-finite times and samples.
-func fixedStep(dt float64) (func() float64, error) {
+func fixedStep(dt float64) (func() (float64, error), error) {
 	if math.IsNaN(dt) || math.IsInf(dt, 0) || dt <= 0 {
 		return nil, fmt.Errorf("ingest: step size %g must be finite and positive", dt)
 	}
 	step := 0
-	return func() float64 {
+	return func() (float64, error) {
 		t := float64(step) * dt
 		step++
-		return t
+		return t, nil
 	}, nil
+}
+
+// replay builds the source of a recorded series of n slices: slice i is
+// at time at(i), and fill(dst, i) samples it. Stepping past the last
+// slice is an error.
+func replay[F num.Float](dims grid.Dims, n int, at func(int) float64, fill func(dst *grid.Field3DOf[F], i int) error) *source[F] {
+	i := -1
+	return &source[F]{
+		dims: dims,
+		advance: func() (float64, error) {
+			if i+1 >= n {
+				return 0, fmt.Errorf("ingest: source holds only %d slices", n)
+			}
+			i++
+			return at(i), nil
+		},
+		fill: func(dst *grid.Field3DOf[F], _ float64) error { return fill(dst, i) },
+	}
+}
+
+// NewWindowSourceOf replays the slices of an in-memory window at their
+// times, copying each into the engine's buffer; w is only read.
+func NewWindowSourceOf[F num.Float](w *grid.WindowOf[F]) SourceOf[F] {
+	return replay(w.Dims, w.Len(), func(i int) float64 { return w.Times[i] },
+		func(dst *grid.Field3DOf[F], i int) error {
+			copy(dst.Data, w.Slices[i].Data)
+			return nil
+		})
+}
+
+// NewRawFileSourceOf replays float32 raw volumes of dims, one file per
+// slice, slice i at time i. Every file is checked against dims here, so a
+// caller that builds the source before creating its output never
+// truncates a container for inputs it cannot read.
+func NewRawFileSourceOf[F num.Float](paths []string, dims grid.Dims) (SourceOf[F], error) {
+	if !dims.Valid() {
+		return nil, fmt.Errorf("ingest: invalid dims %v", dims)
+	}
+	for _, p := range paths {
+		if err := grid.CheckRawFile(p, dims); err != nil {
+			return nil, err
+		}
+	}
+	return replay(dims, len(paths), func(i int) float64 { return float64(i) },
+		func(dst *grid.Field3DOf[F], i int) error {
+			if err := grid.LoadRawFileInto(paths[i], dst); err != nil {
+				return fmt.Errorf("loading %s: %w", paths[i], err)
+			}
+			return nil
+		}), nil
 }
 
 // cube is the geometry of an n³ solver grid.
@@ -90,7 +144,7 @@ func NewGhostSourceOf[F num.Float](s *ghost.Solver) (SourceOf[F], error) {
 	}
 	return &source[F]{
 		dims:    cube(s.N()),
-		advance: func() float64 { s.Step(); return s.Time() },
+		advance: func() (float64, error) { s.Step(); return s.Time(), nil },
 		fill:    func(dst *grid.Field3DOf[F], _ float64) error { return ghost.ScalarInto(s, dst) },
 	}, nil
 }
@@ -100,7 +154,7 @@ func NewGhostSourceOf[F num.Float](s *ghost.Solver) (SourceOf[F], error) {
 func NewCloverleafSourceOf[F num.Float](s *cloverleaf.Solver) SourceOf[F] {
 	return &source[F]{
 		dims:    cube(s.N()),
-		advance: func() float64 { s.Step(); return s.Time() },
+		advance: func() (float64, error) { s.Step(); return s.Time(), nil },
 		fill:    func(dst *grid.Field3DOf[F], _ float64) error { return cloverleaf.DensityInto(s, dst) },
 	}
 }

@@ -1,7 +1,9 @@
 package ingest
 
 import (
+	"fmt"
 	"math"
+	"path/filepath"
 	"testing"
 
 	"stwave/internal/grid"
@@ -141,5 +143,54 @@ func TestSourcesAtBothPrecisions(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRawFileSource: raw volumes replay at times 0, 1, 2, … and Skip
+// steps past a file without reading it; a file that is not exactly one
+// volume of the requested dims is rejected when the source is built, and
+// a missing file too.
+func TestRawFileSource(t *testing.T) {
+	dir := t.TempDir()
+	d := grid.Dims{Nx: 4, Ny: 3, Nz: 2}
+	paths := make([]string, 3)
+	for i := range paths {
+		f := grid.NewField3D32(d.Nx, d.Ny, d.Nz)
+		for j := range f.Data {
+			f.Data[j] = float32(i*100 + j)
+		}
+		paths[i] = filepath.Join(dir, fmt.Sprintf("s%d.raw", i))
+		if err := f.SaveRawFile(paths[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src, err := NewRawFileSourceOf[float64](paths, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := grid.NewField3D(d.Nx, d.Ny, d.Nz)
+	if tm, err := src.Next(dst); err != nil || tm != 0 || dst.Data[5] != 5 {
+		t.Fatalf("Next = t %g, sample %g, %v; want t 0, sample 5", tm, dst.Data[5], err)
+	}
+	if tm, err := src.Skip(); err != nil || tm != 1 {
+		t.Fatalf("Skip = t %g, %v; want t 1", tm, err)
+	}
+	if tm, err := src.Next(dst); err != nil || tm != 2 || dst.Data[5] != 205 {
+		t.Fatalf("Next = t %g, sample %g, %v; want t 2, sample 205", tm, dst.Data[5], err)
+	}
+	if _, err := src.Next(dst); err == nil {
+		t.Error("Next past the last file succeeded")
+	}
+	for name, dims := range map[string]grid.Dims{
+		"smaller dims": {Nx: 2, Ny: 3, Nz: 2},
+		"larger dims":  {Nx: 4, Ny: 3, Nz: 3},
+		"2^41 samples": {Nx: grid.MaxAxis, Ny: grid.MaxAxis, Nz: 2},
+	} {
+		if _, err := NewRawFileSourceOf[float32](paths, dims); err == nil {
+			t.Errorf("%s: %v accepted for %v files", name, dims, d)
+		}
+	}
+	if _, err := NewRawFileSourceOf[float32](append(paths, filepath.Join(dir, "missing.raw")), d); err == nil {
+		t.Error("a missing file accepted")
 	}
 }

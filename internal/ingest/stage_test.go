@@ -7,6 +7,7 @@ package ingest
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"path/filepath"
 	"runtime"
@@ -121,7 +122,7 @@ func closedEntries(t *testing.T, w *storage.ContainerWriter, path string) int {
 // gap in its place when shed is set.
 func playedStage(t *testing.T, eng *EngineOf[float64]) (*stageOf[float64], func(shed bool)) {
 	t.Helper()
-	s := &stageOf[float64]{work: make(chan *windowJobOf[float64], 4), order: make(chan *windowJobOf[float64], 4)}
+	s := &stageOf[float64]{ctx: context.Background(), work: make(chan *windowJobOf[float64], 4), order: make(chan *windowJobOf[float64], 4)}
 	s.running.Add(1)
 	go func() {
 		defer s.running.Done()
@@ -296,6 +297,30 @@ func newSynthSourceOf[F num.Float](t *testing.T, dims grid.Dims) SourceOf[F] {
 	return src
 }
 
+// compressCopyBytes is the engine's oracle: seq partitioned into windows
+// of opts.SlicesPerWindow slices, each compressed with Copy input and
+// serialized.
+func compressCopyBytes[F num.Float](t *testing.T, opts core.Options, seq *grid.WindowOf[F]) [][]byte {
+	t.Helper()
+	c, err := core.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks, err := seq.Partition(opts.SlicesPerWindow())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out [][]byte
+	for _, ch := range chunks {
+		cw, err := core.Compress(context.Background(), c, ch, core.Copy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, serialize(t, cw))
+	}
+	return out
+}
+
 func serialize(t *testing.T, cw *core.CompressedWindow) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -307,18 +332,12 @@ func serialize(t *testing.T, cw *core.CompressedWindow) []byte {
 
 // checkEngineMatchesWriter streams total synthetic slices through the
 // engine on each worker count and checks every journaled window is
-// byte-identical to the synchronous WriterOf's, including the short
-// trailing window.
-func checkEngineMatchesWriter[F num.Float](t *testing.T, opts core.Options, dims grid.Dims, total int, workers ...int) {
+// byte-identical to core.Compress(Copy) on the same run of slices — the
+// Partition into windows of SlicesPerWindow, including the short trailing
+// window.
+func checkEngineMatchesWriter[F num.Float](t *testing.T, opts core.Options, dims grid.Dims, total, windows int, workers ...int) {
 	t.Helper()
-	var want [][]byte
-	wr, err := core.NewWriterOf[F](opts, dims, func(cw *core.CompressedWindow) error {
-		want = append(want, serialize(t, cw))
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := grid.NewWindowOf[F](dims)
 	src := newSynthSourceOf[F](t, dims)
 	for range total {
 		f := grid.NewField3DOf[F](dims.Nx, dims.Ny, dims.Nz)
@@ -326,12 +345,13 @@ func checkEngineMatchesWriter[F num.Float](t *testing.T, opts core.Options, dims
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := wr.WriteSlice(f, tm); err != nil {
+		if err := seq.Append(f, tm); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := wr.Flush(); err != nil {
-		t.Fatal(err)
+	want := compressCopyBytes(t, opts, seq)
+	if len(want) != windows {
+		t.Fatalf("%d slices at %v: %d windows, want %d", total, opts.Mode, len(want), windows)
 	}
 	for _, n := range workers {
 		path := filepath.Join(t.TempDir(), "async.stw")
@@ -354,7 +374,7 @@ func checkEngineMatchesWriter[F num.Float](t *testing.T, opts core.Options, dims
 			t.Fatal(err)
 		}
 		if r.NumWindows() != len(want) {
-			t.Fatalf("workers=%d: engine journaled %d windows, sync writer %d", n, r.NumWindows(), len(want))
+			t.Fatalf("workers=%d: engine journaled %d windows, want %d", n, r.NumWindows(), len(want))
 		}
 		for i := range want {
 			cw, err := r.ReadWindow(i)
@@ -362,7 +382,7 @@ func checkEngineMatchesWriter[F num.Float](t *testing.T, opts core.Options, dims
 				t.Fatal(err)
 			}
 			if !bytes.Equal(serialize(t, cw), want[i]) {
-				t.Fatalf("workers=%d window %d: engine bytes differ from the sync writer", n, i)
+				t.Fatalf("workers=%d window %d: engine bytes differ from Compress(Copy)", n, i)
 			}
 		}
 		if err := r.Close(); err != nil {
@@ -372,14 +392,17 @@ func checkEngineMatchesWriter[F num.Float](t *testing.T, opts core.Options, dims
 }
 
 // TestAsyncWriterMatchesSyncWriter: windows compressed concurrently by the
-// engine's stage and journaled in order are byte-identical to the
-// synchronous WriterOf's, for one and for several workers.
+// engine's stage and journaled in order are byte-identical to a
+// synchronous Compress(Copy) of each window, for one and for several
+// workers.
 func TestAsyncWriterMatchesSyncWriter(t *testing.T) {
 	defer leakCheck(t)()
 	opts := core.DefaultOptions()
 	opts.WindowSize = 10
 	opts.Ratio = 16
-	checkEngineMatchesWriter[float64](t, opts, grid.Dims{Nx: 10, Ny: 10, Nz: 10}, 27, 1, 4)
+	checkEngineMatchesWriter[float64](t, opts, grid.Dims{Nx: 10, Ny: 10, Nz: 10}, 27, 3, 1, 4)
+	opts.Mode = core.Spatial3D
+	checkEngineMatchesWriter[float64](t, opts, grid.Dims{Nx: 10, Ny: 10, Nz: 10}, 3, 3, 1, 4)
 }
 
 // TestAsyncWriter32MatchesSync: the same byte equality at float32.
@@ -388,5 +411,5 @@ func TestAsyncWriter32MatchesSync(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.WindowSize = 5
 	opts.Workers = 2
-	checkEngineMatchesWriter[float32](t, opts, grid.Dims{Nx: 10, Ny: 8, Nz: 6}, 12, 3)
+	checkEngineMatchesWriter[float32](t, opts, grid.Dims{Nx: 10, Ny: 8, Nz: 6}, 12, 3, 3)
 }

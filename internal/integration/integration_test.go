@@ -14,6 +14,7 @@ import (
 	"stwave/internal/baseline"
 	"stwave/internal/core"
 	"stwave/internal/grid"
+	"stwave/internal/ingest"
 	"stwave/internal/metrics"
 	"stwave/internal/sim/ghost"
 	"stwave/internal/storage"
@@ -38,7 +39,7 @@ func ghostWindow(t *testing.T, n, slices int) *grid.Window {
 }
 
 // TestSimulationToContainerAndBack drives the full paper workflow:
-// simulation -> stream writer -> container file -> random access decode ->
+// simulation -> ingest engine -> container file -> random access decode ->
 // error measurement.
 func TestSimulationToContainerAndBack(t *testing.T) {
 	src := ghostWindow(t, 16, 25)
@@ -52,19 +53,11 @@ func TestSimulationToContainerAndBack(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.WindowSize = 10
 	opts.Ratio = 16
-	writer, err := core.NewWriterOf[float64](opts, src.Dims, func(cw *core.CompressedWindow) error {
-		_, err := container.Append(cw)
-		return err
-	})
+	eng, err := ingest.NewEngineOf[float64](ingest.Config{Opts: opts}, src.Dims, container)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, s := range src.Slices {
-		if err := writer.WriteSlice(s, src.Times[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := writer.Flush(); err != nil {
+	if _, err := eng.Run(ingest.NewWindowSourceOf(src), src.Len()); err != nil {
 		t.Fatal(err)
 	}
 	if err := container.Close(); err != nil {

@@ -2,6 +2,7 @@ package perf
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -505,29 +506,15 @@ func RunPipeline(ctx context.Context, cfg Config, progress io.Writer) ([]Result,
 }
 
 // writeBenchContainer streams the bench window into a fresh container
-// through the streaming writer at the window's sample precision.
+// through the ingest engine at the window's sample precision.
 func writeBenchContainer[F num.Float](path string, opts core.Options, w *grid.WindowOf[F]) error {
 	cont, err := storage.CreateContainer(path)
 	if err != nil {
 		return err
 	}
-	writer, err := core.NewWriterOf[F](opts, w.Dims, func(cw *core.CompressedWindow) error {
-		_, err := cont.Append(cw)
-		return err
-	})
-	if err != nil {
-		cont.Close() //stlint:ignore uncheckederr the construction error is what matters
-		return err
+	eng, err := ingest.NewEngineOf[F](ingest.Config{Opts: opts}, w.Dims, cont)
+	if err == nil {
+		_, err = eng.Run(ingest.NewWindowSourceOf(w), w.Len())
 	}
-	for i, s := range w.Slices {
-		if err := writer.WriteSlice(s, float64(i)); err != nil {
-			cont.Close() //stlint:ignore uncheckederr the write error is what matters
-			return err
-		}
-	}
-	if err := writer.Flush(); err != nil {
-		cont.Close() //stlint:ignore uncheckederr the flush error is what matters
-		return err
-	}
-	return cont.Close()
+	return errors.Join(err, cont.Close())
 }

@@ -12,6 +12,7 @@ import (
 
 	"stwave/internal/core"
 	"stwave/internal/grid"
+	"stwave/internal/ingest"
 	"stwave/internal/storage"
 )
 
@@ -29,23 +30,21 @@ func buildContainer32(t testing.TB, d grid.Dims, numSlices, windowSize int, prog
 	if err != nil {
 		t.Fatal(err)
 	}
-	writer, err := core.NewWriterOf[float32](opts, d, func(w *core.CompressedWindow) error {
-		_, err := cw.Append(w)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	series := grid.NewWindow32(d)
 	for ts := 0; ts < numSlices; ts++ {
 		f := grid.NewField3D32(d.Nx, d.Ny, d.Nz)
 		for i := range f.Data {
 			f.Data[i] = float32(math.Sin(float64(i)*0.1 + float64(ts)*0.2))
 		}
-		if err := writer.WriteSlice(f, float64(ts)); err != nil {
+		if err := series.Append(f, float64(ts)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := writer.Flush(); err != nil {
+	eng, err := ingest.NewEngineOf[float32](ingest.Config{Opts: opts}, d, cw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(ingest.NewWindowSourceOf(series), numSlices); err != nil {
 		t.Fatal(err)
 	}
 	if err := cw.Close(); err != nil {

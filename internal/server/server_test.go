@@ -19,6 +19,7 @@ import (
 	"stwave/internal/codec"
 	"stwave/internal/core"
 	"stwave/internal/grid"
+	"stwave/internal/ingest"
 	"stwave/internal/storage"
 )
 
@@ -49,23 +50,21 @@ func writeContainer(t testing.TB, d grid.Dims, numSlices int, opts core.Options,
 	if err != nil {
 		t.Fatal(err)
 	}
-	writer, err := core.NewWriterOf[float64](opts, d, func(w *core.CompressedWindow) error {
-		_, err := cw.Append(w)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	series := grid.NewWindow(d)
 	for ts := 0; ts < numSlices; ts++ {
 		f := grid.NewField3D(d.Nx, d.Ny, d.Nz)
 		for i := range f.Data {
 			f.Data[i] = math.Sin(float64(i)*0.1 + float64(ts)*0.2)
 		}
-		if err := writer.WriteSlice(f, at(ts)); err != nil {
+		if err := series.Append(f, at(ts)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := writer.Flush(); err != nil {
+	eng, err := ingest.NewEngineOf[float64](ingest.Config{Opts: opts}, d, cw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(ingest.NewWindowSourceOf(series), numSlices); err != nil {
 		t.Fatal(err)
 	}
 	if err := cw.Close(); err != nil {

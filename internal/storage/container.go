@@ -429,69 +429,114 @@ func OpenContainer(path string) (*ContainerReader, error) {
 
 // NewContainerReader reads a container from an already-open file of the
 // given size. The reader owns f (Close closes it). The footer index is
-// validated entry by entry — offsets and lengths that are negative,
-// overlap, run past the data region, or leave no room for their record
-// frame are rejected here, instead of surfacing later as a confusing
-// read error.
+// validated entry by entry (see readFooterIndex) instead of surfacing
+// later as a confusing read error.
 func NewContainerReader(f ReadableFile, size int64) (*ContainerReader, error) {
-	if size < footerSize {
-		return nil, fmt.Errorf("storage: %d bytes is too small to be a container", size)
-	}
-	var tail [footerSize]byte
-	if _, err := f.ReadAt(tail[:], size-footerSize); err != nil {
+	fx, err := readFooterIndex(f, size, RetryPolicy{})
+	if err != nil {
 		return nil, err
 	}
-	framed := false
-	switch [4]byte(tail[8:12]) {
-	case containerMagic:
-		framed = true
-	case containerMagicV2:
-	default:
-		return nil, fmt.Errorf("storage: bad container magic %q", tail[8:12])
-	}
-	numU := binary.LittleEndian.Uint64(tail[0:8])
-	if numU > uint64(size)/indexEntrySize {
-		return nil, fmt.Errorf("storage: corrupt container index (%d windows)", numU)
-	}
-	num := int(numU)
-	indexSize := int64(indexEntrySize*num + footerSize)
-	dataEnd := size - indexSize
-	if dataEnd < 0 {
-		return nil, fmt.Errorf("storage: corrupt container index (%d windows)", num)
-	}
-	idx := make([]byte, indexEntrySize*num)
-	if _, err := f.ReadAt(idx, dataEnd); err != nil {
-		return nil, err
-	}
-	r := &ContainerReader{
+	return &ContainerReader{
 		Retry:   DefaultRetryPolicy(),
 		f:       f,
 		size:    size,
-		framed:  framed,
-		offsets: make([]int64, num),
-		lengths: make([]int64, num),
-		crcs:    make([]uint32, num),
+		framed:  fx.framed,
+		offsets: fx.offsets,
+		lengths: fx.lengths,
+		crcs:    fx.crcs,
+	}, nil
+}
+
+// footerIndex is a container's footer and the index entries it names.
+type footerIndex struct {
+	present bool   // the file ends in a footer with a known magic
+	framed  bool   // v3 magic: every window is preceded by a record frame
+	windows uint64 // the window count the footer claims
+	dataEnd int64  // where the index starts
+	offsets []int64
+	lengths []int64
+	crcs    []uint32
+}
+
+// readFooterIndex reads the footer at the end of a size-byte container and
+// the index it names, retrying transient read errors under retry. Every
+// entry is validated: an offset or length that is negative, overlaps the
+// previous entry, leaves no room for its record frame, or runs past the
+// data region is an error. present, framed and windows are set as far as
+// the footer was read even when the index is rejected, so a recovery
+// report can say what a damaged footer claims. This is the one parser of
+// the footer: the reader and the recovery scan both call it.
+func readFooterIndex(f io.ReaderAt, size int64, retry RetryPolicy) (footerIndex, error) {
+	var fx footerIndex
+	if size < footerSize {
+		return fx, fmt.Errorf("storage: %d bytes is too small to be a container", size)
 	}
+	var tail [footerSize]byte
+	if err := readAtRetry(f, retry, tail[:], size-footerSize); err != nil {
+		return fx, err
+	}
+	switch [4]byte(tail[8:12]) {
+	case containerMagic:
+		fx.framed = true
+	case containerMagicV2:
+	default:
+		return fx, fmt.Errorf("storage: bad container magic %q", tail[8:12])
+	}
+	fx.present = true
+	fx.windows = binary.LittleEndian.Uint64(tail[0:8])
+	if fx.windows > uint64(size)/indexEntrySize {
+		return fx, fmt.Errorf("storage: corrupt container index (%d windows)", fx.windows)
+	}
+	num := int(fx.windows)
+	fx.dataEnd = size - int64(indexEntrySize*num+footerSize)
+	if fx.dataEnd < 0 {
+		return fx, fmt.Errorf("storage: corrupt container index (%d windows)", num)
+	}
+	idx := make([]byte, indexEntrySize*num)
+	if err := readAtRetry(f, retry, idx, fx.dataEnd); err != nil {
+		return fx, err
+	}
+	fx.offsets = make([]int64, num)
+	fx.lengths = make([]int64, num)
+	fx.crcs = make([]uint32, num)
+	dataEnd := uint64(fx.dataEnd)
 	var prevEnd uint64
 	for i := 0; i < num; i++ {
 		off := binary.LittleEndian.Uint64(idx[indexEntrySize*i:])
 		ln := binary.LittleEndian.Uint64(idx[indexEntrySize*i+8:])
 		minOff := prevEnd
-		if framed {
+		if fx.framed {
 			minOff += core.RecordHeaderSize
 		}
 		if off < minOff {
-			return nil, fmt.Errorf("storage: corrupt index: window %d at offset %d overlaps previous data (need >= %d)", i, off, minOff)
+			return fx, fmt.Errorf("storage: corrupt index: window %d at offset %d overlaps previous data (need >= %d)", i, off, minOff)
 		}
-		if off > uint64(dataEnd) || ln > uint64(dataEnd)-off {
-			return nil, fmt.Errorf("storage: corrupt index: window %d [%d, %d+%d) runs past data region (%d bytes)", i, off, off, ln, dataEnd)
+		// Validated in the unsigned domain before narrowing: an entry past
+		// dataEnd, including one that would wrap int64, is rejected.
+		if off > dataEnd || ln > dataEnd-off {
+			return fx, fmt.Errorf("storage: corrupt index: window %d [%d, %d+%d) runs past data region (%d bytes)", i, off, off, ln, dataEnd)
 		}
-		r.offsets[i] = int64(off)
-		r.lengths[i] = int64(ln)
-		r.crcs[i] = binary.LittleEndian.Uint32(idx[indexEntrySize*i+16:])
+		fx.offsets[i] = int64(off)
+		fx.lengths[i] = int64(ln)
+		fx.crcs[i] = binary.LittleEndian.Uint32(idx[indexEntrySize*i+16:])
 		prevEnd = off + ln
 	}
-	return r, nil
+	return fx, nil
+}
+
+// contiguous reports whether the entries are framed records laid end to
+// end from offset 0 that exactly fill the data region — the layout a v3
+// writer produces, and the stricter check under which recovery adopts a
+// footer.
+func (fx footerIndex) contiguous() bool {
+	prevEnd := int64(0)
+	for i, off := range fx.offsets {
+		if off != prevEnd+core.RecordHeaderSize {
+			return false
+		}
+		prevEnd = off + fx.lengths[i]
+	}
+	return prevEnd == fx.dataEnd
 }
 
 // NumWindows returns the number of windows in the container.

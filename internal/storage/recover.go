@@ -2,7 +2,6 @@ package storage
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -172,15 +171,16 @@ func ScanContainer(f io.ReaderAt, size int64) (*ScanReport, error) {
 			return legacyRep, nil
 		}
 	}
+	fx, fxErr := readFooterIndex(f, size, retry)
 	rep.FooterOK = footerMatches(f, size, rep)
-	if !rep.FooterOK && !rep.Torn {
-		if err := resyncFromFooter(f, size, retry, rep); err != nil {
+	if !rep.FooterOK && !rep.Torn && fxErr == nil {
+		if err := resyncFromFooter(f, fx, retry, rep); err != nil {
 			return nil, err
 		}
 	}
-	if n, ok := footerWindows(f, size); ok {
+	if fx.present {
 		rep.FooterPresent = true
-		rep.FooterWindows = int(min(n, 1<<31))
+		rep.FooterWindows = int(min(fx.windows, 1<<31))
 	}
 	return rep, nil
 }
@@ -265,71 +265,20 @@ func footerMatches(f io.ReaderAt, size int64, rep *ScanReport) bool {
 	return bytes.Equal(got, want)
 }
 
-// readFooterIndex parses the footer index at the end of the file,
-// returning its entries. ok is false when the file does not end in a
-// structurally valid v3 index: footer magic, a plausible window count,
-// and entries that form a contiguous sequence of framed records exactly
-// filling the data region.
-func readFooterIndex(f io.ReaderAt, size int64, retry RetryPolicy) (offsets, lengths []int64, crcs []uint32, ok bool) {
-	if size < footerSize {
-		return nil, nil, nil, false
-	}
-	n, present := footerWindows(f, size)
-	if !present || n > uint64(size)/indexEntrySize {
-		return nil, nil, nil, false
-	}
-	num := int(n)
-	indexSize := int64(indexEntrySize*num + footerSize)
-	dataEnd := size - indexSize
-	if dataEnd < 0 {
-		return nil, nil, nil, false
-	}
-	idx := make([]byte, indexEntrySize*num)
-	if err := readAtRetry(f, retry, idx, dataEnd); err != nil {
-		return nil, nil, nil, false
-	}
-	offsets = make([]int64, num)
-	lengths = make([]int64, num)
-	crcs = make([]uint32, num)
-	prevEnd := int64(0)
-	for i := 0; i < num; i++ {
-		offU := binary.LittleEndian.Uint64(idx[indexEntrySize*i:])
-		lnU := binary.LittleEndian.Uint64(idx[indexEntrySize*i+8:])
-		// Validate in the unsigned domain before narrowing: any entry
-		// past dataEnd — including values that would wrap int64 — marks
-		// the index corrupt.
-		if offU > uint64(dataEnd) || lnU > uint64(dataEnd)-offU {
-			return nil, nil, nil, false
-		}
-		off, ln := int64(offU), int64(lnU)
-		if off != prevEnd+core.RecordHeaderSize {
-			return nil, nil, nil, false
-		}
-		offsets[i] = off
-		lengths[i] = ln
-		crcs[i] = binary.LittleEndian.Uint32(idx[indexEntrySize*i+16:])
-		prevEnd = off + ln
-	}
-	if prevEnd != dataEnd {
-		return nil, nil, nil, false
-	}
-	return offsets, lengths, crcs, true
-}
-
 // resyncFromFooter resumes a journal scan that stopped at a corrupt
-// frame header by cross-checking the footer index. The footer is adopted
-// only when it is beyond reasonable doubt: structurally valid, covering
-// more frames than the scan reached, and agreeing bit-for-bit with every
-// frame the scan already verified. Each frame past the stop point is
+// frame header by cross-checking the footer index fx. The footer is
+// adopted only when it is beyond reasonable doubt: contiguous entries,
+// covering more frames than the scan reached, and agreeing bit-for-bit
+// with every frame the scan already verified. Each frame past the stop point is
 // then classified by its own evidence — header and payload both good
 // (FrameOK), payload good but header damaged (FrameBadHeader, repair
 // rewrites it), or payload bad (FrameCorrupt, kept indexed). On success
 // FooterOK is set and TailOffset advances to the start of the index, so
 // repair never truncates windows a valid footer still reaches.
-func resyncFromFooter(f io.ReaderAt, size int64, retry RetryPolicy, rep *ScanReport) error {
+func resyncFromFooter(f io.ReaderAt, fx footerIndex, retry RetryPolicy, rep *ScanReport) error {
 	frames := durableFrames(rep)
-	offsets, lengths, crcs, ok := readFooterIndex(f, size, retry)
-	if !ok || len(offsets) <= len(frames) {
+	offsets, lengths, crcs := fx.offsets, fx.lengths, fx.crcs
+	if !fx.contiguous() || len(offsets) <= len(frames) {
 		return nil
 	}
 	for i, fr := range frames {
@@ -517,21 +466,4 @@ func backupTail(path string, f io.ReaderAt, from, to int64) error {
 		cpErr = err
 	}
 	return cpErr
-}
-
-// footerWindows reads the window count a footer claims, for reports; ok
-// is false when no valid footer magic is present.
-func footerWindows(f io.ReaderAt, size int64) (n uint64, ok bool) {
-	if size < footerSize {
-		return 0, false
-	}
-	var tail [footerSize]byte
-	if _, err := f.ReadAt(tail[:], size-footerSize); err != nil {
-		return 0, false
-	}
-	switch [4]byte(tail[8:12]) {
-	case containerMagic, containerMagicV2:
-		return binary.LittleEndian.Uint64(tail[0:8]), true
-	}
-	return 0, false
 }
