@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-go bench-smoke bench-diff reproduce examples check fmt-check lint docscheck count clean
+.PHONY: all build vet test race bench bench-go bench-smoke bench-diff reproduce examples check fmt-check fma-check lint docscheck count clean
 
 all: build vet test check
 
@@ -35,12 +35,17 @@ all: build vet test check
 # byte-at-a-time reference, the on-disk block readers of the entropy,
 # sparse and deflated sparse codecs, the coefficient codec block decoders,
 # survivor selection against the serial threshold, and every codec's
-# survivor encoder against its dense encode.
+# survivor encoder against its dense encode. The wavelet and transform
+# packages are also tested with -tags purego (the Go row bodies alone,
+# as on a CPU without AVX2) and vetted for arm64, and fma-check keeps
+# fused multiply-adds off the byte path.
 # The ingest stage tests repeated under -race. go test passes with only a
 # warning when -run matches nothing, so check counts the matches first.
 STAGE_TESTS = ^(TestPipelineSinkErrorDrains|TestPipelineJobErrorDrains|TestPipelineOrdered|TestPipelineCloseInFlightNoLeak|TestAsyncWriterMatchesSyncWriter|TestAsyncWriter32MatchesSync)$$
 
-check: vet fmt-check lint docscheck bench-smoke
+check: vet fmt-check fma-check lint docscheck bench-smoke
+	$(GO) test -tags purego ./internal/wavelet ./internal/transform
+	GOARCH=arm64 $(GO) vet ./internal/wavelet ./internal/transform
 	$(GO) test -race ./internal/server ./cmd/stserve ./internal/storage ./internal/compress ./internal/faultio ./internal/transform ./internal/core ./internal/par ./internal/codec ./internal/entropy ./internal/ingest ./internal/lint ./internal/sim/synth ./internal/sim/tornado ./internal/sim/cloverleaf ./cmd/stcomp
 	@n=$$($(GO) test -list '$(STAGE_TESTS)' ./internal/ingest | grep -c '^Test'); \
 	if [ "$$n" -ne 6 ]; then echo "STAGE_TESTS matches $$n of the 6 ingest stage tests it names"; exit 1; fi
@@ -64,6 +69,22 @@ check: vet fmt-check lint docscheck bench-smoke
 	$(GO) test -run=NONE -fuzz=FuzzCodecDecode -fuzztime=5s ./internal/codec
 	$(GO) test -run=NONE -fuzz=FuzzSelectSurvivors -fuzztime=5s ./internal/compress
 	$(GO) test -run=NONE -fuzz=FuzzEncodeSurvivors -fuzztime=5s ./internal/codec
+
+# No fused multiply-add on the byte path. gc fuses x + a*b into one
+# instruction on arm64 (and ppc64le, s390x, riscv64) unless the product
+# passes through an explicit conversion, and the fused form rounds once
+# where amd64 rounds twice, so coefficient bits would differ by target.
+# The wavelet kernels wrap their products in F(...); an arm64 listing of
+# internal/core, which instantiates them at both precisions, must hold
+# no FMADD/FMSUB/FNMADD/FNMSUB, and the AVX2 row bodies no VFMADD family
+# instruction. The FMULD test guards against an empty listing.
+fma-check:
+	@out=$$(GOARCH=arm64 $(GO) build -gcflags=stwave/internal/core=-S ./internal/core 2>&1) || { printf '%s\n' "$$out" | tail -20; exit 1; }; \
+	printf '%s\n' "$$out" | grep -q FMULD || { echo "fma-check: no arm64 listing of internal/core"; exit 1; }; \
+	n=$$(printf '%s\n' "$$out" | grep -cE 'FMADD|FMSUB|FNMADD|FNMSUB'); \
+	if [ "$$n" -ne 0 ]; then echo "fma-check: arm64 internal/core holds $$n fused multiply-adds, want 0"; exit 1; fi; \
+	if grep -nE 'VFMADD|VFMSUB|VFNMADD|VFNMSUB' internal/wavelet/rows_amd64.s; then \
+		echo "fma-check: rows_amd64.s uses a fused multiply-add"; exit 1; fi
 
 # Domain-aware static analysis: ten analyzers proving the pipeline's
 # numeric, I/O, taint, scratch-pool, context, and worker-budget

@@ -200,7 +200,7 @@ func runCompress(args []string) error {
 		ctx, root = obs.StartRoot(ctx, "stcomp.compress")
 	}
 	if *targetNRMSE > 0 {
-		err = compressToTarget(opts, dims, fs.Args(), *targetNRMSE, dst)
+		err = compressToTarget(ctx, opts, dims, fs.Args(), *targetNRMSE, dst)
 	} else if precision == core.Float32 {
 		err = compressFilesOf[float32](ctx, opts, dims, fs.Args(), dst)
 	} else {
@@ -298,8 +298,9 @@ func dumpTrace(root *obs.Span, path string) error {
 }
 
 // compressToTarget buffers whole windows and chooses each window's ratio by
-// bisection so the reconstruction meets the NRMSE target.
-func compressToTarget(opts core.Options, dims grid.Dims, paths []string, target float64, out container) error {
+// bisection so the reconstruction meets the NRMSE target. Every probe's
+// compress, and each append, runs under ctx.
+func compressToTarget(ctx context.Context, opts core.Options, dims grid.Dims, paths []string, target float64, out container) error {
 	src, err := ingest.NewRawFileSourceOf[float64](paths, dims)
 	if err != nil {
 		return err
@@ -323,11 +324,11 @@ func compressToTarget(opts core.Options, dims grid.Dims, paths []string, target 
 			}
 			left--
 		}
-		win, achieved, err := core.CompressToTarget(opts, pending, target, 1, 1024)
+		win, achieved, err := core.CompressToTarget(ctx, opts, pending, target, 1, 1024)
 		if err != nil {
 			return err
 		}
-		if _, err := cw.Append(win); err != nil {
+		if _, err := cw.AppendCtx(ctx, win); err != nil {
 			return err
 		}
 		fmt.Printf("  window %d: ratio %g:1, NRMSE %.3e (target %.3e)\n",

@@ -419,33 +419,43 @@ func writeRawSlices(t *testing.T, dir string, d grid.Dims, n int) []string {
 }
 
 // TestRunCompressTrace: -trace writes a span tree holding one
-// core.compress_window span and one storage.append_window span per
-// window, the short trailing window included.
+// storage.append_window span per window, the short trailing window
+// included, and one core.compress_window span per window, or, under
+// -target-nrmse, one per trial compression of its bisection.
 func TestRunCompressTrace(t *testing.T) {
-	dir := t.TempDir()
-	paths := writeRawSlices(t, dir, grid.Dims{Nx: 8, Ny: 8, Nz: 8}, 7)
-	trace := filepath.Join(dir, "trace.json")
-	args := append([]string{"-dims", "8x8x8", "-window", "3", "-trace", trace,
-		"-out", filepath.Join(dir, "t.stw")}, paths...)
-	if err := runCompress(args); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var root obs.SpanTree
-	if err := json.Unmarshal(data, &root); err != nil {
-		t.Fatal(err)
-	}
-	if root.Name != "stcomp.compress" {
-		t.Fatalf("root span %q, want stcomp.compress", root.Name)
-	}
-	counts := map[string]int{}
-	root.Walk(func(n obs.SpanTree, _ int) { counts[n.Name]++ })
-	for _, name := range []string{"core.compress_window", "storage.append_window"} {
-		if counts[name] != 3 {
-			t.Errorf("%d %s spans for 7 slices in windows of 3, want 3", counts[name], name)
+	for _, c := range []struct {
+		extra      []string
+		compresses func(int) bool
+	}{
+		{nil, func(n int) bool { return n == 3 }},
+		{[]string{"-target-nrmse", "0.05"}, func(n int) bool { return n >= 3 }},
+	} {
+		dir := t.TempDir()
+		paths := writeRawSlices(t, dir, grid.Dims{Nx: 8, Ny: 8, Nz: 8}, 7)
+		trace := filepath.Join(dir, "trace.json")
+		args := append([]string{"-dims", "8x8x8", "-window", "3", "-trace", trace,
+			"-out", filepath.Join(dir, "t.stw")}, c.extra...)
+		if err := runCompress(append(args, paths...)); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var root obs.SpanTree
+		if err := json.Unmarshal(data, &root); err != nil {
+			t.Fatal(err)
+		}
+		if root.Name != "stcomp.compress" || len(root.Children) == 0 {
+			t.Fatalf("%v: root span %q with %d children, want stcomp.compress with some", c.extra, root.Name, len(root.Children))
+		}
+		counts := map[string]int{}
+		root.Walk(func(n obs.SpanTree, _ int) { counts[n.Name]++ })
+		if n := counts["storage.append_window"]; n != 3 {
+			t.Errorf("%v: %d storage.append_window spans for 7 slices in windows of 3, want 3", c.extra, n)
+		}
+		if n := counts["core.compress_window"]; !c.compresses(n) {
+			t.Errorf("%v: %d core.compress_window spans for 3 windows", c.extra, n)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -15,8 +16,10 @@ import (
 //
 // This inverts the paper's workflow — scientists often know the error they
 // can tolerate, not the ratio that produces it. The search costs
-// O(log(maxRatio/minRatio)) compress+decompress cycles.
-func CompressToTarget(opts Options, w *grid.Window, targetNRMSE, minRatio, maxRatio float64) (*CompressedWindow, float64, error) {
+// O(log(maxRatio/minRatio)) compress+decompress cycles, each run under
+// ctx, so a traced caller sees every probe's compress and decompress
+// spans.
+func CompressToTarget(ctx context.Context, opts Options, w *grid.Window, targetNRMSE, minRatio, maxRatio float64) (*CompressedWindow, float64, error) {
 	if targetNRMSE <= 0 || math.IsNaN(targetNRMSE) {
 		return nil, 0, fmt.Errorf("core: target NRMSE must be positive, got %g", targetNRMSE)
 	}
@@ -31,7 +34,11 @@ func CompressToTarget(opts Options, w *grid.Window, targetNRMSE, minRatio, maxRa
 		if err != nil {
 			return nil, 0, err
 		}
-		recon, cw, err := comp.RoundTrip(w)
+		cw, err := Compress(ctx, comp, w, Copy)
+		if err != nil {
+			return nil, 0, err
+		}
+		recon, err := DecompressCtx(ctx, cw)
 		if err != nil {
 			return nil, 0, err
 		}

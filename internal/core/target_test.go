@@ -14,7 +14,7 @@ func TestCompressToTargetMeetsBound(t *testing.T) {
 	w := coherentWindow(d, 20, 0.4)
 	opts := DefaultOptions()
 	for _, target := range []float64{1e-2, 1e-3, 1e-4} {
-		cw, achieved, err := CompressToTarget(opts, w, target, 1, 512)
+		cw, achieved, err := CompressToTarget(context.Background(), opts, w, target, 1, 512)
 		if err != nil {
 			t.Fatalf("target %g: %v", target, err)
 		}
@@ -42,11 +42,11 @@ func TestCompressToTargetPrefersTighterRatios(t *testing.T) {
 	d := grid.Dims{Nx: 12, Ny: 12, Nz: 12}
 	w := coherentWindow(d, 20, 0.2)
 	opts := DefaultOptions()
-	loose, _, err := CompressToTarget(opts, w, 1e-2, 1, 512)
+	loose, _, err := CompressToTarget(context.Background(), opts, w, 1e-2, 1, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, _, err := CompressToTarget(opts, w, 1e-5, 1, 512)
+	tight, _, err := CompressToTarget(context.Background(), opts, w, 1e-5, 1, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestCompressToTargetUnreachable(t *testing.T) {
 	opts := DefaultOptions()
 	opts.WindowSize = 10
 	// With minRatio 64 even the loosest setting cannot hit 1e-12 NRMSE.
-	cw, achieved, err := CompressToTarget(opts, w, 1e-12, 64, 512)
+	cw, achieved, err := CompressToTarget(context.Background(), opts, w, 1e-12, 64, 512)
 	if err == nil {
 		t.Fatalf("expected unreachable-target error, got NRMSE %g", achieved)
 	}
@@ -76,13 +76,13 @@ func TestCompressToTargetValidation(t *testing.T) {
 	w := coherentWindow(d, 10, 0)
 	opts := DefaultOptions()
 	opts.WindowSize = 10
-	if _, _, err := CompressToTarget(opts, w, 0, 1, 128); err == nil {
+	if _, _, err := CompressToTarget(context.Background(), opts, w, 0, 1, 128); err == nil {
 		t.Error("expected error for zero target")
 	}
-	if _, _, err := CompressToTarget(opts, w, 1e-3, 0.5, 128); err == nil {
+	if _, _, err := CompressToTarget(context.Background(), opts, w, 1e-3, 0.5, 128); err == nil {
 		t.Error("expected error for minRatio < 1")
 	}
-	if _, _, err := CompressToTarget(opts, w, 1e-3, 128, 8); err == nil {
+	if _, _, err := CompressToTarget(context.Background(), opts, w, 1e-3, 128, 8); err == nil {
 		t.Error("expected error for inverted range")
 	}
 }

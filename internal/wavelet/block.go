@@ -27,6 +27,8 @@ import (
 // step) calls a one-neighbour primitive with coefficient c*2; the first
 // overflows to Inf where the second stays finite. A statement changed in
 // lift.go changes the primitive its row calls here, and the reverse.
+// Products feeding an addition are wrapped in F(...), as in lift.go, so
+// no target fuses them into a multiply-add.
 // TestBlockBitIdentical and the FuzzBlockMatchesLine targets pin the
 // equivalence at both precisions, at extreme magnitudes included.
 
@@ -37,31 +39,33 @@ func row[F num.Float](x []F, i, L int) []F { return x[i*L : i*L+L] }
 func addRow[F num.Float](x, a []F, c F) {
 	a = a[:len(x)]
 	for j, v := range x {
-		x[j] = v + c*a[j]
+		x[j] = v + F(c*a[j])
 	}
 }
 
 // addSumRow is x += c*(a+b). It is one of the three primitives the
-// ladders spend most of their time in, unrolled four lanes wide.
+// ladders spend most of their time in: an AVX2 body where the CPU has
+// one (rows_amd64.s) takes whole groups of lanes, and the Go loop,
+// unrolled four lanes wide, takes the rest.
 func addSumRow[F num.Float](x, a, b []F, c F) {
 	a, b = a[:len(x)], b[:len(x)]
-	j := 0
+	j := addSumRowVec(x, a, b, c)
 	for ; j+4 <= len(x); j += 4 {
 		x4, a4, b4 := x[j:j+4:j+4], a[j:j+4:j+4], b[j:j+4:j+4]
-		x4[0] += c * (a4[0] + b4[0])
-		x4[1] += c * (a4[1] + b4[1])
-		x4[2] += c * (a4[2] + b4[2])
-		x4[3] += c * (a4[3] + b4[3])
+		x4[0] += F(c * (a4[0] + b4[0]))
+		x4[1] += F(c * (a4[1] + b4[1]))
+		x4[2] += F(c * (a4[2] + b4[2]))
+		x4[3] += F(c * (a4[3] + b4[3]))
 	}
 	for ; j < len(x); j++ {
-		x[j] += c * (a[j] + b[j])
+		x[j] += F(c * (a[j] + b[j]))
 	}
 }
 
-// scaleRow is d = x*s, unrolled four lanes wide.
+// scaleRow is d = x*s, unrolled four lanes wide after its AVX2 body.
 func scaleRow[F num.Float](d, x []F, s F) {
 	x = x[:len(d)]
-	j := 0
+	j := scaleRowVec(d, x, s)
 	for ; j+4 <= len(d); j += 4 {
 		d4, x4 := d[j:j+4:j+4], x[j:j+4:j+4]
 		d4[0] = x4[0] * s
@@ -78,23 +82,24 @@ func scaleRow[F num.Float](d, x []F, s F) {
 func addScaleRow[F num.Float](d, x, a []F, c, s F) {
 	x, a = x[:len(d)], a[:len(d)]
 	for j, v := range x {
-		d[j] = (v + c*a[j]) * s
+		d[j] = (v + F(c*a[j])) * s
 	}
 }
 
-// addSumScaleRow is d = (x + c*(a+b))*s, unrolled four lanes wide.
+// addSumScaleRow is d = (x + c*(a+b))*s, unrolled four lanes wide after
+// its AVX2 body.
 func addSumScaleRow[F num.Float](d, x, a, b []F, c, s F) {
 	x, a, b = x[:len(d)], a[:len(d)], b[:len(d)]
-	j := 0
+	j := addSumScaleRowVec(d, x, a, b, c, s)
 	for ; j+4 <= len(d); j += 4 {
 		d4, x4, a4, b4 := d[j:j+4:j+4], x[j:j+4:j+4], a[j:j+4:j+4], b[j:j+4:j+4]
-		d4[0] = (x4[0] + c*(a4[0]+b4[0])) * s
-		d4[1] = (x4[1] + c*(a4[1]+b4[1])) * s
-		d4[2] = (x4[2] + c*(a4[2]+b4[2])) * s
-		d4[3] = (x4[3] + c*(a4[3]+b4[3])) * s
+		d4[0] = (x4[0] + F(c*(a4[0]+b4[0]))) * s
+		d4[1] = (x4[1] + F(c*(a4[1]+b4[1]))) * s
+		d4[2] = (x4[2] + F(c*(a4[2]+b4[2]))) * s
+		d4[3] = (x4[3] + F(c*(a4[3]+b4[3]))) * s
 	}
 	for ; j < len(d); j++ {
-		d[j] = (x[j] + c*(a[j]+b[j])) * s
+		d[j] = (x[j] + F(c*(a[j]+b[j]))) * s
 	}
 }
 
@@ -102,15 +107,16 @@ func addSumScaleRow[F num.Float](d, x, a, b []F, c, s F) {
 func scaleAddRow[F num.Float](d, x, a []F, s, c F) {
 	x, a = x[:len(d)], a[:len(d)]
 	for j, v := range x {
-		d[j] = v*s + c*a[j]
+		d[j] = F(v*s) + F(c*a[j])
 	}
 }
 
-// scaleAddSumRow is d = x*s + c*(a+b).
+// scaleAddSumRow is d = x*s + c*(a+b), the inverse ladder's hot row,
+// after its AVX2 body.
 func scaleAddSumRow[F num.Float](d, x, a, b []F, s, c F) {
 	x, a, b = x[:len(d)], a[:len(d)], b[:len(d)]
-	for j, v := range x {
-		d[j] = v*s + c*(a[j]+b[j])
+	for j := scaleAddSumRowVec(d, x, a, b, s, c); j < len(d); j++ {
+		d[j] = F(x[j]*s) + F(c*(a[j]+b[j]))
 	}
 }
 
@@ -271,8 +277,8 @@ func forwardDaub4Block[F num.Float](x, dst []F, n, L int) {
 			v = v[:len(dlo)]
 			hk, gk := h[k], g[k]
 			for j, vj := range v {
-				dlo[j] += hk * vj
-				dhi[j] += gk * vj
+				dlo[j] += F(hk * vj)
+				dhi[j] += F(gk * vj)
 			}
 		}
 	}
@@ -296,7 +302,7 @@ func inverseDaub4Block[F num.Float](src, dst []F, n, L int) {
 			d = d[:len(rlo)]
 			hk, gk := h[k], g[k]
 			for j := range d {
-				d[j] += hk*rlo[j] + gk*rhi[j]
+				d[j] += F(hk*rlo[j]) + F(gk*rhi[j])
 			}
 		}
 	}

@@ -40,20 +40,23 @@ func sameBits[F num.Float](a, b F) bool {
 }
 
 // TestBlockBitIdentical pins the blocked kernels to the line kernels at
-// both precisions: for every kernel, signal length (odd and even,
-// degenerate 1 and 2), and lane count, one blocked forward level and then
-// one blocked inverse level on a slab of L random signals must produce
-// bit for bit the result of ForwardStep/InverseStep on each signal alone.
+// both precisions and with each row body this binary has: for every
+// kernel, signal length (odd and even, degenerate 1 and 2), and lane
+// count, one blocked forward level and then one blocked inverse level on
+// a slab of L random signals must produce bit for bit the result of
+// ForwardStep/InverseStep on each signal alone. The lane counts cover
+// the Go tail alone, one or two AVX2 groups at either precision, and a
+// group plus a tail.
 func TestBlockBitIdentical(t *testing.T) {
-	t.Run("float64", testBlockBitIdentical[float64])
-	t.Run("float32", testBlockBitIdentical[float32])
+	t.Run("float64", eachRowBody(testBlockBitIdentical[float64]))
+	t.Run("float32", eachRowBody(testBlockBitIdentical[float32]))
 }
 
 func testBlockBitIdentical[F num.Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, k := range []Kernel{CDF97, CDF53, Haar, Daub4} {
 		for n := 1; n <= 41; n++ {
-			for _, L := range []int{1, 2, 3, 5, 8, 17} {
+			for _, L := range []int{1, 2, 3, 5, 8, 16, 17, 32, 40} {
 				// L random signals, both as line copies and a
 				// sample-major slab.
 				signals := make([][]F, L)
@@ -198,13 +201,14 @@ func bits32(vs ...float32) []byte {
 	return out
 }
 
-// fuzzBlockMatchesLine decodes n ≤ 64 samples of L ≤ 17 lanes from data
+// fuzzBlockMatchesLine decodes n ≤ 64 samples of L ≤ 40 lanes from data
 // (size bytes per sample, cycled; empty data means zeros), then checks
 // one blocked forward level and, independently, one blocked inverse
-// level on the same samples against the line kernels.
+// level on the same samples against the line kernels, with each row body
+// this binary has. At float32, 40 lanes are two AVX2 groups and a tail.
 func fuzzBlockMatchesLine[F num.Float](t *testing.T, kb, nb, lb uint8, data []byte, size int, decode func([]byte) F) {
 	k := Kernel(int(kb) % 4)
-	n, L := int(nb)%65, int(lb)%18
+	n, L := int(nb)%65, int(lb)%41
 	if n < 1 || L < 1 {
 		return
 	}
@@ -223,25 +227,27 @@ func fuzzBlockMatchesLine[F num.Float](t *testing.T, kb, nb, lb uint8, data []by
 			slab[i*L+j] = v
 		}
 	}
-	for _, inverse := range []bool{false, true} {
+	defer func() { useAVX2 = haveAVX2 }()
+	for _, stage := range []string{"forward", "inverse"} {
 		lines := make([][]F, L)
-		block := append([]F(nil), slab...)
 		scratch := make([]F, n)
 		for j, s := range signals {
 			lines[j] = append([]F(nil), s...)
-			if inverse {
+			if stage == "inverse" {
 				InverseStep(k, lines[j], scratch)
 			} else {
 				ForwardStep(k, lines[j], scratch)
 			}
 		}
-		stage := "forward"
-		if inverse {
-			stage = "inverse"
-			inverseBlock(k, block, n, L)
-		} else {
-			forwardBlock(k, block, n, L)
+		for _, on := range rowBodies() {
+			useAVX2 = on
+			block := append([]F(nil), slab...)
+			if stage == "inverse" {
+				inverseBlock(k, block, n, L)
+			} else {
+				forwardBlock(k, block, n, L)
+			}
+			compareSlab(t, k, n, L, stage+"/"+rowBodyName(on), lines, block)
 		}
-		compareSlab(t, k, n, L, stage, lines, block)
 	}
 }

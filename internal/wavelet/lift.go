@@ -22,6 +22,14 @@ import "stwave/internal/num"
 // float64), and the float32 instantiation performs every operation in
 // single precision with the same operand ordering, so each precision is
 // bit-stable on its own.
+//
+// Every product that feeds an addition is wrapped in an explicit F(...)
+// conversion. The Go spec lets a compiler fuse x + c*y into one fused
+// multiply-add, which rounds once where the expression rounds twice, and
+// gc does so on arm64, ppc64le, s390x and riscv64. An explicit conversion
+// is a rounding point no fusion may cross, so the coefficients' bits are
+// the same on every target (make check counts the FMADDs in an arm64
+// build of internal/core).
 
 // liftStep applies one lifting step in place to the interleaved signal.
 // parity selects which samples are updated (0 = even, 1 = odd); c is the
@@ -36,7 +44,7 @@ func liftStep[F num.Float](x []F, parity int, c F) {
 	start := parity
 	if start == 0 {
 		// x[0] neighbours are x[-1] -> x[1] and x[1].
-		x[0] += c * 2 * x[1]
+		x[0] += F(c * 2 * x[1])
 		start = 2
 	}
 	i := start
@@ -52,14 +60,14 @@ func liftStep[F num.Float](x []F, parity int, c F) {
 		j := 0
 		for ; j < len(xi); j += 2 {
 			ap := xp[j]
-			xi[j] += c * (am + ap)
+			xi[j] += F(c * (am + ap))
 			am = ap
 		}
 		i = start + j
 	}
 	if i == n-1 {
 		// Last sample's right neighbour x[n] reflects to x[n-2].
-		x[n-1] += c * (x[n-2] + x[n-2])
+		x[n-1] += F(c * (x[n-2] + x[n-2]))
 	}
 }
 
@@ -73,32 +81,32 @@ func liftPairOddEven[F num.Float](x []F, ca, cb F) {
 	n := len(x)
 	if n == 2 {
 		m := x[0]
-		x[1] += ca * (m + m)
-		x[0] += cb * 2 * x[1]
+		x[1] += F(ca * (m + m))
+		x[0] += F(cb * 2 * x[1])
 		return
 	}
 	// Odd sample 1 and even sample 0, then the pipelined interior: odd
 	// i+1 reads the still-original even neighbours, even i reads the two
 	// odd neighbours just produced (am carried, ap fresh).
-	am := x[1] + ca*(x[0]+x[2])
+	am := x[1] + F(ca*(x[0]+x[2]))
 	x[1] = am
-	x[0] += cb * 2 * am
+	x[0] += F(cb * 2 * am)
 	i := 2
 	for ; i+2 < n; i += 2 {
-		ap := x[i+1] + ca*(x[i]+x[i+2])
+		ap := x[i+1] + F(ca*(x[i]+x[i+2]))
 		x[i+1] = ap
-		x[i] += cb * (am + ap)
+		x[i] += F(cb * (am + ap))
 		am = ap
 	}
 	if i+1 < n {
 		// n even: the last odd sample's right neighbour reflects to n-2.
 		m := x[i]
-		ap := x[i+1] + ca*(m+m)
+		ap := x[i+1] + F(ca*(m+m))
 		x[i+1] = ap
-		x[i] += cb * (am + ap)
+		x[i] += F(cb * (am + ap))
 	} else {
 		// n odd: the last even sample's neighbours both reflect to n-2.
-		x[i] += cb * (am + am)
+		x[i] += F(cb * (am + am))
 	}
 }
 
@@ -113,30 +121,30 @@ func liftPairDeinterleaveScaled[F num.Float](x, dst []F, ca, cb, lo, hi F) {
 	na := approxLen(n)
 	if n == 2 {
 		m := x[0]
-		o := x[1] + ca*(m+m)
+		o := x[1] + F(ca*(m+m))
 		dst[1] = o * hi
-		dst[0] = (x[0] + cb*2*o) * lo
+		dst[0] = (x[0] + F(cb*2*o)) * lo
 		return
 	}
-	am := x[1] + ca*(x[0]+x[2])
+	am := x[1] + F(ca*(x[0]+x[2]))
 	dst[na] = am * hi
-	dst[0] = (x[0] + cb*2*am) * lo
+	dst[0] = (x[0] + F(cb*2*am)) * lo
 	i := 2
 	for ; i+2 < n; i += 2 {
-		ap := x[i+1] + ca*(x[i]+x[i+2])
+		ap := x[i+1] + F(ca*(x[i]+x[i+2]))
 		dst[na+i/2] = ap * hi
-		dst[i/2] = (x[i] + cb*(am+ap)) * lo
+		dst[i/2] = (x[i] + F(cb*(am+ap))) * lo
 		am = ap
 	}
 	if i+1 < n {
 		// n even: last odd reflects right to n-2, then the last even.
 		m := x[i]
-		ap := x[i+1] + ca*(m+m)
+		ap := x[i+1] + F(ca*(m+m))
 		dst[na+i/2] = ap * hi
-		dst[i/2] = (x[i] + cb*(am+ap)) * lo
+		dst[i/2] = (x[i] + F(cb*(am+ap))) * lo
 	} else {
 		// n odd: the last even sample's neighbours both reflect.
-		dst[i/2] = (x[i] + cb*(am+am)) * lo
+		dst[i/2] = (x[i] + F(cb*(am+am))) * lo
 	}
 }
 
@@ -212,14 +220,14 @@ func interleaveScaledLiftEven[F num.Float](src, dst []F, lo, hi, c F) {
 	for i := 0; i < n-na; i++ {
 		dst[2*i+1] = src[na+i] * hi
 	}
-	dst[0] = src[0]*lo + c*2*dst[1]
+	dst[0] = F(src[0]*lo) + F(c*2*dst[1])
 	i := 2
 	for ; i+1 < n; i += 2 {
-		dst[i] = src[i/2]*lo + c*(dst[i-1]+dst[i+1])
+		dst[i] = F(src[i/2]*lo) + F(c*(dst[i-1]+dst[i+1]))
 	}
 	if i == n-1 {
 		m := dst[n-2]
-		dst[n-1] = src[na-1]*lo + c*(m+m)
+		dst[n-1] = F(src[na-1]*lo) + F(c*(m+m))
 	}
 }
 
@@ -274,8 +282,8 @@ func forwardDaub4[F num.Float](x, dst []F) {
 		var lo, hi F
 		for k := 0; k < 4; k++ {
 			v := x[(2*i+k)%n]
-			lo += h[k] * v
-			hi += g[k] * v
+			lo += F(h[k] * v)
+			hi += F(g[k] * v)
 		}
 		dst[i] = lo
 		dst[na+i] = hi
@@ -297,7 +305,7 @@ func inverseDaub4[F num.Float](src, dst []F) {
 	for i := 0; i < na; i++ {
 		lo, hi := src[i], src[na+i]
 		for k := 0; k < 4; k++ {
-			dst[(2*i+k)%n] += h[k]*lo + g[k]*hi
+			dst[(2*i+k)%n] += F(h[k]*lo) + F(g[k]*hi)
 		}
 	}
 }
