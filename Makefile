@@ -34,8 +34,12 @@ all: build vet test check
 # entropy coder round-trip, the entropy encoder's bytes against its
 # byte-at-a-time reference, the on-disk block readers of the entropy,
 # sparse and deflated sparse codecs, the coefficient codec block decoders,
-# survivor selection against the serial threshold, and every codec's
-# survivor encoder against its dense encode. The wavelet and transform
+# survivor selection against the serial threshold, every codec's
+# survivor encoder against its dense encode, and the stserve handlers
+# over arbitrary query parameters. Each smoke passes
+# -fuzzminimizetime=0: minimizing a new input otherwise runs for up to
+# 60 s with no execs counted, which used up most of a smoke's fuzztime.
+# The wavelet and transform
 # packages are also tested with -tags purego (the Go row bodies alone,
 # as on a CPU without AVX2) and vetted for arm64, and fma-check keeps
 # fused multiply-adds off the byte path.
@@ -51,24 +55,25 @@ check: vet fmt-check fma-check lint docscheck bench-smoke
 	if [ "$$n" -ne 6 ]; then echo "STAGE_TESTS matches $$n of the 6 ingest stage tests it names"; exit 1; fi
 	$(GO) test -race -count=10 -run '$(STAGE_TESTS)' ./internal/ingest
 	GOMAXPROCS=1 $(GO) test -count=1 ./internal/par ./internal/transform ./internal/compress ./internal/core ./internal/codec ./internal/entropy ./internal/ingest ./internal/server ./internal/sim/synth ./internal/sim/tornado ./internal/sim/cloverleaf ./cmd/stcomp
-	$(GO) test -run=NONE -fuzz=FuzzOpenContainer -fuzztime=10s ./internal/storage
-	$(GO) test -run=NONE -fuzz='FuzzWaveletRoundtrip$$' -fuzztime=5s ./internal/wavelet
-	$(GO) test -run=NONE -fuzz=FuzzWaveletRoundtrip32 -fuzztime=5s ./internal/wavelet
-	$(GO) test -run=NONE -fuzz='FuzzBlockMatchesLine$$' -fuzztime=5s ./internal/wavelet
-	$(GO) test -run=NONE -fuzz=FuzzBlockMatchesLine32 -fuzztime=5s ./internal/wavelet
-	$(GO) test -run=NONE -fuzz=FuzzReadCompressedWindow -fuzztime=5s ./internal/core
-	$(GO) test -run=NONE -fuzz=FuzzRecordFrame -fuzztime=5s ./internal/core
-	$(GO) test -run=NONE -fuzz=FuzzGapMarker -fuzztime=5s ./internal/core
-	$(GO) test -run=NONE -fuzz=FuzzLevelTable -fuzztime=5s ./internal/core
-	$(GO) test -run=NONE -fuzz=FuzzMaxErrBound -fuzztime=5s ./internal/core
-	$(GO) test -run=NONE -fuzz=FuzzEntropyRoundtrip -fuzztime=5s ./internal/entropy
-	$(GO) test -run=NONE -fuzz=FuzzEncodeMatchesReference -fuzztime=5s ./internal/entropy
-	$(GO) test -run=NONE -fuzz=FuzzBlockRead -fuzztime=5s ./internal/entropy
-	$(GO) test -run=NONE -fuzz=FuzzReadSparseBlock -fuzztime=5s ./internal/compress
-	$(GO) test -run=NONE -fuzz=FuzzReadDeflatedSparseBlock -fuzztime=5s ./internal/compress
-	$(GO) test -run=NONE -fuzz=FuzzCodecDecode -fuzztime=5s ./internal/codec
-	$(GO) test -run=NONE -fuzz=FuzzSelectSurvivors -fuzztime=5s ./internal/compress
-	$(GO) test -run=NONE -fuzz=FuzzEncodeSurvivors -fuzztime=5s ./internal/codec
+	$(GO) test -run=NONE -fuzz=FuzzOpenContainer -fuzztime=10s -fuzzminimizetime=0 ./internal/storage
+	$(GO) test -run=NONE -fuzz='FuzzWaveletRoundtrip$$' -fuzztime=5s -fuzzminimizetime=0 ./internal/wavelet
+	$(GO) test -run=NONE -fuzz=FuzzWaveletRoundtrip32 -fuzztime=5s -fuzzminimizetime=0 ./internal/wavelet
+	$(GO) test -run=NONE -fuzz='FuzzBlockMatchesLine$$' -fuzztime=5s -fuzzminimizetime=0 ./internal/wavelet
+	$(GO) test -run=NONE -fuzz=FuzzBlockMatchesLine32 -fuzztime=5s -fuzzminimizetime=0 ./internal/wavelet
+	$(GO) test -run=NONE -fuzz=FuzzReadCompressedWindow -fuzztime=5s -fuzzminimizetime=0 ./internal/core
+	$(GO) test -run=NONE -fuzz=FuzzRecordFrame -fuzztime=5s -fuzzminimizetime=0 ./internal/core
+	$(GO) test -run=NONE -fuzz=FuzzGapMarker -fuzztime=5s -fuzzminimizetime=0 ./internal/core
+	$(GO) test -run=NONE -fuzz=FuzzLevelTable -fuzztime=5s -fuzzminimizetime=0 ./internal/core
+	$(GO) test -run=NONE -fuzz=FuzzMaxErrBound -fuzztime=5s -fuzzminimizetime=0 ./internal/core
+	$(GO) test -run=NONE -fuzz=FuzzEntropyRoundtrip -fuzztime=5s -fuzzminimizetime=0 ./internal/entropy
+	$(GO) test -run=NONE -fuzz=FuzzEncodeMatchesReference -fuzztime=5s -fuzzminimizetime=0 ./internal/entropy
+	$(GO) test -run=NONE -fuzz=FuzzBlockRead -fuzztime=5s -fuzzminimizetime=0 ./internal/entropy
+	$(GO) test -run=NONE -fuzz=FuzzReadSparseBlock -fuzztime=5s -fuzzminimizetime=0 ./internal/compress
+	$(GO) test -run=NONE -fuzz=FuzzReadDeflatedSparseBlock -fuzztime=5s -fuzzminimizetime=0 ./internal/compress
+	$(GO) test -run=NONE -fuzz=FuzzCodecDecode -fuzztime=5s -fuzzminimizetime=0 ./internal/codec
+	$(GO) test -run=NONE -fuzz=FuzzSelectSurvivors -fuzztime=5s -fuzzminimizetime=0 ./internal/compress
+	$(GO) test -run=NONE -fuzz=FuzzEncodeSurvivors -fuzztime=5s -fuzzminimizetime=0 ./internal/codec
+	$(GO) test -run=NONE -fuzz=FuzzHandlers -fuzztime=5s -fuzzminimizetime=0 ./internal/server
 
 # No fused multiply-add on the byte path. gc fuses x + a*b into one
 # instruction on arm64 (and ppc64le, s390x, riscv64) unless the product

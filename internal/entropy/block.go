@@ -501,6 +501,11 @@ func decodeChunk[F num.Float](b *Block, out []F, ci int, payload []byte, dec *hu
 		return 0, fmt.Errorf("entropy: chunk claims %d values for %d coefficients", kcU, hi-lo)
 	}
 	kc := int(kcU)
+	if kc > 0 && !b.lossless && dec == nil {
+		// No Huffman table is built for a block whose header retains no
+		// values, so a chunk that carries some is corrupt.
+		return 0, fmt.Errorf("entropy: chunk claims %d values in a block that retains none", kc)
+	}
 	pos := lo - 1
 	for j := 0; j < kc; j++ {
 		gap, err := r.ReadExpGolomb(uint(b.gapK))

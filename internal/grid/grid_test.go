@@ -347,3 +347,23 @@ func TestQuickWindowInvariants(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSubVolumeRejectsOverflowingExtents: an extent near MaxInt makes
+// x0+nx wrap negative; the bounds check must still reject it instead of
+// sizing a slice from it.
+func TestSubVolumeRejectsOverflowingExtents(t *testing.T) {
+	f := NewField3D(8, 8, 8)
+	for _, box := range [][6]int{
+		{1, 0, 0, math.MaxInt, 1, 1},
+		{0, 1, 0, 1, math.MaxInt, 1},
+		{0, 0, 1, 1, 1, math.MaxInt},
+		{math.MaxInt, 0, 0, 1, 1, 1},
+	} {
+		if _, err := f.SubVolume(box[0], box[1], box[2], box[3], box[4], box[5]); err == nil {
+			t.Errorf("SubVolume%v accepted", box)
+		}
+	}
+	if _, err := f.SubVolume(7, 7, 7, 1, 1, 1); err != nil {
+		t.Errorf("last-sample subvolume rejected: %v", err)
+	}
+}

@@ -11,10 +11,11 @@ func (f *Field3DOf[F]) SubVolume(x0, y0, z0, nx, ny, nz int) (*Field3DOf[F], err
 	if nx < 1 || ny < 1 || nz < 1 {
 		return nil, fmt.Errorf("grid: subvolume extents must be positive, got %dx%dx%d", nx, ny, nz)
 	}
+	// Compare without adding: x0+nx wraps negative for hostile extents.
 	if x0 < 0 || y0 < 0 || z0 < 0 ||
-		x0+nx > f.Dims.Nx || y0+ny > f.Dims.Ny || z0+nz > f.Dims.Nz {
-		return nil, fmt.Errorf("grid: subvolume [%d:%d, %d:%d, %d:%d] outside %v",
-			x0, x0+nx, y0, y0+ny, z0, z0+nz, f.Dims)
+		nx > f.Dims.Nx-x0 || ny > f.Dims.Ny-y0 || nz > f.Dims.Nz-z0 {
+		return nil, fmt.Errorf("grid: subvolume %dx%dx%d at (%d,%d,%d) outside %v",
+			nx, ny, nz, x0, y0, z0, f.Dims)
 	}
 	out := NewField3DOf[F](nx, ny, nz)
 	for z := 0; z < nz; z++ {

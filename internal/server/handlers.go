@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"time"
 
+	"stwave/internal/core"
 	"stwave/internal/obs"
 	"stwave/internal/render"
 	"stwave/internal/storage"
@@ -223,24 +224,14 @@ func (s *Server) handleSlice(w http.ResponseWriter, r *http.Request, m *mount) e
 	// levels=K bounds the reconstruction to the K+1 coarsest detail
 	// levels — the progressive read path. Absent means full quality; a
 	// negative K is a client error, not a spelling of "absent".
-	full := r.URL.Query().Get("levels") == ""
-	levels, err := intParam(r, "levels", 0)
+	keep, err := intParam(r, "levels", core.All)
 	if err != nil {
 		return err
 	}
-	if levels < 0 {
-		return badRequest("levels must be >= 0, got %d", levels)
+	if keep < 0 && r.URL.Query().Get("levels") != "" {
+		return badRequest("levels must be >= 0, got %d", keep)
 	}
-	var (
-		v     view
-		tv    float64
-		state cacheState
-	)
-	if full {
-		v, tv, state, err = s.slice(r.Context(), m, t)
-	} else {
-		v, tv, state, err = s.sliceLevel(r.Context(), m, t, levels)
-	}
+	v, tv, state, err := s.answer(r.Context(), m, t, keep, 0)
 	if err != nil {
 		return err
 	}
@@ -263,7 +254,7 @@ func (s *Server) handleCrop(w http.ResponseWriter, r *http.Request, m *mount) er
 		}
 		box[i] = v
 	}
-	v, tv, state, err := s.slice(r.Context(), m, t)
+	v, tv, state, err := s.answer(r.Context(), m, t, core.All, 0)
 	if err != nil {
 		return err
 	}
@@ -274,6 +265,9 @@ func (s *Server) handleCrop(w http.ResponseWriter, r *http.Request, m *mount) er
 	return writeField(w, r, sub, tv, state)
 }
 
+// handlePreview serves the field downsampled by levels wavelet levels. On
+// a progressive container that is a byte-prefix read down to the
+// approximation band, not a full decode whose detail is thrown away.
 func (s *Server) handlePreview(w http.ResponseWriter, r *http.Request, m *mount) error {
 	t, err := intParam(r, "t", 0)
 	if err != nil {
@@ -286,37 +280,11 @@ func (s *Server) handlePreview(w http.ResponseWriter, r *http.Request, m *mount)
 	if levels < 1 {
 		return badRequest("levels must be >= 1, got %d", levels)
 	}
-	// A preview downsampled by N levels is the reconstruction from only
-	// the SpatialLevels-N coarsest detail levels, so route it through the
-	// level-bounded path: on progressive containers that reads a byte
-	// prefix instead of decompressing the full window and then throwing
-	// the detail away (the pre-v4 behavior), and either way the result is
-	// cached at its own (window, depth) key. Previews coarser than the
-	// decomposition clamp to the approximation band.
-	wi, _, err := m.servable(t)
+	v, tv, state, err := s.answer(r.Context(), m, t, core.All, levels)
 	if err != nil {
 		return err
 	}
-	if maxLevel := m.windows[wi].info.SpatialLevels - levels; maxLevel >= 0 {
-		v, tv, state, err := s.sliceLevel(r.Context(), m, t, maxLevel)
-		if err != nil {
-			return err
-		}
-		return writeField(w, r, v, tv, state)
-	}
-	// Deeper than the stored decomposition: no byte prefix maps to this
-	// resolution, so reconstruct the approximation band's worth and keep
-	// downsampling with the same spatial kernel the container was
-	// compressed with (recorded in every window header).
-	v, tv, state, err := s.slice(r.Context(), m, t)
-	if err != nil {
-		return err
-	}
-	coarse, err := v.coarse(m.ref.SpatialKernel, levels, 0)
-	if err != nil {
-		return badRequest("%v", err)
-	}
-	return writeField(w, r, coarse, tv, state)
+	return writeField(w, r, v, tv, state)
 }
 
 func (s *Server) handleRender(w http.ResponseWriter, r *http.Request, m *mount) error {
@@ -324,7 +292,7 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request, m *mount) 
 	if err != nil {
 		return err
 	}
-	v, _, state, err := s.slice(r.Context(), m, t)
+	v, _, state, err := s.answer(r.Context(), m, t, core.All, 0)
 	if err != nil {
 		return err
 	}

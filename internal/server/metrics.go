@@ -15,15 +15,16 @@ type Metrics struct {
 
 	Requests       *obs.Counter // data requests accepted (excludes /healthz, /metrics)
 	Errors         *obs.Counter // requests answered with a non-2xx status
-	CacheHits      *obs.Counter // window served from the decompressed-window cache
-	CacheMisses    *obs.Counter // window had to be decompressed (or fetched uncached)
+	CacheHits      *obs.Counter // cacheable request served from the decompressed-window cache
+	CacheMisses    *obs.Counter // cacheable request whose window had to be decompressed
 	Coalesced      *obs.Counter // requests that piggybacked on another request's decompression
-	Decompressions *obs.Counter // full-window decompressions actually executed
-	SliceDecodes   *obs.Counter // single-slice decodes on the uncacheable path
+	Decompressions *obs.Counter // whole-window decompressions actually executed, at any depth
+	SliceDecodes   *obs.Counter // one-slice decodes at any depth, for windows the cache cannot admit
 	BytesServed    *obs.Counter // response payload bytes written
 	CorruptWindows *obs.Counter // windows known corrupt across all mounts (found at mount scan or read time)
-	// PartialDecodes counts level-bounded decodes of progressive windows:
-	// requests that read and reconstructed only a coarse byte prefix.
+	// PartialDecodes counts level-bounded decodes of progressive windows,
+	// whole-window or one-slice: reads and reconstructions of only a
+	// coarse byte prefix.
 	PartialDecodes *obs.Counter
 	// ProgressiveBytesSaved accumulates the payload bytes partial reads
 	// did NOT fetch (full window size minus prefix read) — the observable

@@ -6,13 +6,11 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strconv"
 	"testing"
 
 	"stwave/internal/core"
 	"stwave/internal/grid"
-	"stwave/internal/ingest"
 	"stwave/internal/storage"
 )
 
@@ -20,37 +18,12 @@ import (
 // in windows of windowSize and returns its path.
 func buildContainer32(t testing.TB, d grid.Dims, numSlices, windowSize int, progressive bool) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "data32.stw")
 	opts := core.DefaultOptions()
 	opts.WindowSize = windowSize
 	opts.Ratio = 8
 	opts.Precision = core.Float32
 	opts.Progressive = progressive
-	cw, err := storage.CreateContainer(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	series := grid.NewWindow32(d)
-	for ts := 0; ts < numSlices; ts++ {
-		f := grid.NewField3D32(d.Nx, d.Ny, d.Nz)
-		for i := range f.Data {
-			f.Data[i] = float32(math.Sin(float64(i)*0.1 + float64(ts)*0.2))
-		}
-		if err := series.Append(f, float64(ts)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	eng, err := ingest.NewEngineOf[float32](ingest.Config{Opts: opts}, d, cw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Run(ingest.NewWindowSourceOf(series), numSlices); err != nil {
-		t.Fatal(err)
-	}
-	if err := cw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return path
+	return writeContainer(t, d, numSlices, opts, func(ts int) float64 { return float64(ts) })
 }
 
 func newTestServer32(t testing.TB, cfg Config, d grid.Dims, numSlices, windowSize int, progressive bool) (*Server, *httptest.Server, string) {

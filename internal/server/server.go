@@ -10,9 +10,11 @@
 // requests for the same uncached window into a single decompression
 // (flightGroup), and bounds the number of decompressions in flight with a
 // semaphore so a cold-cache burst degrades to queueing instead of memory
-// exhaustion. Windows too large to ever fit the cache budget fall back to
-// a one-slice core.Reconstruct query, which skips the spatial inverse for
-// every slice except the requested one.
+// exhaustion. Every slice, crop, preview and render request takes one
+// path (Server.answer): a window too large to ever fit the cache budget
+// at the requested depth is answered by a one-slice core.Reconstruct
+// query at that depth instead, which skips the spatial inverse for every
+// slice except the requested one and never touches the cache.
 package server
 
 import (
@@ -29,6 +31,7 @@ import (
 	"stwave/internal/core"
 	"stwave/internal/obs"
 	"stwave/internal/storage"
+	"stwave/internal/transform"
 )
 
 // Config tunes the server's resource envelope.
@@ -311,17 +314,6 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 // path).
 func (s *Server) Cache() *WindowCache { return s.cache }
 
-// acquireSem takes one decompression slot, honoring cancellation while
-// queued.
-func (s *Server) acquireSem(ctx context.Context) error {
-	select {
-	case s.sem <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // cacheState labels how a request's data was obtained, surfaced in the
 // X-Cache response header.
 type cacheState string
@@ -330,92 +322,8 @@ const (
 	stateHit       cacheState = "hit"       // served from the window cache
 	stateMiss      cacheState = "miss"      // this request ran the decompression
 	stateCoalesced cacheState = "coalesced" // waited on another request's decompression
-	stateUncached  cacheState = "uncached"  // window exceeds cache budget; single-slice decode
+	stateUncached  cacheState = "uncached"  // window exceeds cache budget at that depth; one-slice decode
 )
-
-// window returns the decompressed window wi of mount m, consulting the
-// cache and coalescing concurrent misses. The returned window is shared:
-// callers must not modify it.
-func (s *Server) window(ctx context.Context, m *mount, wi int) (window, cacheState, error) {
-	return s.windowLevel(ctx, m, wi, core.All)
-}
-
-// windowLevel is window generalized to level-bounded decodes of
-// progressive windows: maxLevel = core.All decompresses the whole window;
-// maxLevel >= 0 reads only the byte prefix covering level groups
-// 0..maxLevel and reconstructs at the matching coarse dims. Each depth is
-// its own cache entry and its own flight, so a level-0 preview neither
-// waits on nor evicts the full reconstruction. Hit/miss accounting lives
-// inside cache.Get — the flight's re-check uses the uncounted peek — so
-// every call here counts exactly one hit or one miss. Callers pass
-// maxLevel >= 0 only for windows whose header says Progressive.
-func (s *Server) windowLevel(ctx context.Context, m *mount, wi, maxLevel int) (window, cacheState, error) {
-	levels := 0
-	if maxLevel >= 0 {
-		levels = maxLevel + 1
-	}
-	key := windowKey{dataset: m.name, window: wi, levels: levels}
-	_, spc := obs.Start(ctx, "cache.lookup")
-	w, ok := s.cache.Get(key)
-	if ok {
-		spc.SetAttr("result", "hit")
-		spc.End()
-		return w, stateHit, nil
-	}
-	spc.SetAttr("result", "miss")
-	spc.End()
-	flightKey := "w\x00" + m.name + "\x00" + strconv.Itoa(wi) + "\x00" + strconv.Itoa(levels)
-	val, coalesced, err := s.flights.Do(ctx, flightKey, func(workCtx context.Context) (any, error) {
-		// Re-check under the flight: a previous flight may have populated
-		// the cache between our Get and Do. peek, not Get — this request
-		// already counted its miss.
-		if w, ok := s.cache.peek(key); ok {
-			return w, nil
-		}
-		if err := s.acquireSem(workCtx); err != nil {
-			return nil, err
-		}
-		defer func() { <-s.sem }()
-		start := time.Now()
-		var (
-			cw        *core.CompressedWindow
-			bytesRead int64
-			err       error
-		)
-		if maxLevel >= 0 {
-			cw, bytesRead, err = m.r.ReadWindowLevelsCtx(workCtx, wi, maxLevel)
-		} else {
-			cw, err = m.r.ReadWindowCtx(workCtx, wi)
-		}
-		if err != nil {
-			s.noteCorrupt(m, wi, err)
-			return nil, err
-		}
-		w, err := reconstruct(workCtx, cw, core.Query{MaxLevel: maxLevel, Slice: core.All})
-		if err != nil {
-			return nil, err
-		}
-		if maxLevel >= 0 {
-			s.metrics.PartialDecodes.Add(1)
-			if total, err := m.r.WindowSizeBytes(wi); err == nil && total > bytesRead {
-				s.metrics.ProgressiveBytesSaved.Add(total - bytesRead)
-			}
-		}
-		s.metrics.Decompressions.Add(1)
-		s.metrics.DecompressLatency.ObserveSince(start)
-		s.cache.Put(key, w)
-		return w, nil
-	})
-	if err != nil {
-		return nil, stateMiss, err
-	}
-	state := stateMiss
-	if coalesced {
-		s.metrics.Coalesced.Add(1)
-		state = stateCoalesced
-	}
-	return val.(window), state, nil
-}
 
 // noteCorrupt records a newly discovered corrupt window in the mount and
 // the corrupt_windows metric. Reads that fail for other reasons
@@ -445,91 +353,139 @@ func (m *mount) servable(t int) (int, int, error) {
 	return wi, local, nil
 }
 
-// sliceLevel returns the field at global time index t reconstructed from
-// only the coarsest maxLevel+1 detail levels, at the matching coarse dims
-// (transform.CoarseDims of the grid at depth SpatialLevels-maxLevel).
-// Progressive windows take the partial-read path — finer level groups are
-// never read from disk or decompressed. Legacy windows fall back to a
-// full decode followed by spatial downsampling, so the endpoint contract
-// (dims, semantics) is uniform across container generations; only the
-// I/O saving is progressive-only.
-func (s *Server) sliceLevel(ctx context.Context, m *mount, t, maxLevel int) (view, float64, cacheState, error) {
+// answer is the one query path behind every slice, crop, preview and
+// render request: the field at global time index t, coarsened by skip
+// wavelet levels (0 is full resolution). keep >= 0 asks instead for the
+// reconstruction from only the keep+1 coarsest level groups, which is
+// skip = SpatialLevels-keep; core.All leaves skip as given.
+//
+// The stored layout gives as much of that depth as it can: a progressive
+// window reads a level prefix down to its approximation band, any other
+// window decodes at full resolution. If the cache admits the whole window
+// at that depth, the whole window is reconstructed, cached, coalesced,
+// and counted as one hit or one miss; otherwise only the one slice is
+// reconstructed, with no cache lookup. Levels the layout could not give
+// are coarsened with the window's own kernel. The returned view may be
+// shared with other requests: treat it as read-only.
+func (s *Server) answer(ctx context.Context, m *mount, t, keep, skip int) (view, float64, cacheState, error) {
 	wi, local, err := m.servable(t)
 	if err != nil {
 		return nil, 0, stateMiss, err
 	}
-	meta := m.windows[wi]
-	if maxLevel < 0 || maxLevel > meta.info.SpatialLevels {
-		return nil, 0, stateMiss, badRequest("levels must be in [0, %d], got %d", meta.info.SpatialLevels, maxLevel)
+	info := m.windows[wi].info
+	if keep != core.All {
+		if keep > info.SpatialLevels {
+			return nil, 0, stateMiss, badRequest("levels must be in [0, %d], got %d", info.SpatialLevels, keep)
+		}
+		skip = info.SpatialLevels - keep
 	}
-	if maxLevel == meta.info.SpatialLevels {
-		return s.slice(ctx, m, t)
+	if top := transform.Levels3D(info.SpatialKernel, info.Dims); skip > top {
+		return nil, 0, stateMiss, badRequest("cannot coarsen %v by %d levels: the maximum is %d", info.Dims, skip, top)
 	}
-	if !meta.info.Progressive {
-		v, tv, state, err := s.slice(ctx, m, t)
+	q := core.Query{MaxLevel: core.All, Slice: core.All}
+	stored := 0 // levels of skip the stored layout gives
+	if info.Progressive && skip > 0 {
+		stored = min(skip, info.SpatialLevels)
+		q.MaxLevel = info.SpatialLevels - stored
+	}
+	at := info
+	at.Dims = transform.CoarseDims(info.Dims, stored)
+	key := windowKey{dataset: m.name, window: wi, levels: q.MaxLevel + 1}
+
+	var w window
+	state, ok := stateUncached, false
+	if s.cache.Admits(at.RawSizeBytes()) {
+		_, spc := obs.Start(ctx, "cache.lookup")
+		state = stateMiss
+		if w, ok = s.cache.Get(key); ok {
+			state = stateHit
+		}
+		spc.SetAttr("result", string(state))
+		spc.End()
+	} else {
+		// A one-slice result holds the requested slice alone, at index 0.
+		q.Slice, local = local, 0
+	}
+	if !ok {
+		flightKey := m.name + "\x00" + strconv.Itoa(wi) + "\x00" + strconv.Itoa(q.MaxLevel) + "\x00" + strconv.Itoa(q.Slice)
+		val, coalesced, err := s.flights.Do(ctx, flightKey, func(workCtx context.Context) (any, error) {
+			if q.Slice != core.All {
+				return s.decode(workCtx, m, wi, q)
+			}
+			// Re-check under the flight: a previous flight may have
+			// populated the cache between our Get and Do. peek, not Get —
+			// this request already counted its miss.
+			if w, ok := s.cache.peek(key); ok {
+				return w, nil
+			}
+			w, err := s.decode(workCtx, m, wi, q)
+			if err == nil {
+				s.cache.Put(key, w)
+			}
+			return w, err
+		})
 		if err != nil {
 			return nil, 0, state, err
 		}
-		coarse, err := v.coarse(meta.info.SpatialKernel, meta.info.SpatialLevels-maxLevel, 0)
-		if err != nil {
-			return nil, 0, state, err
+		if coalesced {
+			s.metrics.Coalesced.Add(1)
+			if state == stateMiss {
+				state = stateCoalesced
+			}
 		}
-		return coarse, tv, state, nil
-	}
-	w, state, err := s.windowLevel(ctx, m, wi, maxLevel)
-	if err != nil {
-		return nil, 0, state, err
+		w = val.(window)
 	}
 	v, tv := w.slice(local)
+	if rest := skip - stored; rest > 0 {
+		if v, err = v.coarse(info.SpatialKernel, rest, 0); err != nil {
+			return nil, 0, state, badRequest("%v", err)
+		}
+	}
 	return v, tv, state, nil
 }
 
-// slice returns the field at global time index t of the named dataset. For
-// cacheable windows it decompresses (or reuses) the whole window; for
-// windows larger than the cache budget it decodes just the one slice. The
-// returned field may be shared with other requests: treat as read-only.
-func (s *Server) slice(ctx context.Context, m *mount, t int) (view, float64, cacheState, error) {
-	wi, local, err := m.servable(t)
+// decode reads window wi and reconstructs the part q names, holding one
+// decompression slot while it runs (a queued request still honors
+// cancellation). It counts a whole-window result as a decompression, a
+// one-slice result as a slice decode, and a level-bounded read of either
+// as a partial decode.
+func (s *Server) decode(ctx context.Context, m *mount, wi int, q core.Query) (window, error) {
+	select {
+	case s.sem <- struct{}{}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	defer func() { <-s.sem }()
+	start := time.Now()
+	var (
+		cw        *core.CompressedWindow
+		bytesRead int64
+		err       error
+	)
+	if q.MaxLevel == core.All {
+		cw, err = m.r.ReadWindowCtx(ctx, wi)
+	} else {
+		cw, bytesRead, err = m.r.ReadWindowLevelsCtx(ctx, wi, q.MaxLevel)
+	}
 	if err != nil {
-		return nil, 0, stateMiss, err
+		s.noteCorrupt(m, wi, err)
+		return nil, err
 	}
-	meta := m.windows[wi]
-	if s.cache.Admits(meta.info.RawSizeBytes()) {
-		w, state, err := s.window(ctx, m, wi)
-		if err != nil {
-			return nil, 0, state, err
-		}
-		v, tv := w.slice(local)
-		return v, tv, state, nil
+	w, err := reconstruct(ctx, cw, q)
+	if err != nil {
+		return nil, err
 	}
-	// Uncacheable path: the window can never fit the budget, so skip the
-	// full decompression and reconstruct only the requested slice. Still
-	// coalesced (per slice) and bounded by the semaphore.
-	val, coalesced, err := s.flights.Do(ctx, "s\x00"+m.name+"\x00"+strconv.Itoa(wi)+"\x00"+strconv.Itoa(local), func(workCtx context.Context) (any, error) {
-		if err := s.acquireSem(workCtx); err != nil {
-			return nil, err
+	if q.MaxLevel != core.All {
+		s.metrics.PartialDecodes.Add(1)
+		if total, err := m.r.WindowSizeBytes(wi); err == nil && total > bytesRead {
+			s.metrics.ProgressiveBytesSaved.Add(total - bytesRead)
 		}
-		defer func() { <-s.sem }()
-		start := time.Now()
-		cw, err := m.r.ReadWindowCtx(workCtx, wi)
-		if err != nil {
-			s.noteCorrupt(m, wi, err)
-			return nil, err
-		}
-		w, err := reconstruct(workCtx, cw, core.Query{MaxLevel: core.All, Slice: local})
-		if err != nil {
-			return nil, err
-		}
+	}
+	if q.Slice == core.All {
+		s.metrics.Decompressions.Add(1)
+	} else {
 		s.metrics.SliceDecodes.Add(1)
-		s.metrics.DecompressLatency.ObserveSince(start)
-		return w, nil
-	})
-	if err != nil {
-		return nil, 0, stateUncached, err
 	}
-	if coalesced {
-		s.metrics.Coalesced.Add(1)
-	}
-	v, tv := val.(window).slice(0)
-	return v, tv, stateUncached, nil
+	s.metrics.DecompressLatency.ObserveSince(start)
+	return w, nil
 }

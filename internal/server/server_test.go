@@ -20,6 +20,7 @@ import (
 	"stwave/internal/core"
 	"stwave/internal/grid"
 	"stwave/internal/ingest"
+	"stwave/internal/num"
 	"stwave/internal/storage"
 )
 
@@ -43,24 +44,33 @@ func buildContainerCodec(t testing.TB, d grid.Dims, numSlices, windowSize int, c
 
 // writeContainer compresses numSlices slices of a smooth field with opts,
 // slice ts at simulation time at(ts), and returns the container's path.
+// The samples and the pipeline are at opts.Precision.
 func writeContainer(t testing.TB, d grid.Dims, numSlices int, opts core.Options, at func(int) float64) string {
+	t.Helper()
+	if opts.Precision == core.Float32 {
+		return writeContainerOf[float32](t, d, numSlices, opts, at)
+	}
+	return writeContainerOf[float64](t, d, numSlices, opts, at)
+}
+
+func writeContainerOf[F num.Float](t testing.TB, d grid.Dims, numSlices int, opts core.Options, at func(int) float64) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "data.stw")
 	cw, err := storage.CreateContainer(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	series := grid.NewWindow(d)
+	series := grid.NewWindowOf[F](d)
 	for ts := 0; ts < numSlices; ts++ {
-		f := grid.NewField3D(d.Nx, d.Ny, d.Nz)
+		f := grid.NewField3DOf[F](d.Nx, d.Ny, d.Nz)
 		for i := range f.Data {
-			f.Data[i] = math.Sin(float64(i)*0.1 + float64(ts)*0.2)
+			f.Data[i] = F(math.Sin(float64(i)*0.1 + float64(ts)*0.2))
 		}
 		if err := series.Append(f, at(ts)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	eng, err := ingest.NewEngineOf[float64](ingest.Config{Opts: opts}, d, cw)
+	eng, err := ingest.NewEngineOf[F](ingest.Config{Opts: opts}, d, cw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,6 +288,9 @@ func TestErrorStatuses(t *testing.T) {
 		{"/v1/test/slice?t=0&format=xml", http.StatusBadRequest},
 		{"/v1/test/crop?t=0&x0=0&y0=0&z0=0&nx=99&ny=1&nz=1", http.StatusBadRequest},
 		{"/v1/test/crop?t=0", http.StatusBadRequest},
+		{"/v1/test/crop?t=0&x0=1&y0=0&z0=0&nx=9223372036854775807&ny=1&nz=1", http.StatusBadRequest},
+		{"/v1/test/crop?t=0&x0=0&y0=1&z0=0&nx=1&ny=9223372036854775807&nz=1", http.StatusBadRequest},
+		{"/v1/test/crop?t=0&x0=0&y0=0&z0=1&nx=1&ny=1&nz=9223372036854775807", http.StatusBadRequest},
 		{"/v1/test/preview?t=0&levels=99", http.StatusBadRequest},
 		{"/v1/test/slice?t=3&levels=-1", http.StatusBadRequest},
 		{"/v1/test/slice?t=3&levels=-2", http.StatusBadRequest},
