@@ -41,7 +41,9 @@ all: build vet test check
 # 60 s with no execs counted, which used up most of a smoke's fuzztime.
 # The wavelet and transform
 # packages are also tested with -tags purego (the Go row bodies alone,
-# as on a CPU without AVX2) and vetted for arm64, and fma-check keeps
+# as on a CPU without AVX2) and vetted for arm64, and so are core's
+# pinned ratio-mode and MaxErr bytes and its TargetNRMSE bound, so the
+# Go row bodies are checked on the byte path too; fma-check keeps
 # fused multiply-adds off the byte path.
 # The ingest stage tests repeated under -race. go test passes with only a
 # warning when -run matches nothing, so check counts the matches first.
@@ -49,6 +51,7 @@ STAGE_TESTS = ^(TestPipelineSinkErrorDrains|TestPipelineJobErrorDrains|TestPipel
 
 check: vet fmt-check fma-check lint docscheck bench-smoke
 	$(GO) test -tags purego ./internal/wavelet ./internal/transform
+	$(GO) test -tags purego -run '^(TestGoldenWindowBytes|TestMaxErrBytesPinned|TestCompressToTargetMeetsBound)$$' ./internal/core
 	GOARCH=arm64 $(GO) vet ./internal/wavelet ./internal/transform
 	$(GO) test -race ./internal/server ./cmd/stserve ./internal/storage ./internal/compress ./internal/faultio ./internal/transform ./internal/core ./internal/par ./internal/codec ./internal/entropy ./internal/ingest ./internal/lint ./internal/sim/synth ./internal/sim/tornado ./internal/sim/cloverleaf ./cmd/stcomp
 	@n=$$($(GO) test -list '$(STAGE_TESTS)' ./internal/ingest | grep -c '^Test'); \

@@ -85,7 +85,7 @@ func usage() {
          [-precision f64|f32] [-skernel K] [-tkernel K]
          [-codec sparse|deflate|entropy]
          [-entropy-bits N] [-entropy-error-bound X] [-entropy-lossless]
-         [-progressive] [-max-err X] [-roi x0,y0,z0,x1,y1,z1 -roi-max-err X]
+         [-progressive] [-target-nrmse X | -max-err X [-roi x0,y0,z0,x1,y1,z1 -roi-max-err X]]
          [-fsync never|window|close] [-atomic]
          [-trace FILE] -out FILE slice0.raw [slice1.raw ...]
   stcomp decompress -in FILE -prefix PREFIX
@@ -150,6 +150,7 @@ func runCompress(args []string) error {
 		TemporalLevels: -1,
 		Progressive:    *progressive,
 		MaxErr:         *maxErr,
+		TargetNRMSE:    *targetNRMSE,
 		Precision:      precision,
 	}
 	if *roiStr != "" {
@@ -181,14 +182,6 @@ func runCompress(args []string) error {
 	if err := opts.Validate(); err != nil {
 		return err
 	}
-	if *targetNRMSE > 0 {
-		if *maxErr > 0 {
-			return fmt.Errorf("-target-nrmse and -max-err are different rate-control modes; pick one")
-		}
-		if precision == core.Float32 {
-			return fmt.Errorf("-target-nrmse runs on the float64 oracle; drop -precision f32")
-		}
-	}
 	syncPol, err := storage.ParseSyncPolicy(*fsyncPolicy)
 	if err != nil {
 		return err
@@ -199,9 +192,7 @@ func runCompress(args []string) error {
 	if *tracePath != "" {
 		ctx, root = obs.StartRoot(ctx, "stcomp.compress")
 	}
-	if *targetNRMSE > 0 {
-		err = compressToTarget(ctx, opts, dims, fs.Args(), *targetNRMSE, dst)
-	} else if precision == core.Float32 {
+	if precision == core.Float32 {
 		err = compressFilesOf[float32](ctx, opts, dims, fs.Args(), dst)
 	} else {
 		err = compressFilesOf[float64](ctx, opts, dims, fs.Args(), dst)
@@ -250,13 +241,21 @@ func compressFilesOf[F num.Float](ctx context.Context, opts core.Options, dims g
 	if err != nil {
 		return err
 	}
+	worst, rounds := obs.Default().Gauge("core.target_nrmse_max"), obs.Default().Counter("core.verify_round_trips_total")
+	worst.Set(0)
+	rounds0 := rounds.Load()
 	st, err := streamOf(ctx, ingest.Config{Opts: opts, Workers: 1}, src, len(paths), cw, out.atomic)
 	if err != nil {
 		return err
 	}
 	rawBytes := int64(st.SlicesIn) * int64(dims.Len()) * 4
-	fmt.Printf("compressed %d slices (%s raw) into %d windows, %s encoded (%.1f:1 effective)\n",
-		st.SlicesIn, fmtBytes(rawBytes), st.WindowsAppended, fmtBytes(st.BytesEncoded),
+	target := ""
+	if opts.TargetNRMSE > 0 {
+		target = fmt.Sprintf(" at NRMSE <= %g (worst window %.4e, %d verify round trips)",
+			opts.TargetNRMSE, worst.Load(), rounds.Load()-rounds0)
+	}
+	fmt.Printf("compressed %d slices (%s raw) into %d windows%s, %s encoded (%.1f:1 effective)\n",
+		st.SlicesIn, fmtBytes(rawBytes), st.WindowsAppended, target, fmtBytes(st.BytesEncoded),
 		float64(rawBytes)/float64(st.BytesEncoded))
 	return nil
 }
@@ -294,55 +293,6 @@ func dumpTrace(root *obs.Span, path string) error {
 		return err
 	}
 	fmt.Printf("wrote trace to %s\n", path)
-	return nil
-}
-
-// compressToTarget buffers whole windows and chooses each window's ratio by
-// bisection so the reconstruction meets the NRMSE target. Every probe's
-// compress, and each append, runs under ctx.
-func compressToTarget(ctx context.Context, opts core.Options, dims grid.Dims, paths []string, target float64, out container) error {
-	src, err := ingest.NewRawFileSourceOf[float64](paths, dims)
-	if err != nil {
-		return err
-	}
-	cw, err := out.create()
-	if err != nil {
-		return err
-	}
-	var encoded int64
-	windows := 0
-	for left := len(paths); left > 0; {
-		pending := grid.NewWindow(dims)
-		for range min(opts.SlicesPerWindow(), left) {
-			f := grid.NewField3D(dims.Nx, dims.Ny, dims.Nz)
-			t, err := src.Next(f)
-			if err != nil {
-				return err
-			}
-			if err := pending.Append(f, t); err != nil {
-				return err
-			}
-			left--
-		}
-		win, achieved, err := core.CompressToTarget(ctx, opts, pending, target, 1, 1024)
-		if err != nil {
-			return err
-		}
-		if _, err := cw.AppendCtx(ctx, win); err != nil {
-			return err
-		}
-		fmt.Printf("  window %d: ratio %g:1, NRMSE %.3e (target %.3e)\n",
-			windows, win.Opts.Ratio, achieved, target)
-		encoded += win.EncodedSizeBytes()
-		windows++
-	}
-	if err := cw.Close(); err != nil {
-		return err
-	}
-	rawBytes := int64(len(paths)) * int64(dims.Len()) * 4
-	fmt.Printf("compressed %d slices (%s raw) into %d windows at NRMSE <= %g, %s encoded (%.1f:1 effective)\n",
-		len(paths), fmtBytes(rawBytes), windows, target, fmtBytes(encoded),
-		float64(rawBytes)/float64(encoded))
 	return nil
 }
 

@@ -13,6 +13,7 @@ import (
 
 	"stwave/internal/core"
 	"stwave/internal/grid"
+	"stwave/internal/metrics"
 	"stwave/internal/obs"
 	"stwave/internal/storage"
 )
@@ -326,20 +327,46 @@ func TestRunIngestFloat32(t *testing.T) {
 	}
 }
 
-// TestRunCompressFloat32RejectsOracleModes: -target-nrmse, whose search
-// runs on the float64 oracle, must refuse -precision f32 loudly.
-func TestRunCompressFloat32RejectsOracleModes(t *testing.T) {
+// TestRunCompressFloat32TargetNRMSE: -target-nrmse runs at -precision
+// f32 through the ingest engine, and the decompressed slices of every
+// window meet the target against the float32 inputs.
+func TestRunCompressFloat32TargetNRMSE(t *testing.T) {
+	const target = 1e-3
 	dir := t.TempDir()
 	d := grid.Dims{Nx: 8, Ny: 8, Nz: 8}
-	f := grid.NewField3D32(d.Nx, d.Ny, d.Nz)
-	in := filepath.Join(dir, "in.raw")
-	if err := f.SaveRawFile(in); err != nil {
+	paths := writeRawSlices(t, dir, d, 7)
+	out := filepath.Join(dir, "f32.stw")
+	args := append([]string{"-dims", "8x8x8", "-window", "3", "-precision", "f32",
+		"-target-nrmse", strconv.FormatFloat(target, 'g', -1, 64), "-out", out}, paths...)
+	if err := runCompress(args); err != nil {
 		t.Fatal(err)
 	}
-	out := filepath.Join(dir, "x.stw")
-	if err := runCompress([]string{"-dims", "8x8x8", "-precision", "f32",
-		"-target-nrmse", "0.01", "-out", out, in}); err == nil {
-		t.Error("-target-nrmse with -precision f32 accepted")
+	prefix := filepath.Join(dir, "recon")
+	if err := runDecompress([]string{"-in", out, "-prefix", prefix}); err != nil {
+		t.Fatal(err)
+	}
+	for w := 0; w < len(paths); w += 3 {
+		ac := metrics.NewAccumulator()
+		for i := w; i < min(w+3, len(paths)); i++ {
+			in, err := grid.LoadRawFileOf[float32](paths[i], d.Nx, d.Ny, d.Nz)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := grid.LoadRawFileOf[float32](fmt.Sprintf("%s%04d.raw", prefix, i), d.Nx, d.Ny, d.Nz)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, b := make([]float64, len(in.Data)), make([]float64, len(in.Data))
+			for j := range a {
+				a[j], b[j] = float64(in.Data[j]), float64(got.Data[j])
+			}
+			if err := ac.Add(a, b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if ac.NRMSE() > target {
+			t.Errorf("window at slice %d: NRMSE %g exceeds -target-nrmse %g", w, ac.NRMSE(), target)
+		}
 	}
 }
 
@@ -420,15 +447,15 @@ func writeRawSlices(t *testing.T, dir string, d grid.Dims, n int) []string {
 
 // TestRunCompressTrace: -trace writes a span tree holding one
 // storage.append_window span per window, the short trailing window
-// included, and one core.compress_window span per window, or, under
-// -target-nrmse, one per trial compression of its bisection.
+// included, and one core.compress_window span per window, under
+// -target-nrmse too.
 func TestRunCompressTrace(t *testing.T) {
 	for _, c := range []struct {
 		extra      []string
 		compresses func(int) bool
 	}{
 		{nil, func(n int) bool { return n == 3 }},
-		{[]string{"-target-nrmse", "0.05"}, func(n int) bool { return n >= 3 }},
+		{[]string{"-target-nrmse", "0.05"}, func(n int) bool { return n == 3 }},
 	} {
 		dir := t.TempDir()
 		paths := writeRawSlices(t, dir, grid.Dims{Nx: 8, Ny: 8, Nz: 8}, 7)

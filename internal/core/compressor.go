@@ -188,16 +188,16 @@ const (
 	Copy Input = iota
 	// InPlace: w holds samples, and on return — error or not — it holds
 	// the window's wavelet coefficients. Selection never writes, so the
-	// coefficients stay intact for a later Coefficients call. Under
-	// MaxErr the samples are first cloned into a pooled slab, because
-	// the bound is verified against them.
+	// coefficients stay intact for a later Coefficients call. Under the
+	// verified modes (MaxErr, TargetNRMSE) the samples are first cloned
+	// into a pooled slab, because the error is measured against them.
 	InPlace
 	// Coefficients: w already holds the coefficients of a window that a
 	// compressor with the same transform configuration (kernels, levels,
 	// mode) transformed; no transform runs and w is only read. Because
 	// Forward4D is deterministic, the bytes equal compressing the raw
-	// window at c's ratio. The error-bounded mode (MaxErr) rejects it:
-	// there are no samples to verify against.
+	// window at c's ratio. The verified modes reject it: there are no
+	// samples to verify against.
 	Coefficients
 )
 
@@ -206,7 +206,7 @@ const (
 // equal Options.WindowSize, but any length >= 1 is accepted: temporal
 // levels adapt to the actual length (shorter final windows at end of
 // simulation). At F = float32 the transform, threshold, and encode all
-// move 4-byte samples, and MaxErr is verified on the float32
+// move 4-byte samples, and the verified modes measure the float32
 // reconstruction against the float32 samples.
 //
 // When ctx carries a trace, the transform, threshold, and encode stages
@@ -214,19 +214,19 @@ const (
 // land in the process-wide metrics registry either way. The output bytes
 // depend only on c's options and the window's samples, never on in.
 func Compress[F num.Float](ctx context.Context, c *Compressor, w *grid.WindowOf[F], in Input) (*CompressedWindow, error) {
-	maxErr := c.opts.MaxErr > 0
+	verified := c.opts.MaxErr > 0 || c.opts.TargetNRMSE > 0
 	switch {
 	case w.Len() == 0:
 		return nil, fmt.Errorf("core: cannot compress an empty window")
 	case in < Copy || in > Coefficients:
 		return nil, fmt.Errorf("core: unknown compress input %d", int(in))
-	case maxErr && in == Coefficients:
-		return nil, fmt.Errorf("core: error-bounded mode (MaxErr) verifies against the raw samples, which Coefficients input lacks")
+	case verified && in == Coefficients:
+		return nil, fmt.Errorf("core: the verified modes (MaxErr, TargetNRMSE) measure against the raw samples, which Coefficients input lacks")
 	}
 	ctx, sp := obs.Start(ctx, "core.compress_window")
 	defer sp.End()
 	raw, work := w, w
-	if in == Copy || maxErr { // maxErr rules out Coefficients above
+	if in == Copy || verified { // verified rules out Coefficients above
 		slab := scratch.FloatsOf[F](w.TotalSamples())
 		defer scratch.PutFloatsOf(slab)
 		if in == Copy {
@@ -242,8 +242,11 @@ func Compress[F num.Float](ctx context.Context, c *Compressor, w *grid.WindowOf[
 		}
 	}
 	workers := par.Workers(c.opts.Workers)
-	if maxErr {
+	switch {
+	case c.opts.MaxErr > 0:
 		return maxErrOf(ctx, c, raw, work, spec, workers)
+	case c.opts.TargetNRMSE > 0:
+		return targetOf(ctx, c, raw, work, spec, workers)
 	}
 	return encodeCoefficients(ctx, c, work, spec, workers)
 }

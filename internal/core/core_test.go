@@ -84,6 +84,11 @@ func TestOptionsValidate(t *testing.T) {
 		func() Options { o := DefaultOptions(); o.Ratio = math.Inf(1); return o }(),
 		func() Options { o := DefaultOptions(); o.SpatialLevels = -2; return o }(),
 		func() Options { o := DefaultOptions(); o.TemporalLevels = -3; return o }(),
+		func() Options { o := DefaultOptions(); o.TargetNRMSE = -1e-3; return o }(),
+		func() Options { o := DefaultOptions(); o.TargetNRMSE = math.NaN(); return o }(),
+		func() Options { o := DefaultOptions(); o.TargetNRMSE = math.Inf(1); return o }(),
+		func() Options { o := DefaultOptions(); o.TargetNRMSE, o.MaxErr = 1e-3, 1e-3; return o }(),
+		func() Options { o := DefaultOptions(); o.TargetNRMSE, o.PerSliceBudget = 1e-3, true; return o }(),
 	}
 	for i, o := range bad {
 		if err := o.Validate(); err == nil {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"stwave/internal/compress"
@@ -18,23 +17,15 @@ import (
 	"stwave/internal/wavelet"
 )
 
-// Error-bounded thresholding (Options.MaxErr): instead of ranking
-// coefficients to a ratio budget, each coefficient is dropped when its
-// magnitude falls under a per-band threshold, and the resulting bound is
-// then *verified* on the exact encoded stream — codec roundtrip followed
-// by the inverse transform, compared sample-by-sample against the
-// original window. Verification is what makes the bound honest: wavelet
-// band gains, accumulation across dropped coefficients, and codec
-// quantization (the sparse backend stores float32 values, the entropy
-// backend quantizes) all land in the measured error, so the loop
-// tightens the violating class's threshold and re-verifies until the
-// bound holds. A bound below the codec's quantization floor is reported
-// as a typed error rather than silently missed.
+// Error-bounded thresholding (Options.MaxErr), one of the verified modes
+// (verify.go): each coefficient is dropped when its magnitude falls under
+// its band's threshold, and a round that misses halves the violating
+// class's threshold.
 
-// maxErrIters bounds the tighten-and-verify loop; each iteration halves
-// a violating threshold, so 24 iterations cover a 2^24 tightening range
-// before the bound is declared unreachable.
-const maxErrIters = 24
+// maxVerifyRounds bounds the verify loop of both verified modes. Each
+// MaxErr round halves a violating threshold, so 24 rounds cover a 2^24
+// tightening range before the bound is declared unreachable.
+const maxVerifyRounds = 24
 
 // supportMargin is the half-width, in cells at a coefficient's own
 // level, of the spatial support attributed to it for ROI
@@ -141,10 +132,7 @@ var ErrBoundUnreachable = errors.New("core: error bound unreachable")
 // samples the bound is measured against, at the window's own precision.
 func maxErrOf[F num.Float](ctx context.Context, c *Compressor, raw, coeffs *grid.WindowOf[F], spec transform.Spec, workers int) (*CompressedWindow, error) {
 	dims := raw.Dims
-	datas := make([][]F, coeffs.Len())
-	for i, f := range coeffs.Slices {
-		datas[i] = f.Data
-	}
+	datas := sliceData(coeffs)
 	t, s := len(datas), dims.Len()
 	levels := spec.SpatialLevels
 	roi := c.opts.ROI
@@ -166,15 +154,10 @@ func maxErrOf[F num.Float](ctx context.Context, c *Compressor, raw, coeffs *grid
 		gain[e] = math.Pow(math.Sqrt2, float64(e))
 	}
 
-	vslab := scratch.FloatsOf[F](t * s)
-	defer scratch.PutFloatsOf(vslab)
-	vw := carveWindow(dims, t, vslab, raw.Times)
-
 	_, sp := obs.Start(ctx, "core.threshold_maxerr")
 	defer sp.End()
 	start := time.Now()
 	cw := newCompressedWindow(c, coeffs, spec)
-	cdc := c.opts.codec()
 	tauBG := c.opts.MaxErr / 2
 	tauROI := 0.0
 	if roi != nil {
@@ -182,26 +165,14 @@ func maxErrOf[F num.Float](ctx context.Context, c *Compressor, raw, coeffs *grid
 	}
 	var bgMax, roiMax float64
 	roiTightenings := 0
-	for iter := 0; iter < maxErrIters; iter++ {
-		// Keep everything over the current per-class thresholds, then
-		// decode the encoded blocks back: the verified stream is the
-		// written stream.
+	for round := 0; round < maxVerifyRounds; round++ {
+		// Keep everything over the current per-class thresholds.
 		survs, idx, val := bandSurvivors(datas, class, et, gain, tauBG, tauROI, workers)
-		groups, err := encodeSurvivors(cdc, survs, dims, cw.groupLevels(), workers)
-		scratch.PutInts(idx)
-		scratch.PutFloats(val)
+		e, err := verifyRound(cw, survs, idx, val, raw, spec, workers)
 		if err != nil {
 			return nil, err
 		}
-		cw.Groups = groups
-		if err := decodeInto(cw, vw.Slices, levels, workers); err != nil {
-			return nil, err
-		}
-		if err := transform.Inverse4D(vw, spec); err != nil {
-			return nil, fmt.Errorf("core: verification inverse transform: %w", err)
-		}
-
-		bgMax, roiMax = measureMaxErr(raw, vw, roi, workers)
+		bgMax, roiMax = e.bg, e.roi
 		bgOK := bgMax <= c.opts.MaxErr
 		roiOK := roi == nil || roiMax <= roi.MaxErr
 		if bgOK && roiOK {
@@ -232,7 +203,7 @@ func maxErrOf[F num.Float](ctx context.Context, c *Compressor, raw, coeffs *grid
 		}
 	}
 	return nil, fmt.Errorf("%w for codec %s (achieved background %g > %g or ROI %g): "+
-		"the codec's quantization floor may exceed the requested bound", ErrBoundUnreachable, cdc.Name(), bgMax, c.opts.MaxErr, roiMax)
+		"the codec's quantization floor may exceed the requested bound", ErrBoundUnreachable, cw.Codec().Name(), bgMax, c.opts.MaxErr, roiMax)
 }
 
 // bandSurvivors collects, per slice, every coefficient that fails its
@@ -280,39 +251,4 @@ func bandSurvivors[F num.Float](datas [][]F, class []uint8, et []int, gain []flo
 		}
 	})
 	return survs, idx, val
-}
-
-// measureMaxErr returns the maximum absolute sample error outside and
-// inside the ROI box (roiMax is zero when roi is nil), taking each
-// difference after widening both samples to float64.
-func measureMaxErr[F num.Float](orig, recon *grid.WindowOf[F], roi *ROIBounds, workers int) (bgMax, roiMax float64) {
-	t := len(orig.Slices)
-	d := orig.Dims
-	bg := make([]float64, t)
-	ri := make([]float64, t)
-	par.For(t, workers, 1, func(start, end int) {
-		for i := start; i < end; i++ {
-			a, b := orig.Slices[i].Data, recon.Slices[i].Data
-			var mbg, mroi float64
-			idx := 0
-			for z := 0; z < d.Nz; z++ {
-				for y := 0; y < d.Ny; y++ {
-					inRow := roi != nil && z >= roi.Z0 && z < roi.Z1 && y >= roi.Y0 && y < roi.Y1
-					for x := 0; x < d.Nx; x++ {
-						e := math.Abs(float64(a[idx]) - float64(b[idx]))
-						if inRow && x >= roi.X0 && x < roi.X1 {
-							if e > mroi {
-								mroi = e
-							}
-						} else if e > mbg {
-							mbg = e
-						}
-						idx++
-					}
-				}
-			}
-			bg[i], ri[i] = mbg, mroi
-		}
-	})
-	return slices.Max(bg), slices.Max(ri) // per-slice maxima are never NaN
 }

@@ -163,6 +163,13 @@ type Options struct {
 	// reconstruction error is <= MaxErr everywhere. The error is that of
 	// the reconstruction at the window's own precision. Ratio is ignored.
 	MaxErr float64
+	// TargetNRMSE, when > 0, replaces the Ratio budget with a target on
+	// the window's NRMSE (RMSE over the window's sample range): each
+	// window keeps the fewest largest coefficients whose reconstruction,
+	// verified on the exact encoded stream, meets the target, and records
+	// that keep count as its Ratio. It takes neither MaxErr nor
+	// PerSliceBudget.
+	TargetNRMSE float64
 	// ROI optionally designates a region of interest that must meet a
 	// tighter error bound than the MaxErr background. Requires MaxErr
 	// mode.
@@ -243,6 +250,12 @@ func (o Options) Validate() error {
 	}
 	if math.IsNaN(o.MaxErr) || math.IsInf(o.MaxErr, 0) || o.MaxErr < 0 {
 		return fmt.Errorf("core: max error bound must be finite and >= 0, got %g", o.MaxErr)
+	}
+	if math.IsNaN(o.TargetNRMSE) || math.IsInf(o.TargetNRMSE, 0) || o.TargetNRMSE < 0 {
+		return fmt.Errorf("core: target NRMSE must be finite and >= 0, got %g", o.TargetNRMSE)
+	}
+	if o.TargetNRMSE > 0 && (o.MaxErr > 0 || o.PerSliceBudget) {
+		return fmt.Errorf("core: TargetNRMSE is a rate mode of its own; it takes neither MaxErr nor the PerSliceBudget ablation")
 	}
 	if !o.Precision.Valid() {
 		return fmt.Errorf("core: invalid precision %d", int(o.Precision))

@@ -114,7 +114,7 @@ func checkStreamMatchesCopy[F num.Float](t *testing.T, opts core.Options, src *g
 
 // TestWriterMatchesCompressCopy: the streamed windows, compressed in
 // place, are byte-identical to Compress(Copy) on the same slices, at both
-// precisions and in both modes. The grid and window are large enough for
+// precisions, in both modes and under TargetNRMSE. The grid and window are large enough for
 // one spatial and one temporal level, so the transform really runs.
 func TestWriterMatchesCompressCopy(t *testing.T) {
 	d := grid.Dims{Nx: 20, Ny: 18, Nz: 16}
@@ -127,6 +127,9 @@ func TestWriterMatchesCompressCopy(t *testing.T) {
 	opts.Mode = core.Spatial3D
 	checkStreamMatchesCopy(t, opts, series[float64](d, 3, 0.3))
 	checkStreamMatchesCopy(t, opts, series[float32](d, 3, 0.6))
+	opts.Mode, opts.TargetNRMSE = core.Spatiotemporal4D, 1e-3
+	checkStreamMatchesCopy(t, opts, series[float64](d, 25, 0.3))
+	checkStreamMatchesCopy(t, opts, series[float32](d, 25, 0.6))
 }
 
 // TestStreamWriter4D: 25 slices at window 10 become windows of 10, 10

@@ -1,89 +1,182 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"math"
 	"testing"
 
 	"stwave/internal/grid"
 	"stwave/internal/metrics"
+	"stwave/internal/num"
+	"stwave/internal/obs"
 )
 
-func TestCompressToTargetMeetsBound(t *testing.T) {
-	d := grid.Dims{Nx: 16, Ny: 16, Nz: 16}
-	w := coherentWindow(d, 20, 0.4)
-	opts := DefaultOptions()
-	for _, target := range []float64{1e-2, 1e-3, 1e-4} {
-		cw, achieved, err := CompressToTarget(context.Background(), opts, w, target, 1, 512)
-		if err != nil {
-			t.Fatalf("target %g: %v", target, err)
+// targetOpts is the paper's 4D configuration at window length slices,
+// rate-controlled by target NRMSE tau.
+func targetOpts(slices int, tau float64) Options {
+	o := DefaultOptions()
+	o.WindowSize = slices
+	o.TargetNRMSE = tau
+	o.Workers = 2
+	return o
+}
+
+// freshNRMSE serializes cw, reads it back and reconstructs it at
+// precision F, and returns the NRMSE of that fresh decode against raw,
+// both widened to float64.
+func freshNRMSE[F num.Float](t *testing.T, cw *CompressedWindow, raw *grid.WindowOf[F]) float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := cw.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadCompressedWindow(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recon, err := Reconstruct[F](context.Background(), back, Query{MaxLevel: All, Slice: All})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ac := metrics.NewAccumulator()
+	for i, f := range raw.Slices {
+		a, b := make([]float64, len(f.Data)), make([]float64, len(f.Data))
+		for j := range a {
+			a[j], b[j] = float64(f.Data[j]), float64(recon.Slices[i].Data[j])
 		}
-		if achieved > target {
-			t.Errorf("target %g: achieved NRMSE %g exceeds target", target, achieved)
-		}
-		// Verify the reported error against a fresh decompression.
-		recon, err := Decompress(cw)
-		if err != nil {
+		if err := ac.Add(a, b); err != nil {
 			t.Fatal(err)
 		}
-		ac := metrics.NewAccumulator()
-		for i := range w.Slices {
-			if err := ac.Add(w.Slices[i].Data, recon.Slices[i].Data); err != nil {
-				t.Fatal(err)
-			}
+	}
+	return ac.NRMSE()
+}
+
+// checkTarget compresses raw under o (TargetNRMSE set) and checks that a
+// fresh decode meets the target, that the compress ran one forward
+// transform, and that the window is the ratio-mode window at the Ratio it
+// records. It returns the window.
+func checkTarget[F num.Float](t *testing.T, o Options, raw *grid.WindowOf[F]) *CompressedWindow {
+	t.Helper()
+	c, err := New(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, root := obs.StartRoot(context.Background(), "test")
+	cw, err := Compress(ctx, c, raw, Copy)
+	if err != nil {
+		t.Fatalf("%v target %g: %v", o.Mode, o.TargetNRMSE, err)
+	}
+	root.End()
+	forwards := 0
+	root.Tree().Walk(func(n obs.SpanTree, _ int) {
+		if n.Name == "xform.forward_3d" {
+			forwards++
 		}
-		if math.Abs(ac.NRMSE()-achieved) > 1e-12 {
-			t.Errorf("target %g: reported %g but recomputed %g", target, achieved, ac.NRMSE())
-		}
+	})
+	if forwards != 1 {
+		t.Errorf("%v target %g: %d forward transforms, want 1", o.Mode, o.TargetNRMSE, forwards)
+	}
+	if got := freshNRMSE(t, cw, raw); !(got <= o.TargetNRMSE) {
+		t.Errorf("%v target %g: fresh decode NRMSE %g", o.Mode, o.TargetNRMSE, got)
+	}
+	ro := o
+	ro.TargetNRMSE, ro.Ratio = 0, cw.Opts.Ratio
+	rc, err := New(ro)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := Compress(context.Background(), rc, raw, Copy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want bytes.Buffer
+	if _, err := cw.WriteTo(&got); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.WriteTo(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("%v target %g: bytes differ from ratio mode at the recorded ratio %g", o.Mode, o.TargetNRMSE, cw.Opts.Ratio)
+	}
+	return cw
+}
+
+// TestCompressToTargetMeetsBound: at both precisions, in 4D and in 3D
+// (one keep count per slice), every target is met on a fresh decode.
+func TestCompressToTargetMeetsBound(t *testing.T) {
+	d := grid.Dims{Nx: 16, Ny: 16, Nz: 16}
+	for _, tau := range []float64{1e-2, 1e-3, 1e-4} {
+		checkTarget(t, targetOpts(20, tau), coherentWindow(d, 20, 0.4))
+		checkTarget(t, targetOpts(20, tau), coherentWindow32(d, 20, 0.4))
+		o := targetOpts(20, tau)
+		o.Mode = Spatial3D
+		checkTarget(t, o, coherentWindow(d, 3, 0.4))
 	}
 }
 
+// TestCompressToTargetPrefersTighterRatios: a looser target keeps
+// fewer coefficients, at both precisions.
 func TestCompressToTargetPrefersTighterRatios(t *testing.T) {
 	d := grid.Dims{Nx: 12, Ny: 12, Nz: 12}
-	w := coherentWindow(d, 20, 0.2)
-	opts := DefaultOptions()
-	loose, _, err := CompressToTarget(context.Background(), opts, w, 1e-2, 1, 512)
-	if err != nil {
-		t.Fatal(err)
+	pairs := [][2]*CompressedWindow{
+		{checkTarget(t, targetOpts(20, 1e-2), coherentWindow(d, 20, 0.2)), checkTarget(t, targetOpts(20, 1e-5), coherentWindow(d, 20, 0.2))},
+		{checkTarget(t, targetOpts(20, 1e-2), coherentWindow32(d, 20, 0.2)), checkTarget(t, targetOpts(20, 1e-4), coherentWindow32(d, 20, 0.2))},
 	}
-	tight, _, err := CompressToTarget(context.Background(), opts, w, 1e-5, 1, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loose.RetainedCoefficients() >= tight.RetainedCoefficients() {
-		t.Errorf("loose target retained %d coefficients, tight retained %d — loose should keep fewer",
-			loose.RetainedCoefficients(), tight.RetainedCoefficients())
+	for i, p := range pairs {
+		if loose, tight := p[0].RetainedCoefficients(), p[1].RetainedCoefficients(); loose >= tight {
+			t.Errorf("pair %d: loose target retained %d coefficients, tight retained %d; loose should keep fewer", i, loose, tight)
+		}
 	}
 }
 
+// TestCompressToTargetUnreachable: a target under the sparse codec's
+// float32 storage floor fails with ErrBoundUnreachable at both precisions,
+// and so does any target on a constant window.
 func TestCompressToTargetUnreachable(t *testing.T) {
 	d := grid.Dims{Nx: 8, Ny: 8, Nz: 8}
-	w := coherentWindow(d, 10, 0.1)
-	opts := DefaultOptions()
-	opts.WindowSize = 10
-	// With minRatio 64 even the loosest setting cannot hit 1e-12 NRMSE.
-	cw, achieved, err := CompressToTarget(context.Background(), opts, w, 1e-12, 64, 512)
-	if err == nil {
-		t.Fatalf("expected unreachable-target error, got NRMSE %g", achieved)
+	c, err := New(targetOpts(10, 1e-12))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cw == nil {
-		t.Error("unreachable target must still return the best-effort window")
+	if _, err := Compress(context.Background(), c, coherentWindow(d, 10, 0.1), Copy); !errors.Is(err, ErrBoundUnreachable) {
+		t.Errorf("float64: got %v, want ErrBoundUnreachable", err)
+	}
+	if _, err := Compress(context.Background(), c, coherentWindow32(d, 10, 0.1), Copy); !errors.Is(err, ErrBoundUnreachable) {
+		t.Errorf("float32: got %v, want ErrBoundUnreachable", err)
+	}
+	// A constant window has a zero range, so any reconstruction error is
+	// an infinite NRMSE.
+	flat := coherentWindow(d, 10, 0)
+	for _, f := range flat.Slices {
+		f.Fill(1.0 / 3)
+	}
+	c, err = New(targetOpts(10, 1e-3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Compress(context.Background(), c, flat, Copy); !errors.Is(err, ErrBoundUnreachable) {
+		t.Errorf("constant window: got %v, want ErrBoundUnreachable", err)
 	}
 }
 
+// TestCompressToTargetValidation: a negative or non-finite target is
+// rejected, and so is Coefficients input, which has no samples to measure
+// against.
 func TestCompressToTargetValidation(t *testing.T) {
-	d := grid.Dims{Nx: 8, Ny: 8, Nz: 8}
-	w := coherentWindow(d, 10, 0)
-	opts := DefaultOptions()
-	opts.WindowSize = 10
-	if _, _, err := CompressToTarget(context.Background(), opts, w, 0, 1, 128); err == nil {
-		t.Error("expected error for zero target")
+	for _, tau := range []float64{-1e-3, math.NaN(), math.Inf(1)} {
+		if _, err := New(targetOpts(10, tau)); err == nil {
+			t.Errorf("target %g accepted", tau)
+		}
 	}
-	if _, _, err := CompressToTarget(context.Background(), opts, w, 1e-3, 0.5, 128); err == nil {
-		t.Error("expected error for minRatio < 1")
+	c, err := New(targetOpts(10, 1e-3))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := CompressToTarget(context.Background(), opts, w, 1e-3, 128, 8); err == nil {
-		t.Error("expected error for inverted range")
+	if _, err := Compress(context.Background(), c, coherentWindow(grid.Dims{Nx: 8, Ny: 8, Nz: 8}, 10, 0), Coefficients); err == nil {
+		t.Error("TargetNRMSE accepted Coefficients input")
 	}
 }
 

@@ -163,14 +163,14 @@ func EncodeSurvivors(total int, idx []int, val []float64, p Params, workers int)
 	e.rows = rows
 	rows[nch*e.stride] = uint64(len(idx))
 
-	// Pass 1: survivor ranges, and the maximum the adaptive step needs.
+	// Pass 1: survivor ranges, and the maximum the step needs.
 	maxs := scratch.Floats(nch)
 	defer scratch.PutFloats(maxs)
 	e.maxs = maxs
-	e.adaptive = !p.Lossless && !(p.ErrorBound > 0)
+	e.scanMax = !p.Lossless
 	e.each(workers, (*chunkEncoder).scan)
 	maxMag := 0.0
-	if e.adaptive {
+	if e.scanMax {
 		for _, m := range maxs {
 			if m > maxMag {
 				maxMag = m
@@ -240,9 +240,11 @@ type chunkEncoder struct {
 	stride int
 	rows   []uint64 // per chunk: first survivor, extra bits (then offset), histogram
 	maxs   []float64
-	// adaptive: the step follows the block's magnitude maximum.
-	adaptive bool
-	levels   []uint64 // quantized level of every survivor, as int64 bits
+	// scanMax: the step depends on the block's magnitude maximum: a
+	// bit-depth step follows it, and an ErrorBound step is lowered when
+	// the maximum's level would dequantize past MaxFloat64.
+	scanMax bool
+	levels  []uint64 // quantized level of every survivor, as int64 bits
 	// valCode/valLen are the value part of an in-range class c ahead of
 	// its refinement bits: the Huffman code shifted up by c, so that
 	// code, c-1 refinement bits and the sign form one c+len bit field.
@@ -266,12 +268,12 @@ func (e *chunkEncoder) each(workers int, pass func(e *chunkEncoder, start, end i
 }
 
 // scan is pass 1 over chunks [start, end): each chunk's first survivor
-// and, for an adaptive step, its magnitude maximum.
+// and, unless the block is lossless, its magnitude maximum.
 func (e *chunkEncoder) scan(start, end int) {
 	for ci := start; ci < end; ci++ {
 		lo := sort.SearchInts(e.idx, ci*chunkSize)
 		e.rows[ci*e.stride] = uint64(lo) //stlint:ignore trunccast a survivor position is non-negative
-		if !e.adaptive {
+		if !e.scanMax {
 			continue
 		}
 		hi := lo + sort.SearchInts(e.idx[lo:], (ci+1)*chunkSize)

@@ -173,6 +173,38 @@ func TestQuantizerErrorBound(t *testing.T) {
 	}
 }
 
+// TestQuantizerLargestFinite: a block whose largest magnitude is
+// ±MaxFloat64 decodes it finite and within step/2, at every bit depth and
+// at error-bound steps near the top of the range, through the encoder's
+// own round trip.
+func TestQuantizerLargestFinite(t *testing.T) {
+	var params []Params
+	for b := 2; b <= 31; b++ {
+		params = append(params, Params{BitDepth: b})
+	}
+	for _, eb := range []float64{math.MaxFloat64, math.MaxFloat64 / 3, 3e307, 1e300} {
+		params = append(params, Params{BitDepth: 16, ErrorBound: eb})
+	}
+	for _, p := range params {
+		for _, top := range []float64{math.MaxFloat64, -math.MaxFloat64} {
+			coeffs := []float64{top, 1, top / 3, 0, math.Nextafter(top, 0)}
+			b, err := Encode(coeffs, p, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := make([]float64, len(coeffs))
+			if err := b.DecodeInto(out, 1); err != nil {
+				t.Fatalf("%+v: %v", p, err)
+			}
+			for i, v := range coeffs {
+				if e := math.Abs(out[i] - v); !(e <= b.step/2*(1+1e-12)) {
+					t.Fatalf("%+v: value %g decoded as %g (error %g, step %g)", p, v, out[i], e, b.step)
+				}
+			}
+		}
+	}
+}
+
 func TestQuantizerDegenerateInputs(t *testing.T) {
 	q := Params{BitDepth: 16}.newQuantizer(0)
 	if !(q.Step > 0) {

@@ -70,7 +70,7 @@ func (p Params) newQuantizer(maxMag float64) Quantizer {
 		return Quantizer{}
 	}
 	if p.ErrorBound > 0 {
-		return Quantizer{Step: 2 * p.ErrorBound}
+		return Quantizer{Step: min(2*p.ErrorBound, math.MaxFloat64)}.finite(maxMag)
 	}
 	levels := float64(uint64(1)<<uint(p.BitDepth) - 1) //stlint:ignore trunccast BitDepth is validated to [2, 31] before any quantizer is built
 	if maxMag <= 0 || math.IsInf(maxMag, 0) || math.IsNaN(maxMag) {
@@ -84,7 +84,23 @@ func (p Params) newQuantizer(maxMag float64) Quantizer {
 		// back to the smallest positive normal step.
 		step = math.SmallestNonzeroFloat64 * levels
 	}
-	return Quantizer{Step: step}
+	return Quantizer{Step: step}.finite(maxMag)
+}
+
+// finite lowers q's step, if need be, until the level of maxMag (and so
+// every smaller level) dequantizes finite: near math.MaxFloat64 the
+// rounded level times the step can overflow to ±Inf. A smaller step only
+// tightens the error bound. A non-finite maxMag leaves q as it is.
+func (q Quantizer) finite(maxMag float64) Quantizer {
+	top := q.Quantize(maxMag)
+	if math.IsInf(maxMag, 0) || !math.IsInf(q.Dequantize(top), 0) {
+		return q
+	}
+	q.Step = maxMag / float64(top)
+	for math.IsInf(q.Dequantize(top), 0) {
+		q.Step = math.Nextafter(q.Step, 0)
+	}
+	return q
 }
 
 // Quantize maps v to its level: round(v/Step), saturated to ±quantMagCap.

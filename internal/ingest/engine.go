@@ -239,9 +239,10 @@ func NewEngine32(cfg Config, dims grid.Dims, w *storage.ContainerWriter) (*Engin
 
 // Validate reports the first reason c cannot drive an engine: a ladder
 // rung that does not coarsen the ratio before it, PolicyDegrade without a
-// ladder or under MaxErr (its rungs step the ratio, which the
-// error-bounded mode ignores, so every rung would re-append the same
-// payload), or a rung whose compression options core rejects. NewEngineOf
+// ladder or under a verified mode (MaxErr or TargetNRMSE: its rungs
+// re-encode the retained coefficients at a coarser ratio, which these
+// modes ignore and cannot verify without the raw samples), or a rung
+// whose compression options core rejects. NewEngineOf
 // runs the same checks; a command line runs Validate before it creates
 // its output, so a rejected configuration never truncates a container.
 func (c Config) Validate() error {
@@ -261,8 +262,8 @@ func (c Config) compressors() ([]*core.Compressor, error) {
 	if c.Policy == PolicyDegrade && len(c.Ladder) == 0 {
 		return nil, fmt.Errorf("ingest: degrade policy needs a ratio ladder")
 	}
-	if c.Policy == PolicyDegrade && c.Opts.MaxErr > 0 {
-		return nil, fmt.Errorf("ingest: degrade policy steps the ratio, which error-bounded mode (MaxErr) ignores; use stall or shed")
+	if c.Policy == PolicyDegrade && (c.Opts.MaxErr > 0 || c.Opts.TargetNRMSE > 0) {
+		return nil, fmt.Errorf("ingest: degrade policy re-encodes from coefficients at a coarser ratio, which the verified modes (MaxErr, TargetNRMSE) cannot; use stall or shed")
 	}
 	comps := make([]*core.Compressor, len(ratios))
 	for i, r := range ratios {

@@ -513,6 +513,11 @@ func TestEngineValidation(t *testing.T) {
 	if _, err := NewEngineOf[float64](Config{Opts: testOpts(), Ladder: []float64{2}}, testDims(), w); err == nil {
 		t.Error("non-coarsening ladder accepted")
 	}
+	target := testOpts()
+	target.TargetNRMSE = 1e-3
+	if _, err := NewEngineOf[float64](Config{Opts: target, Policy: PolicyDegrade, Ladder: []float64{64}}, testDims(), w); err == nil {
+		t.Error("degrade policy accepted under TargetNRMSE")
+	}
 	eng, err := NewEngineOf[float64](Config{Opts: testOpts()}, testDims(), w)
 	if err != nil {
 		t.Fatal(err)

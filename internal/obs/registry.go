@@ -44,6 +44,19 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
+// SetMax raises the gauge to v when v is larger, so the gauge holds the
+// high-water mark of every value passed. A NaN v is ignored.
+func (g *Gauge) SetMax(v float64) {
+	if g == nil || !enabled.Load() {
+		return
+	}
+	for old := g.bits.Load(); v > math.Float64frombits(old); old = g.bits.Load() {
+		if g.bits.CompareAndSwap(old, math.Float64bits(v)) {
+			return
+		}
+	}
+}
+
 // Load returns the gauge's current value.
 func (g *Gauge) Load() float64 {
 	if g == nil {
