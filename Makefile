@@ -36,23 +36,25 @@ all: build vet test check
 # sparse and deflated sparse codecs, the coefficient codec block decoders,
 # survivor selection against the serial threshold, every codec's
 # survivor encoder against its dense encode, and the stserve handlers
-# over arbitrary query parameters. Each smoke passes
+# over arbitrary query parameters, and the synth lattice kernel's AVX2
+# body against its Go loop. Each smoke passes
 # -fuzzminimizetime=0: minimizing a new input otherwise runs for up to
 # 60 s with no execs counted, which used up most of a smoke's fuzztime.
-# The wavelet and transform
+# The wavelet, transform and sim
 # packages are also tested with -tags purego (the Go row bodies alone,
-# as on a CPU without AVX2) and vetted for arm64, and so are core's
+# as on a CPU without AVX2), and so are core's
 # pinned ratio-mode and MaxErr bytes and its TargetNRMSE bound, so the
-# Go row bodies are checked on the byte path too; fma-check keeps
+# Go row bodies are checked on the byte path too; the packages with AVX2
+# bodies are vetted for arm64, and fma-check keeps
 # fused multiply-adds off the byte path.
 # The ingest stage tests repeated under -race. go test passes with only a
 # warning when -run matches nothing, so check counts the matches first.
 STAGE_TESTS = ^(TestPipelineSinkErrorDrains|TestPipelineJobErrorDrains|TestPipelineOrdered|TestPipelineCloseInFlightNoLeak|TestAsyncWriterMatchesSyncWriter|TestAsyncWriter32MatchesSync)$$
 
 check: vet fmt-check fma-check lint docscheck bench-smoke
-	$(GO) test -tags purego ./internal/wavelet ./internal/transform
+	$(GO) test -tags purego ./internal/wavelet ./internal/transform ./internal/sim/...
 	$(GO) test -tags purego -run '^(TestGoldenWindowBytes|TestMaxErrBytesPinned|TestCompressToTargetMeetsBound)$$' ./internal/core
-	GOARCH=arm64 $(GO) vet ./internal/wavelet ./internal/transform
+	GOARCH=arm64 $(GO) vet ./internal/num ./internal/wavelet ./internal/transform ./internal/sim/synth
 	$(GO) test -race ./internal/server ./cmd/stserve ./internal/storage ./internal/compress ./internal/faultio ./internal/transform ./internal/core ./internal/par ./internal/codec ./internal/entropy ./internal/ingest ./internal/lint ./internal/sim/synth ./internal/sim/tornado ./internal/sim/cloverleaf ./cmd/stcomp
 	@n=$$($(GO) test -list '$(STAGE_TESTS)' ./internal/ingest | grep -c '^Test'); \
 	if [ "$$n" -ne 6 ]; then echo "STAGE_TESTS matches $$n of the 6 ingest stage tests it names"; exit 1; fi
@@ -77,22 +79,30 @@ check: vet fmt-check fma-check lint docscheck bench-smoke
 	$(GO) test -run=NONE -fuzz=FuzzSelectSurvivors -fuzztime=5s -fuzzminimizetime=0 ./internal/compress
 	$(GO) test -run=NONE -fuzz=FuzzEncodeSurvivors -fuzztime=5s -fuzzminimizetime=0 ./internal/codec
 	$(GO) test -run=NONE -fuzz=FuzzHandlers -fuzztime=5s -fuzzminimizetime=0 ./internal/server
+	$(GO) test -run=NONE -fuzz=FuzzLatticeRowMatchesGo -fuzztime=5s -fuzzminimizetime=0 ./internal/sim/synth
 
 # No fused multiply-add on the byte path. gc fuses x + a*b into one
 # instruction on arm64 (and ppc64le, s390x, riscv64) unless the product
 # passes through an explicit conversion, and the fused form rounds once
 # where amd64 rounds twice, so coefficient bits would differ by target.
-# The wavelet kernels wrap their products in F(...); an arm64 listing of
-# internal/core, which instantiates them at both precisions, must hold
-# no FMADD/FMSUB/FNMADD/FNMSUB, and the AVX2 row bodies no VFMADD family
-# instruction. The FMULD test guards against an empty listing.
+# The wavelet kernels and the synth lattice kernel wrap their products in
+# F(...); arm64 listings of internal/core, which instantiates the wavelet
+# kernels at both precisions, and of internal/sim/synth, whose samples feed
+# every simulated window, must hold no FMADD/FMSUB/FNMADD/FNMSUB, and the
+# AVX2 bodies no VFMADD family instruction. The FMULD test guards against
+# an empty listing.
+FMA_PKGS = internal/core internal/sim/synth
+FMA_ASM = internal/wavelet/rows_amd64.s internal/sim/synth/lattice_amd64.s
+
 fma-check:
-	@out=$$(GOARCH=arm64 $(GO) build -gcflags=stwave/internal/core=-S ./internal/core 2>&1) || { printf '%s\n' "$$out" | tail -20; exit 1; }; \
-	printf '%s\n' "$$out" | grep -q FMULD || { echo "fma-check: no arm64 listing of internal/core"; exit 1; }; \
-	n=$$(printf '%s\n' "$$out" | grep -cE 'FMADD|FMSUB|FNMADD|FNMSUB'); \
-	if [ "$$n" -ne 0 ]; then echo "fma-check: arm64 internal/core holds $$n fused multiply-adds, want 0"; exit 1; fi; \
-	if grep -nE 'VFMADD|VFMSUB|VFNMADD|VFNMSUB' internal/wavelet/rows_amd64.s; then \
-		echo "fma-check: rows_amd64.s uses a fused multiply-add"; exit 1; fi
+	@for p in $(FMA_PKGS); do \
+		out=$$(GOARCH=arm64 $(GO) build -gcflags=stwave/$$p=-S ./$$p 2>&1) || { printf '%s\n' "$$out" | tail -20; exit 1; }; \
+		printf '%s\n' "$$out" | grep -q FMULD || { echo "fma-check: no arm64 listing of $$p"; exit 1; }; \
+		n=$$(printf '%s\n' "$$out" | grep -cE 'FMADD|FMSUB|FNMADD|FNMSUB'); \
+		if [ "$$n" -ne 0 ]; then echo "fma-check: arm64 $$p holds $$n fused multiply-adds, want 0"; exit 1; fi; \
+	done; \
+	if grep -nE 'VFMADD|VFMSUB|VFNMADD|VFNMSUB' $(FMA_ASM); then \
+		echo "fma-check: an AVX2 body uses a fused multiply-add"; exit 1; fi
 
 # Domain-aware static analysis: ten analyzers proving the pipeline's
 # numeric, I/O, taint, scratch-pool, context, and worker-budget

@@ -3,7 +3,8 @@
 // used at precision boundaries. The pipeline runs end-to-end in either
 // float32 or float64; float64 is the reference oracle and float32 the
 // bandwidth-halving fast path, so every stage that touches coefficient
-// slabs is generic over this constraint.
+// slabs is generic over this constraint. HaveAVX2 is the one CPU probe
+// the packages with AVX2 bodies (wavelet, synth) choose them by.
 package num
 
 import "unsafe"

@@ -1,11 +1,14 @@
 package synth
 
 import (
+	"math"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
 
 	"stwave/internal/grid"
+	"stwave/internal/num"
 )
 
 // benchField is the benchmark fixture's ensemble: 8 modes.
@@ -37,7 +40,9 @@ func TestSampleRejectsInvalidDims(t *testing.T) {
 }
 
 // The sampled bytes are a pure function of (ensemble, lattice, t): the
-// worker count and GOMAXPROCS only decide who computes which z-plane.
+// worker count and GOMAXPROCS only decide who computes which z-plane, and
+// the AVX2 body, where there is one, agrees with the Go loop. Nx = 17 gives
+// the body two lane groups and leaves the Go loop a one-lane tail.
 func TestSampleIdenticalAcrossWorkerCounts(t *testing.T) {
 	f := benchField(t)
 	d := grid.Dims{Nx: 17, Ny: 5, Nz: 7}
@@ -55,13 +60,18 @@ func TestSampleIdenticalAcrossWorkerCounts(t *testing.T) {
 		return out
 	}
 	want := sampleWith(1)
-	for _, workers := range []int{2, 3, runtime.NumCPU(), d.Nz + 1} {
-		for i, v := range sampleWith(workers) {
-			if v != want[i] {
-				t.Fatalf("%d workers: sample %d = %v, 1 worker gave %v", workers, i, v, want[i])
+	defer func() { useAVX2 = num.HaveAVX2 }()
+	for _, avx2 := range []bool{num.HaveAVX2, false} {
+		useAVX2 = avx2
+		for _, workers := range []int{1, 2, 3, runtime.NumCPU(), d.Nz + 1} {
+			for i, v := range sampleWith(workers) {
+				if math.Float64bits(v) != math.Float64bits(want[i]) {
+					t.Fatalf("avx2 %v, %d workers: sample %d = %v, 1 worker gave %v", avx2, workers, i, v, want[i])
+				}
 			}
 		}
 	}
+	useAVX2 = num.HaveAVX2
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	got, err := f.SampleScalar(d.Nx, d.Ny, d.Nz, 2.5)
@@ -73,6 +83,57 @@ func TestSampleIdenticalAcrossWorkerCounts(t *testing.T) {
 			t.Fatalf("GOMAXPROCS=1: sample %d = %v, want %v", i, v, want[i])
 		}
 	}
+}
+
+// FuzzLatticeRowMatchesGo holds sumModes' AVX2 body to its Go loop bit
+// for bit, any NaN matching any NaN: 1-80 modes, rows of 1-200 lanes (most
+// not a multiple of 8), and tables and weights drawn from ordinary values
+// and, at a density the input picks, ±0, subnormals, ±Inf, NaN and
+// ±MaxFloat64. The row starts as NaN, so a body that accumulates into it
+// rather than setting it fails.
+func FuzzLatticeRowMatchesGo(f *testing.F) {
+	if !num.HaveAVX2 {
+		f.Skip("this build or CPU has no AVX2 lattice body")
+	}
+	f.Add(uint8(8), uint8(63), uint8(0), int64(1))
+	f.Add(uint8(79), uint8(199), uint8(2), int64(2))
+	f.Add(uint8(0), uint8(6), uint8(4), int64(3))
+	f.Add(uint8(12), uint8(16), uint8(1), int64(4))
+	tiny := math.SmallestNonzeroFloat64
+	special := []float64{0, math.Copysign(0, -1), tiny, -tiny, 1000 * tiny,
+		math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, -math.MaxFloat64}
+	f.Fuzz(func(t *testing.T, modes, lanes, density uint8, seed int64) {
+		nm, n := 1+int(modes)%80, 1+int(lanes)%200
+		rng := rand.New(rand.NewSource(seed))
+		fill := func(k int) []float64 {
+			s := make([]float64, k)
+			for i := range s {
+				if rng.Intn(8) < int(density)%5 {
+					s[i] = special[rng.Intn(len(special))]
+				} else {
+					s[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4))
+				}
+			}
+			return s
+		}
+		sa, ca, p, q := fill(nm*n), fill(nm*n), fill(nm), fill(nm)
+		defer func() { useAVX2 = num.HaveAVX2 }()
+		rows := [2][]float64{make([]float64, n), make([]float64, n)}
+		for i, avx2 := range []bool{false, true} {
+			for j := range rows[i] {
+				rows[i][j] = math.NaN()
+			}
+			useAVX2 = avx2
+			sumModes(rows[i], sa, ca, p, q)
+		}
+		for j, want := range rows[0] {
+			got := rows[1][j]
+			if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Fatalf("%d modes, %d lanes, lane %d: avx2 %v (bits %x) != go %v (bits %x)",
+					nm, n, j, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	})
 }
 
 // Field is documented safe for concurrent sampling; run under -race.

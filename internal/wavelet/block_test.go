@@ -227,7 +227,7 @@ func fuzzBlockMatchesLine[F num.Float](t *testing.T, kb, nb, lb uint8, data []by
 			slab[i*L+j] = v
 		}
 	}
-	defer func() { useAVX2 = haveAVX2 }()
+	defer func() { useAVX2 = num.HaveAVX2 }()
 	for _, stage := range []string{"forward", "inverse"} {
 		lines := make([][]F, L)
 		scratch := make([]F, n)

@@ -37,31 +37,9 @@ func scaleAddSumRowF64(d, x, a, b *float64, n int, s, c float64)
 //go:noescape
 func scaleAddSumRowF32(d, x, a, b *float32, n int, s, c float32)
 
-func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-
-func xgetbv() (eax, edx uint32)
-
-// haveAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
-// registers: CPUID leaf 1 for OSXSAVE and AVX, XCR0 for the XMM and YMM
-// state bits, and leaf 7 for AVX2.
-var haveAVX2 = func() bool {
-	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return false
-	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&(osxsave|avx) != osxsave|avx {
-		return false
-	}
-	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
-		return false
-	}
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&(1<<5) != 0
-}()
-
-// useAVX2 selects the AVX2 bodies. It is haveAVX2, fixed at package init;
-// only tests turn it off, to run the Go loops against the same inputs.
-var useAVX2 = haveAVX2
+// useAVX2 selects the AVX2 bodies. It is num.HaveAVX2, fixed at package
+// init; only tests turn it off, to run the Go loops against the same inputs.
+var useAVX2 = num.HaveAVX2
 
 // vecLen is how many leading lanes of an n-lane row at precision F the
 // AVX2 bodies take: n rounded down to a whole group, 0 with them off.

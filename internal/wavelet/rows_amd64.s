@@ -154,22 +154,3 @@ TEXT ·scaleAddSumRowF32(SB), NOSPLIT, $0-48
 	VBROADCASTSS s+40(FP), Y9
 	VBROADCASTSS c+44(FP), Y8
 	SCALE_ADD_SUM(VADDPS, VMULPS)
-
-// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL eaxArg+0(FP), AX
-	MOVL ecxArg+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
-// func xgetbv() (eax, edx uint32)
-TEXT ·xgetbv(SB), NOSPLIT, $0-8
-	MOVL   $0, CX
-	XGETBV
-	MOVL   AX, eax+0(FP)
-	MOVL   DX, edx+4(FP)
-	RET

@@ -6,8 +6,6 @@ import "stwave/internal/num"
 
 // This build has no vector row bodies: the Go loops lift every lane.
 
-const haveAVX2 = false
-
 var useAVX2 = false
 
 func addSumRowVec[F num.Float](x, a, b []F, c F) int            { return 0 }

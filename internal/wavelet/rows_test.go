@@ -10,9 +10,9 @@ import (
 
 // rowBodies lists the settings of useAVX2 this binary can run: the Go
 // loops always, and the AVX2 bodies where the CPU has them. A test that
-// sets useAVX2 puts it back to haveAVX2 when it is done.
+// sets useAVX2 puts it back to num.HaveAVX2 when it is done.
 func rowBodies() []bool {
-	if haveAVX2 {
+	if num.HaveAVX2 {
 		return []bool{false, true}
 	}
 	return []bool{false}
@@ -29,7 +29,7 @@ func rowBodyName(avx2 bool) string {
 // named by rowBodyName.
 func eachRowBody(f func(*testing.T)) func(*testing.T) {
 	return func(t *testing.T) {
-		defer func() { useAVX2 = haveAVX2 }()
+		defer func() { useAVX2 = num.HaveAVX2 }()
 		for _, on := range rowBodies() {
 			useAVX2 = on
 			t.Run(rowBodyName(on), f)
@@ -44,10 +44,10 @@ func eachRowBody(f func(*testing.T)) func(*testing.T) {
 // ordinary normals. Every output lane must match bit for bit, any NaN
 // matching any NaN.
 func TestRowBodiesBitIdentical(t *testing.T) {
-	if !haveAVX2 {
+	if !num.HaveAVX2 {
 		t.Skip("this build or CPU has no AVX2 row bodies")
 	}
-	defer func() { useAVX2 = haveAVX2 }()
+	defer func() { useAVX2 = num.HaveAVX2 }()
 	t.Run("float64", testRowBodies[float64])
 	t.Run("float32", testRowBodies[float32])
 }
